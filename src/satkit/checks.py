@@ -204,8 +204,3 @@ SUITES = {
     "tate": tate,
     "hl-specialize": hl_specialize,
 }
-
-
-def run_suite(name):
-    """Rows for one suite; KeyError left to the caller for unknown names."""
-    return SUITES[name]()

@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 from .checks import SUITES
 from .hecke import HeckeElement, convolve, inverse_satake, normalized_satake, satake
@@ -99,11 +100,18 @@ def _lattice_from_text(text, what):
     basis = data["basis"]
     if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
         raise SchemaError(f'{what}: "basis" must be a list of rows')
+    rows = []
     for row in basis:
+        entries = []
         for entry in row:
             if isinstance(entry, bool) or not isinstance(entry, (int, str)):
                 raise SchemaError(f"{what}: matrix entries must be integers or strings, got {entry!r}")
-    return PLattice.from_json(data)
+            try:
+                entries.append(Fraction(entry))
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"{what}: matrix entry {entry!r} is not a rational number") from None
+        rows.append(tuple(entries))
+    return PLattice(data["p"], tuple(rows))
 
 
 # -- output formatting ---------------------------------------------------

@@ -161,6 +161,9 @@ class LaurentScalar:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # equal to an int exactly when constant, so hash as that int then
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def shift(self, k):
@@ -356,7 +359,10 @@ def parse_scalar(s, var="v"):
         if raw is None:
             mag = 1
         elif "/" in raw:
-            mag = Fraction(raw)
+            num, den = map(int, raw.split("/"))
+            if den == 0:
+                raise ValueError(f"zero denominator in term {term!r} of {s!r}")
+            mag = Fraction(num, den)
         else:
             mag = int(raw)
         c = mag if sign == "+" else -mag

@@ -16,26 +16,41 @@ and with basis-as-columns and B1^-1 B2 (not B2^-1 B1) the convolution
 identity below holds with no sign or reversal fix-up; during development the
 identity was checked numerically before the convention was frozen.
 
-Smith invariants use valuation-pivot Gaussian elimination over Fractions: a
-minimal-valuation entry p-divides every other entry, so clearing its row and
-column keeps everything in Z_(p) and recursion on the complement reads off
-the valuations.
+inv_pair works on integers.  Writing B_i = A_i / p^{e_i} with A_i integral,
+B1^-1 B2 = p^{e1 - e2} adj(A1) A2 / det(A1), so the valuations are those of
+the integer matrix adj(A1) A2 shifted by e1 - e2 - v_p(det A1).  They are
+read off by valuation-pivot elimination: an entry p^v u of minimal valuation
+(u a p-unit) p-divides every other entry, so each other row is scaled by u
+and has an integer multiple of the pivot row subtracted, which clears the
+pivot column while staying in Z and invertible over Z_(p); the pivot row
+can then be cleared by column operations that touch nothing else, so
+recursion on the complement reads off the remaining valuations.
+smith_invariants runs the same elimination over Fractions on any rational
+matrix; it is kept as the independent route the tests hold the integer one
+to.
 
-Enumeration between p^N L0 and p^-N L0 walks column-style Hermite normal
-forms relative to p^-N: diagonals p^{a_i} with 0 <= a_i <= 2N, integer
-off-diagonal entries h_ij (j < i) with 0 <= h_ij < h_ii, filtered by the
-containment condition that p^{2N} H^-1 is integral at p.  Each lattice in
-the window appears exactly once (this is the classical normal form for
-subgroups of (Z/p^{2N})^n; the count 15 for p=2, n=2, N=1 is frozen in the
-tests).
+The depth-d window p^d L0 <= L <= L0 is walked as column-style Hermite
+normal forms H: integer lower triangular, diagonals p^{a_i} with
+0 <= a_i <= d, off-diagonal entries 0 <= h_ij < h_ii (j < i), and
+containment p^d L0 <= H L0, i.e. X = p^d H^-1 integral.  X is lower
+triangular and its row i depends only on rows <= i of H, so rows are chosen
+one at a time by exact forward substitution and a row whose X row is not
+integral cuts off all its completions.  Each lattice in the window appears
+exactly once (this is the classical normal form for subgroups of
+(Z/p^d)^n; the counts 15 and 129 are frozen in the tests).  The window
+p^hi L0 <= L <= p^lo L0 is p^lo times the depth hi - lo one, so the shapes H
+are computed once per (p, n, depth), together with their partition into
+Schubert cells by inv(L0, H), the valuations of H itself; inv(L0, p^lo H)
+is that plus lo.  schubert_count is a cell size.
 
 The point of the module is convolution_oracle(lam, mu, nu, p):
 
     #{ L : inv(L0, L) = lam  and  inv(L, nu(p) L0) = mu }
 
 which must equal the T_nu-coefficient of T_lam * T_mu specialized at q = p.
-The Hecke side computes that coefficient through the Satake transform; the
-two routes share no code, which is what makes the agreement a real check.
+It tests only the lattices of lam's cell.  The Hecke side computes that
+coefficient through the Satake transform; the two routes share no code,
+which is what makes the agreement a real check.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .rootdata import check_weight, is_dominant
 
@@ -244,6 +260,70 @@ def smith_invariants(mat, p):
     return tuple(sorted(out, reverse=True))
 
 
+def _val_int(x, p):
+    """The p-adic valuation of a nonzero integer."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _int_smith(mat, p):
+    """Valuations at p of the elementary divisors of a nonsingular integer matrix.
+
+    Sorted weakly decreasing.  Rows are scaled only by p-units, so every step
+    stays in Z and is invertible over Z_(p).
+    """
+    m = [list(row) for row in mat]
+    out = []
+    while m:
+        best = None
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x:
+                    v = _val_int(x, p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        v, pi, pj = best  # nonsingular, so some entry is nonzero
+        prow = m.pop(pi)
+        pivot = prow.pop(pj)
+        unit, scale = pivot // p**v, p**v
+        for row in m:
+            x = row.pop(pj)
+            if x:
+                f = x // scale
+                row[:] = [unit * a - f * b for a, b in zip(row, prow)]
+        out.append(v)
+    return tuple(sorted(out, reverse=True))
+
+
+def _det_int(mat):
+    """Determinant of a square integer matrix (Bareiss elimination); 1 if empty."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def _integral(lat):
+    """(A, e): the integer matrix A = p^e B of a basis B, for the least e >= 0."""
+    den = max(x.denominator for row in lat.basis for x in row)
+    a = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in lat.basis)
+    return a, _val_int(den, lat.p)
+
+
 def inv_pair(l1, l2):
     """Relative position of two lattices: elementary divisors of B1^-1 B2."""
     if not isinstance(l1, PLattice) or not isinstance(l2, PLattice):
@@ -252,51 +332,86 @@ def inv_pair(l1, l2):
         raise ValueError(f"prime mismatch: {l1.p} vs {l2.p}")
     if l1.n != l2.n:
         raise ValueError(f"rank mismatch: {l1.n} vs {l2.n}")
-    return smith_invariants(_mat_mul(_mat_inv(l1.basis), l2.basis), l1.p)
+    p, n = l1.p, l1.n
+    (a1, e1), (a2, e2) = _integral(l1), _integral(l2)
+    idx = range(n)
+    adj = [
+        [
+            (-1) ** (i + j)
+            * _det_int([[a1[r][c] for c in idx if c != i] for r in idx if r != j])
+            for j in idx
+        ]
+        for i in idx
+    ]
+    det = sum(a1[0][k] * adj[k][0] for k in idx)
+    prod = [[sum(adj[i][k] * a2[k][j] for k in idx) for j in idx] for i in idx]
+    shift = e1 - e2 - _val_int(det, p)
+    return tuple(v + shift for v in _int_smith(prod, p))
 
 
-from functools import lru_cache
+def _hnf_rows(p, depth, diag):
+    """The shapes H of the depth window with diagonal p^diag, as integer rows.
+
+    Row-major lexicographic in the off-diagonal entries.  Alongside each
+    prefix of rows of H it keeps the rows of X = p^depth H^-1, found by
+    forward substitution; a row of H whose X row is not integral is dropped
+    with every completion of it.
+    """
+    n = len(diag)
+    found = []
+
+    def extend(hs, xs):
+        i = len(hs)
+        if i == n:
+            found.append(tuple(hs))
+            return
+        d = p ** diag[i]
+        for off in itertools.product(range(d), repeat=i):
+            x = []
+            for k in range(i):
+                s = sum(off[j] * xs[j][k] for j in range(k, i))
+                if s % d:
+                    break
+                x.append(-s // d)
+            else:
+                x.append(p ** (depth - diag[i]))
+                extend(hs + [off + (d,) + (0,) * (n - i - 1)], xs + [x])
+
+    extend([], [])
+    return found
 
 
 @lru_cache(maxsize=None)
-def _hnf_between(p, n, lo, hi):
-    """Lattices L with p^hi L0 <= L <= p^lo L0, each exactly once.
+def _shapes(p, n, depth):
+    """The depth window p^depth L0 <= L <= L0, each lattice once, and its cells.
 
-    Cached; PLattice is frozen so sharing the tuple between callers is safe.
+    Returns (shapes, cells): the integer bases H in enumeration order, and a
+    dict from inv(L0, H) to the tuple of those H (the same objects).
     """
-    depth = hi - lo
     shapes = []
-    scale = Fraction(p) ** lo
     for diag in itertools.product(range(depth + 1), repeat=n):
-        ranges = []
-        for i in range(n):
-            for j in range(n):
-                if j < i:
-                    ranges.append(range(p ** diag[i]))
-        for offdiag in itertools.product(*ranges):
-            h = [[0] * n for _ in range(n)]
-            k = 0
-            for i in range(n):
-                h[i][i] = p ** diag[i]
-                for j in range(i):
-                    h[i][j] = offdiag[k]
-                    k += 1
-            hf = tuple(tuple(Fraction(x) for x in row) for row in h)
-            hinv = _mat_inv(hf)
-            ok = True
-            for row in hinv:
-                for x in row:
-                    v = val_p(x * p ** depth, p)
-                    if v is not None and v < 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                shapes.append(
-                    PLattice(p, tuple(tuple(scale * x for x in row) for row in hf))
-                )
-    return tuple(shapes)
+        shapes.extend(_hnf_rows(p, depth, diag))
+    cells = {}
+    for h in shapes:
+        cells.setdefault(_int_smith(h, p), []).append(h)
+    return tuple(shapes), {key: tuple(group) for key, group in cells.items()}
+
+
+@lru_cache(maxsize=None)
+def _window(p, n, lo, hi):
+    """Lattices L with p^hi L0 <= L <= p^lo L0, each once, and their cells.
+
+    Returns (lattices, cells), cells keyed by inv(L0, L) and holding the same
+    PLattice objects.  Cached; PLattice is frozen so sharing is safe.
+    """
+    shapes, shape_cells = _shapes(p, n, hi - lo)
+    scale = Fraction(p) ** lo
+    made = {h: PLattice(p, tuple(tuple(scale * x for x in row) for row in h)) for h in shapes}
+    cells = {
+        tuple(e + lo for e in key): tuple(made[h] for h in group)
+        for key, group in shape_cells.items()
+    }
+    return tuple(made.values()), cells
 
 
 def enumerate_between(p, n, nn):
@@ -310,7 +425,7 @@ def enumerate_between(p, n, nn):
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {n!r}")
     if not isinstance(nn, int) or not 0 <= nn <= _MAX_WINDOW:
         raise ValueError(f"window must be 0..{_MAX_WINDOW}, got {nn!r}")
-    return list(_hnf_between(p, n, -nn, nn))
+    return list(_window(p, n, -nn, nn)[0])
 
 
 def _window_for(mu):
@@ -322,7 +437,7 @@ def _window_for(mu):
 
 
 def schubert_count(mu, p):
-    """#{L : inv_pair(L0, L) = mu}, by direct enumeration.
+    """#{L : inv_pair(L0, L) = mu}, the size of mu's cell in its window.
 
     >>> schubert_count((1, 0), 2)
     3
@@ -337,15 +452,15 @@ def schubert_count(mu, p):
     if not is_dominant(mu):
         raise ValueError(f"coweight must be dominant: {mu}")
     lo, hi = _window_for(mu)
-    std = PLattice.standard(n, p)
-    return sum(1 for lat in _hnf_between(p, n, lo, hi) if inv_pair(std, lat) == mu)
+    cells = _shapes(p, n, hi - lo)[1]
+    return len(cells.get(tuple(e - lo for e in mu), ()))
 
 
 def convolution_oracle(lam, mu, nu, p):
     """Count lattices L with inv(L0, L) = lam and inv(L, nu(p) L0) = mu.
 
     This is the structure constant of T_lam * T_mu on T_nu with v^2
-    specialized to p, counted one lattice at a time.
+    specialized to p, counted one lattice of lam's cell at a time.
     """
     lam, mu, nu = check_weight(lam), check_weight(mu), check_weight(nu)
     p = _check_p(p)
@@ -358,13 +473,9 @@ def convolution_oracle(lam, mu, nu, p):
         if not is_dominant(w):
             raise ValueError(f"coweights must be dominant: {w}")
     lo, hi = _window_for(lam)
-    std = PLattice.standard(n, p)
     target = PLattice.from_coweight(nu, p)
-    count = 0
-    for lat in _hnf_between(p, n, lo, hi):
-        if inv_pair(std, lat) == lam and inv_pair(lat, target) == mu:
-            count += 1
-    return count
+    cell = _window(p, n, lo, hi)[1].get(lam, ())
+    return sum(1 for lat in cell if inv_pair(lat, target) == mu)
 
 
 if __name__ == "__main__":

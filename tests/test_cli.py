@@ -108,6 +108,9 @@ def test_schema_errors_exit_2():
         ["dim", "--n", "2", "--mu", "x"],
         ["dim", "--n", "3", "--mu", "1,0"],  # rank mismatch
         ["satake", "--n", "2", "--h", '{"bad":1}'],
+        ["conv", "--n", "2", "--a", '{"(1,0)":"1/0"}', "--b", '{"(1,0)":1}'],
+        ["inv", "--a", '{"p":2,"basis":[["x",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
+        ["inv", "--a", '{"p":2,"basis":[["1/0",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["tate-dim", "--config", "/nonexistent.json", "--mu", "1,0"],
         ["check", "no-such-suite"],
         ["no-such-verb"],

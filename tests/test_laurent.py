@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from satkit.laurent import LaurentScalar, QuadExt, parse_scalar
@@ -56,7 +56,7 @@ def test_canonical_string_examples():
 
 
 def test_parse_rejects_junk():
-    for bad in ["", "v^", "1++v", "w^2", "v^1.5"]:
+    for bad in ["", "v^", "1++v", "w^2", "v^1.5", "1/0", "v-3/0v^2"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
     # whitespace between terms is tolerated on input, never emitted
@@ -119,3 +119,16 @@ def test_shift_scales_by_v_power():
 @given(scalars)
 def test_hash_consistent_with_eq(a):
     assert hash(a) == hash(LaurentScalar(dict(a.coeffs)))
+
+
+small_ints = st.integers(min_value=-3, max_value=3)
+scalars_or_ints = st.one_of(scalars, small_ints, small_ints.map(LaurentScalar.from_int))
+
+
+@given(scalars_or_ints, scalars_or_ints)
+@example(LaurentScalar({0: 2}), 2)
+@example(LaurentScalar.zero(), 0)
+def test_equal_values_hash_equal(a, b):
+    # constant scalars compare equal to ints, so they must hash as them
+    if a == b:
+        assert hash(a) == hash(b)

@@ -6,13 +6,22 @@ over F_2 has 42 Borel cosets, projective plane 7 points, ...), so a missing
 or duplicated lattice would show up immediately.
 """
 
+import ast
+import inspect
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from satkit import plattice
 from satkit.plattice import (
     PLattice,
+    _det,
+    _mat_inv,
+    _mat_mul,
+    _window,
     convolution_oracle,
     enumerate_between,
     inv_pair,
@@ -82,6 +91,65 @@ def test_inv_pair_reversal():
             forward = inv_pair(a, b)
             backward = inv_pair(b, a)
             assert backward == tuple(sorted((-x for x in forward), reverse=True))
+
+
+def fraction_inv_pair(l1, l2):
+    """The independent route: Smith invariants of B1^-1 B2 over Fractions."""
+    return smith_invariants(_mat_mul(_mat_inv(l1.basis), l2.basis), l1.p)
+
+
+def test_integer_inv_pair_matches_fraction_route():
+    lattices = enumerate_between(2, 2, 1)
+    for a in lattices:
+        for b in lattices:
+            assert inv_pair(a, b) == fraction_inv_pair(a, b)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two random lattices of rank 1..4 with p-power denominators."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = st.builds(
+        Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from((1, p, p * p))
+    )
+    pair = []
+    for _ in range(2):
+        rows = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+        assume(_det(rows) != 0)
+        pair.append(PLattice(p, rows))
+    return pair
+
+
+@given(lattice_pairs())
+def test_integer_inv_pair_matches_fraction_route_on_random_lattices(pair):
+    a, b = pair
+    assert inv_pair(a, b) == fraction_inv_pair(a, b)
+
+
+@pytest.mark.parametrize(
+    "p, n, lo, hi",
+    [(p, n, -nn, nn) for p in (2, 3) for n in (1, 2, 3) for nn in (0, 1)]
+    + [(2, 3, 0, 2), (3, 2, 0, 3)],
+)
+def test_cells_match_fraction_route(p, n, lo, hi):
+    lattices, cells = _window(p, n, lo, hi)
+    std = PLattice.standard(n, p)
+    grouped = {}
+    for lat in lattices:
+        grouped.setdefault(fraction_inv_pair(std, lat), []).append(lat)
+    assert cells == {key: tuple(group) for key, group in grouped.items()}
+
+
+def test_lattice_route_shares_no_code_with_transform_route():
+    tree = ast.parse(inspect.getsource(plattice))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"hecke", "symfunc", "laurent"}
 
 
 def test_enumeration_window_counts():
