@@ -6,9 +6,11 @@ rationals (fractions.Fraction); there is not a single float in the library.
 Module map:
 
 - laurent:   the coefficient ring Z[v, v^-1], canonical printing/parsing
-- rootdata:  weights, dominance order, 2rho-pairing, group data
-- symfunc:   symmetric functions in the monomial basis; Schur and
-             Hall-Littlewood polynomials
+- rootdata:  weights, dominance order, 2rho-pairing, group data; the exact
+             linear-algebra kernel
+- symfunc:   the combination base shared by SymPoly, HeckeElement and
+             RepElement; symmetric functions in the monomial basis; Schur
+             and Hall-Littlewood polynomials
 - repring:   representation ring of GL_n: dimensions, weight multiplicities,
              tensor products
 - hecke:     spherical Hecke algebra elements, Satake transform and inverse,

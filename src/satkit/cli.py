@@ -100,6 +100,8 @@ def _lattice_from_text(text, what):
     basis = data["basis"]
     if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
         raise SchemaError(f'{what}: "basis" must be a list of rows')
+    if not basis or any(len(row) != len(basis) for row in basis):
+        raise SchemaError(f'{what}: "basis" must be a square, nonempty matrix')
     rows = []
     for row in basis:
         entries = []

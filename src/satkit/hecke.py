@@ -26,143 +26,48 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentScalar, _coerce
-from .rootdata import check_weight, is_dominant, two_rho_pairing
-from .symfunc import SymPoly, hall_littlewood
+from .laurent import LaurentScalar
+from .rootdata import _is_dominant, check_weight, two_rho_pairing
+from .symfunc import Combination, SymPoly, _add_into, hall_littlewood
 
 
-class HeckeElement:
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"rank must be a positive int: {n!r}")
-        self.n = n
-        self.terms = {}
-        for w, c in (terms or {}).items():
-            w = check_weight(w)
-            if len(w) != n:
-                raise ValueError(f"coweight {w} has rank {len(w)}, expected {n}")
-            if not is_dominant(w):
-                raise ValueError(f"basis coweights must be dominant: {w}")
-            c = _coerce(c)
-            if not c.is_zero():
-                self.terms[w] = c
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
+class HeckeElement(Combination):
+    __slots__ = ()
+    _key = "coweight"
+    _symbol = "T"
+    _bad_rank = "coweight {} has rank {}, expected {}"
+    _bad_key = "basis coweights must be dominant: {}"
 
     @classmethod
     def unit(cls, n):
         return cls(n, {(0,) * n: 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, mu):
-        return self.terms.get(check_weight(mu), LaurentScalar.zero())
-
-    def support(self):
-        return sorted(self.terms, reverse=True)
-
-    def _check_rank(self, other):
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        self._check_rank(other)
-        d = dict(self.terms)
-        for w, c in other.terms.items():
-            s = d.get(w, LaurentScalar.zero()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
-        return HeckeElement(self.n, d)
-
-    def __neg__(self):
-        return HeckeElement(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Scalar multiplication; convolution is convolve()."""
-        c = _coerce(other)
-        return HeckeElement(self.n, {w: cc * c for w, cc in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "terms": [
-                {"coweight": list(w), "coeff": {str(e): c for e, c in sorted(self.terms[w].coeffs.items())}}
-                for w in self.support()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        n = data["n"]
-        terms = {}
-        for entry in data["terms"]:
-            w = tuple(entry["coweight"])
-            coeff = LaurentScalar({int(e): c for e, c in entry["coeff"].items()})
-            if w in terms:
-                coeff = terms[w] + coeff
-            terms[w] = coeff
-        return cls(n, terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"HeckeElement(n={self.n}, 0)"
-        bits = []
-        for w in self.support():
-            c = self.terms[w]
-            name = f"T[{','.join(map(str, w))}]"
-            bits.append(name if c.is_one() else f"({c.to_string()})*{name}")
-        return f"HeckeElement(n={self.n}, {' + '.join(bits)})"
-
 
 def basis(mu):
     mu = check_weight(mu)
-    if not is_dominant(mu):
+    if not _is_dominant(mu):
         raise ValueError(f"basis coweight must be dominant: {mu}")
-    return HeckeElement(len(mu), {mu: 1})
+    return HeckeElement._from_canonical(len(mu), {mu: LaurentScalar.one()})
 
 
 def satake(h):
     """The Satake transform into symmetric Laurent polynomials."""
     if not isinstance(h, HeckeElement):
         raise ValueError("satake wants a HeckeElement")
-    out = SymPoly.zero(h.n)
+    out = {}
     for mu, c in h.terms.items():
-        out = out + (c.shift(two_rho_pairing(mu))) * hall_littlewood(mu)
-    return out
+        _add_into(out, hall_littlewood(mu).terms, c.shift(two_rho_pairing(mu)))
+    return SymPoly._from_canonical(h.n, out)
 
 
 def normalized_satake(h):
     """The transform without the v^<2rho,mu> twist: T_mu -> P_mu(x; v^-2)."""
     if not isinstance(h, HeckeElement):
         raise ValueError("normalized_satake wants a HeckeElement")
-    out = SymPoly.zero(h.n)
+    out = {}
     for mu, c in h.terms.items():
-        out = out + c * hall_littlewood(mu)
-    return out
+        _add_into(out, hall_littlewood(mu).terms, c)
+    return SymPoly._from_canonical(h.n, out)
 
 
 def inverse_satake(f):
@@ -175,14 +80,14 @@ def inverse_satake(f):
     """
     if not isinstance(f, SymPoly):
         raise ValueError("inverse_satake wants a SymPoly")
-    rest = f
+    rest = dict(f.terms)
     out = {}
-    while not rest.is_zero():
-        mu = max(rest.terms)
-        c = rest.terms[mu].shift(-two_rho_pairing(mu))
-        out[mu] = c
-        rest = rest - c.shift(two_rho_pairing(mu)) * hall_littlewood(mu)
-    return HeckeElement(f.n, out)
+    while rest:
+        mu = max(rest)
+        c = rest[mu]
+        out[mu] = c.shift(-two_rho_pairing(mu))
+        _add_into(rest, hall_littlewood(mu).terms, -c)
+    return HeckeElement._from_canonical(f.n, out)
 
 
 def convolve(a, b):

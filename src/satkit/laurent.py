@@ -57,12 +57,20 @@ class LaurentScalar:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _from_canonical(cls, coeffs):
+        """Trusted constructor: coeffs must already be canonical (int
+        exponents, no zero coefficient, no Fraction with denominator 1)."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls):
-        return cls()
+        return cls._from_canonical({})
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls._from_canonical({0: 1})
 
     @classmethod
     def from_int(cls, c):
@@ -113,12 +121,12 @@ class LaurentScalar:
         d = dict(self.coeffs)
         for k, c in other.coeffs.items():
             d[k] = d.get(k, 0) + c
-        return LaurentScalar(d)
+        return LaurentScalar._from_canonical(_canonical(d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentScalar({k: -c for k, c in self.coeffs.items()})
+        return LaurentScalar._from_canonical({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = _try_coerce(other)
@@ -141,7 +149,7 @@ class LaurentScalar:
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 d[k] = d.get(k, 0) + c1 * c2
-        return LaurentScalar(d)
+        return LaurentScalar._from_canonical(_canonical(d))
 
     __rmul__ = __mul__
 
@@ -168,11 +176,13 @@ class LaurentScalar:
 
     def shift(self, k):
         """Multiply by v^k."""
-        return LaurentScalar({e + k: c for e, c in self.coeffs.items()})
+        return LaurentScalar._from_canonical({e + k: c for e, c in self.coeffs.items()})
 
     def negate_variable(self):
         """The substitution v -> -v."""
-        return LaurentScalar({e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()})
+        return LaurentScalar._from_canonical(
+            {e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()}
+        )
 
     # -- division -----------------------------------------------------
 
@@ -206,7 +216,8 @@ class LaurentScalar:
                 num[t] = num.get(t, Fraction(0)) - q * c
                 if num[t] == 0:
                     del num[t]
-        out = LaurentScalar({e + s_min - o_min: c for e, c in quo.items()})
+        shift = s_min - o_min
+        out = LaurentScalar._from_canonical(_canonical({e + shift: c for e, c in quo.items()}))
         if self.is_integer_coeffs() and other.is_integer_coeffs():
             if not out.is_integer_coeffs():
                 raise ValueError(f"inexact division over Z: {self} / {other}")
@@ -290,11 +301,16 @@ class QuadExt:
         return f"({self.a} + {self.b}*sqrt({self.q}))"
 
 
+def _canonical(d):
+    """d without its zero coefficients, whole Fractions turned into ints."""
+    return {k: (c if type(c) is int else _norm_coeff(c)) for k, c in d.items() if c}
+
+
 def _try_coerce(x):
     if isinstance(x, LaurentScalar):
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return LaurentScalar({0: x})
+        return LaurentScalar._from_canonical(_canonical({0: x}))
     return None
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rootdata import check_weight, is_dominant
+from .rootdata import _det, _mat_inv, _mat_mul, _rank, check_weight, is_dominant
 
 _ALLOWED_PRIMES = (2, 3)
 _MAX_RANK = 3
@@ -97,30 +97,6 @@ def _mat_fractions(mat):
     return rows
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_inv(mat):
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 @dataclass(frozen=True)
 class PLattice:
     p: int
@@ -137,8 +113,8 @@ class PLattice:
                 if den != 1:
                     raise ValueError(f"basis entry {x} has a denominator not a power of {p}")
         object.__setattr__(self, "basis", rows)
-        # full rank required
-        _mat_inv(rows)
+        if _rank(rows) != len(rows):
+            raise ValueError("matrix is singular")
 
     @property
     def n(self):
@@ -192,26 +168,6 @@ class PLattice:
     def __repr__(self):
         rows = "; ".join(",".join(str(x) for x in row) for row in self.basis)
         return f"PLattice(p={self.p}, [{rows}])"
-
-
-def _det(mat):
-    n = len(mat)
-    m = [list(row) for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def smith_invariants(mat, p):

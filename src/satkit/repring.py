@@ -16,129 +16,34 @@ on that), and dimension() is the exact Weyl product formula
 
 from __future__ import annotations
 
-from .laurent import LaurentScalar, _coerce
-from .rootdata import check_weight, dual_weight, is_dominant
-from .symfunc import SymPoly, expand_in_schur, schur, weight_multiset
+from .laurent import LaurentScalar
+from .rootdata import _is_dominant, check_weight, dual_weight
+from .symfunc import Combination, SymPoly, _add_into, expand_in_schur, schur, weight_multiset
 
 
-class RepElement:
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"rank must be a positive int: {n!r}")
-        self.n = n
-        self.terms = {}
-        for w, c in (terms or {}).items():
-            w = check_weight(w)
-            if len(w) != n:
-                raise ValueError(f"highest weight {w} has rank {len(w)}, expected {n}")
-            if not is_dominant(w):
-                raise ValueError(f"highest weights must be dominant: {w}")
-            c = _coerce(c)
-            if not c.is_zero():
-                self.terms[w] = c
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, mu):
-        return self.terms.get(check_weight(mu), LaurentScalar.zero())
-
-    def support(self):
-        return sorted(self.terms, reverse=True)
-
-    def _check_rank(self, other):
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if not isinstance(other, RepElement):
-            return NotImplemented
-        self._check_rank(other)
-        d = dict(self.terms)
-        for w, c in other.terms.items():
-            s = d.get(w, LaurentScalar.zero()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
-        return RepElement(self.n, d)
-
-    def __neg__(self):
-        return RepElement(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, RepElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Scalar multiplication; use tensor() for the ring product."""
-        c = _coerce(other)
-        return RepElement(self.n, {w: cc * c for w, cc in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, RepElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "terms": [
-                {"highest_weight": list(w), "coeff": {str(e): c for e, c in sorted(self.terms[w].coeffs.items())}}
-                for w in self.support()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        n = data["n"]
-        terms = {}
-        for entry in data["terms"]:
-            w = tuple(entry["highest_weight"])
-            coeff = LaurentScalar({int(e): c for e, c in entry["coeff"].items()})
-            if w in terms:
-                coeff = terms[w] + coeff
-            terms[w] = coeff
-        return cls(n, terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"RepElement(n={self.n}, 0)"
-        bits = []
-        for w in self.support():
-            c = self.terms[w]
-            name = f"V[{','.join(map(str, w))}]"
-            bits.append(name if c.is_one() else f"({c.to_string()})*{name}")
-        return f"RepElement(n={self.n}, {' + '.join(bits)})"
+class RepElement(Combination):
+    __slots__ = ()
+    _key = "highest_weight"
+    _symbol = "V"
+    _bad_rank = "highest weight {} has rank {}, expected {}"
+    _bad_key = "highest weights must be dominant: {}"
 
 
 def irreducible(mu):
     mu = check_weight(mu)
-    if not is_dominant(mu):
+    if not _is_dominant(mu):
         raise ValueError(f"highest weight must be dominant: {mu}")
-    return RepElement(len(mu), {mu: 1})
+    return RepElement._from_canonical(len(mu), {mu: LaurentScalar.one()})
 
 
 def character(r):
     """The character as a SymPoly: sum of coeff * s_mu."""
     if not isinstance(r, RepElement):
         raise ValueError("character wants a RepElement")
-    out = SymPoly.zero(r.n)
+    out = {}
     for w, c in r.terms.items():
-        out = out + c * schur(w)
-    return out
+        _add_into(out, schur(w).terms, c)
+    return SymPoly._from_canonical(r.n, out)
 
 
 def dimension(mu):
@@ -150,7 +55,7 @@ def dimension(mu):
     6
     """
     mu = check_weight(mu)
-    if not is_dominant(mu):
+    if not _is_dominant(mu):
         raise ValueError(f"highest weight must be dominant: {mu}")
     n = len(mu)
     num = den = 1
@@ -181,14 +86,14 @@ def tensor(r1, r2):
         raise ValueError("tensor wants two RepElements")
     r1._check_rank(r2)
     prod = character(r1) * character(r2)
-    return RepElement(r1.n, expand_in_schur(prod))
+    return RepElement._from_canonical(r1.n, expand_in_schur(prod))
 
 
 def dual(r):
     """The dual: highest weights reverse-negate, coefficients untouched."""
     if not isinstance(r, RepElement):
         raise ValueError("dual wants a RepElement")
-    return RepElement(r.n, {dual_weight(w): c for w, c in r.terms.items()})
+    return RepElement._from_canonical(r.n, {dual_weight(w): c for w, c in r.terms.items()})
 
 
 if __name__ == "__main__":

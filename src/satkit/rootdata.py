@@ -16,6 +16,11 @@ Conventions, fixed once:
   the positive roots;
 - dual_weight reverses and negates (the highest weight of the dual
   representation; on dominants this is -w0).
+
+The package's one exact linear-algebra kernel lives here too: a Gauss-Jordan
+elimination over Fractions (_gauss_jordan) from which rank, determinant,
+inverse and the integer-span solve are read off, plus _mat_mul.  trace_k and
+plattice use it; plattice keeps only its own integer kernels.
 """
 
 from __future__ import annotations
@@ -45,8 +50,12 @@ def same_rank(a, b):
 
 
 def is_dominant(w):
-    w = check_weight(w)
-    return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
+    return _is_dominant(check_weight(w))
+
+
+def _is_dominant(w):
+    """is_dominant for a weight already checked: a tuple of ints."""
+    return all(a >= b for a, b in zip(w, w[1:]))
 
 
 def dominant_representative(w):
@@ -113,29 +122,9 @@ class GroupSpec:
         for g in gens:
             if len(g) != self.n:
                 raise ValueError(f"center generator {g} has rank {len(g)}, expected {self.n}")
-        if gens and _rational_rank(gens) != len(gens):
+        if gens and _rank(gens) != len(gens):
             raise ValueError("center generators must be linearly independent")
         object.__setattr__(self, "center_generators", gens)
-
-
-def _rational_rank(rows):
-    """Rank over Q of a list of integer tuples (exact elimination)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def in_integer_span(target, generators):
@@ -152,32 +141,83 @@ def in_integer_span(target, generators):
     for g in gens:
         if len(g) != n:
             raise ValueError(f"rank mismatch between target {target} and generator {g}")
-    # augmented system: columns are generators
-    mat = [[Fraction(g[i]) for g in gens] + [Fraction(target[i])] for i in range(n)]
+    # augmented system: columns are the generators, then the target
     k = len(gens)
-    row = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(row, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(n):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
+    rref, pivots, _ = _gauss_jordan([[g[i] for g in gens] + [target[i]] for i in range(n)], k)
     if len(pivots) != k:
         raise ValueError("generators must be linearly independent")
     # consistency: rows below the pivots must have zero rhs
-    for r in range(row, n):
-        if mat[r][k] != 0:
-            return False
-    sol = [mat[pivots.index(c)][k] for c in range(k)]
-    return all(x.denominator == 1 for x in sol)
+    if any(row[k] != 0 for row in rref[k:]):
+        return False
+    return all(row[k].denominator == 1 for row in rref[:k])
+
+
+# -- exact linear algebra over Q ------------------------------------------
+
+
+def _gauss_jordan(rows, ncols=None):
+    """Gauss-Jordan elimination over Fractions: the one exact kernel.
+
+    Pivots are sought in the first ncols columns (all of them by default);
+    row operations act on whole rows, so further columns ride along as an
+    augmented block.  Returns (rref, pivots, det): the reduced rows, the
+    pivot columns in order, and the product of the pivots signed by the row
+    swaps, which is the determinant when the matrix is square and every
+    column has a pivot.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            mat[top], mat[pivot] = mat[pivot], mat[top]
+            det = -det
+        lead = mat[top][col]
+        det *= lead
+        mat[top] = [x / lead for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots, det
+
+
+def _rank(rows):
+    """Rank over Q of a rational matrix."""
+    return len(_gauss_jordan(rows)[1])
+
+
+def _det(rows):
+    """Determinant of a square rational matrix, as a Fraction."""
+    _, pivots, det = _gauss_jordan(rows)
+    return det if len(pivots) == len(rows) else Fraction(0)
+
+
+def _mat_inv(rows):
+    """Inverse of a square rational matrix; ValueError when it is singular."""
+    n = len(rows)
+    aug = [list(row) + list(unit) for row, unit in zip(rows, _mat_identity(n))]
+    rref, pivots, _ = _gauss_jordan(aug, n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rref)
+
+
+def _mat_mul(a, b):
+    """The product of two row-major matrices, exactly in their entry types."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _mat_identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 if __name__ == "__main__":

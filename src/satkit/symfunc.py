@@ -24,6 +24,12 @@ Products are orbit convolutions: the coefficient of m_gamma in m_a m_b is
 #{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, so we just
 walk the orbit pairs and keep dominant sums.
 
+SymPoly shares its representation and linear arithmetic with
+hecke.HeckeElement and repring.RepElement through the base class
+Combination: the constructor validates its input, and results computed here
+are built by the trusted Combination._from_canonical and accumulated in
+place by _add_into (terms += c * other), which drops cancelled terms.
+
 expand_in_schur eliminates along the dominance order, always stripping
 the lexicographically maximal key; lex order refines dominance for equal
 totals, and distinct totals never interact, so unitriangularity of the Schur
@@ -43,30 +49,47 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentScalar, _coerce
-from .rootdata import check_weight, is_dominant
+from .rootdata import _is_dominant, check_weight
 
 
-class SymPoly:
+class Combination:
+    """A finite Z[v, v^-1]-combination of dominant weights of one rank n.
+
+    The common shape of SymPoly (monomial basis m_mu), hecke.HeckeElement
+    (double-coset basis T_mu) and repring.RepElement (irreducibles V_mu):
+    terms maps dominant weights to nonzero LaurentScalars.  A subclass names
+    its JSON key and print symbol and words its own error messages.
+
+    The public constructor validates every key and coefficient.  Results
+    computed inside the package are built by _from_canonical, which trusts
+    its dict: dominant int-tuple keys of rank n, nonzero LaurentScalar
+    values, owned by the new element alone.
+    """
+
     __slots__ = ("n", "terms")
+    _key = _symbol = _bad_rank = _bad_key = None  # set by each subclass
+    _bad_n = "rank must be a positive int: {!r}"
+    _mismatch = "rank mismatch: {} vs {}"
 
     def __init__(self, n, terms=None):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"number of variables must be a positive int: {n!r}")
+            raise ValueError(self._bad_n.format(n))
         self.n = n
         self.terms = {}
         for w, c in (terms or {}).items():
             w = check_weight(w)
             if len(w) != n:
-                raise ValueError(f"weight {w} has rank {len(w)}, expected {n}")
-            if not is_dominant(w):
-                raise ValueError(f"monomial-basis keys must be dominant: {w}")
-            c = _coerce(c)
-            if not c.is_zero():
-                if w in self.terms:
-                    c = self.terms[w] + c
-                self.terms[w] = c
-                if c.is_zero():
-                    del self.terms[w]
+                raise ValueError(self._bad_rank.format(w, len(w), n))
+            if not _is_dominant(w):
+                raise ValueError(self._bad_key.format(w))
+            _add_into(self.terms, {w: _coerce(c)})
+
+    @classmethod
+    def _from_canonical(cls, n, terms):
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, n):
@@ -76,8 +99,7 @@ class SymPoly:
         return not self.terms
 
     def coefficient(self, mu):
-        mu = check_weight(mu)
-        return self.terms.get(mu, LaurentScalar.zero())
+        return self.terms.get(check_weight(mu), LaurentScalar.zero())
 
     def support(self):
         """Dominant keys, descending (leading term first)."""
@@ -85,60 +107,114 @@ class SymPoly:
 
     def _check_rank(self, other):
         if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n} variables")
+            raise ValueError(self._mismatch.format(self.n, other.n))
 
-    def __add__(self, other):
-        if not isinstance(other, SymPoly):
+    def _combine(self, other, c):
+        """self + c * other, or NotImplemented when other is another kind."""
+        if type(other) is not type(self):
             return NotImplemented
         self._check_rank(other)
-        d = dict(self.terms)
-        for w, c in other.terms.items():
-            s = d.get(w, LaurentScalar.zero()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
-        return SymPoly(self.n, d)
+        return self._from_canonical(self.n, _add_into(dict(self.terms), other.terms, c))
 
-    def __neg__(self):
-        return SymPoly(self.n, {w: -c for w, c in self.terms.items()})
+    def __add__(self, other):
+        return self._combine(other, None)
 
     def __sub__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, _MINUS_ONE)
+
+    def __neg__(self):
+        return self._from_canonical(self.n, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, SymPoly):
-            self._check_rank(other)
-            out = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    c = ca * cb
-                    for alpha in _orbit(a):
-                        for beta in _orbit(b):
-                            s = tuple(x + y for x, y in zip(alpha, beta))
-                            if is_dominant(s):
-                                acc = out.get(s, LaurentScalar.zero()) + c
-                                if acc.is_zero():
-                                    out.pop(s, None)
-                                else:
-                                    out[s] = acc
-            return SymPoly(self.n, out)
-        # scalar multiplication
-        c = _coerce(other)
-        return SymPoly(self.n, {w: cc * c for w, cc in self.terms.items()})
+        """Multiplication by a scalar."""
+        return self._from_canonical(self.n, _add_into({}, self.terms, _coerce(other)))
 
-    def __rmul__(self, other):
-        return self * other
+    __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, SymPoly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
+
+    def to_json(self):
+        return {
+            "n": self.n,
+            "terms": [
+                {self._key: list(w), "coeff": {str(e): c for e, c in sorted(self.terms[w].coeffs.items())}}
+                for w in self.support()
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        terms = {}
+        for entry in data["terms"]:
+            w = tuple(entry[cls._key])
+            coeff = LaurentScalar({int(e): c for e, c in entry["coeff"].items()})
+            terms[w] = terms.get(w, LaurentScalar.zero()) + coeff
+        return cls(data["n"], terms)
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(n={self.n}, 0)"
+        bits = []
+        for w in self.support():
+            c = self.terms[w]
+            mono = f"{self._symbol}[{','.join(map(str, w))}]"
+            bits.append(mono if c.is_one() else f"({c.to_string()})*{mono}")
+        return f"{name}(n={self.n}, {' + '.join(bits)})"
+
+
+_MINUS_ONE = LaurentScalar.from_int(-1)
+
+
+def _add_into(terms, other, c=None):
+    """terms += c * other on {weight: scalar} dicts, in place; returns terms.
+
+    c is a LaurentScalar, or None for 1; other's values are LaurentScalars,
+    or nonzero ints when c is given.  A coefficient that cancels is removed.
+    """
+    if c is not None and c.is_zero():
+        return terms
+    for w, x in other.items():
+        if c is not None:
+            x = c * x
+        if x.is_zero():
+            continue
+        old = terms.get(w)
+        if old is None:
+            terms[w] = x
+        else:
+            x = old + x
+            if x.is_zero():
+                del terms[w]
+            else:
+                terms[w] = x
+    return terms
+
+
+class SymPoly(Combination):
+    __slots__ = ()
+    _key = "weight"
+    _symbol = "m"
+    _bad_n = "number of variables must be a positive int: {!r}"
+    _bad_rank = "weight {} has rank {}, expected {}"
+    _bad_key = "monomial-basis keys must be dominant: {}"
+    _mismatch = "rank mismatch: {} vs {} variables"
+
+    def __mul__(self, other):
+        if not isinstance(other, SymPoly):
+            return super().__mul__(other)
+        self._check_rank(other)
+        out = {}
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                _add_into(out, _orbit_product(a, b), ca * cb)
+        return SymPoly._from_canonical(self.n, out)
 
     def substitute_t(self, t_value):
         """Evaluate every coefficient as a polynomial in t = v^-2.
@@ -152,45 +228,15 @@ class SymPoly:
             val = c.substitute_t(t)
             if val != 0:
                 out[w] = _coerce(val)
-        return SymPoly(self.n, out)
+        return SymPoly._from_canonical(self.n, out)
 
     def central_shift(self, k):
         """Multiply by (x_1 ... x_n)^k: every weight moves by k(1,...,1)."""
         if not isinstance(k, int):
             raise ValueError("central shift must be an int")
-        return SymPoly(self.n, {tuple(x + k for x in w): c for w, c in self.terms.items()})
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "terms": [
-                {"weight": list(w), "coeff": {str(e): c for e, c in sorted(self.terms[w].coeffs.items())}}
-                for w in self.support()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        n = data["n"]
-        terms = {}
-        for entry in data["terms"]:
-            w = tuple(entry["weight"])
-            coeff = LaurentScalar({int(e): c for e, c in entry["coeff"].items()})
-            terms[w] = terms.get(w, LaurentScalar.zero()) + coeff
-        return cls(n, terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"SymPoly(n={self.n}, 0)"
-        bits = []
-        for w in self.support():
-            c = self.terms[w]
-            mono = f"m[{','.join(map(str, w))}]"
-            if c.is_one():
-                bits.append(mono)
-            else:
-                bits.append(f"({c.to_string()})*{mono}")
-        return f"SymPoly(n={self.n}, {' + '.join(bits)})"
+        return SymPoly._from_canonical(
+            self.n, {tuple(x + k for x in w): c for w, c in self.terms.items()}
+        )
 
 
 @lru_cache(maxsize=None)
@@ -199,11 +245,23 @@ def _orbit(w):
     return tuple(sorted(set(itertools.permutations(w))))
 
 
+def _orbit_product(a, b):
+    """The coefficients of m_a m_b: {gamma dominant: #orbit pairs summing to gamma}."""
+    counts = {}
+    orbit_b = _orbit(b)
+    for alpha in _orbit(a):
+        for beta in orbit_b:
+            s = tuple([x + y for x, y in zip(alpha, beta)])
+            if _is_dominant(s):
+                counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
 def monomial(mu):
     mu = check_weight(mu)
-    if not is_dominant(mu):
+    if not _is_dominant(mu):
         raise ValueError(f"monomial wants a dominant weight: {mu}")
-    return SymPoly(len(mu), {mu: 1})
+    return SymPoly._from_canonical(len(mu), {mu: LaurentScalar.one()})
 
 
 # -- Schur via Gelfand-Tsetlin patterns --------------------------------
@@ -251,7 +309,7 @@ def weight_multiset(mu):
     (weight, multiplicity) pairs, deterministic order.
     """
     mu = check_weight(mu)
-    if not is_dominant(mu):
+    if not _is_dominant(mu):
         raise ValueError(f"highest weight must be dominant: {mu}")
     shift = max(0, -min(mu))
     lam = tuple(x + shift for x in mu)
@@ -264,8 +322,8 @@ def weight_multiset(mu):
 def schur(mu):
     """The Schur polynomial s_mu as a SymPoly (irreducible GL_n character)."""
     pairs = weight_multiset(mu)
-    terms = {w: m for w, m in pairs if is_dominant(w)}
-    return SymPoly(len(mu), terms)
+    terms = {w: LaurentScalar._from_canonical({0: m}) for w, m in pairs if _is_dominant(w)}
+    return SymPoly._from_canonical(len(mu), terms)
 
 
 # -- Hall-Littlewood via exact symmetrization ---------------------------
@@ -388,7 +446,7 @@ def _hl_nonneg(lam):
     vfac = _stabilizer_factor(lam)
     out = {}
     for e, c in poly.items():
-        if is_dominant(e):
+        if _is_dominant(e):
             out[e] = c.exact_div(vfac)
     return out
 
@@ -400,15 +458,15 @@ def hall_littlewood(mu):
     is strictly dominance-smaller, with coefficients in Z[v^-2].
     """
     mu = check_weight(mu)
-    if not is_dominant(mu):
+    if not _is_dominant(mu):
         raise ValueError(f"highest weight must be dominant: {mu}")
     n = len(mu)
     if n == 1:
-        return SymPoly(1, {mu: 1})
+        return SymPoly._from_canonical(1, {mu: LaurentScalar.one()})
     shift = max(0, -min(mu))
     lam = tuple(x + shift for x in mu)
     core = _hl_nonneg(lam)
-    return SymPoly(n, {tuple(x - shift for x in w): c for w, c in core.items()})
+    return SymPoly._from_canonical(n, {tuple(x - shift for x in w): c for w, c in core.items()})
 
 
 def expand_in_schur(f):
@@ -419,13 +477,12 @@ def expand_in_schur(f):
     """
     if not isinstance(f, SymPoly):
         raise ValueError("expand_in_schur wants a SymPoly")
-    rest = f
+    rest = dict(f.terms)
     out = {}
-    while not rest.is_zero():
-        mu = max(rest.terms)  # lex max is dominance-maximal in its class
-        c = rest.terms[mu]
-        out[mu] = c
-        rest = rest - c * schur(mu)
+    while rest:
+        mu = max(rest)  # lex max is dominance-maximal in its class
+        c = out[mu] = rest[mu]
+        _add_into(rest, schur(mu).terms, -c)
     return out
 
 

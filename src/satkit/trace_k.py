@@ -21,12 +21,11 @@ finite order m with sigma^m = 1 enforced at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension, irreducible, tensor
-from .rootdata import check_weight, is_dominant
-from .symfunc import SymPoly, schur
+from .rootdata import _det, _mat_identity, _mat_mul, check_weight, is_dominant
+from .symfunc import SymPoly, _add_into, schur
 
 
 @dataclass(frozen=True)
@@ -86,39 +85,6 @@ class SigmaAction:
         return cls(tuple(tuple(r) for r in data["matrix"]), data["order"])
 
 
-def _mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def _det(rows):
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col] * inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    if det.denominator != 1:  # pragma: no cover - integer input keeps det integral
-        raise AssertionError("integer matrix produced non-integer determinant")
-    return int(det)
-
-
 def s_operator(r, sigma=None):
     """The operator S_V for V the class r, as an element of End(unit).
 
@@ -159,12 +125,12 @@ def trace_of_endomorphism(r, scalars):
     if not isinstance(r, RepElement):
         raise ValueError("trace_of_endomorphism wants a RepElement")
     table = {check_weight(w): _coerce(c) for w, c in scalars.items()}
-    out = SymPoly.zero(r.n)
+    out = {}
     for w, mult in r.terms.items():
         if w not in table:
             raise ValueError(f"no scalar given for constituent {w}")
-        out = out + (mult * table[w]) * schur(w)
-    return out
+        _add_into(out, schur(w).terms, mult * table[w])
+    return SymPoly._from_canonical(r.n, out)
 
 
 def k_ring_injectivity_check(max_total, n):

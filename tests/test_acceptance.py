@@ -72,6 +72,7 @@ def test_criterion_04_transform_vs_lattice_oracle():
     for p in (2, 3):
         sweep(2, p, _dominants(0, 2, 2))
     sweep(3, 2, [(1, 0, 0), (1, 1, 0), (2, 1, 0)])
+    sweep(3, 3, _dominants(0, 1, 3))
 
 
 def test_criterion_05_schubert_counts_are_gaussian_binomials():

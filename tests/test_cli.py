@@ -70,6 +70,95 @@ def test_verb_output(args, expected):
     assert out.stderr == ""
 
 
+# Byte-for-byte stdout and exit code.  With EXPECTED, which already pins the
+# first nine requests of test_criterion_11, this covers every request of that
+# test; then larger requests with rational and Laurent coefficients, and the
+# error bodies whose wording belongs to one element class (SymPoly,
+# HeckeElement, RepElement).
+GOLDEN = [
+    (["tate-dim", "--config", "U3_CONFIG", "--mu", "1,1,0"], 0, "1"),
+    (["h-op", "--r", "2"], 0, '{"0":"1-p-p^2+p^3-p^4+2p^5+3p^6","1":"1-p-2p^2","2":"1"}'),
+    (["qbinom", "--n", "4", "--m", "2"], 0, '"1+v+2v^2+v^3+v^4"'),
+    (
+        [
+            "inv",
+            "--a",
+            '{"p":2,"basis":[["1","0"],["0","1"]]}',
+            "--b",
+            '{"p":2,"basis":[["1/2","1"],["0","4"]]}',
+        ],
+        0,
+        "[2,-1]",
+    ),
+    (["count", "--mu", "1,1,0", "--p", "3"], 0, "13"),
+    (["oracle", "--lam", "1,0", "--mu", "1,0", "--nu", "1,1", "--p", "3"], 0, "4"),
+    (
+        ["check", "oracle"],
+        0,
+        "[ pass ] gl2-structure-constants-p2\n"
+        "[ pass ] gl2-structure-constants-p3\n"
+        "[ pass ] gl3-structure-constants-p2\n"
+        "[ pass ] minuscule-counts-are-gaussian-binomials\n"
+        "[ pass ] length-two-closed-cell-size\n"
+        "oracle: 5/5 assertions passed",
+    ),
+    (
+        ["conv", "--n", "3", "--a", '{"(2,1,0)":"1+v"}', "--b", '{"(1,0,-1)":"v^-1","(0,0,0)":"1/2"}'],
+        0,
+        '{"(3,1,-1)":"v^-1+1","(3,0,0)":"v^-1+1+v+v^2","(2,2,-1)":"v^-1+1+v+v^2",'
+        '"(2,1,0)":"-v^-1-1/2+3/2v+v^2+2v^3+2v^4","(1,1,1)":"v+v^2+2v^3+2v^4+2v^5+2v^6+v^7+v^8"}',
+    ),
+    (
+        ["tensor", "--n", "3", "--a", '{"(2,0,-1)":1}', "--b", '{"(1,1,0)":"2-v"}'],
+        0,
+        '{"(3,1,-1)":"2-v","(3,0,0)":"2-v","(2,1,0)":"2-v"}',
+    ),
+    (
+        ["inv-satake", "--n", "2", "--f", '{"(2,0)":"v^2","(1,1)":"1+v^2"}'],
+        0,
+        '{"(2,0)":"1","(1,1)":"2"}',
+    ),
+    (
+        ["satake", "--n", "2", "--h", '{"(0,1)":1}'],
+        1,
+        '{"error":"basis coweights must be dominant: (0, 1)"}',
+    ),
+    (
+        ["conv", "--n", "2", "--a", '{"(1,0)":1}', "--b", '{"(1,2)":1}'],
+        1,
+        '{"error":"basis coweights must be dominant: (1, 2)"}',
+    ),
+    (
+        ["inv-satake", "--n", "2", "--f", '{"(0,1)":1}'],
+        1,
+        '{"error":"monomial-basis keys must be dominant: (0, 1)"}',
+    ),
+    (
+        ["s-op", "--n", "2", "--r", '{"(0,1)":1}'],
+        1,
+        '{"error":"highest weights must be dominant: (0, 1)"}',
+    ),
+    (["satake", "--n", "0", "--h", "{}"], 1, '{"error":"rank must be a positive int: 0"}'),
+    (
+        ["inv-satake", "--n", "0", "--f", "{}"],
+        1,
+        '{"error":"number of variables must be a positive int: 0"}',
+    ),
+    (["tensor", "--n", "0", "--a", "{}", "--b", "{}"], 1, '{"error":"rank must be a positive int: 0"}'),
+    (
+        ["inv", "--a", '{"p":2,"basis":[[1,1],[1,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
+        1,
+        '{"error":"matrix is singular"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", GOLDEN, ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_golden_stdout(args, code, stdout, u3_config):
+    out = run(*[u3_config if a == "U3_CONFIG" else a for a in args])
+    assert (out.returncode, out.stdout, out.stderr) == (code, stdout + "\n", "")
+
+
 def test_tate_dim_verb(u3_config):
     out = run("tate-dim", "--config", u3_config, "--mu", "1,1,0")
     assert out.returncode == 0
@@ -111,6 +200,8 @@ def test_schema_errors_exit_2():
         ["conv", "--n", "2", "--a", '{"(1,0)":"1/0"}', "--b", '{"(1,0)":1}'],
         ["inv", "--a", '{"p":2,"basis":[["x",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["inv", "--a", '{"p":2,"basis":[["1/0",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
+        ["inv", "--a", '{"p":2,"basis":[[1,0],[3,1],[1,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
+        ["inv", "--a", '{"p":2,"basis":[]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["tate-dim", "--config", "/nonexistent.json", "--mu", "1,0"],
         ["check", "no-such-suite"],
         ["no-such-verb"],

@@ -1,0 +1,98 @@
+"""The shared combination base: results are canonical, kinds never mix.
+
+SymPoly, HeckeElement and RepElement inherit their arithmetic from one base,
+and results computed inside the package skip validation.  The property
+below holds every such result to what validation would have produced: it
+equals its own re-validation and stores no zero coefficient, and no
+coefficient of a scalar is zero or a Fraction with denominator 1.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from satkit.hecke import HeckeElement, basis, convolve, inverse_satake, satake
+from satkit.laurent import LaurentScalar
+from satkit.repring import RepElement, irreducible, tensor
+from satkit.rootdata import is_dominant
+from satkit.symfunc import SymPoly, expand_in_schur, monomial
+
+
+def _doms(n, lo, hi):
+    return [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if is_dominant(w)]
+
+
+# rational coefficients whose sums and products can come out whole
+_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-2, 3)]),
+)
+_scalars = st.dictionaries(st.integers(min_value=-2, max_value=2), _entries, max_size=3).map(
+    LaurentScalar
+)
+
+
+def _elements(cls, n=2, lo=-1, hi=2):
+    return st.dictionaries(st.sampled_from(_doms(n, lo, hi)), _scalars, max_size=3).map(
+        lambda d: cls(n, d)
+    )
+
+
+def _assert_canonical_scalars(scalars):
+    for c in scalars:
+        assert c.coeffs, "zero coefficient stored"
+        for x in c.coeffs.values():
+            assert x != 0 and (type(x) is int or x.denominator != 1), c
+
+
+def _assert_canonical(r):
+    assert type(r)(r.n, r.terms) == r
+    _assert_canonical_scalars(r.terms.values())
+
+
+def _assert_linear_results_canonical(a, b, c):
+    for r in (a + b, a - b, b - b, -a, a * c, c * a, 0 * a):
+        _assert_canonical(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_elements(SymPoly), _elements(SymPoly), _scalars)
+def test_sympoly_results_are_canonical(f, g, c):
+    _assert_linear_results_canonical(f, g, c)
+    _assert_canonical(f * g)
+    _assert_canonical(inverse_satake(f))
+    expansion = expand_in_schur(f)
+    assert RepElement(f.n, expansion).terms == expansion
+    _assert_canonical_scalars(expansion.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_elements(HeckeElement, lo=0), _elements(HeckeElement, lo=0), _scalars)
+def test_hecke_results_are_canonical(a, b, c):
+    _assert_linear_results_canonical(a, b, c)
+    _assert_canonical(satake(a))
+    _assert_canonical(convolve(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_elements(RepElement), _elements(RepElement), _scalars)
+def test_rep_results_are_canonical(r, s, c):
+    _assert_linear_results_canonical(r, s, c)
+    _assert_canonical(tensor(r, s))
+
+
+def test_kinds_are_pairwise_unequal():
+    kinds = [monomial((1, 0)), basis((1, 0)), irreducible((1, 0))]
+    for x, y in itertools.combinations(kinds, 2):
+        assert x != y and y != x
+        assert not x == y
+
+
+def test_validation_at_the_boundary():
+    # zero coefficients are dropped
+    assert SymPoly(2, {(1, 0): 1, (0, 0): 0}) == monomial((1, 0))
+    assert HeckeElement(2, {(1, 0): LaurentScalar({0: 2, 1: 0})}).terms[(1, 0)].coeffs == {0: 2}
+    # whole Fractions become ints
+    assert type(RepElement(2, {(1, 0): Fraction(4, 2)}).terms[(1, 0)].coeffs[0]) is int

@@ -18,9 +18,6 @@ from hypothesis import strategies as st
 from satkit import plattice
 from satkit.plattice import (
     PLattice,
-    _det,
-    _mat_inv,
-    _mat_mul,
     _window,
     convolution_oracle,
     enumerate_between,
@@ -29,6 +26,7 @@ from satkit.plattice import (
     smith_invariants,
     val_p,
 )
+from satkit.rootdata import _det, _mat_inv, _mat_mul
 
 
 def test_val_p():

@@ -3,9 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_symfunc import _det as leibniz_det
 
 from satkit.rootdata import (
     GroupSpec,
+    _det,
+    _mat_identity,
+    _mat_inv,
+    _mat_mul,
+    _rank,
     check_weight,
     dominance_leq,
     dominant_representative,
@@ -95,3 +103,57 @@ def test_group_spec_validates():
         GroupSpec(3, ((1, 1),))  # rank mismatch
     with pytest.raises(ValueError):
         GroupSpec(2, ((1, 0), (2, 0)))  # dependent center generators
+
+
+# -- the exact kernel, against the Leibniz formula -------------------------
+
+
+def _matrices(rows, cols, entries=st.integers(min_value=-3, max_value=3)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+_square = st.integers(min_value=1, max_value=4).flatmap(lambda n: _matrices(n, n))
+_square_pairs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(_matrices(n, n), _matrices(n, n))
+)
+_rectangular = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: _matrices(*shape, entries=st.integers(min_value=-1, max_value=1))
+)
+
+
+@given(_square_pairs)
+def test_kernel_det_is_leibniz_and_multiplicative(pair):
+    a, b = pair
+    assert _det(a) == leibniz_det(a)
+    assert _det(_mat_mul(a, b)) == _det(a) * _det(b)
+
+
+@given(_square)
+def test_kernel_inverse(a):
+    n = len(a)
+    if leibniz_det(a) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            _mat_inv(a)
+        return
+    inv = _mat_inv(a)
+    assert _mat_mul(a, inv) == _mat_identity(n)
+    assert _mat_mul(inv, a) == _mat_identity(n)
+
+
+@given(_rectangular)
+def test_kernel_rank_is_largest_nonzero_minor(a):
+    def minor(rows, cols):
+        return leibniz_det([[a[r][c] for c in cols] for r in rows])
+
+    rows, cols = range(len(a)), range(len(a[0]))
+    want = max(
+        (
+            k
+            for k in range(1, min(len(rows), len(cols)) + 1)
+            for rs in itertools.combinations(rows, k)
+            for cs in itertools.combinations(cols, k)
+            if minor(rs, cs) != 0
+        ),
+        default=0,
+    )
+    assert _rank(a) == want

@@ -102,8 +102,11 @@ def _partitions(total_max, n):
             yield w
 
 
-POINTS = {2: [(2, 3), (Fraction(1, 2), 3)], 3: [(2, 3, 5), (Fraction(1, 2), Fraction(1, 3), 7)]}
-T_VALUES = [Fraction(0), Fraction(1), Fraction(1, 7), Fraction(-2, 3)]
+POINTS = {
+    2: [(2, 3), (Fraction(1, 2), 3)],
+    3: [(2, 3, 5), (Fraction(1, 2), Fraction(1, 3), 7), (7, Fraction(25, 4), Fraction(2, 3))],
+}
+T_VALUES = [Fraction(0), Fraction(1), Fraction(1, 7), Fraction(-2, 3), Fraction(8, 9)]
 
 
 def test_hall_littlewood_matches_point_oracle():
