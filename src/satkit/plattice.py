@@ -116,6 +116,14 @@ class PLattice:
         if _rank(rows) != len(rows):
             raise ValueError("matrix is singular")
 
+    @classmethod
+    def _trusted(cls, p, rows):
+        """Unvalidated: rows is a nonsingular square tuple of Fraction tuples."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "basis", rows)
+        return out
+
     @property
     def n(self):
         return len(self.basis)
@@ -358,11 +366,14 @@ def _window(p, n, lo, hi):
     """Lattices L with p^hi L0 <= L <= p^lo L0, each once, and their cells.
 
     Returns (lattices, cells), cells keyed by inv(L0, L) and holding the same
-    PLattice objects.  Cached; PLattice is frozen so sharing is safe.
+    PLattice objects.  Cached; PLattice is frozen so sharing is safe.  Each
+    p^lo H is a valid basis by construction, so it skips validation.
     """
     shapes, shape_cells = _shapes(p, n, hi - lo)
     scale = Fraction(p) ** lo
-    made = {h: PLattice(p, tuple(tuple(scale * x for x in row) for row in h)) for h in shapes}
+    made = {
+        h: PLattice._trusted(p, tuple(tuple(scale * x for x in row) for row in h)) for h in shapes
+    }
     cells = {
         tuple(e + lo for e in key): tuple(made[h] for h in group)
         for key, group in shape_cells.items()

@@ -5,9 +5,10 @@ stored as {dominant highest weight: LaurentScalar}.  The v-grading tracks
 twist bookkeeping and is inert under all operations here except that tensor
 products multiply coefficients.
 
-Everything reduces to symmetric functions: character() lands in SymPoly,
-tensor() multiplies characters and expands back in the Schur basis (the
-resulting structure constants for honest irreducibles are the
+character() lands in SymPoly.  tensor() uses the Brauer-Klimyk formula
+V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) - rho}, the
+straightening of symfunc._straighten on plain ints, never multiplying
+characters (for honest irreducibles the structure constants are the
 Littlewood-Richardson numbers, so they are nonnegative integers; tests lean
 on that), and dimension() is the exact Weyl product formula
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from .laurent import LaurentScalar
 from .rootdata import _is_dominant, check_weight, dual_weight
-from .symfunc import Combination, SymPoly, _add_into, expand_in_schur, schur, weight_multiset
+from .symfunc import Combination, SymPoly, _add_into, _straighten, schur, weight_multiset
 
 
 class RepElement(Combination):
@@ -80,13 +81,32 @@ def weight_multiplicity(mu, lam):
     return 0
 
 
+def _tensor_irreducibles(a, b):
+    """V_a (x) V_b as {highest weight: nonzero int}, by Brauer-Klimyk."""
+    weights_a, weights_b = weight_multiset(a), weight_multiset(b)
+    if len(weights_a) < len(weights_b):
+        a, weights_b = b, weights_a
+    rho = range(len(a) - 1, -1, -1)
+    top = [x + r for x, r in zip(a, rho)]
+    out = {}
+    for w, m in weights_b:
+        sign, beta = _straighten(tuple([x + y for x, y in zip(top, w)]))
+        if sign:
+            lam = tuple([x - r for x, r in zip(beta, rho)])
+            out[lam] = out.get(lam, 0) + sign * m
+    return {lam: c for lam, c in out.items() if c}
+
+
 def tensor(r1, r2):
-    """Tensor product, expanded back into irreducibles."""
+    """Tensor product: sum over pairs of terms of c_a c_b (V_a (x) V_b), by Brauer-Klimyk."""
     if not isinstance(r1, RepElement) or not isinstance(r2, RepElement):
         raise ValueError("tensor wants two RepElements")
     r1._check_rank(r2)
-    prod = character(r1) * character(r2)
-    return RepElement._from_canonical(r1.n, expand_in_schur(prod))
+    out = {}
+    for a, ca in r1.terms.items():
+        for b, cb in r2.terms.items():
+            _add_into(out, _tensor_irreducibles(a, b), ca * cb)
+    return RepElement._from_canonical(r1.n, out)
 
 
 def dual(r):

@@ -12,13 +12,20 @@ Bases provided:
 - schur(mu): the irreducible character s_mu, computed by enumerating
   Gelfand-Tsetlin patterns (so the monomial coefficients are literally
   weight multiplicities, counted one pattern at a time);
-- hall_littlewood(mu): P_mu(x; t) with t = v^-2 hard-wired.  Computed from
-  the S_n symmetrization formula: antisymmetrize x^mu prod_{i<j}(x_i - t x_j),
-  divide by the Vandermonde determinant (synthetic division by each x_i - x_j,
-  subtraction-free, so no rational functions ever appear), then divide by the
-  stabilizer factor v_mu(t) = prod over entry multiplicities m of
-  prod_{i=1}^{m} (1 + t + ... + t^{i-1}).  Both divisions are exact and
-  checked.
+- hall_littlewood(mu): P_mu(x; t) with t = v^-2 hard-wired.  Macdonald's
+
+      P_mu = sum_{w in S_n / S_mu} w(x^mu prod_{mu_i > mu_j} (x_i - t x_j) / (x_i - x_j))
+
+  (Symmetric Functions and Hall Polynomials, III.2) is computed without
+  summing over permutations.  Over a_rho = prod_{i<j} (x_i - x_j), the
+  Vandermonde of each block of equal entries of mu is an alternating sum
+  over the stabilizer S_mu, whose order cancels the coset count: P_mu =
+  a_f / a_rho for f = x^{mu + rho_B} prod_{mu_i > mu_j} (x_i - t x_j), with
+  rho_B = (m-1, ..., 1, 0) on each block of m equal entries and a_f the
+  alternant of f.  Each monomial x^beta of f gives a_beta / a_rho =
+  +-s_{sort(beta) - rho} or 0 by Weyl straightening (_straighten, which
+  repring.tensor uses too), all on ints; no division by the stabilizer
+  factor v_mu(t) of the S_n form is needed.
 
 Products are orbit convolutions: the coefficient of m_gamma in m_a m_b is
 #{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, so we just
@@ -326,133 +333,77 @@ def schur(mu):
     return SymPoly._from_canonical(len(mu), terms)
 
 
-# -- Hall-Littlewood via exact symmetrization ---------------------------
+# -- Weyl straightening: Brauer-Klimyk and Hall-Littlewood --------------
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _straighten(beta):
+    """(sign, beta sorted descending) when beta's entries are distinct, else (0, None).
 
-
-def _xp_mul_binomial(poly, i, j, minus_t):
-    """poly * (x_i + minus_t * x_j) on exponent-vector dicts."""
-    out = {}
-    for e, c in poly.items():
-        ei = e[:i] + (e[i] + 1,) + e[i + 1:]
-        out[ei] = out.get(ei, LaurentScalar.zero()) + c
-        ej = e[:j] + (e[j] + 1,) + e[j + 1:]
-        out[ej] = out.get(ej, LaurentScalar.zero()) + c * minus_t
-    return {e: c for e, c in out.items() if not c.is_zero()}
-
-
-def _xp_antisymmetrize(poly, n):
-    out = {}
-    for perm in itertools.permutations(range(n)):
-        sgn = _perm_sign(perm)
-        for e, c in poly.items():
-            pe = [0] * n
-            for pos in range(n):
-                pe[perm[pos]] = e[pos]
-            pe = tuple(pe)
-            acc = out.get(pe, LaurentScalar.zero()) + (c if sgn > 0 else -c)
-            if acc.is_zero():
-                out.pop(pe, None)
-            else:
-                out[pe] = acc
-    return out
-
-
-def _xp_div_binomial(poly, i, j):
-    """Exact quotient poly / (x_i - x_j); synthetic, no coefficient division.
-
-    Writing poly = sum_k P_k x_i^k, the quotient layers satisfy
-    q_{k-1} = P_k + x_j q_k downward from the top degree, and the remainder
-    P_0 + x_j q_0 must vanish.
+    The Weyl straightening rule a_beta / a_rho = sign * s_{sort(beta) - rho},
+    with a_beta = sum_w sgn(w) x^{w beta} the alternant and sign the sign of
+    the permutation that sorts beta; a_beta = 0 when two entries agree.
     """
-    if not poly:
-        return {}
-    layers = {}
-    for e, c in poly.items():
-        k = e[i]
-        e0 = e[:i] + (0,) + e[i + 1:]
-        layers.setdefault(k, {})[e0] = c
-    top = max(layers)
-    if top == 0:
-        raise ValueError("polynomial not divisible: no x_i present")
-
-    def _plus_xj(acc, layer):
-        for e0, c in layer.items():
-            e1 = e0[:j] + (e0[j] + 1,) + e0[j + 1:]
-            s = acc.get(e1, LaurentScalar.zero()) + c
-            if s.is_zero():
-                acc.pop(e1, None)
-            else:
-                acc[e1] = s
-        return acc
-
-    qlayers = {}
-    prev = {}
-    for k in range(top, 0, -1):
-        cur = dict(layers.get(k, {}))
-        cur = _plus_xj(cur, prev)
-        cur = {e: c for e, c in cur.items() if not c.is_zero()}
-        qlayers[k - 1] = cur
-        prev = cur
-    rem = dict(layers.get(0, {}))
-    rem = _plus_xj(rem, prev)
-    if any(not c.is_zero() for c in rem.values()):
-        raise ValueError("polynomial not divisible by (x_i - x_j)")
-    out = {}
-    for k, layer in qlayers.items():
-        for e0, c in layer.items():
-            out[e0[:i] + (k,) + e0[i + 1:]] = c
-    return out
-
-
-def _stabilizer_factor(lam):
-    """v_lam(t) = prod over value multiplicities m of prod_{i<=m} [i]_t."""
-    t_poly = lambda i: LaurentScalar({-2 * k: 1 for k in range(i)})  # noqa: E731
-    out = LaurentScalar.one()
-    for m in Counter(lam).values():
-        for i in range(1, m + 1):
-            out = out * t_poly(i)
-    return out
+    sign = 1
+    n = len(beta)
+    for i in range(n - 1):
+        b = beta[i]
+        for j in range(i + 1, n):
+            if b < beta[j]:
+                sign = -sign
+            elif b == beta[j]:
+                return 0, None
+    return sign, tuple(sorted(beta, reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _hl_nonneg(lam):
+    """P_lam in the monomial basis for lam >= 0, as {dominant weight: LaurentScalar}.
+
+    Expands x^{lam + rho_B} prod_{lam_i > lam_j} (x_i - t x_j) as
+    {(beta, deg_t): int}, straightens each a_beta / a_rho into a Schur
+    coefficient in Z[t] and expands the Schur functions in monomials.
+    """
     n = len(lam)
-    minus_t = LaurentScalar({-2: -1})  # -t with t = v^-2
-    poly = {lam: LaurentScalar.one()}
+    start = tuple(x + lam[i + 1:].count(x) for i, x in enumerate(lam))  # lam + rho_B
+    poly = {(start, 0): 1}
     for i in range(n):
         for j in range(i + 1, n):
-            poly = _xp_mul_binomial(poly, i, j, minus_t)
-    poly = _xp_antisymmetrize(poly, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            poly = _xp_div_binomial(poly, i, j)
-    vfac = _stabilizer_factor(lam)
+            if lam[i] == lam[j]:
+                continue
+            nxt = {}
+            for (beta, k), c in poly.items():
+                up = (beta[:i] + (beta[i] + 1,) + beta[i + 1:], k)
+                nxt[up] = nxt.get(up, 0) + c
+                up = (beta[:j] + (beta[j] + 1,) + beta[j + 1:], k + 1)
+                nxt[up] = nxt.get(up, 0) - c
+            poly = {key: c for key, c in nxt.items() if c}
+    rho = tuple(range(n - 1, -1, -1))
+    in_schur = {}
+    for (beta, k), c in poly.items():
+        sign, beta = _straighten(beta)
+        if sign:
+            coeffs = in_schur.setdefault(tuple([x - r for x, r in zip(beta, rho)]), {})
+            coeffs[k] = coeffs.get(k, 0) + sign * c
     out = {}
-    for e, c in poly.items():
-        if _is_dominant(e):
-            out[e] = c.exact_div(vfac)
-    return out
+    for mu, coeffs in in_schur.items():
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        if not coeffs:
+            continue
+        for w, m in _schur_weights_nonneg(mu):
+            if _is_dominant(w):
+                acc = out.setdefault(w, {})
+                for k, c in coeffs.items():
+                    acc[k] = acc.get(k, 0) + m * c
+    scalars = {}
+    for w, acc in out.items():
+        acc = {-2 * k: c for k, c in acc.items() if c}  # t^k = v^-2k
+        if acc:
+            scalars[w] = LaurentScalar._from_canonical(acc)
+    return scalars
 
 
 def hall_littlewood(mu):
-    """P_mu(x; t) in the monomial basis, t = v^-2.
+    """P_mu(x; t) in the monomial basis, t = v^-2, by Weyl straightening.
 
     Unitriangular: the leading coefficient (of m_mu) is 1 and every other key
     is strictly dominance-smaller, with coefficients in Z[v^-2].

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import LaurentScalar, _coerce
-from .repring import RepElement, character, dimension, irreducible, tensor
+from .repring import RepElement, character, dimension
 from .rootdata import _det, _mat_identity, _mat_mul, check_weight, is_dominant
 from .symfunc import SymPoly, _add_into, schur
 

@@ -16,9 +16,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-import pytest
-
-from satkit.hecke import basis, convolve, normalized_satake, satake, specialize_v
+from satkit.hecke import basis, convolve, satake, specialize_v
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.plattice import convolution_oracle, schubert_count
 from satkit.repring import dimension, irreducible, tensor

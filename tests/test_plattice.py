@@ -139,6 +139,17 @@ def test_cells_match_fraction_route(p, n, lo, hi):
     assert cells == {key: tuple(group) for key, group in grouped.items()}
 
 
+@pytest.mark.parametrize(
+    "p, n, lo, hi", [(2, 2, -1, 1), (2, 3, -1, 1), (3, 3, -1, 1), (2, 3, 0, 2)]
+)
+def test_window_lattices_equal_validated_ones(p, n, lo, hi):
+    # window lattices skip validation; the public constructor must agree
+    for lat in _window(p, n, lo, hi)[0]:
+        checked = PLattice(p, lat.basis)
+        assert lat == checked and hash(lat) == hash(checked)
+        assert all(type(x) is Fraction for row in lat.basis for x in row)
+
+
 def test_lattice_route_shares_no_code_with_transform_route():
     tree = ast.parse(inspect.getsource(plattice))
     imported = set()

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satkit.laurent import LaurentScalar
 from satkit.repring import (
@@ -115,3 +117,41 @@ def test_json_round_trip():
 def test_schur_is_the_character_of_the_irreducible():
     for mu in [(1, 0), (2, 1), (2, 1, 0)]:
         assert character(irreducible(mu)) == schur(mu)
+
+
+# -- Brauer-Klimyk against the character route ----------------------------
+
+
+def _character_route(r1, r2):
+    return expand_in_schur(character(r1) * character(r2))
+
+
+@pytest.mark.parametrize("n, lo, hi", [(3, -2, 2), (4, -1, 1)])
+def test_tensor_matches_character_route(n, lo, hi):
+    doms = list(_dominants(lo, hi, n))
+    for a in doms:
+        for b in doms:
+            ra, rb = irreducible(a), irreducible(b)
+            got = tensor(ra, rb)
+            assert got.terms == _character_route(ra, rb), (a, b)
+            assert got == tensor(rb, ra), (a, b)
+
+
+_graded = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=2), max_size=3
+).map(LaurentScalar)
+
+
+def _rep_elements(n):
+    keys = st.sampled_from(list(_dominants(-1, 2, n)))
+    return st.dictionaries(keys, _graded, max_size=3).map(lambda d: RepElement(n, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tensor_of_graded_sums_matches_character_route(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    r1, r2 = data.draw(_rep_elements(n)), data.draw(_rep_elements(n))
+    got = tensor(r1, r2)
+    assert got.terms == _character_route(r1, r2)
+    assert got == tensor(r2, r1)

@@ -4,17 +4,26 @@ The heavy check here is an independent point-evaluation oracle: both P_mu
 and s_mu have classical closed forms (symmetrized fraction / bialternant)
 that evaluate exactly at distinct rational points with plain Fraction
 arithmetic.  The library builds its polynomials a completely different way
-(Gelfand-Tsetlin enumeration, synthetic division), so agreement at enough
+(Gelfand-Tsetlin enumeration, Weyl straightening), so agreement at enough
 points is strong evidence, and the oracle code below deliberately shares
 nothing with the construction path.
+
+The second oracle is the library's former construction of P_mu by
+symmetrization over S_n, held exactly equal to straightening on every core
+of rank <= 4 with entries 0..6 and of rank 5 with entries 0..2.  The rank-5
+gate with |entries| <= 3 takes minutes on the old route; it runs with
+SATKIT_SLOW_ORACLE=1 set.
 """
 
 import itertools
+import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from satkit.laurent import LaurentScalar, parse_scalar
+from satkit.rootdata import is_dominant
 from satkit.symfunc import (
     SymPoly,
     expand_in_schur,
@@ -141,6 +150,159 @@ def test_product_matches_point_oracle():
         f, g = schur(a), schur(b)
         left = _poly_at(f * g, xs, Fraction(0))
         assert left == _poly_at(f, xs, Fraction(0)) * _poly_at(g, xs, Fraction(0))
+
+
+# -- the symmetrization route, kept as a test oracle ----------------------
+# The library used to build P_mu this way: antisymmetrize
+# x^mu prod_{i<j} (x_i - t x_j) over all of S_n, divide by the Vandermonde
+# by synthetic division, then by the stabilizer factor.  It is exponential
+# (n! times 2^{n(n-1)/2} terms) but shares nothing with straightening.
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _xp_mul_binomial(poly, i, j, minus_t):
+    """poly * (x_i + minus_t * x_j) on exponent-vector dicts."""
+    out = {}
+    for e, c in poly.items():
+        ei = e[:i] + (e[i] + 1,) + e[i + 1:]
+        out[ei] = out.get(ei, LaurentScalar.zero()) + c
+        ej = e[:j] + (e[j] + 1,) + e[j + 1:]
+        out[ej] = out.get(ej, LaurentScalar.zero()) + c * minus_t
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _xp_antisymmetrize(poly, n):
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        sgn = _perm_sign(perm)
+        for e, c in poly.items():
+            pe = [0] * n
+            for pos in range(n):
+                pe[perm[pos]] = e[pos]
+            pe = tuple(pe)
+            acc = out.get(pe, LaurentScalar.zero()) + (c if sgn > 0 else -c)
+            if acc.is_zero():
+                out.pop(pe, None)
+            else:
+                out[pe] = acc
+    return out
+
+
+def _xp_div_binomial(poly, i, j):
+    """Exact quotient poly / (x_i - x_j); synthetic, no coefficient division.
+
+    Writing poly = sum_k P_k x_i^k, the quotient layers satisfy
+    q_{k-1} = P_k + x_j q_k downward from the top degree, and the remainder
+    P_0 + x_j q_0 must vanish.
+    """
+    if not poly:
+        return {}
+    layers = {}
+    for e, c in poly.items():
+        k = e[i]
+        e0 = e[:i] + (0,) + e[i + 1:]
+        layers.setdefault(k, {})[e0] = c
+    top = max(layers)
+    if top == 0:
+        raise ValueError("polynomial not divisible: no x_i present")
+
+    def _plus_xj(acc, layer):
+        for e0, c in layer.items():
+            e1 = e0[:j] + (e0[j] + 1,) + e0[j + 1:]
+            s = acc.get(e1, LaurentScalar.zero()) + c
+            if s.is_zero():
+                acc.pop(e1, None)
+            else:
+                acc[e1] = s
+        return acc
+
+    qlayers = {}
+    prev = {}
+    for k in range(top, 0, -1):
+        cur = dict(layers.get(k, {}))
+        cur = _plus_xj(cur, prev)
+        cur = {e: c for e, c in cur.items() if not c.is_zero()}
+        qlayers[k - 1] = cur
+        prev = cur
+    rem = dict(layers.get(0, {}))
+    rem = _plus_xj(rem, prev)
+    if any(not c.is_zero() for c in rem.values()):
+        raise ValueError("polynomial not divisible by (x_i - x_j)")
+    out = {}
+    for k, layer in qlayers.items():
+        for e0, c in layer.items():
+            out[e0[:i] + (k,) + e0[i + 1:]] = c
+    return out
+
+
+def _stabilizer_scalar(lam):
+    """v_lam(t) = prod over value multiplicities m of prod_{i<=m} [i]_t."""
+    t_poly = lambda i: LaurentScalar({-2 * k: 1 for k in range(i)})  # noqa: E731
+    out = LaurentScalar.one()
+    for m in Counter(lam).values():
+        for i in range(1, m + 1):
+            out = out * t_poly(i)
+    return out
+
+
+def _hl_symmetrized(lam):
+    """P_lam for lam >= 0 by the symmetrization route, as a SymPoly."""
+    n = len(lam)
+    minus_t = LaurentScalar({-2: -1})  # -t with t = v^-2
+    poly = {lam: LaurentScalar.one()}
+    for i in range(n):
+        for j in range(i + 1, n):
+            poly = _xp_mul_binomial(poly, i, j, minus_t)
+    poly = _xp_antisymmetrize(poly, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            poly = _xp_div_binomial(poly, i, j)
+    vfac = _stabilizer_scalar(lam)
+    return SymPoly(n, {e: c.exact_div(vfac) for e, c in poly.items() if is_dominant(e)})
+
+
+def _dominants(lo, hi, n):
+    return [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if is_dominant(w)]
+
+
+def test_hall_littlewood_matches_symmetrization_route():
+    cores = [lam for n in (2, 3, 4) for lam in _dominants(0, 6, n)] + _dominants(0, 2, 5)
+    for lam in cores:
+        assert hall_littlewood(lam) == _hl_symmetrized(lam), lam
+
+
+@pytest.mark.skipif(
+    not os.environ.get("SATKIT_SLOW_ORACLE"), reason="minutes on the symmetrization route"
+)
+def test_hall_littlewood_rank5_matches_symmetrization_route():
+    for mu in _dominants(-3, 3, 5):
+        shift = max(0, -min(mu))
+        core = tuple(x + shift for x in mu)
+        assert hall_littlewood(mu) == _hl_symmetrized(core).central_shift(-shift), mu
+
+
+def test_hall_littlewood_rank6_matches_point_oracle():
+    mu = (2, 2, 1, 1, 0, 0)
+    f = hall_littlewood(mu)
+    xs = (2, 3, 5, Fraction(1, 2), Fraction(1, 3), 7)
+    for t in (Fraction(1, 7), Fraction(-2, 3)):
+        assert _poly_at(f, xs, t) == _hl_oracle(mu, xs, t), t
 
 
 # -- frozen small values -------------------------------------------------
