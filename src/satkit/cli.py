@@ -294,7 +294,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(_dumps({"error": str(exc)}))
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a weight entry past C ssize_t
         print(_dumps({"error": str(exc)}))
         return 1
     code = 0

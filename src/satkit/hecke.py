@@ -15,6 +15,12 @@ back through the inverse transform.  The inverse is dominance-triangular
 elimination against the basis {v^<2rho,mu> P_mu}, which is unitriangular
 against monomials, so the transform is a bijection and convolve() is exact.
 
+The transforms run on term dicts {weight: {v-exponent: coeff}} of plain
+ints (or Fractions): _satake_terms reads the cached symfunc._hl_terms,
+_inverse_satake_terms eliminates in place, and convolve composes them with
+symfunc._mul_terms without building a SymPoly.  The public functions only
+unwrap their argument and wrap the result, one LaurentScalar per term.
+
 An independent check of all of this against brute-force lattice counting
 lives in plattice.convolution_oracle; the two routes share no code.
 
@@ -27,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentScalar
-from .rootdata import _is_dominant, check_weight, two_rho_pairing
-from .symfunc import Combination, SymPoly, _add_into, hall_littlewood
+from .rootdata import _is_dominant, _two_rho_pairing, check_weight
+from .symfunc import Combination, SymPoly, _add_terms, _coeffs, _hl_terms, _mul_terms, _scalars
 
 
 class HeckeElement(Combination):
@@ -54,20 +60,14 @@ def satake(h):
     """The Satake transform into symmetric Laurent polynomials."""
     if not isinstance(h, HeckeElement):
         raise ValueError("satake wants a HeckeElement")
-    out = {}
-    for mu, c in h.terms.items():
-        _add_into(out, hall_littlewood(mu).terms, c.shift(two_rho_pairing(mu)))
-    return SymPoly._from_canonical(h.n, out)
+    return SymPoly._from_canonical(h.n, _scalars(_satake_terms(_coeffs(h.terms), True)))
 
 
 def normalized_satake(h):
     """The transform without the v^<2rho,mu> twist: T_mu -> P_mu(x; v^-2)."""
     if not isinstance(h, HeckeElement):
         raise ValueError("normalized_satake wants a HeckeElement")
-    out = {}
-    for mu, c in h.terms.items():
-        _add_into(out, hall_littlewood(mu).terms, c)
-    return SymPoly._from_canonical(h.n, out)
+    return SymPoly._from_canonical(h.n, _scalars(_satake_terms(_coeffs(h.terms), False)))
 
 
 def inverse_satake(f):
@@ -80,14 +80,8 @@ def inverse_satake(f):
     """
     if not isinstance(f, SymPoly):
         raise ValueError("inverse_satake wants a SymPoly")
-    rest = dict(f.terms)
-    out = {}
-    while rest:
-        mu = max(rest)
-        c = rest[mu]
-        out[mu] = c.shift(-two_rho_pairing(mu))
-        _add_into(rest, hall_littlewood(mu).terms, -c)
-    return HeckeElement._from_canonical(f.n, out)
+    rest = {w: dict(c.coeffs) for w, c in f.terms.items()}
+    return HeckeElement._from_canonical(f.n, _scalars(_inverse_satake_terms(rest)))
 
 
 def convolve(a, b):
@@ -95,7 +89,38 @@ def convolve(a, b):
     if not isinstance(a, HeckeElement) or not isinstance(b, HeckeElement):
         raise ValueError("convolve wants two HeckeElements")
     a._check_rank(b)
-    return inverse_satake(satake(a) * satake(b))
+    fa = _satake_terms(_coeffs(a.terms), True)
+    fb = _satake_terms(_coeffs(b.terms), True)
+    return HeckeElement._from_canonical(a.n, _scalars(_inverse_satake_terms(_mul_terms(fa, fb))))
+
+
+# -- the transforms on {weight: coefficient dict} ------------------------
+
+
+def _satake_terms(terms, twisted):
+    """sum over mu of c_mu v^<2rho,mu> P_mu (twisted) or c_mu P_mu (not), as a new term dict."""
+    out = {}
+    for mu, c in terms.items():
+        if twisted:
+            s = _two_rho_pairing(mu)
+            c = {k + s: x for k, x in c.items()}
+        _add_terms(out, _hl_terms(mu), c)
+    return out
+
+
+def _inverse_satake_terms(rest):
+    """The preimage {mu: coefficient dict} of the term dict rest, which it empties.
+
+    rest must own its coefficient dicts: the elimination updates them in place.
+    """
+    out = {}
+    while rest:
+        mu = max(rest)
+        c = rest[mu]
+        s = _two_rho_pairing(mu)
+        out[mu] = {k - s: x for k, x in c.items()}
+        _add_terms(rest, _hl_terms(mu), {k: -x for k, x in c.items()})
+    return out
 
 
 def specialize_v(x, q_value):

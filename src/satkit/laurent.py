@@ -118,10 +118,7 @@ class LaurentScalar:
         other = _try_coerce(other)
         if other is None:
             return NotImplemented
-        d = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            d[k] = d.get(k, 0) + c
-        return LaurentScalar._from_canonical(_canonical(d))
+        return LaurentScalar._from_canonical(_add_scaled(dict(self.coeffs), other.coeffs))
 
     __radd__ = __add__
 
@@ -144,12 +141,7 @@ class LaurentScalar:
         other = _try_coerce(other)
         if other is None:
             return NotImplemented
-        d = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                d[k] = d.get(k, 0) + c1 * c2
-        return LaurentScalar._from_canonical(_canonical(d))
+        return LaurentScalar._from_canonical(_mul_into({}, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -304,6 +296,33 @@ class QuadExt:
 def _canonical(d):
     """d without its zero coefficients, whole Fractions turned into ints."""
     return {k: (c if type(c) is int else _norm_coeff(c)) for k, c in d.items() if c}
+
+
+def _add_scaled(acc, p, c=1, shift=0):
+    """acc += c * v^shift * p on canonical coefficient dicts, in place; returns acc.
+
+    c is a nonzero int or Fraction.  A coefficient that cancels is removed
+    and a whole Fraction becomes an int, so acc stays canonical.
+    """
+    for k, x in p.items():
+        k += shift
+        s = acc.get(k, 0) + c * x
+        if s:
+            acc[k] = s if type(s) is int else _norm_coeff(s)
+        else:
+            del acc[k]
+    return acc
+
+
+def _mul_into(acc, p, q):
+    """acc += p * q on canonical coefficient dicts, in place; returns acc.
+
+    The package's one polynomial multiplication: LaurentScalar.__mul__ and
+    the coefficient-dict kernels of symfunc and hecke all come here.
+    """
+    for k, c in q.items():
+        _add_scaled(acc, p, c, k)
+    return acc
 
 
 def _try_coerce(x):

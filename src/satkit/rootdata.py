@@ -93,9 +93,13 @@ def two_rho_pairing(mu):
     >>> two_rho_pairing((1, 0, 0))
     2
     """
-    mu = check_weight(mu)
+    return _two_rho_pairing(check_weight(mu))
+
+
+def _two_rho_pairing(mu):
+    """two_rho_pairing for a weight already checked: a tuple of ints."""
     n = len(mu)
-    return sum((n + 1 - 2 * (i + 1)) * m for i, m in enumerate(mu))
+    return sum((n - 1 - 2 * i) * m for i, m in enumerate(mu))
 
 
 def dual_weight(mu):

@@ -28,8 +28,11 @@ Bases provided:
   factor v_mu(t) of the S_n form is needed.
 
 Products are orbit convolutions: the coefficient of m_gamma in m_a m_b is
-#{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, so we just
-walk the orbit pairs and keep dominant sums.
+#{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, which
+_orbit_product reads off one orbit and caches per pair (a, b).  SymPoly
+products and hecke's transforms run on term dicts {weight: {v-exponent:
+coeff}} (_mul_terms, _add_terms, on laurent's coefficient-dict kernels) and
+build LaurentScalars only for the result.
 
 SymPoly shares its representation and linear arithmetic with
 hecke.HeckeElement and repring.RepElement through the base class
@@ -55,7 +58,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentScalar, _coerce
+from .laurent import LaurentScalar, _add_scaled, _coerce, _mul_into
 from .rootdata import _is_dominant, check_weight
 
 
@@ -205,6 +208,8 @@ def _add_into(terms, other, c=None):
 
 
 class SymPoly(Combination):
+    """A symmetric Laurent polynomial: a combination of monomial symmetric functions m_mu."""
+
     __slots__ = ()
     _key = "weight"
     _symbol = "m"
@@ -214,14 +219,11 @@ class SymPoly(Combination):
     _mismatch = "rank mismatch: {} vs {} variables"
 
     def __mul__(self, other):
+        """SymPoly * SymPoly by _mul_terms on coefficient dicts; otherwise times a scalar."""
         if not isinstance(other, SymPoly):
             return super().__mul__(other)
         self._check_rank(other)
-        out = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                _add_into(out, _orbit_product(a, b), ca * cb)
-        return SymPoly._from_canonical(self.n, out)
+        return SymPoly._from_canonical(self.n, _scalars(_mul_terms(_coeffs(self.terms), _coeffs(other.terms))))
 
     def substitute_t(self, t_value):
         """Evaluate every coefficient as a polynomial in t = v^-2.
@@ -252,16 +254,70 @@ def _orbit(w):
     return tuple(sorted(set(itertools.permutations(w))))
 
 
+@lru_cache(maxsize=None)
 def _orbit_product(a, b):
-    """The coefficients of m_a m_b: {gamma dominant: #orbit pairs summing to gamma}."""
-    counts = {}
-    orbit_b = _orbit(b)
-    for alpha in _orbit(a):
-        for beta in orbit_b:
-            s = tuple([x + y for x, y in zip(alpha, beta)])
-            if _is_dominant(s):
-                counts[s] = counts.get(s, 0) + 1
-    return counts
+    """The coefficients of m_a m_b as ((gamma, c_gamma), ...), gamma dominant.
+
+    c_gamma = #{(alpha, beta) in O(a) x O(b) : alpha + beta = gamma}.  S_n
+    permutes these pairs, so the pairs summing into O(gamma) number
+    |O(gamma)| c_gamma; fixing alpha = a instead (every point of O(a) has
+    the same fibre size) counts them as |O(a)| N_gamma with N_gamma =
+    #{beta in O(b) : sort(a + beta) = gamma}.  Hence c_gamma =
+    |O(a)| N_gamma / |O(gamma)|, exactly, and only one orbit is walked: the
+    smaller of the two, since m_a m_b = m_b m_a.
+    """
+    if len(_orbit(a)) < len(_orbit(b)):
+        a, b = b, a
+    hits = Counter(tuple(sorted([x + y for x, y in zip(a, beta)], reverse=True)) for beta in _orbit(b))
+    size_a = len(_orbit(a))
+    return tuple((g, size_a * m // len(_orbit(g))) for g, m in hits.items())
+
+
+def _coeffs(terms):
+    """{weight: LaurentScalar} -> {weight: coefficient dict}, sharing the dicts (read only)."""
+    return {w: c.coeffs for w, c in terms.items()}
+
+
+def _scalars(raw):
+    """{weight: coefficient dict} -> {weight: LaurentScalar}; the dicts pass to the scalars."""
+    return {w: LaurentScalar._from_canonical(c) for w, c in raw.items()}
+
+
+def _add_terms(out, p, c):
+    """out += c * p on {weight: coefficient dict} term dicts, in place; returns out.
+
+    c is a coefficient dict.  The dicts of p and c are only read; out's own
+    dicts are updated in place, and a weight whose coefficient cancels is
+    removed.
+    """
+    for w, x in p.items():
+        acc = out.get(w)
+        if acc is None:
+            acc = out[w] = {}
+        _mul_into(acc, x, c)
+        if not acc:
+            del out[w]
+    return out
+
+
+def _mul_terms(p, q):
+    """The product of two symmetric polynomials given as {weight: coefficient dict}.
+
+    Sums c_a c_b m_a m_b over pairs of terms, with m_a m_b from the cached
+    _orbit_product; returns a new term dict whose coefficient dicts it owns.
+    """
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            cab = _mul_into({}, ca, cb)
+            for g, m in _orbit_product(a, b):
+                acc = out.get(g)
+                if acc is None:
+                    acc = out[g] = {}
+                _add_scaled(acc, cab, m)
+                if not acc:
+                    del out[g]
+    return out
 
 
 def monomial(mu):
@@ -357,7 +413,7 @@ def _straighten(beta):
 
 @lru_cache(maxsize=None)
 def _hl_nonneg(lam):
-    """P_lam in the monomial basis for lam >= 0, as {dominant weight: LaurentScalar}.
+    """P_lam in the monomial basis for lam >= 0, as {dominant weight: coefficient dict}.
 
     Expands x^{lam + rho_B} prod_{lam_i > lam_j} (x_i - t x_j) as
     {(beta, deg_t): int}, straightens each a_beta / a_rho into a Schur
@@ -386,20 +442,28 @@ def _hl_nonneg(lam):
             coeffs[k] = coeffs.get(k, 0) + sign * c
     out = {}
     for mu, coeffs in in_schur.items():
-        coeffs = {k: c for k, c in coeffs.items() if c}
-        if not coeffs:
-            continue
-        for w, m in _schur_weights_nonneg(mu):
-            if _is_dominant(w):
-                acc = out.setdefault(w, {})
-                for k, c in coeffs.items():
-                    acc[k] = acc.get(k, 0) + m * c
-    scalars = {}
-    for w, acc in out.items():
-        acc = {-2 * k: c for k, c in acc.items() if c}  # t^k = v^-2k
-        if acc:
-            scalars[w] = LaurentScalar._from_canonical(acc)
-    return scalars
+        coeffs = {-2 * k: c for k, c in coeffs.items() if c}  # t^k = v^-2k
+        if coeffs:
+            for w, m in _schur_weights_nonneg(mu):
+                if _is_dominant(w):
+                    _add_scaled(out.setdefault(w, {}), coeffs, m)
+    return {w: acc for w, acc in out.items() if acc}
+
+
+@lru_cache(maxsize=None)
+def _hl_terms(mu):
+    """P_mu for any dominant mu as {weight: coefficient dict}; cached, read only.
+
+    The central shift of the cached core _hl_nonneg, whose coefficient dicts
+    it shares; hecke's transforms read it directly.
+    """
+    if len(mu) == 1:
+        return {mu: {0: 1}}
+    shift = max(0, -min(mu))
+    if shift == 0:
+        return _hl_nonneg(mu)
+    core = _hl_nonneg(tuple(x + shift for x in mu))
+    return {tuple(x - shift for x in w): c for w, c in core.items()}
 
 
 def hall_littlewood(mu):
@@ -411,13 +475,8 @@ def hall_littlewood(mu):
     mu = check_weight(mu)
     if not _is_dominant(mu):
         raise ValueError(f"highest weight must be dominant: {mu}")
-    n = len(mu)
-    if n == 1:
-        return SymPoly._from_canonical(1, {mu: LaurentScalar.one()})
-    shift = max(0, -min(mu))
-    lam = tuple(x + shift for x in mu)
-    core = _hl_nonneg(lam)
-    return SymPoly._from_canonical(n, {tuple(x - shift for x in w): c for w, c in core.items()})
+    # copies, so the returned element cannot reach into the cache
+    return SymPoly._from_canonical(len(mu), _scalars({w: dict(c) for w, c in _hl_terms(mu).items()}))
 
 
 def expand_in_schur(f):

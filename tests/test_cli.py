@@ -1,11 +1,17 @@
 """CLI surface: formats, exit codes, parse-back."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satkit.cli import main
 from satkit.hecke import HeckeElement, basis, convolve
 from satkit.laurent import parse_scalar
 from satkit.tate import unitary_config, v_binomial
@@ -184,6 +190,8 @@ def test_domain_errors_exit_1():
         ["count", "--mu", "1,0", "--p", "5"],
         ["qbinom", "--n", "2", "--m", "3"],
         ["satake", "--n", "2", "--h", '{"(0,1)":1}'],
+        ["satake", "--n", "2", "--h", '{"(99999999999999999999,0)":1}'],
+        ["weight-mult", "--n", "2", "--mu", "99999999999999999999,0", "--lam", "1,1"],
     ]:
         out = run(*args)
         assert out.returncode == 1, args
@@ -227,3 +235,104 @@ def test_conv_output_parses_back():
 def test_qbinom_output_parses_back():
     out = run("qbinom", "--n", "4", "--m", "2")
     assert parse_scalar(json.loads(out.stdout)) == v_binomial(4, 2)
+
+
+# -- boundary fuzz ---------------------------------------------------------
+# Every non-check verb, run in-process with its own flags plus junk flags,
+# small weights (rank <= 3, |entries| <= 3) and small JSON payloads that
+# include malformed keys, zero denominators and huge exponents.  Each run must
+# end with exit code 0, 1 or 2 and exactly one JSON line on stdout.
+# Left out: -h/--help and its abbreviations (--h, --he, --hel) where the verb
+# has no flag of that name, because argparse prints multi-line usage for
+# them.  `check` prints one line per assertion and is pinned by
+# test_check_verbs_pass instead.
+
+_small = st.integers(min_value=-3, max_value=3)
+_weights = st.lists(_small, min_size=1, max_size=3)
+_junk_text = st.sampled_from(["", "x", "1.5", "1,,2", "(1,0)", "-", "1/0", "0x1"])
+_int_flags = st.one_of(st.integers(min_value=-3, max_value=6).map(str), _junk_text)
+_weight_flags = st.one_of(_weights.map(lambda w: ",".join(map(str, w))), _junk_text)
+_keys = st.one_of(
+    _weights.map(lambda w: "(" + ",".join(map(str, w)) + ")"),
+    st.sampled_from(["bad", "(1,0", "()", "(1.5,0)", "(1,,0)", "( 1 , 0 , )", ""]),
+)
+_values = st.one_of(
+    _small,
+    st.sampled_from(
+        [
+            "1+v^2",
+            "2/3v^-1",
+            "v^99999999999999999999",
+            "-v^-99999999999999999999+1",
+            "1/0",
+            "3/0v",
+            "x",
+            "",
+            "v^",
+            10**40,
+            None,
+            1.5,
+            True,
+            [],
+            {},
+        ]
+    ),
+)
+_payloads = st.one_of(
+    st.dictionaries(_keys, _values, max_size=3).map(json.dumps),
+    st.sampled_from(["not json", "[]", "3", '"(1,0)"', "null", "{"]),
+)
+_entries = st.one_of(_small, st.sampled_from(["1/2", "x", "1/0", "-2", 10**30, None, 0.5]))
+_lattices = st.one_of(
+    st.builds(
+        lambda p, rows: json.dumps({"p": p, "basis": rows}),
+        st.sampled_from([2, 3, 5, 0, 1, -2, 4, "2", 10**20]),
+        st.integers(min_value=0, max_value=3).flatmap(
+            lambda k: st.lists(st.lists(_entries, min_size=k, max_size=k), min_size=k, max_size=k)
+        ),
+    ),
+    _payloads,
+)
+_FLAGS = {
+    "satake": {"n": _int_flags, "h": _payloads},
+    "inv-satake": {"n": _int_flags, "f": _payloads},
+    "conv": {"n": _int_flags, "a": _payloads, "b": _payloads},
+    "normalize": {"n": _int_flags, "h": _payloads},
+    "tensor": {"n": _int_flags, "a": _payloads, "b": _payloads},
+    "weight-mult": {"n": _int_flags, "mu": _weight_flags, "lam": _weight_flags},
+    "dim": {"n": _int_flags, "mu": _weight_flags},
+    "s-op": {"n": _int_flags, "r": _payloads},
+    "s-pairing": {"n": _int_flags, "mu": _weight_flags},
+    "tate-dim": {"config": st.sampled_from(["U3_CONFIG", "/nonexistent.json", ""]), "mu": _weight_flags},
+    "h-op": {"r": _int_flags},
+    "qbinom": {"n": _int_flags, "m": _int_flags},
+    "inv": {"a": _lattices, "b": _lattices},
+    "count": {"mu": _weight_flags, "p": _int_flags},
+    "oracle": {"lam": _weight_flags, "mu": _weight_flags, "nu": _weight_flags, "p": _int_flags},
+}
+_junk_flags = st.sampled_from(["--zz", "--n", "--mu", "-x", "--", "--p=2", "--n=", "7", "{}", "--r", "-1"])
+
+
+@st.composite
+def _argvs(draw):
+    verb = draw(st.sampled_from(sorted(_FLAGS)))
+    pairs = []
+    for flag, values in _FLAGS[verb].items():
+        if draw(st.integers(min_value=0, max_value=5)):  # mostly present
+            pairs.append(["--" + flag, draw(values)])
+    pairs += [[junk] for junk in draw(st.lists(_junk_flags, max_size=2))]
+    order = draw(st.permutations(range(len(pairs))))
+    return [verb] + [token for i in order for token in pairs[i]]
+
+
+@given(argv=_argvs())
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+def test_fuzz_every_request_ends_in_one_json_line(argv, u3_config):
+    argv = [u3_config if a == "U3_CONFIG" else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
+    json.loads(text)

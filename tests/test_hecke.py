@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_symfunc import _sympoly_mul_all_pairs
 
 from satkit.hecke import (
     HeckeElement,
@@ -18,7 +19,7 @@ from satkit.hecke import (
 )
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.rootdata import dominance_leq, is_dominant, two_rho_pairing
-from satkit.symfunc import monomial
+from satkit.symfunc import SymPoly, _add_into, hall_littlewood, monomial
 
 
 def _doms(n, hi=2, lo=0):
@@ -35,6 +36,89 @@ def _elements(n):
     return st.dictionaries(st.sampled_from(_doms(n)), _coeffs, max_size=3).map(
         lambda d: HeckeElement(n, d)
     )
+
+
+# -- the LaurentScalar route, kept as a test oracle -----------------------
+# The library used to run the transforms on LaurentScalar-valued dicts,
+# through the public hall_littlewood and a SymPoly product that walks every
+# pair of orbit points.  It now runs them on integer coefficient dicts; the
+# two must agree exactly.
+
+
+def _satake_scalars(h):
+    out = {}
+    for mu, c in h.terms.items():
+        _add_into(out, hall_littlewood(mu).terms, c.shift(two_rho_pairing(mu)))
+    return SymPoly(h.n, out)
+
+
+def _normalized_satake_scalars(h):
+    out = {}
+    for mu, c in h.terms.items():
+        _add_into(out, hall_littlewood(mu).terms, c)
+    return SymPoly(h.n, out)
+
+
+def _inverse_satake_scalars(f):
+    rest = dict(f.terms)
+    out = {}
+    while rest:
+        mu = max(rest)
+        c = rest[mu]
+        out[mu] = c.shift(-two_rho_pairing(mu))
+        _add_into(rest, hall_littlewood(mu).terms, -c)
+    return HeckeElement(f.n, out)
+
+
+def _convolve_scalars(a, b):
+    return _inverse_satake_scalars(_sympoly_mul_all_pairs(_satake_scalars(a), _satake_scalars(b)))
+
+
+def _pairs(weights):
+    return [(a, b) for i, a in enumerate(weights) for b in weights[i:]]
+
+
+def test_convolve_matches_scalar_route_on_benchmark_boxes():
+    for n, hi in ((2, 6), (3, 4), (4, 2)):
+        for lam, mu in _pairs(_doms(n, hi=hi)):
+            a, b = basis(lam), basis(mu)
+            assert convolve(a, b) == _convolve_scalars(a, b), (lam, mu)
+
+
+def test_convolve_matches_scalar_route_gl3_negative_entries():
+    for lam, mu in _pairs(_doms(3, hi=2, lo=-2)):
+        a, b = basis(lam), basis(mu)
+        assert convolve(a, b) == _convolve_scalars(a, b), (lam, mu)
+
+
+_rich_coeffs = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    ),
+    max_size=3,
+).map(LaurentScalar)
+
+
+def _rich_elements(cls, n):
+    return st.dictionaries(st.sampled_from(_doms(n, hi=2, lo=-1)), _rich_coeffs, max_size=4).map(
+        lambda d: cls(n, d)
+    )
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_transforms_match_scalar_route(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    a = data.draw(_rich_elements(HeckeElement, n))
+    b = data.draw(_rich_elements(HeckeElement, n))
+    f = data.draw(_rich_elements(SymPoly, n))
+    assert satake(a) == _satake_scalars(a)
+    assert normalized_satake(a) == _normalized_satake_scalars(a)
+    assert inverse_satake(f) == _inverse_satake_scalars(f)
+    assert convolve(a, b) == _convolve_scalars(a, b)
+    assert inverse_satake(satake(a)) == a
 
 
 def test_satake_basis_values():

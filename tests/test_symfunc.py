@@ -26,6 +26,7 @@ from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.rootdata import is_dominant
 from satkit.symfunc import (
     SymPoly,
+    _orbit_product,
     expand_in_schur,
     hall_littlewood,
     monomial,
@@ -305,6 +306,54 @@ def test_hall_littlewood_rank6_matches_point_oracle():
         assert _poly_at(f, xs, t) == _hl_oracle(mu, xs, t), t
 
 
+# -- the all-pairs orbit walk, kept as a test oracle ----------------------
+# The library used to multiply monomial symmetric functions this way: sum
+# every pair of orbit points and keep the dominant sums.  _orbit_product now
+# walks one orbit and divides by orbit sizes.
+
+
+def _orbit_points(w):
+    return sorted(set(itertools.permutations(w)))
+
+
+def _orbit_product_all_pairs(a, b):
+    counts = {}
+    orbit_b = _orbit_points(b)
+    for alpha in _orbit_points(a):
+        for beta in orbit_b:
+            s = tuple(x + y for x, y in zip(alpha, beta))
+            if is_dominant(s):
+                counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+def _sympoly_mul_all_pairs(f, g):
+    """f * g on LaurentScalars, one orbit pair at a time."""
+    out = SymPoly.zero(f.n)
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            for gamma, m in _orbit_product_all_pairs(a, b).items():
+                out = out + (m * ca * cb) * monomial(gamma)
+    return out
+
+
+def test_orbit_product_matches_all_pairs_walk():
+    # boxes with repeated and negative entries
+    for n, lo, hi in ((2, -3, 3), (3, -2, 2), (4, -1, 2)):
+        weights = _dominants(lo, hi, n)
+        for a in weights:
+            for b in weights:
+                assert dict(_orbit_product(a, b)) == _orbit_product_all_pairs(a, b), (a, b)
+
+
+def test_sympoly_product_matches_all_pairs_walk():
+    third = LaurentScalar({0: Fraction(1, 3)})
+    f = hall_littlewood((2, 1, -1)) + third * monomial((1, 1, 0))
+    g = parse_scalar("v^-1+2v") * schur((1, 0, 0)) - monomial((0, 0, 0))
+    assert f * g == _sympoly_mul_all_pairs(f, g)
+    assert g * f == f * g
+
+
 # -- frozen small values -------------------------------------------------
 
 
@@ -342,6 +391,16 @@ def test_hall_littlewood_small():
 def test_hall_littlewood_central_shift():
     shifted = hall_littlewood((2, 0)).central_shift(-1)
     assert shifted == hall_littlewood((1, -1))
+
+
+def test_hall_littlewood_returns_a_copy_of_the_cache():
+    for mu in [(2, 1, 0), (1, -1), (3,)]:
+        want = hall_littlewood(mu)
+        f = hall_littlewood(mu)
+        f.terms[mu].coeffs[7] = 1
+        f.terms.clear()
+        assert hall_littlewood(mu) == want
+        assert hall_littlewood(mu).terms[mu].is_one()
 
 
 def test_hall_littlewood_rejects_non_dominant():
