@@ -96,11 +96,6 @@ class LaurentScalar:
             raise ValueError("zero scalar has no exponent range")
         return min(self.coeffs)
 
-    def max_exp(self):
-        if not self.coeffs:
-            raise ValueError("zero scalar has no exponent range")
-        return max(self.coeffs)
-
     def as_int(self):
         """The value of a constant scalar, erroring on anything else."""
         if self.is_zero():
@@ -144,14 +139,6 @@ class LaurentScalar:
         return LaurentScalar._from_canonical(_mul_into({}, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, m):
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = LaurentScalar.one()
-        for _ in range(m):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, int):

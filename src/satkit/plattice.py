@@ -1,9 +1,16 @@
-"""p-adic lattices by exact linear algebra, and the brute-force oracle.
+"""p-adic lattices by exact integer linear algebra, and the brute-force oracle.
 
 A PLattice is a full-rank Z_(p)-lattice in Q^n, given by a basis matrix with
 p-power denominators; basis vectors are the COLUMNS of the matrix.  Two bases
 give the same lattice iff they differ by right multiplication by a matrix
 invertible over Z_(p) (integral entries at p, unit determinant at p).
+
+A PLattice stores its basis B as (A, e): the integer matrix A = p^e B for
+the least e >= 0.  Rationals are converted once, by the public constructor
+(which the CLI's inv verb and from_json go through); the basis property
+turns (A, e) back into Fraction rows for to_json and repr.  Equality and
+hashing are those of (p, A, e), i.e. of the basis matrix; same_lattice
+compares lattices.
 
 The pair invariant is computed the only way it can be: for lattices L1, L2
 with basis matrices B1, B2, the relative position inv_pair(L1, L2) is the
@@ -16,7 +23,7 @@ and with basis-as-columns and B1^-1 B2 (not B2^-1 B1) the convolution
 identity below holds with no sign or reversal fix-up; during development the
 identity was checked numerically before the convention was frozen.
 
-inv_pair works on integers.  Writing B_i = A_i / p^{e_i} with A_i integral,
+inv_pair works on the stored integers.  With B_i = A_i / p^{e_i},
 B1^-1 B2 = p^{e1 - e2} adj(A1) A2 / det(A1), so the valuations are those of
 the integer matrix adj(A1) A2 shifted by e1 - e2 - v_p(det A1).  They are
 read off by valuation-pivot elimination: an entry p^v u of minimal valuation
@@ -24,10 +31,9 @@ read off by valuation-pivot elimination: an entry p^v u of minimal valuation
 and has an integer multiple of the pivot row subtracted, which clears the
 pivot column while staying in Z and invertible over Z_(p); the pivot row
 can then be cleared by column operations that touch nothing else, so
-recursion on the complement reads off the remaining valuations.
-smith_invariants runs the same elimination over Fractions on any rational
-matrix; it is kept as the independent route the tests hold the integer one
-to.
+recursion on the complement reads off the remaining valuations.  The same
+elimination over Fractions, on B1^-1 B2 itself, is kept in the tests as the
+independent route the integer one is held to.
 
 The depth-d window p^d L0 <= L <= L0 is walked as column-style Hermite
 normal forms H: integer lower triangular, diagonals p^{a_i} with
@@ -38,73 +44,54 @@ one at a time by exact forward substitution and a row whose X row is not
 integral cuts off all its completions.  Each lattice in the window appears
 exactly once (this is the classical normal form for subgroups of
 (Z/p^d)^n; the counts 15 and 129 are frozen in the tests).  The window
-p^hi L0 <= L <= p^lo L0 is p^lo times the depth hi - lo one, so the shapes H
-are computed once per (p, n, depth), together with their partition into
-Schubert cells by inv(L0, H), the valuations of H itself; inv(L0, p^lo H)
-is that plus lo.  schubert_count is a cell size.
+p^hi L0 <= L <= p^lo L0 is p^lo times the depth hi - lo one, so only the
+integer shapes H are cached, per (p, n, depth), together with their
+partition into Schubert cells by inv(L0, H), the valuations of H itself.
+For L = p^lo H, inv(L0, L) = inv(L0, H) + lo and inv(L, T) = inv(H, T) - lo.
+enumerate_between makes a PLattice of each shape; schubert_count is a cell
+size.
 
 The point of the module is convolution_oracle(lam, mu, nu, p):
 
     #{ L : inv(L0, L) = lam  and  inv(L, nu(p) L0) = mu }
 
 which must equal the T_nu-coefficient of T_lam * T_mu specialized at q = p.
-It tests only the lattices of lam's cell.  The Hecke side computes that
-coefficient through the Satake transform; the two routes share no code,
-which is what makes the agreement a real check.
+It tests only the shapes of lam's cell, as integer matrices.  The Hecke side
+computes that coefficient through the Satake transform; the two routes
+share no code, which is what makes the agreement a real check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rootdata import _det, _mat_inv, _mat_mul, _rank, check_weight, is_dominant
+from .rootdata import check_weight, is_dominant
 
 _ALLOWED_PRIMES = (2, 3)
 _MAX_RANK = 3
 _MAX_WINDOW = 2
 
 
-def val_p(x, p):
-    """The p-adic valuation of a rational, None for 0."""
-    x = Fraction(x)
-    if x == 0:
-        return None
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def _check_p(p):
-    if p not in _ALLOWED_PRIMES:
+    # type, not just value: 2.0 == 2, but the integer kernels need an int
+    if type(p) is not int or p not in _ALLOWED_PRIMES:
         raise ValueError(f"p must be one of {_ALLOWED_PRIMES}, got {p!r}")
     return p
 
 
-def _mat_fractions(mat):
-    rows = tuple(tuple(Fraction(x) for x in row) for row in mat)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square and nonempty")
-    return rows
-
-
-@dataclass(frozen=True)
 class PLattice:
-    p: int
-    basis: tuple  # columns are basis vectors; entries Fraction
+    """The lattice spanned by the columns of p^-e A, for A a nonsingular integer matrix."""
 
-    def __post_init__(self):
-        p = _check_p(self.p)
-        rows = _mat_fractions(self.basis)
+    __slots__ = ("p", "a", "e")
+
+    def __init__(self, p, basis):
+        p = _check_p(p)
+        rows = tuple(tuple(Fraction(x) for x in row) for row in basis)
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
+            raise ValueError("matrix must be square and nonempty")
         for row in rows:
             for x in row:
                 den = x.denominator
@@ -112,25 +99,37 @@ class PLattice:
                     den //= p
                 if den != 1:
                     raise ValueError(f"basis entry {x} has a denominator not a power of {p}")
-        object.__setattr__(self, "basis", rows)
-        if _rank(rows) != len(rows):
+        # p-power denominators: the largest is a multiple of all the others
+        den = max(x.denominator for row in rows for x in row)
+        a = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        if _det_int(a) == 0:
             raise ValueError("matrix is singular")
+        self.p, self.a, self.e = p, a, _val_int(den, p)
 
     @classmethod
-    def _trusted(cls, p, rows):
-        """Unvalidated: rows is a nonsingular square tuple of Fraction tuples."""
+    def _trusted(cls, p, a, e):
+        """Unvalidated p^-e A for a nonsingular integer A and any int e; e is made least."""
+        if e < 0:
+            a, e = tuple(tuple(x * p**-e for x in row) for row in a), 0
+        while e and all(x % p == 0 for row in a for x in row):
+            a, e = tuple(tuple(x // p for x in row) for row in a), e - 1
         out = object.__new__(cls)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "basis", rows)
+        out.p, out.a, out.e = p, a, e
         return out
 
     @property
     def n(self):
-        return len(self.basis)
+        return len(self.a)
+
+    @property
+    def basis(self):
+        """The basis matrix p^-e A as Fraction rows."""
+        den = self.p**self.e
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.a)
 
     @classmethod
     def standard(cls, n, p):
-        return cls(p, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls(p, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_coweight(cls, mu, p):
@@ -139,29 +138,30 @@ class PLattice:
         return cls(
             p,
             tuple(
-                tuple(Fraction(p) ** mu[i] if i == j else Fraction(0) for j in range(len(mu)))
+                tuple(Fraction(p) ** mu[i] if i == j else 0 for j in range(len(mu)))
                 for i in range(len(mu))
             ),
         )
 
     def scaled(self, k):
         """p^k times this lattice."""
-        f = Fraction(self.p) ** k
-        return PLattice(self.p, tuple(tuple(f * x for x in row) for row in self.basis))
+        return PLattice._trusted(self.p, self.a, self.e - k)
 
     def same_lattice(self, other):
-        """Equality as Z_(p)-lattices: B1^-1 B2 invertible over Z_(p)."""
+        """Equality as Z_(p)-lattices: every elementary divisor of B1^-1 B2 a unit."""
         if not isinstance(other, PLattice):
             raise ValueError("same_lattice wants a PLattice")
         if self.p != other.p or self.n != other.n:
             return False
-        m = _mat_mul(_mat_inv(self.basis), other.basis)
-        for row in m:
-            for x in row:
-                v = val_p(x, self.p)
-                if v is not None and v < 0:
-                    return False
-        return val_p(_det(m), self.p) == 0
+        return inv_pair(self, other) == (0,) * self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, PLattice):
+            return NotImplemented
+        return (self.p, self.a, self.e) == (other.p, other.a, other.e)
+
+    def __hash__(self):
+        return hash((self.p, self.a, self.e))
 
     def to_json(self):
         return {
@@ -176,52 +176,6 @@ class PLattice:
     def __repr__(self):
         rows = "; ".join(",".join(str(x) for x in row) for row in self.basis)
         return f"PLattice(p={self.p}, [{rows}])"
-
-
-def smith_invariants(mat, p):
-    """Valuations of the elementary divisors of a nonsingular matrix at p.
-
-    Sorted weakly decreasing.  Valuation-pivot elimination: pick any entry of
-    minimal valuation, record it, clear its row and column (the multipliers
-    entry/pivot all have valuation >= 0), recurse on the rest.
-
-    >>> smith_invariants([[2, 1], [0, 2]], 2)
-    (2, 0)
-    """
-    p = _check_p(p)
-    m = [list(row) for row in _mat_fractions(mat)]
-    n = len(m)
-    if _det(m) == 0:
-        raise ValueError("smith_invariants wants a nonsingular matrix")
-    rows = list(range(n))
-    cols = list(range(n))
-    out = []
-    while rows:
-        best = None
-        for i in rows:
-            for j in cols:
-                v = val_p(m[i][j], p)
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
-        v, pi, pj = best  # nonsingular, so some entry is nonzero
-        pivot = m[pi][pj]
-        # clear the pivot column by row operations (multipliers in Z_(p))
-        for i in rows:
-            if i != pi and m[i][pj] != 0:
-                f = m[i][pj] / pivot
-                for j in cols:
-                    m[i][j] -= f * m[pi][j]
-        # clear the pivot row by column operations; the pivot column is
-        # already zero off the pivot, so only row pi changes
-        for j in cols:
-            if j != pj and m[pi][j] != 0:
-                f = m[pi][j] / pivot
-                for i in rows:
-                    m[i][j] -= f * m[i][pj]
-        out.append(v)
-        rows.remove(pi)
-        cols.remove(pj)
-    return tuple(sorted(out, reverse=True))
 
 
 def _val_int(x, p):
@@ -281,24 +235,9 @@ def _det_int(mat):
     return sign * m[-1][-1] if n else 1
 
 
-def _integral(lat):
-    """(A, e): the integer matrix A = p^e B of a basis B, for the least e >= 0."""
-    den = max(x.denominator for row in lat.basis for x in row)
-    a = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in lat.basis)
-    return a, _val_int(den, lat.p)
-
-
-def inv_pair(l1, l2):
-    """Relative position of two lattices: elementary divisors of B1^-1 B2."""
-    if not isinstance(l1, PLattice) or not isinstance(l2, PLattice):
-        raise ValueError("inv_pair wants two PLattices")
-    if l1.p != l2.p:
-        raise ValueError(f"prime mismatch: {l1.p} vs {l2.p}")
-    if l1.n != l2.n:
-        raise ValueError(f"rank mismatch: {l1.n} vs {l2.n}")
-    p, n = l1.p, l1.n
-    (a1, e1), (a2, e2) = _integral(l1), _integral(l2)
-    idx = range(n)
+def _inv(p, a1, e1, a2, e2):
+    """inv of the lattices p^-e1 A1 and p^-e2 A2, for nonsingular integer A1, A2."""
+    idx = range(len(a1))
     adj = [
         [
             (-1) ** (i + j)
@@ -311,6 +250,17 @@ def inv_pair(l1, l2):
     prod = [[sum(adj[i][k] * a2[k][j] for k in idx) for j in idx] for i in idx]
     shift = e1 - e2 - _val_int(det, p)
     return tuple(v + shift for v in _int_smith(prod, p))
+
+
+def inv_pair(l1, l2):
+    """Relative position of two lattices: elementary divisors of B1^-1 B2."""
+    if not isinstance(l1, PLattice) or not isinstance(l2, PLattice):
+        raise ValueError("inv_pair wants two PLattices")
+    if l1.p != l2.p:
+        raise ValueError(f"prime mismatch: {l1.p} vs {l2.p}")
+    if l1.n != l2.n:
+        raise ValueError(f"rank mismatch: {l1.n} vs {l2.n}")
+    return _inv(l1.p, l1.a, l1.e, l2.a, l2.e)
 
 
 def _hnf_rows(p, depth, diag):
@@ -361,26 +311,6 @@ def _shapes(p, n, depth):
     return tuple(shapes), {key: tuple(group) for key, group in cells.items()}
 
 
-@lru_cache(maxsize=None)
-def _window(p, n, lo, hi):
-    """Lattices L with p^hi L0 <= L <= p^lo L0, each once, and their cells.
-
-    Returns (lattices, cells), cells keyed by inv(L0, L) and holding the same
-    PLattice objects.  Cached; PLattice is frozen so sharing is safe.  Each
-    p^lo H is a valid basis by construction, so it skips validation.
-    """
-    shapes, shape_cells = _shapes(p, n, hi - lo)
-    scale = Fraction(p) ** lo
-    made = {
-        h: PLattice._trusted(p, tuple(tuple(scale * x for x in row) for row in h)) for h in shapes
-    }
-    cells = {
-        tuple(e + lo for e in key): tuple(made[h] for h in group)
-        for key, group in shape_cells.items()
-    }
-    return tuple(made.values()), cells
-
-
 def enumerate_between(p, n, nn):
     """All lattices L with p^N L0 <= L <= p^-N L0 (the depth-N window).
 
@@ -392,7 +322,7 @@ def enumerate_between(p, n, nn):
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {n!r}")
     if not isinstance(nn, int) or not 0 <= nn <= _MAX_WINDOW:
         raise ValueError(f"window must be 0..{_MAX_WINDOW}, got {nn!r}")
-    return list(_window(p, n, -nn, nn)[0])
+    return [PLattice._trusted(p, h, nn) for h in _shapes(p, n, 2 * nn)[0]]
 
 
 def _window_for(mu):
@@ -439,10 +369,12 @@ def convolution_oracle(lam, mu, nu, p):
     for w in (lam, mu, nu):
         if not is_dominant(w):
             raise ValueError(f"coweights must be dominant: {w}")
+    # L = p^lo H for the shapes H of lam's cell, and inv(p^lo H, T) = inv(H, T) - lo
     lo, hi = _window_for(lam)
+    cell = _shapes(p, n, hi - lo)[1].get(tuple(x - lo for x in lam), ())
     target = PLattice.from_coweight(nu, p)
-    cell = _window(p, n, lo, hi)[1].get(lam, ())
-    return sum(1 for lat in cell if inv_pair(lat, target) == mu)
+    want = tuple(x + lo for x in mu)
+    return sum(1 for h in cell if _inv(p, h, 0, target.a, target.e) == want)
 
 
 if __name__ == "__main__":

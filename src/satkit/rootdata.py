@@ -18,9 +18,9 @@ Conventions, fixed once:
   representation; on dominants this is -w0).
 
 The package's one exact linear-algebra kernel lives here too: a Gauss-Jordan
-elimination over Fractions (_gauss_jordan) from which rank, determinant,
-inverse and the integer-span solve are read off, plus _mat_mul.  trace_k and
-plattice use it; plattice keeps only its own integer kernels.
+elimination over Fractions (_gauss_jordan) from which rank, determinant and
+the integer-span solve are read off, plus _mat_mul.  GroupSpec, trace_k and
+the tests use it; plattice works on integers with kernels of its own.
 """
 
 from __future__ import annotations
@@ -202,16 +202,6 @@ def _det(rows):
     """Determinant of a square rational matrix, as a Fraction."""
     _, pivots, det = _gauss_jordan(rows)
     return det if len(pivots) == len(rows) else Fraction(0)
-
-
-def _mat_inv(rows):
-    """Inverse of a square rational matrix; ValueError when it is singular."""
-    n = len(rows)
-    aug = [list(row) + list(unit) for row, unit in zip(rows, _mat_identity(n))]
-    rref, pivots, _ = _gauss_jordan(aug, n)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rref)
 
 
 def _mat_mul(a, b):

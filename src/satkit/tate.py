@@ -218,10 +218,8 @@ class HOperator:
             "coeffs": {str(j): self.coeffs[j].to_string(var="p") for j in sorted(self.coeffs)},
         }
 
-    def __eq__(self, other):
-        if not isinstance(other, HOperator):
-            return NotImplemented
-        return self.r == other.r and self.coeffs == other.coeffs
+    # the dataclass __eq__ compares (r, coeffs); coeffs is a dict, so no hash
+    __hash__ = None
 
     def __repr__(self):
         if not self.coeffs:

@@ -156,6 +156,27 @@ GOLDEN = [
         1,
         '{"error":"matrix is singular"}',
     ),
+    (
+        ["inv", "--a", '{"p":2,"basis":[["1/3",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
+        1,
+        '{"error":"basis entry 1/3 has a denominator not a power of 2"}',
+    ),
+    (
+        [
+            "inv",
+            "--a",
+            '{"p":3,"basis":[["1/9","2/3"],[0,"1/27"]]}',
+            "--b",
+            '{"p":3,"basis":[[9,"1/3"],[3,"4"]]}',
+        ],
+        0,
+        "[4,1]",
+    ),
+    (
+        ["inv", "--a", '{"p":2,"basis":[[2,4],[6,8]]}', "--b", '{"p":2,"basis":[["1/2",0],[0,"1/2"]]}'],
+        0,
+        "[-2,-3]",
+    ),
 ]
 
 

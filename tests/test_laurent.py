@@ -75,12 +75,6 @@ def test_inexact_division_raises():
         parse_scalar("1+v").exact_div(parse_scalar("1-v"))
 
 
-def test_power():
-    assert parse_scalar("1+v") ** 2 == parse_scalar("1+2v+v^2")
-    assert LaurentScalar.v_power(-1) ** 3 == LaurentScalar({-3: 1})
-    assert parse_scalar("v") ** 0 == LaurentScalar.one()
-
-
 def test_specialize_even_powers_is_rational():
     assert parse_scalar("1+v^2").specialize(3) == Fraction(4)
     assert parse_scalar("v^-2").specialize(4) == Fraction(1, 4)

@@ -8,6 +8,7 @@ or duplicated lattice would show up immediately.
 
 import ast
 import inspect
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -18,15 +19,103 @@ from hypothesis import strategies as st
 from satkit import plattice
 from satkit.plattice import (
     PLattice,
-    _window,
+    _shapes,
     convolution_oracle,
     enumerate_between,
     inv_pair,
     schubert_count,
-    smith_invariants,
-    val_p,
 )
-from satkit.rootdata import _det, _mat_inv, _mat_mul
+from satkit.rootdata import _det, _gauss_jordan, _mat_identity, _mat_mul
+
+# -- the Fraction route: the reference the integer kernels are held to ------
+
+
+def val_p(x, p):
+    """The p-adic valuation of a rational, None for 0."""
+    x = Fraction(x)
+    if x == 0:
+        return None
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _mat_inv(rows):
+    """Inverse of a square rational matrix; ValueError when it is singular."""
+    n = len(rows)
+    aug = [list(row) + list(unit) for row, unit in zip(rows, _mat_identity(n))]
+    rref, pivots, _ = _gauss_jordan(aug, n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rref)
+
+
+def smith_invariants(mat, p):
+    """Valuations of the elementary divisors of a nonsingular matrix at p.
+
+    Sorted weakly decreasing.  Valuation-pivot elimination: pick any entry of
+    minimal valuation, record it, clear its row and column (the multipliers
+    entry/pivot all have valuation >= 0), recurse on the rest.
+    """
+    m = [[Fraction(x) for x in row] for row in mat]
+    n = len(m)
+    if _det(m) == 0:
+        raise ValueError("smith_invariants wants a nonsingular matrix")
+    rows = list(range(n))
+    cols = list(range(n))
+    out = []
+    while rows:
+        best = None
+        for i in rows:
+            for j in cols:
+                v = val_p(m[i][j], p)
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, i, j)
+        v, pi, pj = best  # nonsingular, so some entry is nonzero
+        pivot = m[pi][pj]
+        # clear the pivot column by row operations (multipliers in Z_(p))
+        for i in rows:
+            if i != pi and m[i][pj] != 0:
+                f = m[i][pj] / pivot
+                for j in cols:
+                    m[i][j] -= f * m[pi][j]
+        # clear the pivot row by column operations; the pivot column is
+        # already zero off the pivot, so only row pi changes
+        for j in cols:
+            if j != pj and m[pi][j] != 0:
+                f = m[pi][j] / pivot
+                for i in rows:
+                    m[i][j] -= f * m[i][pj]
+        out.append(v)
+        rows.remove(pi)
+        cols.remove(pj)
+    return tuple(sorted(out, reverse=True))
+
+
+def fraction_inv_pair(l1, l2):
+    """The independent route: Smith invariants of B1^-1 B2 over Fractions."""
+    return smith_invariants(_mat_mul(_mat_inv(l1.basis), l2.basis), l1.p)
+
+
+def window(p, n, lo, hi):
+    """Lattices L with p^hi L0 <= L <= p^lo L0, each once, and their cells.
+
+    Rebuilt from the cached integer shapes H as the unvalidated lattices
+    p^lo H; cells are keyed by inv(L0, L) and hold the same PLattice objects.
+    """
+    shapes, shape_cells = _shapes(p, n, hi - lo)
+    made = {h: PLattice._trusted(p, h, -lo) for h in shapes}
+    cells = {
+        tuple(e + lo for e in key): tuple(made[h] for h in group)
+        for key, group in shape_cells.items()
+    }
+    return tuple(made.values()), cells
 
 
 def test_val_p():
@@ -45,6 +134,14 @@ def test_lattice_validation():
         PLattice(2, ((1, 1), (1, 1)))  # singular
     with pytest.raises(ValueError):
         PLattice(5, ((1, 0), (0, 1)))  # unsupported prime
+
+
+def test_prime_must_be_an_int():
+    for p in (2.0, True, Fraction(2)):
+        with pytest.raises(ValueError, match="p must be one of"):
+            PLattice(p, ((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="p must be one of"):
+            schubert_count((1, 0), p)
 
 
 def test_same_lattice_under_column_operations():
@@ -91,11 +188,6 @@ def test_inv_pair_reversal():
             assert backward == tuple(sorted((-x for x in forward), reverse=True))
 
 
-def fraction_inv_pair(l1, l2):
-    """The independent route: Smith invariants of B1^-1 B2 over Fractions."""
-    return smith_invariants(_mat_mul(_mat_inv(l1.basis), l2.basis), l1.p)
-
-
 def test_integer_inv_pair_matches_fraction_route():
     lattices = enumerate_between(2, 2, 1)
     for a in lattices:
@@ -131,7 +223,7 @@ def test_integer_inv_pair_matches_fraction_route_on_random_lattices(pair):
     + [(2, 3, 0, 2), (3, 2, 0, 3)],
 )
 def test_cells_match_fraction_route(p, n, lo, hi):
-    lattices, cells = _window(p, n, lo, hi)
+    lattices, cells = window(p, n, lo, hi)
     std = PLattice.standard(n, p)
     grouped = {}
     for lat in lattices:
@@ -144,7 +236,7 @@ def test_cells_match_fraction_route(p, n, lo, hi):
 )
 def test_window_lattices_equal_validated_ones(p, n, lo, hi):
     # window lattices skip validation; the public constructor must agree
-    for lat in _window(p, n, lo, hi)[0]:
+    for lat in window(p, n, lo, hi)[0]:
         checked = PLattice(p, lat.basis)
         assert lat == checked and hash(lat) == hash(checked)
         assert all(type(x) is Fraction for row in lat.basis for x in row)
@@ -159,6 +251,14 @@ def test_lattice_route_shares_no_code_with_transform_route():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert not imported & {"hecke", "symfunc", "laurent"}
+    # and of rootdata only the weight checks, none of its Fraction kernel
+    from_rootdata = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rootdata"
+        for alias in node.names
+    }
+    assert from_rootdata == {"check_weight", "is_dominant"}
 
 
 def test_enumeration_window_counts():
@@ -216,6 +316,38 @@ def test_schubert_counts():
     assert schubert_count((2, 0), 2) == 6
     assert schubert_count((2, 0), 3) == 12
     assert schubert_count((1, -1), 2) == 6
+
+
+def _q_factorial(m, t):
+    """[m]_t! = prod_{i=1..m} (1 + t + ... + t^{i-1}), the Poincare polynomial of S_m."""
+    out = Fraction(1)
+    for i in range(1, m + 1):
+        out *= sum(t**k for k in range(i))
+    return out
+
+
+def _cell_size_formula(mu, p):
+    """p^<2rho,mu> W(1/p) / W_mu(1/p) (Macdonald, SFHP, Ch. V)."""
+    t = Fraction(1, p)
+    size = _q_factorial(len(mu), t)
+    for _, block in itertools.groupby(mu):
+        size /= _q_factorial(len(list(block)), t)
+    two_rho = sum(a - b for i, a in enumerate(mu) for b in mu[i + 1 :])
+    return p**two_rho * size
+
+
+def test_schubert_counts_match_poincare_polynomial_formula():
+    # every dominant mu of rank 1..3 whose window is at most 3 wide
+    cases = [
+        (mu, p)
+        for n in (1, 2, 3)
+        for mu in itertools.product(range(-3, 4), repeat=n)
+        if list(mu) == sorted(mu, reverse=True) and max(0, *mu) - min(0, *mu) <= 3
+        for p in (2, 3)
+    ]
+    assert len(cases) == 158
+    for mu, p in cases:
+        assert schubert_count(mu, p) == _cell_size_formula(mu, p), (mu, p)
 
 
 def test_convolution_oracle_gl2():

@@ -5,13 +5,13 @@ import itertools
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_plattice import _mat_inv
 from test_symfunc import _det as leibniz_det
 
 from satkit.rootdata import (
     GroupSpec,
     _det,
     _mat_identity,
-    _mat_inv,
     _mat_mul,
     _rank,
     check_weight,

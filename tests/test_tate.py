@@ -8,6 +8,7 @@ values below are pinned from two sides.
 """
 
 import itertools
+from collections.abc import Hashable
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.repring import dimension
 from satkit.rootdata import GroupSpec
 from satkit.tate import (
+    HOperator,
     TateConfig,
     h_operator,
     hecke_coweight,
@@ -130,6 +132,17 @@ def test_h_operator_coefficients_are_integer_polynomials():
 def test_h_operator_top_coefficient_is_one():
     for r in (1, 2, 3, 4):
         assert h_operator(r).coefficient(r) == LaurentScalar.one()
+
+
+def test_h_operator_is_unhashable_and_compares_by_value():
+    # coeffs is a dict, so the contract is "unhashable", not a hash that raises
+    h = h_operator(1)
+    assert not isinstance(h, Hashable)
+    with pytest.raises(TypeError):
+        hash(h)
+    assert h == h_operator(1)
+    assert h != h_operator(2)
+    assert h != HOperator(1, {})
 
 
 def test_h_operator_json():
