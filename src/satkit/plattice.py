@@ -64,6 +64,7 @@ share no code, which is what makes the agreement a real check.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -214,6 +215,28 @@ def _int_smith(mat, p):
                 row[:] = [unit * a - f * b for a, b in zip(row, prow)]
         out.append(v)
     return tuple(sorted(out, reverse=True))
+
+
+def smith_invariants(mat, p):
+    """Valuations at p of the elementary divisors of a nonsingular rational matrix.
+
+    Sorted weakly decreasing.  The matrix is scaled to integers by the lcm d
+    of its denominators, so the valuations are those of the integer kernel
+    shifted by -v_p(d).
+
+    >>> smith_invariants([[2, 1], [0, 2]], 2)
+    (2, 0)
+    """
+    p = _check_p(p)
+    rows = [[Fraction(x) for x in row] for row in mat]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("smith_invariants wants a square matrix")
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[int(x * d) for x in row] for row in rows]
+    if _det_int(ints) == 0:
+        raise ValueError("smith_invariants wants a nonsingular matrix")
+    shift = _val_int(d, p)
+    return tuple(v - shift for v in _int_smith(ints, p))
 
 
 def _det_int(mat):

@@ -217,6 +217,34 @@ def test_integer_inv_pair_matches_fraction_route_on_random_lattices(pair):
     assert inv_pair(a, b) == fraction_inv_pair(a, b)
 
 
+@st.composite
+def rational_matrices(draw):
+    """A nonsingular rational matrix of rank 1..4, denominators not only powers of p."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = st.builds(
+        Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from((1, 5, p, 5 * p * p))
+    )
+    rows = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+    assume(_det(rows) != 0)
+    return p, rows
+
+
+@given(rational_matrices())
+def test_integer_smith_invariants_match_fraction_route(case):
+    p, rows = case
+    assert plattice.smith_invariants(rows, p) == smith_invariants(rows, p)
+
+
+def test_integer_smith_invariants_reject_bad_input():
+    with pytest.raises(ValueError):
+        plattice.smith_invariants([[1, 2], [2, 4]], 2)
+    with pytest.raises(ValueError):
+        plattice.smith_invariants([[1, 0]], 2)
+    with pytest.raises(ValueError):
+        plattice.smith_invariants([[1]], 5)
+
+
 @pytest.mark.parametrize(
     "p, n, lo, hi",
     [(p, n, -nn, nn) for p in (2, 3) for n in (1, 2, 3) for nn in (0, 1)]
