@@ -9,14 +9,15 @@ Module map:
 - rootdata:  weights, dominance order, 2rho-pairing, group data; the exact
              linear-algebra kernel
 - symfunc:   the combination base shared by SymPoly, HeckeElement and
-             RepElement; symmetric functions in the monomial basis; Schur
-             and Hall-Littlewood polynomials
+             RepElement; symmetric functions, stored in the monomial basis
+             and computed in the Schur basis; Schur and Hall-Littlewood
+             polynomials; the Brauer-Klimyk product
 - repring:   representation ring of GL_n: dimensions, weight multiplicities,
              tensor products
 - hecke:     spherical Hecke algebra elements, Satake transform and inverse,
              convolution through the transform
-- trace_k:   S-operators at the identity twist, trace pairing, K-ring
-             independence check
+- trace_k:   S-operators at the identity twist, trace pairing, traces of
+             endomorphisms
 - tate:      Tate weight spaces for twisted lattice data, Gaussian binomials,
              the distinguished unitary-group combination in the T_{p,j} basis
 - plattice:  p-adic lattices by exact linear algebra; the brute-force

@@ -141,14 +141,13 @@ class LaurentScalar:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentScalar.from_int(other)
-        if not isinstance(other, LaurentScalar):
+        other = _try_coerce(other)
+        if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # equal to an int exactly when constant, so hash as that int then
+        # equal to an int or Fraction exactly when constant, so hash as that number then
         if self.coeffs.keys() <= {0}:
             return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))

@@ -9,8 +9,8 @@ A PLattice stores its basis B as (A, e): the integer matrix A = p^e B for
 the least e >= 0.  Rationals are converted once, by the public constructor
 (which the CLI's inv verb and from_json go through); the basis property
 turns (A, e) back into Fraction rows for to_json and repr.  Equality and
-hashing are those of (p, A, e), i.e. of the basis matrix; same_lattice
-compares lattices.
+hashing are those of (p, A, e), i.e. of the basis matrix; two bases span
+the same lattice iff inv_pair between them is zero.
 
 The pair invariant is computed the only way it can be: for lattices L1, L2
 with basis matrices B1, B2, the relative position inv_pair(L1, L2) is the
@@ -147,14 +147,6 @@ class PLattice:
     def scaled(self, k):
         """p^k times this lattice."""
         return PLattice._trusted(self.p, self.a, self.e - k)
-
-    def same_lattice(self, other):
-        """Equality as Z_(p)-lattices: every elementary divisor of B1^-1 B2 a unit."""
-        if not isinstance(other, PLattice):
-            raise ValueError("same_lattice wants a PLattice")
-        if self.p != other.p or self.n != other.n:
-            return False
-        return inv_pair(self, other) == (0,) * self.n
 
     def __eq__(self, other):
         if not isinstance(other, PLattice):

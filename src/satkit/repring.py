@@ -5,12 +5,14 @@ stored as {dominant highest weight: LaurentScalar}.  The v-grading tracks
 twist bookkeeping and is inert under all operations here except that tensor
 products multiply coefficients.
 
-character() lands in SymPoly.  tensor() uses the Brauer-Klimyk formula
-V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) - rho}, the
-straightening of symfunc._straighten on plain ints, never multiplying
-characters (for honest irreducibles the structure constants are the
-Littlewood-Richardson numbers, so they are nonnegative integers; tests lean
-on that), and dimension() is the exact Weyl product formula
+A RepElement is already in the Schur basis, the one basis of symfunc's
+kernels: character() lands in SymPoly by symfunc._to_monomial, and tensor()
+is symfunc._schur_product, the Brauer-Klimyk product that hecke.convolve
+uses too, V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) - rho}
+by straightening on plain ints, never multiplying characters (for honest
+irreducibles the structure constants are the Littlewood-Richardson numbers,
+so they are nonnegative integers; tests lean on that).  dimension() is the
+exact Weyl product formula
 
     dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i).
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from .laurent import LaurentScalar
 from .rootdata import _is_dominant, check_weight, dual_weight
-from .symfunc import Combination, SymPoly, _add_into, _straighten, schur, weight_multiset
+from .symfunc import Combination, SymPoly, _coeffs, _scalars, _schur_product, _to_monomial, weight_multiset
 
 
 class RepElement(Combination):
@@ -41,10 +43,7 @@ def character(r):
     """The character as a SymPoly: sum of coeff * s_mu."""
     if not isinstance(r, RepElement):
         raise ValueError("character wants a RepElement")
-    out = {}
-    for w, c in r.terms.items():
-        _add_into(out, schur(w).terms, c)
-    return SymPoly._from_canonical(r.n, out)
+    return SymPoly._from_canonical(r.n, _scalars(_to_monomial(_coeffs(r.terms))))
 
 
 def dimension(mu):
@@ -81,32 +80,12 @@ def weight_multiplicity(mu, lam):
     return 0
 
 
-def _tensor_irreducibles(a, b):
-    """V_a (x) V_b as {highest weight: nonzero int}, by Brauer-Klimyk."""
-    weights_a, weights_b = weight_multiset(a), weight_multiset(b)
-    if len(weights_a) < len(weights_b):
-        a, weights_b = b, weights_a
-    rho = range(len(a) - 1, -1, -1)
-    top = [x + r for x, r in zip(a, rho)]
-    out = {}
-    for w, m in weights_b:
-        sign, beta = _straighten(tuple([x + y for x, y in zip(top, w)]))
-        if sign:
-            lam = tuple([x - r for x, r in zip(beta, rho)])
-            out[lam] = out.get(lam, 0) + sign * m
-    return {lam: c for lam, c in out.items() if c}
-
-
 def tensor(r1, r2):
     """Tensor product: sum over pairs of terms of c_a c_b (V_a (x) V_b), by Brauer-Klimyk."""
     if not isinstance(r1, RepElement) or not isinstance(r2, RepElement):
         raise ValueError("tensor wants two RepElements")
     r1._check_rank(r2)
-    out = {}
-    for a, ca in r1.terms.items():
-        for b, cb in r2.terms.items():
-            _add_into(out, _tensor_irreducibles(a, b), ca * cb)
-    return RepElement._from_canonical(r1.n, out)
+    return RepElement._from_canonical(r1.n, _scalars(_schur_product(_coeffs(r1.terms), _coeffs(r2.terms))))
 
 
 def dual(r):

@@ -7,8 +7,6 @@ in the same lattice Z^n, so a single type serves both.
 Conventions, fixed once:
 
 - dominant means weakly decreasing;
-- dominant_representative sorts descending (the dominant point of the
-  S_n-orbit);
 - dominance_leq(a, b) is the usual partial order on dominant vectors: all
   prefix sums of a are <= those of b and the totals agree (distinct totals
   simply compare as False);
@@ -56,10 +54,6 @@ def is_dominant(w):
 def _is_dominant(w):
     """is_dominant for a weight already checked: a tuple of ints."""
     return all(a >= b for a, b in zip(w, w[1:]))
-
-
-def dominant_representative(w):
-    return tuple(sorted(check_weight(w), reverse=True))
 
 
 def dominance_leq(a, b):

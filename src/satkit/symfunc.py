@@ -6,13 +6,23 @@ sum_{alpha in S_n.mu} x^alpha.  Negative exponents are allowed everywhere
 (these are characters of GL_n, not of SL_n), via the central twist
 f -> (x_1...x_n)^k f which shifts every weight by k(1,...,1).
 
-Bases provided:
+Inside the package the transform side works in the Schur basis, on term
+dicts {weight: {v-exponent: coeff}} (laurent's coefficient-dict kernels);
+the monomial basis is met only at the public boundary.  The pieces:
 
-- monomial(mu): m_mu itself;
-- schur(mu): the irreducible character s_mu, computed by enumerating
-  Gelfand-Tsetlin patterns (so the monomial coefficients are literally
-  weight multiplicities, counted one pattern at a time);
-- hall_littlewood(mu): P_mu(x; t) with t = v^-2 hard-wired.  Macdonald's
+- _to_monomial: Schur -> monomial, s_mu = sum_w K_mu,w m_w over the cached
+  table _dominant_weights(mu) of V_mu's dominant weights, read off
+  Gelfand-Tsetlin patterns (weight_multiset);
+- _to_schur: monomial -> Schur, eliminating along the dominance order and
+  always stripping the lexicographically maximal key; lex order refines
+  dominance for equal totals and distinct totals never interact, so the
+  unitriangular table makes the loop end with the exact expansion;
+- _schur_product: s_a s_b by Brauer-Klimyk (_tensor_irreducibles, cached
+  per pair), V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) -
+  rho}, the Weyl straightening a_beta / a_rho = +-s_{sort(beta) - rho} of
+  _straighten on plain ints; repring.tensor and hecke.convolve both use it;
+- _hl_schur(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
+  hard-wired, cached per mu.  Macdonald's
 
       P_mu = sum_{w in S_n / S_mu} w(x^mu prod_{mu_i > mu_j} (x_i - t x_j) / (x_i - x_j))
 
@@ -22,28 +32,21 @@ Bases provided:
   over the stabilizer S_mu, whose order cancels the coset count: P_mu =
   a_f / a_rho for f = x^{mu + rho_B} prod_{mu_i > mu_j} (x_i - t x_j), with
   rho_B = (m-1, ..., 1, 0) on each block of m equal entries and a_f the
-  alternant of f.  Each monomial x^beta of f gives a_beta / a_rho =
-  +-s_{sort(beta) - rho} or 0 by Weyl straightening (_straighten, which
-  repring.tensor uses too), all on ints; no division by the stabilizer
-  factor v_mu(t) of the S_n form is needed.
+  alternant of f.  Each monomial x^beta of f straightens to +-s or 0, all on
+  ints; straightening holds for Laurent monomials, so negative entries need
+  no central shift.
 
-Products are orbit convolutions: the coefficient of m_gamma in m_a m_b is
-#{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, which
-_orbit_product reads off one orbit and caches per pair (a, b).  SymPoly
-products and hecke's transforms run on term dicts {weight: {v-exponent:
-coeff}} (_mul_terms, _add_terms, on laurent's coefficient-dict kernels) and
-build LaurentScalars only for the result.
+The public schur, hall_littlewood and expand_in_schur are these kernels
+with validation and LaurentScalar wrapping.  SymPoly * SymPoly is the one
+product taken in the monomial basis: the coefficient of m_gamma in m_a m_b
+is #{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, which
+_orbit_product reads off one orbit and caches per pair (a, b).
 
 SymPoly shares its representation and linear arithmetic with
 hecke.HeckeElement and repring.RepElement through the base class
 Combination: the constructor validates its input, and results computed here
 are built by the trusted Combination._from_canonical and accumulated in
 place by _add_into (terms += c * other), which drops cancelled terms.
-
-expand_in_schur eliminates along the dominance order, always stripping
-the lexicographically maximal key; lex order refines dominance for equal
-totals, and distinct totals never interact, so unitriangularity of the Schur
-basis makes the loop terminate with the exact expansion.
 
 >>> hall_littlewood((2, 0))
 SymPoly(n=2, m[2,0] + (-v^-2+1)*m[1,1])
@@ -283,6 +286,20 @@ def _scalars(raw):
     return {w: LaurentScalar._from_canonical(c) for w, c in raw.items()}
 
 
+def _accumulate(out, w, c, m):
+    """out[w] += m * c on a {weight: coefficient dict} term dict, in place.
+
+    c is a coefficient dict (only read) and m a nonzero int; a weight whose
+    coefficient cancels is removed.
+    """
+    acc = out.get(w)
+    if acc is None:
+        acc = out[w] = {}
+    _add_scaled(acc, c, m)
+    if not acc:
+        del out[w]
+
+
 def _add_terms(out, p, c):
     """out += c * p on {weight: coefficient dict} term dicts, in place; returns out.
 
@@ -300,24 +317,28 @@ def _add_terms(out, p, c):
     return out
 
 
-def _mul_terms(p, q):
-    """The product of two symmetric polynomials given as {weight: coefficient dict}.
+def _bilinear(p, q, table):
+    """sum over pairs of terms of c_a c_b table(a, b), as a new term dict.
 
-    Sums c_a c_b m_a m_b over pairs of terms, with m_a m_b from the cached
-    _orbit_product; returns a new term dict whose coefficient dicts it owns.
+    table(a, b) gives the product of two basis elements as ((gamma, int), ...).
     """
     out = {}
     for a, ca in p.items():
         for b, cb in q.items():
             cab = _mul_into({}, ca, cb)
-            for g, m in _orbit_product(a, b):
-                acc = out.get(g)
-                if acc is None:
-                    acc = out[g] = {}
-                _add_scaled(acc, cab, m)
-                if not acc:
-                    del out[g]
+            for g, m in table(a, b):
+                _accumulate(out, g, cab, m)
     return out
+
+
+def _mul_terms(p, q):
+    """The product of two term dicts in the monomial basis, by _orbit_product."""
+    return _bilinear(p, q, _orbit_product)
+
+
+def _schur_product(p, q):
+    """The product of two term dicts in the Schur basis, by Brauer-Klimyk."""
+    return _bilinear(p, q, _tensor_irreducibles)
 
 
 def monomial(mu):
@@ -365,28 +386,74 @@ def _schur_weights_nonneg(lam):
     return tuple(sorted(counter.items()))
 
 
+@lru_cache(maxsize=None)
+def _weights(mu):
+    """weight_multiset for a checked dominant mu: the core's patterns, shifted back; cached."""
+    shift = max(0, -min(mu))
+    pairs = _schur_weights_nonneg(tuple(x + shift for x in mu))
+    if shift == 0:
+        return pairs
+    return tuple((tuple(x - shift for x in w), m) for w, m in pairs)
+
+
+def _highest_weight(mu):
+    """mu as a checked weight tuple, or ValueError unless it is dominant."""
+    mu = check_weight(mu)
+    if not _is_dominant(mu):
+        raise ValueError(f"highest weight must be dominant: {mu}")
+    return mu
+
+
 def weight_multiset(mu):
     """All weights of the GL_n irreducible V_mu with multiplicities.
 
     Handles negative entries by the central shift.  Returns a tuple of
     (weight, multiplicity) pairs, deterministic order.
     """
-    mu = check_weight(mu)
-    if not _is_dominant(mu):
-        raise ValueError(f"highest weight must be dominant: {mu}")
-    shift = max(0, -min(mu))
-    lam = tuple(x + shift for x in mu)
-    pairs = _schur_weights_nonneg(lam)
-    if shift == 0:
-        return pairs
-    return tuple((tuple(x - shift for x in w), m) for w, m in pairs)
+    return _weights(_highest_weight(mu))
+
+
+@lru_cache(maxsize=None)
+def _dominant_weights(mu):
+    """The Schur -> monomial table: ((w, K_mu,w), ...) over V_mu's dominant weights, mu first."""
+    return tuple(sorted(((w, m) for w, m in _weights(mu) if _is_dominant(w)), reverse=True))
+
+
+def _to_monomial(terms):
+    """A Schur-basis term dict in the monomial basis, as a new term dict (terms is only read)."""
+    out = {}
+    for mu, c in terms.items():
+        for w, m in _dominant_weights(mu):
+            _accumulate(out, w, c, m)
+    return out
+
+
+def _to_schur(rest):
+    """A monomial-basis term dict in the Schur basis; empties rest, whose dicts it must own."""
+    out = {}
+    while rest:
+        mu = max(rest)  # lex max is dominance-maximal in its class
+        c = out[mu] = rest.pop(mu)
+        for w, m in _dominant_weights(mu)[1:]:
+            _accumulate(rest, w, c, -m)
+    return out
 
 
 def schur(mu):
     """The Schur polynomial s_mu as a SymPoly (irreducible GL_n character)."""
-    pairs = weight_multiset(mu)
-    terms = {w: LaurentScalar._from_canonical({0: m}) for w, m in pairs if _is_dominant(w)}
-    return SymPoly._from_canonical(len(mu), terms)
+    mu = _highest_weight(mu)
+    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial({mu: {0: 1}})))
+
+
+def expand_in_schur(f):
+    """Exact expansion of a SymPoly in the Schur basis.
+
+    Returns {mu: LaurentScalar}; always succeeds since the Schur basis is
+    unitriangular against the monomial basis along dominance.
+    """
+    if not isinstance(f, SymPoly):
+        raise ValueError("expand_in_schur wants a SymPoly")
+    return _scalars(_to_schur({w: dict(c.coeffs) for w, c in f.terms.items()}))
 
 
 # -- Weyl straightening: Brauer-Klimyk and Hall-Littlewood --------------
@@ -412,19 +479,36 @@ def _straighten(beta):
 
 
 @lru_cache(maxsize=None)
-def _hl_nonneg(lam):
-    """P_lam in the monomial basis for lam >= 0, as {dominant weight: coefficient dict}.
+def _tensor_irreducibles(a, b):
+    """V_a (x) V_b as ((highest weight, nonzero int), ...), by Brauer-Klimyk; cached."""
+    weights_a, weights_b = _weights(a), _weights(b)
+    if len(weights_a) < len(weights_b):
+        a, weights_b = b, weights_a
+    rho = range(len(a) - 1, -1, -1)
+    top = [x + r for x, r in zip(a, rho)]
+    out = {}
+    for w, m in weights_b:
+        sign, beta = _straighten(tuple([x + y for x, y in zip(top, w)]))
+        if sign:
+            lam = tuple([x - r for x, r in zip(beta, rho)])
+            out[lam] = out.get(lam, 0) + sign * m
+    return tuple((lam, c) for lam, c in out.items() if c)
 
-    Expands x^{lam + rho_B} prod_{lam_i > lam_j} (x_i - t x_j) as
-    {(beta, deg_t): int}, straightens each a_beta / a_rho into a Schur
-    coefficient in Z[t] and expands the Schur functions in monomials.
+
+@lru_cache(maxsize=None)
+def _hl_schur(mu):
+    """P_mu in the Schur basis for dominant mu, as {lam: coefficient dict}; cached, read only.
+
+    Expands x^{mu + rho_B} prod_{mu_i > mu_j} (x_i - t x_j) as
+    {(beta, deg_t): int} and straightens each a_beta / a_rho into a Schur
+    coefficient in Z[t], t^k = v^-2k.
     """
-    n = len(lam)
-    start = tuple(x + lam[i + 1:].count(x) for i, x in enumerate(lam))  # lam + rho_B
+    n = len(mu)
+    start = tuple(x + mu[i + 1:].count(x) for i, x in enumerate(mu))  # mu + rho_B
     poly = {(start, 0): 1}
     for i in range(n):
         for j in range(i + 1, n):
-            if lam[i] == lam[j]:
+            if mu[i] == mu[j]:
                 continue
             nxt = {}
             for (beta, k), c in poly.items():
@@ -433,37 +517,13 @@ def _hl_nonneg(lam):
                 up = (beta[:j] + (beta[j] + 1,) + beta[j + 1:], k + 1)
                 nxt[up] = nxt.get(up, 0) - c
             poly = {key: c for key, c in nxt.items() if c}
-    rho = tuple(range(n - 1, -1, -1))
-    in_schur = {}
+    rho = range(n - 1, -1, -1)
+    out = {}
     for (beta, k), c in poly.items():
         sign, beta = _straighten(beta)
         if sign:
-            coeffs = in_schur.setdefault(tuple([x - r for x, r in zip(beta, rho)]), {})
-            coeffs[k] = coeffs.get(k, 0) + sign * c
-    out = {}
-    for mu, coeffs in in_schur.items():
-        coeffs = {-2 * k: c for k, c in coeffs.items() if c}  # t^k = v^-2k
-        if coeffs:
-            for w, m in _schur_weights_nonneg(mu):
-                if _is_dominant(w):
-                    _add_scaled(out.setdefault(w, {}), coeffs, m)
-    return {w: acc for w, acc in out.items() if acc}
-
-
-@lru_cache(maxsize=None)
-def _hl_terms(mu):
-    """P_mu for any dominant mu as {weight: coefficient dict}; cached, read only.
-
-    The central shift of the cached core _hl_nonneg, whose coefficient dicts
-    it shares; hecke's transforms read it directly.
-    """
-    if len(mu) == 1:
-        return {mu: {0: 1}}
-    shift = max(0, -min(mu))
-    if shift == 0:
-        return _hl_nonneg(mu)
-    core = _hl_nonneg(tuple(x + shift for x in mu))
-    return {tuple(x - shift for x in w): c for w, c in core.items()}
+            _accumulate(out, tuple([x - r for x, r in zip(beta, rho)]), {-2 * k: c}, sign)
+    return out
 
 
 def hall_littlewood(mu):
@@ -472,28 +532,8 @@ def hall_littlewood(mu):
     Unitriangular: the leading coefficient (of m_mu) is 1 and every other key
     is strictly dominance-smaller, with coefficients in Z[v^-2].
     """
-    mu = check_weight(mu)
-    if not _is_dominant(mu):
-        raise ValueError(f"highest weight must be dominant: {mu}")
-    # copies, so the returned element cannot reach into the cache
-    return SymPoly._from_canonical(len(mu), _scalars({w: dict(c) for w, c in _hl_terms(mu).items()}))
-
-
-def expand_in_schur(f):
-    """Exact expansion of a SymPoly in the Schur basis.
-
-    Returns {mu: LaurentScalar}; always succeeds since the Schur basis is
-    unitriangular against the monomial basis along dominance.
-    """
-    if not isinstance(f, SymPoly):
-        raise ValueError("expand_in_schur wants a SymPoly")
-    rest = dict(f.terms)
-    out = {}
-    while rest:
-        mu = max(rest)  # lex max is dominance-maximal in its class
-        c = out[mu] = rest[mu]
-        _add_into(rest, schur(mu).terms, -c)
-    return out
+    mu = _highest_weight(mu)
+    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial(_hl_schur(mu))))
 
 
 if __name__ == "__main__":

