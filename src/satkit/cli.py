@@ -18,16 +18,10 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
-from .checks import SUITES
-from .hecke import HeckeElement, convolve, inverse_satake, normalized_satake, satake
-from .laurent import parse_scalar
-from .plattice import PLattice, convolution_oracle, inv_pair, schubert_count
-from .repring import RepElement, dimension, tensor, weight_multiplicity
-from .symfunc import SymPoly
-from .tate import TateConfig, h_operator, tate_dimension, v_binomial
-from .trace_k import s_operator, s_pairing
+# Handlers import their own layer, so a request loads only what its verb needs;
+# the `check` parser reads the suite names here, held to sorted(checks.SUITES) by a test.
+_SUITES = ("gl2-paper", "hl-specialize", "oracle", "tate")
 
 
 class SchemaError(Exception):
@@ -60,6 +54,7 @@ def _weight_from_flag(text, what):
 
 
 def _scalar_from_json(value, what):
+    from .laurent import parse_scalar
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{what}: coefficients must be integers or scalar strings, got {value!r}")
     if isinstance(value, int):
@@ -92,6 +87,8 @@ def _element_terms(text, n, what):
 
 
 def _lattice_from_text(text, what):
+    from fractions import Fraction
+    from .plattice import PLattice
     data = _object_from_text(text, what)
     if set(data) != {"p", "basis"}:
         raise SchemaError(f'{what}: expected exactly the keys "p" and "basis"')
@@ -132,33 +129,40 @@ def _format_element(el):
 
 
 def _cmd_satake(args):
+    from .hecke import HeckeElement, satake
     h = HeckeElement(args.n, _element_terms(args.h, args.n, "--h"))
     return _format_element(satake(h))
 
 
 def _cmd_inv_satake(args):
+    from .hecke import inverse_satake
+    from .symfunc import SymPoly
     f = SymPoly(args.n, _element_terms(args.f, args.n, "--f"))
     return _format_element(inverse_satake(f))
 
 
 def _cmd_conv(args):
+    from .hecke import HeckeElement, convolve
     a = HeckeElement(args.n, _element_terms(args.a, args.n, "--a"))
     b = HeckeElement(args.n, _element_terms(args.b, args.n, "--b"))
     return _format_element(convolve(a, b))
 
 
 def _cmd_normalize(args):
+    from .hecke import HeckeElement, normalized_satake
     h = HeckeElement(args.n, _element_terms(args.h, args.n, "--h"))
     return _format_element(normalized_satake(h))
 
 
 def _cmd_tensor(args):
+    from .repring import RepElement, tensor
     a = RepElement(args.n, _element_terms(args.a, args.n, "--a"))
     b = RepElement(args.n, _element_terms(args.b, args.n, "--b"))
     return _format_element(tensor(a, b))
 
 
 def _cmd_weight_mult(args):
+    from .repring import weight_multiplicity
     mu = _weight_from_flag(args.mu, "--mu")
     lam = _weight_from_flag(args.lam, "--lam")
     _require_rank(args.n, mu, "--mu")
@@ -167,23 +171,28 @@ def _cmd_weight_mult(args):
 
 
 def _cmd_dim(args):
+    from .repring import dimension
     mu = _weight_from_flag(args.mu, "--mu")
     _require_rank(args.n, mu, "--mu")
     return _dumps(dimension(mu))
 
 
 def _cmd_s_op(args):
+    from .repring import RepElement
+    from .trace_k import s_operator
     r = RepElement(args.n, _element_terms(args.r, args.n, "--r"))
     return _format_element(s_operator(r))
 
 
 def _cmd_s_pairing(args):
+    from .trace_k import s_pairing
     mu = _weight_from_flag(args.mu, "--mu")
     _require_rank(args.n, mu, "--mu")
     return _dumps(s_pairing(mu).to_string())
 
 
 def _cmd_tate_dim(args):
+    from .tate import TateConfig, tate_dimension
     try:
         with open(args.config, "r", encoding="ascii") as fh:
             raw = fh.read()
@@ -199,26 +208,31 @@ def _cmd_tate_dim(args):
 
 
 def _cmd_h_op(args):
+    from .tate import h_operator
     h = h_operator(args.r)
     return _dumps({str(j): h.coeffs[j].to_string(var="p") for j in sorted(h.coeffs)})
 
 
 def _cmd_qbinom(args):
+    from .tate import v_binomial
     return _dumps(v_binomial(args.n, args.m).to_string())
 
 
 def _cmd_inv(args):
+    from .plattice import inv_pair
     a = _lattice_from_text(args.a, "--a")
     b = _lattice_from_text(args.b, "--b")
     return _dumps(list(inv_pair(a, b)))
 
 
 def _cmd_count(args):
+    from .plattice import schubert_count
     mu = _weight_from_flag(args.mu, "--mu")
     return _dumps(schubert_count(mu, args.p))
 
 
 def _cmd_oracle(args):
+    from .plattice import convolution_oracle
     lam = _weight_from_flag(args.lam, "--lam")
     mu = _weight_from_flag(args.mu, "--mu")
     nu = _weight_from_flag(args.nu, "--nu")
@@ -226,13 +240,11 @@ def _cmd_oracle(args):
 
 
 def _cmd_check(args):
+    from .checks import SUITES
     rows = SUITES[args.suite]()
-    lines = []
+    lines = [f"[ pass ] {name}" if ok else f"[ FAIL ] {name}: {detail}" for name, ok, detail in rows]
     failures = [name for name, ok, _ in rows if not ok]
-    for name, ok, detail in rows:
-        lines.append(f"[ pass ] {name}" if ok else f"[ FAIL ] {name}: {detail}")
-    passed = len(rows) - len(failures)
-    lines.append(f"{args.suite}: {passed}/{len(rows)} assertions passed")
+    lines.append(f"{args.suite}: {len(rows) - len(failures)}/{len(rows)} assertions passed")
     if failures:
         lines.append(f"first failure: {failures[0]}")
     return "\n".join(lines), (1 if failures else 0)
@@ -262,7 +274,6 @@ def _build_parser():
         for flag, kind in flags.items():
             p.add_argument("--" + flag, required=True, type=kind, dest=flag.replace("-", "_"))
         p.set_defaults(handler=handler)
-        return p
 
     verb("satake", _cmd_satake, n=int, h=str)
     verb("inv-satake", _cmd_inv_satake, n=int, f=str)
@@ -281,7 +292,7 @@ def _build_parser():
     verb("oracle", _cmd_oracle, lam=str, mu=str, nu=str, p=int)
 
     check = sub.add_parser("check")
-    check.add_argument("suite", choices=sorted(SUITES))
+    check.add_argument("suite", choices=_SUITES)
     check.set_defaults(handler=_cmd_check)
     return parser
 

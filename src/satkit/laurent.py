@@ -26,7 +26,6 @@ Fraction(4, 1)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -267,13 +266,21 @@ class LaurentScalar:
         return f"LaurentScalar({self.to_string()!r})"
 
 
-@dataclass(frozen=True)
 class QuadExt:
     """An exact value a + b*sqrt(q) with rational a, b and nonsquare q."""
 
-    a: Fraction
-    b: Fraction
-    q: Fraction
+    __slots__ = ("a", "b", "q")
+
+    def __init__(self, a, b, q):
+        self.a, self.b, self.q = a, b, q
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadExt):
+            return NotImplemented
+        return (self.a, self.b, self.q) == (other.a, other.b, other.q)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.q))
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.q}))"

@@ -69,11 +69,17 @@ def dimension(mu):
     return q
 
 
+_MAX_PATTERNS = 500_000  # refused before any work: about 1 s of enumeration on a 2-core host
+
+
 def weight_multiplicity(mu, lam):
     """Multiplicity of the weight lam in V_mu (lam need not be dominant)."""
     mu, lam = check_weight(mu), check_weight(lam)
     if len(mu) != len(lam):
         raise ValueError(f"rank mismatch: {mu} vs {lam}")
+    patterns = dimension(mu)  # the number of Gelfand-Tsetlin patterns weight_multiset enumerates
+    if patterns > _MAX_PATTERNS:
+        raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
     for w, m in weight_multiset(mu):
         if w == lam:
             return m

@@ -23,7 +23,6 @@ the tests use it; plattice works on integers with kernels of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 Weight = tuple  # tuple[int, ...]; rank is the length
@@ -102,7 +101,6 @@ def dual_weight(mu):
     return tuple(-x for x in reversed(mu))
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """Rank plus the cocharacter lattice of the center, by generators.
 
@@ -110,19 +108,29 @@ class GroupSpec:
     integer span is what in_tate_lattice tests membership of.
     """
 
-    n: int
-    center_generators: tuple = field(default=())
+    __slots__ = ("n", "center_generators")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"rank must be a positive int: {self.n!r}")
-        gens = tuple(check_weight(g) for g in self.center_generators)
+    def __init__(self, n, center_generators=()):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"rank must be a positive int: {n!r}")
+        gens = tuple(check_weight(g) for g in center_generators)
         for g in gens:
-            if len(g) != self.n:
-                raise ValueError(f"center generator {g} has rank {len(g)}, expected {self.n}")
+            if len(g) != n:
+                raise ValueError(f"center generator {g} has rank {len(g)}, expected {n}")
         if gens and _rank(gens) != len(gens):
             raise ValueError("center generators must be linearly independent")
-        object.__setattr__(self, "center_generators", gens)
+        self.n, self.center_generators = n, gens
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupSpec):
+            return NotImplemented
+        return (self.n, self.center_generators) == (other.n, other.center_generators)
+
+    def __hash__(self):
+        return hash((self.n, self.center_generators))
+
+    def __repr__(self):
+        return f"GroupSpec(n={self.n!r}, center_generators={self.center_generators!r})"
 
 
 def in_integer_span(target, generators):

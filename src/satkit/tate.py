@@ -38,35 +38,41 @@ HOperator(r=1, (1-p-2p^2)*T[p,0] + T[p,1])
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .laurent import LaurentScalar, _add_scaled
 from .rootdata import GroupSpec, check_weight, in_integer_span, is_dominant
 from .symfunc import weight_multiset
 from .trace_k import SigmaAction
 
 
-@dataclass(frozen=True)
 class TateConfig:
-    group: GroupSpec
-    sigma: SigmaAction
-    blocks: tuple = field(default=())
+    """A group, the twist sigma acting on its weights, and GL-block sizes summing to its rank."""
 
-    def __post_init__(self):
-        if not isinstance(self.group, GroupSpec) or not isinstance(self.sigma, SigmaAction):
+    __slots__ = ("group", "sigma", "blocks")
+
+    def __init__(self, group, sigma, blocks=()):
+        if not isinstance(group, GroupSpec) or not isinstance(sigma, SigmaAction):
             raise ValueError("TateConfig wants a GroupSpec and a SigmaAction")
-        if self.sigma.n != self.group.n:
-            raise ValueError(
-                f"sigma acts on rank {self.sigma.n}, group has rank {self.group.n}"
-            )
-        blocks = tuple(self.blocks) or (self.group.n,)
-        if any(not isinstance(b, int) or b < 1 for b in blocks) or sum(blocks) != self.group.n:
-            raise ValueError(f"blocks {blocks} must be positive ints summing to {self.group.n}")
-        object.__setattr__(self, "blocks", blocks)
+        if sigma.n != group.n:
+            raise ValueError(f"sigma acts on rank {sigma.n}, group has rank {group.n}")
+        blocks = tuple(blocks) or (group.n,)
+        if any(not isinstance(b, int) or b < 1 for b in blocks) or sum(blocks) != group.n:
+            raise ValueError(f"blocks {blocks} must be positive ints summing to {group.n}")
         # sigma must keep the center lattice inside itself
-        for g in self.group.center_generators:
-            if not in_integer_span(self.sigma.apply(g), self.group.center_generators):
+        for g in group.center_generators:
+            if not in_integer_span(sigma.apply(g), group.center_generators):
                 raise ValueError(f"sigma does not preserve the center lattice at {g}")
+        self.group, self.sigma, self.blocks = group, sigma, blocks
+
+    def __eq__(self, other):
+        if not isinstance(other, TateConfig):
+            return NotImplemented
+        return (self.group, self.sigma, self.blocks) == (other.group, other.sigma, other.blocks)
+
+    def __hash__(self):
+        return hash((self.group, self.sigma, self.blocks))
+
+    def __repr__(self):
+        return f"TateConfig(group={self.group!r}, sigma={self.sigma!r}, blocks={self.blocks!r})"
 
     def to_json(self):
         data = {
@@ -172,6 +178,16 @@ def std_with_twist(r):
 # -- Gaussian binomials and the distinguished Hecke operator ------------
 
 
+_MAX_ROW_OPS = 10**7  # q-Pascal coefficient operations one call may take (1-2 s on a 2-core host)
+
+
+def _check_row_cost(n, m, what):
+    """Refuse before any work unless _gauss_rows(n, m <= n/2) is cheap: rows x columns x largest entry."""
+    ops = (n + 1) * (m + 1) * (m * (n - m) + 1)
+    if ops > _MAX_ROW_OPS:
+        raise ValueError(f"{what} needs about {ops} coefficient operations, over the cap of {_MAX_ROW_OPS}")
+
+
 def _gauss_rows(n, m):
     """Rows k = 0..n of the q-Pascal triangle, each cut at column m.
 
@@ -197,6 +213,9 @@ def v_binomial(n, m):
         raise ValueError("v_binomial wants integers")
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    if m in (0, n):  # [n, 0] = [n, n] = 1: no rows to run
+        return LaurentScalar.one()
+    _check_row_cost(n, min(m, n - m), f"v_binomial({n}, {m})")
     m = min(m, n - m)  # [n, m] = [n, n - m]
     for row in _gauss_rows(n, m):
         pass
@@ -212,12 +231,20 @@ def hecke_coweight(r, j):
     return (1,) * j + (0,) * (2 * r - 2 * j + 1) + (-1,) * j + (0,)
 
 
-@dataclass(frozen=True)
 class HOperator:
     """A formal combination sum_j c_j(p) T_{p,j}; no convolution implied."""
 
-    r: int
-    coeffs: dict
+    __slots__ = ("r", "coeffs")
+
+    def __init__(self, r, coeffs):
+        self.r, self.coeffs = r, coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, HOperator):
+            return NotImplemented
+        return (self.r, self.coeffs) == (other.r, other.coeffs)
+
+    __hash__ = None  # coeffs is a dict
 
     def coefficient(self, j):
         return self.coeffs.get(j, LaurentScalar.zero())
@@ -227,9 +254,6 @@ class HOperator:
             "r": self.r,
             "coeffs": {str(j): self.coeffs[j].to_string(var="p") for j in sorted(self.coeffs)},
         }
-
-    # the dataclass __eq__ compares (r, coeffs); coeffs is a dict, so no hash
-    __hash__ = None
 
     def __repr__(self):
         if not self.coeffs:
@@ -250,6 +274,7 @@ def h_operator(r):
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be a positive int: {r!r}")
+    _check_row_cost(2 * r + 1, r, f"h_operator({r})")
     coeffs = {}
     for n, row in enumerate(_gauss_rows(2 * r + 1, r)):
         if n % 2 == 0:

@@ -20,15 +20,12 @@ finite order m with sigma^m = 1 enforced at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension
 from .rootdata import _det, _mat_identity, _mat_mul, check_weight, is_dominant
 from .symfunc import SymPoly, _scalars, _to_monomial
 
 
-@dataclass(frozen=True)
 class SigmaAction:
     """An automorphism of the weight lattice Z^n of finite order.
 
@@ -37,11 +34,10 @@ class SigmaAction:
     lattice maps onto itself.
     """
 
-    matrix: tuple
-    order: int
+    __slots__ = ("matrix", "order")
 
-    def __post_init__(self):
-        rows = tuple(tuple(x for x in row) for row in self.matrix)
+    def __init__(self, matrix, order):
+        rows = tuple(tuple(x for x in row) for row in matrix)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("sigma matrix must be square and nonempty")
@@ -49,16 +45,27 @@ class SigmaAction:
             for x in r:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError(f"sigma matrix entries must be ints: {x!r}")
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValueError(f"order must be a positive int: {self.order!r}")
-        object.__setattr__(self, "matrix", rows)
+        if not isinstance(order, int) or order < 1:
+            raise ValueError(f"order must be a positive int: {order!r}")
         if _det(rows) not in (1, -1):
             raise ValueError("sigma must be invertible over Z (det +-1)")
         power = _mat_identity(n)
-        for _ in range(self.order):
+        for _ in range(order):
             power = _mat_mul(rows, power)
         if power != _mat_identity(n):
-            raise ValueError(f"sigma^{self.order} is not the identity")
+            raise ValueError(f"sigma^{order} is not the identity")
+        self.matrix, self.order = rows, order
+
+    def __eq__(self, other):
+        if not isinstance(other, SigmaAction):
+            return NotImplemented
+        return (self.matrix, self.order) == (other.matrix, other.order)
+
+    def __hash__(self):
+        return hash((self.matrix, self.order))
+
+    def __repr__(self):
+        return f"SigmaAction(matrix={self.matrix!r}, order={self.order!r})"
 
     @property
     def n(self):

@@ -5,13 +5,15 @@ import io
 import json
 import subprocess
 import sys
+import time
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satkit.cli import main
+from satkit import checks
+from satkit.cli import _SUITES, main
 from satkit.hecke import HeckeElement, basis, convolve
 from satkit.laurent import parse_scalar
 from satkit.tate import unitary_config, v_binomial
@@ -177,6 +179,22 @@ GOLDEN = [
         0,
         "[-2,-3]",
     ),
+    # argparse's own error lines, routed through the JSON error body
+    (
+        ["no-such-verb"],
+        2,
+        """{"error":"argument VERB: invalid choice: 'no-such-verb' (choose from 'satake', 'inv-satake', 'conv', """
+        """'normalize', 'tensor', 'weight-mult', 'dim', 's-op', 's-pairing', 'tate-dim', 'h-op', 'qbinom', """
+        """'inv', 'count', 'oracle', 'check')"}""",
+    ),
+    (
+        ["check", "no-such-suite"],
+        2,
+        """{"error":"argument suite: invalid choice: 'no-such-suite' """
+        """(choose from 'gl2-paper', 'hl-specialize', 'oracle', 'tate')"}""",
+    ),
+    (["conv", "--n", "2", "--a", '{"(1,0)":1}'], 2, '{"error":"the following arguments are required: --b"}'),
+    (["dim", "--n", "x", "--mu", "1"], 2, """{"error":"argument --n: invalid int value: 'x'"}"""),
 ]
 
 
@@ -240,6 +258,74 @@ def test_schema_errors_exit_2():
         assert "error" in json.loads(out.stdout)
 
 
+def _main_in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# Each cap is checked before any work and its error carries the estimate.
+# Without the caps the first two ran past 10 s and the third ended in a
+# MemoryError traceback under a 1-GB address-space limit.
+CAPPED = [
+    (["qbinom", "--n", "3000", "--m", "1500"], "v_binomial(3000, 1500) needs about 10135131754501 "),
+    (["qbinom", "--n", "99999999999999999999", "--m", "2"], "v_binomial(99999999999999999999, 2) needs about "),
+    (["weight-mult", "--n", "2", "--mu", "9999999999,0", "--lam", "1,1"], "V_(9999999999, 0) has 10000000000 "),
+    (["h-op", "--r", "60"], "h_operator(60) needs about 27245162 "),
+]
+
+
+@pytest.mark.parametrize("argv,estimate", CAPPED, ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_cost_caps_refuse_before_work(argv, estimate):
+    start = time.perf_counter()
+    code, text = _main_in_process(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and text.count("\n") == 1
+    assert json.loads(text)["error"].startswith(estimate)
+
+
+def test_cost_caps_admit_h_op_15():
+    code, text = _main_in_process(["h-op", "--r", "15"])
+    assert code == 0 and json.loads(text)["15"] == "1"
+
+
+# In a fresh interpreter: import satkit.cli, then run dim, every other
+# non-check request, and a check suite, recording sys.modules after each.
+_MODULES_RUN = """
+import contextlib, io, json, sys
+import satkit.cli
+seen = [["import", sorted(sys.modules)]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert satkit.cli.main(argv) == 0, argv
+    seen.append([argv[0], sorted(sys.modules)])
+print(json.dumps(seen))
+"""
+
+
+def test_each_verb_imports_only_its_layers(u3_config):
+    requests = [["dim", "--n", "2", "--mu", "1,0"]]
+    requests += [args for args, _ in EXPECTED] + [["tate-dim", "--config", u3_config, "--mu", "1,1,0"]]
+    requests += [["check", "gl2-paper"]]
+    argv = [sys.executable, "-c", _MODULES_RUN, json.dumps(requests)]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert {m for m in seen[0][1] if m.startswith("satkit")} == {"satkit", "satkit.cli"}
+    assert seen[1][0] == "dim"
+    unwanted = {"dataclasses", "inspect", "satkit.checks", "satkit.hecke"}
+    unwanted |= {"satkit.plattice", "satkit.tate", "satkit.trace_k"}
+    assert not unwanted & set(seen[1][1])
+    # every verb but check leaves satkit.checks unloaded; check loads it
+    assert [verb for verb, modules in seen if "satkit.checks" in modules] == ["check"]
+    assert len(seen) == len(requests) + 1
+
+
+def test_check_parser_lists_every_suite():
+    assert _SUITES == tuple(sorted(checks.SUITES))
+
+
 def test_conv_output_parses_back():
     out = run("conv", "--n", "2", "--a", '{"(2,0)":1}', "--b", '{"(1,1)":"1+v"}')
     data = json.loads(out.stdout)
@@ -260,9 +346,13 @@ def test_qbinom_output_parses_back():
 
 # -- boundary fuzz ---------------------------------------------------------
 # Every non-check verb, run in-process with its own flags plus junk flags,
-# small weights (rank <= 3, |entries| <= 3) and small JSON payloads that
-# include malformed keys, zero denominators and huge exponents.  Each run must
-# end with exit code 0, 1 or 2 and exactly one JSON line on stdout.
+# weights of rank <= 3 and small JSON payloads that include malformed keys,
+# zero denominators and huge exponents.  Each run must end with exit code 0, 1
+# or 2 and exactly one JSON line on stdout.  qbinom, h-op, weight-mult and dim
+# take integer flags and weight entries of up to 20 digits: the first three
+# refuse by a cost estimate before any work, and dim is the Weyl product.  The
+# other verbs keep integer flags in -3..6 and |entries| <= 3, because the
+# transforms, tensor, s-op and tate-dim have no cost cap yet.
 # Left out: -h/--help and its abbreviations (--h, --he, --hel) where the verb
 # has no flag of that name, because argparse prints multi-line usage for
 # them.  `check` prints one line per assertion and is pinned by
@@ -273,6 +363,11 @@ _weights = st.lists(_small, min_size=1, max_size=3)
 _junk_text = st.sampled_from(["", "x", "1.5", "1,,2", "(1,0)", "-", "1/0", "0x1"])
 _int_flags = st.one_of(st.integers(min_value=-3, max_value=6).map(str), _junk_text)
 _weight_flags = st.one_of(_weights.map(lambda w: ",".join(map(str, w))), _junk_text)
+_big = st.integers(min_value=-(10**20), max_value=10**20)
+_big_int_flags = st.one_of(st.integers(min_value=-3, max_value=6).map(str), _big.map(str), _junk_text)
+_big_weight_flags = st.one_of(
+    st.lists(st.one_of(_small, _big), min_size=1, max_size=3).map(lambda w: ",".join(map(str, w))), _junk_text
+)
 _keys = st.one_of(
     _weights.map(lambda w: "(" + ",".join(map(str, w)) + ")"),
     st.sampled_from(["bad", "(1,0", "()", "(1.5,0)", "(1,,0)", "( 1 , 0 , )", ""]),
@@ -320,13 +415,13 @@ _FLAGS = {
     "conv": {"n": _int_flags, "a": _payloads, "b": _payloads},
     "normalize": {"n": _int_flags, "h": _payloads},
     "tensor": {"n": _int_flags, "a": _payloads, "b": _payloads},
-    "weight-mult": {"n": _int_flags, "mu": _weight_flags, "lam": _weight_flags},
-    "dim": {"n": _int_flags, "mu": _weight_flags},
+    "weight-mult": {"n": _big_int_flags, "mu": _big_weight_flags, "lam": _big_weight_flags},
+    "dim": {"n": _big_int_flags, "mu": _big_weight_flags},
     "s-op": {"n": _int_flags, "r": _payloads},
     "s-pairing": {"n": _int_flags, "mu": _weight_flags},
     "tate-dim": {"config": st.sampled_from(["U3_CONFIG", "/nonexistent.json", ""]), "mu": _weight_flags},
-    "h-op": {"r": _int_flags},
-    "qbinom": {"n": _int_flags, "m": _int_flags},
+    "h-op": {"r": _big_int_flags},
+    "qbinom": {"n": _big_int_flags, "m": _big_int_flags},
     "inv": {"a": _lattices, "b": _lattices},
     "count": {"mu": _weight_flags, "p": _int_flags},
     "oracle": {"lam": _weight_flags, "mu": _weight_flags, "nu": _weight_flags, "p": _int_flags},
@@ -347,13 +442,16 @@ def _argvs(draw):
 
 
 @given(argv=_argvs())
+@example(argv=["qbinom", "--n", "3000", "--m", "1500"])
+@example(argv=["qbinom", "--n", "99999999999999999999", "--m", "0"])
+@example(argv=["qbinom", "--n", "5684777", "--m", "0"])  # found by this fuzz under a cap that counted no rows
+@example(argv=["h-op", "--r", "99999999999999999999"])
+@example(argv=["weight-mult", "--n", "2", "--mu", "9999999999,0", "--lam", "1,1"])
+@example(argv=["dim", "--n", "3", "--mu", "99999999999999999999,0,-99999999999999999999"])
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_fuzz_every_request_ends_in_one_json_line(argv, u3_config):
     argv = [u3_config if a == "U3_CONFIG" else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    code, text = _main_in_process(argv)
     assert code in (0, 1, 2), argv
-    text = out.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
     json.loads(text)

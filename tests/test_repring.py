@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satkit import repring
 from satkit.laurent import LaurentScalar
 from satkit.repring import (
     RepElement,
@@ -50,6 +51,16 @@ def test_weight_multiplicity_kostka_values():
     assert weight_multiplicity((2, 1, 0), (0, 1, 2)) == 1  # Weyl-orbit symmetry
     assert weight_multiplicity((1, 0), (2, 0)) == 0
     assert weight_multiplicity((3, 1, 0), (2, 1, 1)) == 2
+
+
+def test_weight_multiplicity_refuses_past_the_pattern_cap(monkeypatch):
+    # the estimate is dim V_mu, the number of Gelfand-Tsetlin patterns; the cap itself is admitted
+    monkeypatch.setattr(repring, "_MAX_PATTERNS", dimension((2, 1, 0)))
+    assert weight_multiplicity((2, 1, 0), (1, 1, 1)) == 2
+    with pytest.raises(ValueError, match=r"^V_\(3, 1, 0\) has 15 Gelfand-Tsetlin patterns, over the cap of 8$"):
+        weight_multiplicity((3, 1, 0), (2, 1, 1))
+    with pytest.raises(ValueError, match="highest weight must be dominant"):
+        weight_multiplicity((0, 1), (1, 0))
 
 
 def test_tensor_square_of_std_gl2():

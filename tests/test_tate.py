@@ -15,6 +15,7 @@ from math import comb
 
 import pytest
 
+from satkit import tate
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.repring import dimension
 from satkit.rootdata import GroupSpec
@@ -121,6 +122,24 @@ def test_v_binomial_rejects_out_of_range():
 
 
 # -- the distinguished operator ------------------------------------------
+
+
+def test_binomial_rows_refuse_past_the_cost_cap(monkeypatch):
+    # estimate (n+1)(m+1)(m(n-m)+1) with m = min(m, n-m); the cap itself is admitted
+    monkeypatch.setattr(tate, "_MAX_ROW_OPS", 5 * 3 * 5)
+    assert v_binomial(4, 2) == parse_scalar("1+v+2v^2+v^3+v^4")
+    assert v_binomial(4, 3) == parse_scalar("1+v+v^2+v^3")
+    message = r"^v_binomial\(5, 3\) needs about 126 coefficient operations, over the cap of 75$"
+    with pytest.raises(ValueError, match=message):
+        v_binomial(5, 3)
+    monkeypatch.setattr(tate, "_MAX_ROW_OPS", 4 * 2 * 3)  # h_operator(r) runs the rows of [2r+1, r]
+    assert h_operator(1).coefficient(1) == LaurentScalar.one()
+    with pytest.raises(ValueError, match=r"^h_operator\(2\) needs about 126 "):
+        h_operator(2)
+    with pytest.raises(ValueError, match="need 0 <= m <= n"):  # range errors come first
+        v_binomial(2, 3)
+    monkeypatch.setattr(tate, "_MAX_ROW_OPS", 0)  # [n, 0] = [n, n] = 1 runs no rows
+    assert v_binomial(10**20, 0) == v_binomial(10**20, 10**20) == LaurentScalar.one()
 
 
 def test_h_operator_rank_one_frozen():
