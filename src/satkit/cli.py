@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -299,19 +300,24 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
+    code = 0
     try:
         args = parser.parse_args(argv)
         out = args.handler(args)
     except SchemaError as exc:
-        print(_dumps({"error": str(exc)}))
-        return 2
+        out, code = _dumps({"error": str(exc)}), 2
     except (ValueError, OverflowError) as exc:  # OverflowError: a weight entry past C ssize_t
-        print(_dumps({"error": str(exc)}))
-        return 1
-    code = 0
+        out, code = _dumps({"error": str(exc)}), 1
     if isinstance(out, tuple):
         out, code = out
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush at
+        # exit does not fail again (the recipe of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -45,20 +45,37 @@ integral cuts off all its completions.  Each lattice in the window appears
 exactly once (this is the classical normal form for subgroups of
 (Z/p^d)^n; the counts 15 and 129 are frozen in the tests).  The window
 p^hi L0 <= L <= p^lo L0 is p^lo times the depth hi - lo one, so only the
-integer shapes H are cached, per (p, n, depth), together with their
-partition into Schubert cells by inv(L0, H), the valuations of H itself.
-For L = p^lo H, inv(L0, L) = inv(L0, H) + lo and inv(L, T) = inv(H, T) - lo.
-enumerate_between makes a PLattice of each shape; schubert_count is a cell
-size.
+integer shapes H are cached, per (p, n, depth), each with its X, together
+with their partition into Schubert cells by inv(L0, H), the valuations of H
+itself.  For L = p^lo H, inv(L0, L) = inv(L0, H) + lo and inv(L, T) =
+inv(H, T) - lo.  enumerate_between makes a PLattice of each shape;
+schubert_count is a cell size.
+
+A window is refused before any enumeration when it holds more than
+_MAX_LATTICES lattices, counted by summing the Poincare-formula cell sizes
+p^<2rho,mu> W(1/p) / W_mu(1/p) over its dominant mu (W the Poincare
+polynomial of S_n, W_mu that of mu's stabilizer; Macdonald, SFHP, Ch. V).
+Rank needs no cap of its own below 18, past which every window wider than
+L0 alone is over the budget anyway; enumerate_between keeps rank <= 3.
 
 The point of the module is convolution_oracle(lam, mu, nu, p):
 
     #{ L : inv(L0, L) = lam  and  inv(L, nu(p) L0) = mu }
 
 which must equal the T_nu-coefficient of T_lam * T_mu specialized at q = p.
-It tests only the shapes of lam's cell, as integer matrices.  The Hecke side
-computes that coefficient through the Satake transform; the two routes
-share no code, which is what makes the agreement a real check.
+It tests only the shapes of lam's cell, and needs no adjugate: with X =
+p^d H^-1 cached beside H, m = min nu and D the column scaling by
+p^(nu_j - m),
+
+    (p^lo H)^-1 nu(p) = p^(m - lo - d) X D,
+
+so inv(L, nu(p) L0) is the valuations of the integer matrix X D shifted by
+m - lo - d.  One column scaling and one Smith elimination per lattice, and
+the elimination stops at the first valuation that differs from mu's.
+inv_pair and _inv keep the adjugate route above; the tests hold the oracle's
+counts to it.  The Hecke side computes the same coefficient through the
+Satake transform; the two routes share no code, which is what makes the
+agreement a real check.
 """
 
 from __future__ import annotations
@@ -71,8 +88,14 @@ from functools import lru_cache
 from .rootdata import check_weight, is_dominant
 
 _ALLOWED_PRIMES = (2, 3)
-_MAX_RANK = 3
+_MAX_RANK = 3  # enumerate_between's rank range; the counting routes are capped by _MAX_LATTICES
 _MAX_WINDOW = 2
+# just above the largest window of rank <= 3, GL_3 at p = 3 and depth 4: 67,969
+# lattices, about 4 s cold on a 2-core host
+_MAX_LATTICES = 70_000
+# past it every window but L0's alone has more than _MAX_LATTICES lattices (the lines
+# of F_p^n number more than p^(n-1)); below it a window's count takes at most 0.13 s
+_MAX_LATTICE_RANK = _MAX_LATTICES.bit_length()
 
 
 def _check_p(p):
@@ -180,14 +203,15 @@ def _val_int(x, p):
     return v
 
 
-def _int_smith(mat, p):
-    """Valuations at p of the elementary divisors of a nonsingular integer matrix.
+def _smith_steps(mat, p):
+    """Yield the valuations at p of the elementary divisors of a nonsingular integer matrix.
 
-    Sorted weakly decreasing.  Rows are scaled only by p-units, so every step
-    stays in Z and is invertible over Z_(p).
+    In weakly increasing order, one per pivot: the pivot is an entry of least
+    valuation v, and clearing its row and column leaves every other entry in
+    p^v Z_(p).  Rows are scaled only by p-units, so every step stays in Z and
+    is invertible over Z_(p).
     """
     m = [list(row) for row in mat]
-    out = []
     while m:
         best = None
         for i, row in enumerate(m):
@@ -205,8 +229,12 @@ def _int_smith(mat, p):
             if x:
                 f = x // scale
                 row[:] = [unit * a - f * b for a, b in zip(row, prow)]
-        out.append(v)
-    return tuple(sorted(out, reverse=True))
+        yield v
+
+
+def _int_smith(mat, p):
+    """Valuations at p of the elementary divisors of a nonsingular integer matrix, weakly decreasing."""
+    return tuple(reversed(list(_smith_steps(mat, p))))
 
 
 def smith_invariants(mat, p):
@@ -279,12 +307,12 @@ def inv_pair(l1, l2):
 
 
 def _hnf_rows(p, depth, diag):
-    """The shapes H of the depth window with diagonal p^diag, as integer rows.
+    """The shapes H of the depth window with diagonal p^diag, each with X = p^depth H^-1.
 
-    Row-major lexicographic in the off-diagonal entries.  Alongside each
-    prefix of rows of H it keeps the rows of X = p^depth H^-1, found by
-    forward substitution; a row of H whose X row is not integral is dropped
-    with every completion of it.
+    Pairs (H, X) of integer matrices as row tuples, row-major lexicographic
+    in the off-diagonal entries of H.  Alongside each prefix of rows of H it
+    keeps the rows of X, found by forward substitution; a row of H whose X
+    row is not integral is dropped with every completion of it.
     """
     n = len(diag)
     found = []
@@ -292,7 +320,7 @@ def _hnf_rows(p, depth, diag):
     def extend(hs, xs):
         i = len(hs)
         if i == n:
-            found.append(tuple(hs))
+            found.append((tuple(hs), tuple(xs)))
             return
         d = p ** diag[i]
         for off in itertools.product(range(d), repeat=i):
@@ -304,7 +332,8 @@ def _hnf_rows(p, depth, diag):
                 x.append(-s // d)
             else:
                 x.append(p ** (depth - diag[i]))
-                extend(hs + [off + (d,) + (0,) * (n - i - 1)], xs + [x])
+                zeros = (0,) * (n - i - 1)
+                extend(hs + [off + (d,) + zeros], xs + [tuple(x) + zeros])
 
     extend([], [])
     return found
@@ -314,16 +343,17 @@ def _hnf_rows(p, depth, diag):
 def _shapes(p, n, depth):
     """The depth window p^depth L0 <= L <= L0, each lattice once, and its cells.
 
-    Returns (shapes, cells): the integer bases H in enumeration order, and a
-    dict from inv(L0, H) to the tuple of those H (the same objects).
+    Returns (shapes, cells): a dict from each integer basis H, in enumeration
+    order, to its integral inverse X = p^depth H^-1, and a dict from
+    inv(L0, H) to the tuple of those H (the same objects).
     """
-    shapes = []
+    shapes = {}
     for diag in itertools.product(range(depth + 1), repeat=n):
-        shapes.extend(_hnf_rows(p, depth, diag))
+        shapes.update(_hnf_rows(p, depth, diag))
     cells = {}
     for h in shapes:
         cells.setdefault(_int_smith(h, p), []).append(h)
-    return tuple(shapes), {key: tuple(group) for key, group in cells.items()}
+    return shapes, {key: tuple(group) for key, group in cells.items()}
 
 
 def enumerate_between(p, n, nn):
@@ -340,11 +370,48 @@ def enumerate_between(p, n, nn):
     return [PLattice._trusted(p, h, nn) for h in _shapes(p, n, 2 * nn)[0]]
 
 
-def _window_for(mu):
+@lru_cache(maxsize=None)
+def _window_lattices(p, n, depth):
+    """The number of lattices in the depth window of rank n, by the Poincare formula.
+
+    The sum over the window's cells, dominant mu with entries in 0..depth, of
+    |K mu(p) K / K| = p^<2rho,mu> W(1/p) / W_mu(1/p) (Macdonald, SFHP, Ch. V),
+    in integers: p^(<2rho,mu> - #{i<j : mu_i > mu_j}) W(p) / W_mu(p), with
+    W(p) = prod_{i<=n} (p^i - 1)/(p - 1) the Poincare polynomial of S_n at p.
+    """
+
+    def poincare(m):
+        out = 1
+        for i in range(1, m + 1):
+            out *= (p**i - 1) // (p - 1)
+        return out
+
+    total, whole = 0, poincare(n)
+    for mu in itertools.combinations_with_replacement(range(depth, -1, -1), n):
+        gaps = sum(a - b - 1 for i, a in enumerate(mu) for b in mu[i + 1 :] if a > b)
+        stabilizer = math.prod(poincare(len(list(block))) for _, block in itertools.groupby(mu))
+        total += p**gaps * whole // stabilizer
+    return total
+
+
+def _check_window(p, n, depth):
+    """Refuse, before any enumeration, a window of more than _MAX_LATTICES lattices."""
+    if n > _MAX_LATTICE_RANK:
+        raise ValueError(f"rank must be <= {_MAX_LATTICE_RANK}, got {n}")
+    size = _window_lattices(p, n, depth)
+    if size > _MAX_LATTICES:
+        raise ValueError(
+            f"the depth-{depth} window of rank {n} at p = {p} has {size} lattices, over the cap of {_MAX_LATTICES}"
+        )
+
+
+def _window_for(mu, p):
+    """(lo, hi): mu's cell lies in the window p^hi L0 <= L <= p^lo L0, checked against the caps."""
     lo = min(0, min(mu))
     hi = max(0, max(mu))
     if hi - lo > 2 * _MAX_WINDOW:
         raise ValueError(f"coweight {mu} exceeds the enumeration window")
+    _check_window(p, len(mu), hi - lo)
     return lo, hi
 
 
@@ -358,13 +425,10 @@ def schubert_count(mu, p):
     """
     mu = check_weight(mu)
     p = _check_p(p)
-    n = len(mu)
-    if n > _MAX_RANK:
-        raise ValueError(f"rank must be <= {_MAX_RANK}, got {n}")
     if not is_dominant(mu):
         raise ValueError(f"coweight must be dominant: {mu}")
-    lo, hi = _window_for(mu)
-    cells = _shapes(p, n, hi - lo)[1]
+    lo, hi = _window_for(mu, p)
+    cells = _shapes(p, len(mu), hi - lo)[1]
     return len(cells.get(tuple(e - lo for e in mu), ()))
 
 
@@ -379,17 +443,25 @@ def convolution_oracle(lam, mu, nu, p):
     n = len(lam)
     if len(mu) != n or len(nu) != n:
         raise ValueError(f"rank mismatch among {lam}, {mu}, {nu}")
-    if n > _MAX_RANK:
-        raise ValueError(f"rank must be <= {_MAX_RANK}, got {n}")
     for w in (lam, mu, nu):
         if not is_dominant(w):
             raise ValueError(f"coweights must be dominant: {w}")
-    # L = p^lo H for the shapes H of lam's cell, and inv(p^lo H, T) = inv(H, T) - lo
-    lo, hi = _window_for(lam)
-    cell = _shapes(p, n, hi - lo)[1].get(tuple(x - lo for x in lam), ())
-    target = PLattice.from_coweight(nu, p)
-    want = tuple(x + lo for x in mu)
-    return sum(1 for h in cell if _inv(p, h, 0, target.a, target.e) == want)
+    # L = p^lo H for the shapes H of lam's cell, and (p^lo H)^-1 nu(p) =
+    # p^(m - lo - depth) X D with X = p^depth H^-1, m = min nu and D the
+    # column scaling by p^(nu_j - m): all integers, no adjugate
+    lo, hi = _window_for(lam, p)
+    depth = hi - lo
+    shapes, cells = _shapes(p, n, depth)
+    m = min(nu)
+    scale = [p ** (x - m) for x in nu]
+    want = [x + lo + depth - m for x in reversed(mu)]
+    count = 0
+    for h in cells.get(tuple(x - lo for x in lam), ()):
+        # the valuations come smallest first: stop at the first that differs
+        steps = _smith_steps([[x * s for x, s in zip(row, scale)] for row in shapes[h]], p)
+        if all(v == w for v, w in zip(steps, want)):
+            count += 1
+    return count
 
 
 if __name__ == "__main__":

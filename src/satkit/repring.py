@@ -14,14 +14,29 @@ irreducibles the structure constants are the Littlewood-Richardson numbers,
 so they are nonnegative integers; tests lean on that).  dimension() is the
 exact Weyl product formula
 
-    dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i).
+    dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i),
+
+symfunc._weyl_dimension, which also counts the Gelfand-Tsetlin patterns
+that symfunc refuses to enumerate past its cap of 500,000.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentScalar
 from .rootdata import _is_dominant, check_weight, dual_weight
-from .symfunc import Combination, SymPoly, _coeffs, _scalars, _schur_product, _to_monomial, weight_multiset
+from .symfunc import (
+    _MAX_PATTERNS,
+    Combination,
+    SymPoly,
+    _check_patterns,
+    _coeffs,
+    _highest_weight,
+    _scalars,
+    _schur_product,
+    _to_monomial,
+    _weights,
+    _weyl_dimension,
+)
 
 
 class RepElement(Combination):
@@ -54,22 +69,7 @@ def dimension(mu):
     >>> dimension((2, 0, 0))
     6
     """
-    mu = check_weight(mu)
-    if not _is_dominant(mu):
-        raise ValueError(f"highest weight must be dominant: {mu}")
-    n = len(mu)
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= mu[i] - mu[j] + j - i
-            den *= j - i
-    q, r = divmod(num, den)
-    if r != 0:
-        raise AssertionError(f"Weyl formula not integral at {mu}")
-    return q
-
-
-_MAX_PATTERNS = 500_000  # refused before any work: about 1 s of enumeration on a 2-core host
+    return _weyl_dimension(_highest_weight(mu))
 
 
 def weight_multiplicity(mu, lam):
@@ -77,10 +77,10 @@ def weight_multiplicity(mu, lam):
     mu, lam = check_weight(mu), check_weight(lam)
     if len(mu) != len(lam):
         raise ValueError(f"rank mismatch: {mu} vs {lam}")
-    patterns = dimension(mu)  # the number of Gelfand-Tsetlin patterns weight_multiset enumerates
-    if patterns > _MAX_PATTERNS:
-        raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
-    for w, m in weight_multiset(mu):
+    mu = _highest_weight(mu)
+    # the kernel's cap, checked here as well so that it can be lowered for this function alone
+    _check_patterns(mu, _MAX_PATTERNS)
+    for w, m in _weights(mu):
         if w == lam:
             return m
     return 0

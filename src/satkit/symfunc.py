@@ -386,9 +386,42 @@ def _schur_weights_nonneg(lam):
     return tuple(sorted(counter.items()))
 
 
+_MAX_PATTERNS = 500_000  # refused before any work: about 1 s of enumeration on a 2-core host
+
+
+def _weyl_dimension(mu):
+    """dim V_mu for a dominant mu by the Weyl product formula: its number of Gelfand-Tsetlin patterns.
+
+    dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i), an exact integer.
+    """
+    n = len(mu)
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= mu[i] - mu[j] + j - i
+            den *= j - i
+    q, r = divmod(num, den)
+    if r != 0:
+        raise AssertionError(f"Weyl formula not integral at {mu}")
+    return q
+
+
+def _check_patterns(mu, cap, patterns=None):
+    """Refuse V_mu when its Gelfand-Tsetlin patterns, dim V_mu unless given, number more than cap."""
+    if patterns is None:
+        patterns = _weyl_dimension(mu)
+    if patterns > cap:
+        raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {cap}")
+
+
 @lru_cache(maxsize=None)
 def _weights(mu):
-    """weight_multiset for a checked dominant mu: the core's patterns, shifted back; cached."""
+    """weight_multiset for a checked dominant mu: the core's patterns, shifted back; cached.
+
+    Every Gelfand-Tsetlin enumeration passes here, and mu is refused past
+    _MAX_PATTERNS before any of it; the check runs once per weight.
+    """
+    _check_patterns(mu, _MAX_PATTERNS)
     shift = max(0, -min(mu))
     pairs = _schur_weights_nonneg(tuple(x + shift for x in mu))
     if shift == 0:

@@ -38,9 +38,11 @@ HOperator(r=1, (1-p-2p^2)*T[p,0] + T[p,1])
 
 from __future__ import annotations
 
+import math
+
 from .laurent import LaurentScalar, _add_scaled
 from .rootdata import GroupSpec, check_weight, in_integer_span, is_dominant
-from .symfunc import weight_multiset
+from .symfunc import _MAX_PATTERNS, _check_patterns, _weyl_dimension, weight_multiset
 from .trace_k import SigmaAction
 
 
@@ -115,18 +117,23 @@ def in_tate_lattice(lam, cfg):
 
 
 def _block_weight_multiset(mu, blocks):
-    """Weight multiset of the irreducible of a product of GL-blocks."""
+    """Weight multiset of the irreducible of a product of GL-blocks.
+
+    One pattern per block for each weight: refused past symfunc's pattern
+    cap, on the product of the blocks' dimensions, before any enumeration.
+    """
     chunks = []
     pos = 0
     for b in blocks:
         chunk = mu[pos:pos + b]
         if not is_dominant(chunk):
             raise ValueError(f"highest weight must be dominant per block: {chunk} in {mu}")
-        chunks.append(weight_multiset(chunk))
+        chunks.append(chunk)
         pos += b
+    _check_patterns(mu, _MAX_PATTERNS, math.prod(_weyl_dimension(chunk) for chunk in chunks))
     out = [((), 1)]
-    for pairs in chunks:
-        out = [(w + bw, m * bm) for w, m in out for bw, bm in pairs]
+    for chunk in chunks:
+        out = [(w + bw, m * bm) for w, m in out for bw, bm in weight_multiset(chunk)]
     return out
 
 

@@ -195,6 +195,31 @@ GOLDEN = [
     ),
     (["conv", "--n", "2", "--a", '{"(1,0)":1}'], 2, '{"error":"the following arguments are required: --b"}'),
     (["dim", "--n", "x", "--mu", "1"], 2, """{"error":"argument --n: invalid int value: 'x'"}"""),
+    # Gelfand-Tsetlin enumeration is refused past its cap, in the kernel every verb reaches it through;
+    # each of these ended in a MemoryError traceback under a 1-GB address-space limit without the cap
+    (
+        ["tensor", "--n", "2", "--a", '{"(9999999999,0)":1}', "--b", '{"(1,0)":1}'],
+        1,
+        '{"error":"V_(9999999999, 0) has 10000000000 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    (
+        ["s-op", "--n", "2", "--r", '{"(9999999999,0)":1}'],
+        1,
+        '{"error":"V_(9999999999, 0) has 10000000000 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    (
+        ["tate-dim", "--config", "U3_CONFIG", "--mu", "9999999999,0,0"],
+        1,
+        '{"error":"V_(9999999999, 0, 0) has 50000000005000000000 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    # lattice windows are admitted by their size, not their rank
+    (["count", "--mu", "1,1,0,0", "--p", "3"], 0, "130"),
+    (["oracle", "--lam", "1,0,0,0", "--mu", "1,0,0,0", "--nu", "1,1,0,0", "--p", "3"], 0, "4"),
+    (
+        ["oracle", "--lam", "2,1,0,0,0", "--mu", "1,0,0,0,0", "--nu", "3,1,0,0,0", "--p", "3"],
+        1,
+        '{"error":"the depth-2 window of rank 5 at p = 3 has 3622259 lattices, over the cap of 70000"}',
+    ),
 ]
 
 
@@ -285,6 +310,16 @@ def test_cost_caps_refuse_before_work(argv, estimate):
     assert json.loads(text)["error"].startswith(estimate)
 
 
+def test_closed_stdout_ends_quietly():
+    # the reader is gone before the reply is written: exit 1 and nothing on stderr, no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "satkit.cli", "h-op", "--r", "30"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(), stderr) == (1, b"")
+
+
 def test_cost_caps_admit_h_op_15():
     code, text = _main_in_process(["h-op", "--r", "15"])
     assert code == 0 and json.loads(text)["15"] == "1"
@@ -348,26 +383,27 @@ def test_qbinom_output_parses_back():
 # Every non-check verb, run in-process with its own flags plus junk flags,
 # weights of rank <= 3 and small JSON payloads that include malformed keys,
 # zero denominators and huge exponents.  Each run must end with exit code 0, 1
-# or 2 and exactly one JSON line on stdout.  qbinom, h-op, weight-mult and dim
-# take integer flags and weight entries of up to 20 digits: the first three
-# refuse by a cost estimate before any work, and dim is the Weyl product.  The
-# other verbs keep integer flags in -3..6 and |entries| <= 3, because the
-# transforms, tensor, s-op and tate-dim have no cost cap yet.
+# or 2 and exactly one JSON line on stdout.  Weight entries, in flags and in
+# payload keys, run to 20 digits for every verb: the Gelfand-Tsetlin kernel
+# refuses past its pattern cap, and the lattice verbs past their window.
+# qbinom, h-op, weight-mult and dim take integer flags of up to 20 digits
+# too: the first three refuse by a cost estimate before any work, and dim is
+# the Weyl product.  The other verbs keep integer flags in -3..6, since a
+# rank flag must match the payload's keys to get past the schema check.
 # Left out: -h/--help and its abbreviations (--h, --he, --hel) where the verb
 # has no flag of that name, because argparse prints multi-line usage for
 # them.  `check` prints one line per assertion and is pinned by
 # test_check_verbs_pass instead.
 
 _small = st.integers(min_value=-3, max_value=3)
-_weights = st.lists(_small, min_size=1, max_size=3)
 _junk_text = st.sampled_from(["", "x", "1.5", "1,,2", "(1,0)", "-", "1/0", "0x1"])
 _int_flags = st.one_of(st.integers(min_value=-3, max_value=6).map(str), _junk_text)
-_weight_flags = st.one_of(_weights.map(lambda w: ",".join(map(str, w))), _junk_text)
 _big = st.integers(min_value=-(10**20), max_value=10**20)
 _big_int_flags = st.one_of(st.integers(min_value=-3, max_value=6).map(str), _big.map(str), _junk_text)
-_big_weight_flags = st.one_of(
-    st.lists(st.one_of(_small, _big), min_size=1, max_size=3).map(lambda w: ",".join(map(str, w))), _junk_text
+_weights = st.one_of(
+    st.lists(_small, min_size=1, max_size=3), st.lists(st.one_of(_small, _big), min_size=1, max_size=3)
 )
+_big_weight_flags = st.one_of(_weights.map(lambda w: ",".join(map(str, w))), _junk_text)
 _keys = st.one_of(
     _weights.map(lambda w: "(" + ",".join(map(str, w)) + ")"),
     st.sampled_from(["bad", "(1,0", "()", "(1.5,0)", "(1,,0)", "( 1 , 0 , )", ""]),
@@ -418,13 +454,13 @@ _FLAGS = {
     "weight-mult": {"n": _big_int_flags, "mu": _big_weight_flags, "lam": _big_weight_flags},
     "dim": {"n": _big_int_flags, "mu": _big_weight_flags},
     "s-op": {"n": _int_flags, "r": _payloads},
-    "s-pairing": {"n": _int_flags, "mu": _weight_flags},
-    "tate-dim": {"config": st.sampled_from(["U3_CONFIG", "/nonexistent.json", ""]), "mu": _weight_flags},
+    "s-pairing": {"n": _int_flags, "mu": _big_weight_flags},
+    "tate-dim": {"config": st.sampled_from(["U3_CONFIG", "/nonexistent.json", ""]), "mu": _big_weight_flags},
     "h-op": {"r": _big_int_flags},
     "qbinom": {"n": _big_int_flags, "m": _big_int_flags},
     "inv": {"a": _lattices, "b": _lattices},
-    "count": {"mu": _weight_flags, "p": _int_flags},
-    "oracle": {"lam": _weight_flags, "mu": _weight_flags, "nu": _weight_flags, "p": _int_flags},
+    "count": {"mu": _big_weight_flags, "p": _int_flags},
+    "oracle": {"lam": _big_weight_flags, "mu": _big_weight_flags, "nu": _big_weight_flags, "p": _int_flags},
 }
 _junk_flags = st.sampled_from(["--zz", "--n", "--mu", "-x", "--", "--p=2", "--n=", "7", "{}", "--r", "-1"])
 
@@ -448,6 +484,11 @@ def _argvs(draw):
 @example(argv=["h-op", "--r", "99999999999999999999"])
 @example(argv=["weight-mult", "--n", "2", "--mu", "9999999999,0", "--lam", "1,1"])
 @example(argv=["dim", "--n", "3", "--mu", "99999999999999999999,0,-99999999999999999999"])
+@example(argv=["tensor", "--n", "2", "--a", '{"(9999999999,0)":1}', "--b", '{"(1,0)":1}'])
+@example(argv=["s-op", "--n", "2", "--r", '{"(9999999999,0)":1}'])
+@example(argv=["tate-dim", "--config", "U3_CONFIG", "--mu", "9999999999,0,0"])
+@example(argv=["satake", "--n", "2", "--h", '{"(9999999999,0)":1}'])
+@example(argv=["count", "--mu", "1,0,0,0,0,0,0,0,0,0,0,0", "--p", "3"])
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_fuzz_every_request_ends_in_one_json_line(argv, u3_config):
     argv = [u3_config if a == "U3_CONFIG" else a for a in argv]

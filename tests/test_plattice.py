@@ -9,6 +9,7 @@ or duplicated lattice would show up immediately.
 import ast
 import inspect
 import itertools
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -325,6 +326,54 @@ def test_transform_route_never_takes_the_monomial_product():
     assert not from_symfunc & {"_mul_terms", "_orbit_product"}
 
 
+_NO_ADJUGATE_RUN = """
+import itertools
+from satkit import hecke, plattice
+
+calls = {"det": 0, "inv": 0}
+inside = []
+
+
+def counted(name, f):
+    def wrapped(*args):
+        calls[name] += bool(inside)
+        return f(*args)
+    return wrapped
+
+
+def within(f, *args):
+    inside.append(1)
+    try:
+        return f(*args)
+    finally:
+        inside.pop()
+
+
+plattice._det_int = counted("det", plattice._det_int)
+plattice._inv = counted("inv", plattice._inv)
+box = [w for w in itertools.product(range(2, -1, -1), repeat=3) if w[0] >= w[1] >= w[2]]
+total = 0
+for p in (2, 3):
+    for a in box:
+        for b in box:
+            for nu in hecke.convolve(hecke.basis(a), hecke.basis(b)).support():
+                total += within(plattice.convolution_oracle, a, b, nu, p)
+oracle = (total, calls["det"], calls["inv"])
+std = plattice.PLattice.standard(3, 2)
+within(plattice.inv_pair, std, std)  # the counters do see the adjugate route
+print(*oracle, calls["det"], calls["inv"])
+"""
+
+
+def test_oracle_takes_no_adjugate():
+    # a fresh interpreter, so the windows are enumerated inside the counted oracle calls too
+    run = subprocess.run([sys.executable, "-c", _NO_ADJUGATE_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    total, det, inv, det_control, inv_control = map(int, run.stdout.split())
+    assert total > 0 and (det, inv) == (0, 0)
+    assert det_control > 0 and inv_control == 1
+
+
 def test_enumeration_window_counts():
     assert len(enumerate_between(2, 2, 0)) == 1
     assert len(enumerate_between(2, 2, 1)) == 15
@@ -419,6 +468,106 @@ def test_convolution_oracle_gl2():
     assert convolution_oracle((1, 0), (1, 0), (1, 1), 2) == 3
     assert convolution_oracle((1, 0), (1, 0), (1, 1), 3) == 4
     assert convolution_oracle((1, 0), (1, 0), (0, 0), 2) == 0
+
+
+def _dominant_box(n, lo, hi):
+    return [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
+
+
+@pytest.mark.parametrize(
+    "p, n, depth", [(p, n, d) for p in (2, 3) for n in (1, 2, 3) for d in (0, 1, 2)] + [(2, 4, 1), (3, 4, 1)]
+)
+def test_oracle_counts_match_adjugate_route(p, n, depth):
+    # the oracle reads inv(L, nu(p) L0) off X D_nu; _inv takes the adjugate of each shape H
+    cells = _shapes(p, n, depth)[1]
+    for nu in _dominant_box(n, 0, depth):
+        target = PLattice.from_coweight(nu, p)
+        for lam, group in cells.items():
+            counts = Counter(plattice._inv(p, h, 0, target.a, target.e) for h in group)
+            # and again with lam's cell in a window below L0 (lo < 0), nu shifted alike
+            c = lam[0]
+            low, low_nu = tuple(x - c for x in lam), tuple(x - c for x in nu)
+            for mu, count in counts.items():
+                assert convolution_oracle(lam, mu, nu, p) == count, (lam, mu, nu)
+                assert convolution_oracle(low, mu, low_nu, p) == count, (low, mu, low_nu)
+
+
+def _oracle_against_convolve(n, top, p):
+    """Every structure constant of T_a * T_b, a and b dominant in the box 0..top, at q = p."""
+    box = _dominant_box(n, 0, top)
+    checked = 0
+    for i, a in enumerate(box):
+        for b in box[i:]:
+            product = hecke.convolve(hecke.basis(a), hecke.basis(b))
+            # the algebra is commutative: count over the cell with the narrower window
+            lam, mu = (a, b) if a[0] - a[-1] <= b[0] - b[-1] else (b, a)
+            for nu, coeff in product.terms.items():
+                assert hecke.specialize_v(coeff, p) == convolution_oracle(lam, mu, nu, p), (lam, mu, nu)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("top, p, coefficients", [(1, 2, 22), (1, 3, 22), (2, 2, 286)])
+def test_gl4_structure_constants_match_convolve(top, p, coefficients):
+    assert _oracle_against_convolve(4, top, p) == coefficients
+
+
+@pytest.mark.skipif(not os.environ.get("SATKIT_SLOW_ORACLE"), reason="about 10 s of lattice counting")
+def test_gl4_structure_constants_match_convolve_at_p3_depth2():
+    assert _oracle_against_convolve(4, 2, 3) == 286
+
+
+def test_window_sizes_match_enumeration():
+    # the cap's estimate, the Poincare-formula sum over the window's cells, is exact
+    for p, n, depth in [(2, 2, 2), (2, 3, 2), (3, 3, 2), (2, 3, 4), (3, 2, 4), (2, 4, 2), (3, 4, 1), (2, 5, 1)]:
+        assert plattice._window_lattices(p, n, depth) == len(_shapes(p, n, depth)[0]), (p, n, depth)
+    assert plattice._window_lattices(3, 3, 4) == 67969  # the largest window of rank <= 3
+    assert plattice._window_lattices(3, 4, 2) == 24033
+    assert plattice._window_lattices(2, 5, 2) == 55989
+
+
+def _width_cells(n, width, p):
+    return [
+        (mu, p)
+        for mu in itertools.product(range(-width, width + 1), repeat=n)
+        if list(mu) == sorted(mu, reverse=True) and max(0, *mu) - min(0, *mu) == width
+    ]
+
+
+def test_schubert_counts_match_poincare_polynomial_formula_wider():
+    # width-4 cells of rank 1..3 at p = 2, and the rank-4 cells of width <= 2
+    cases = [case for n in (1, 2, 3) for case in _width_cells(n, 4, 2)]
+    cases += [case for p in (2, 3) for w in (0, 1, 2) for case in _width_cells(4, w, p)]
+    assert len(cases) == 130
+    for mu, p in cases:
+        assert schubert_count(mu, p) == _cell_size_formula(mu, p), (mu, p)
+
+
+@pytest.mark.skipif(not os.environ.get("SATKIT_SLOW_ORACLE"), reason="about 10 s of window enumeration")
+def test_schubert_counts_match_poincare_polynomial_formula_largest_windows():
+    # windows of 40,000 to 70,000 lattices, each a few seconds cold
+    cases = [case for n in (1, 2, 3) for case in _width_cells(n, 4, 3)]
+    cases += _width_cells(4, 3, 2) + _width_cells(5, 2, 2)
+    for mu, p in cases:
+        assert schubert_count(mu, p) == _cell_size_formula(mu, p), (mu, p)
+
+
+def test_lattice_budget_refuses_before_enumeration():
+    before = _shapes.cache_info().currsize
+    with pytest.raises(ValueError, match=r"^the depth-2 window of rank 5 at p = 3 has 3622259 lattices, over the cap of 70000$"):
+        convolution_oracle((2, 2, 0, 0, 0), (1, 0, 0, 0, 0), (3, 2, 0, 0, 0), 3)
+    with pytest.raises(ValueError, match=r"^the depth-4 window of rank 4 at p = 2 has 821335 lattices"):
+        schubert_count((4, 0, 0, 0), 2)
+    with pytest.raises(ValueError, match=r"^the depth-1 window of rank 12 at p = 3 has 452436459318538048 lattices"):
+        schubert_count((1,) + (0,) * 11, 3)
+    with pytest.raises(ValueError, match=r"^rank must be <= 17, got 18$"):
+        schubert_count((0,) * 18, 2)  # its window is L0 alone, but a rank-18 one is never smaller
+    with pytest.raises(ValueError, match=r"^rank must be <= 17, got 10000$"):
+        convolution_oracle((0,) * 10000, (0,) * 10000, (0,) * 10000, 2)
+    assert _shapes.cache_info().currsize == before
+    assert schubert_count((0,) * 17, 2) == 1
+    assert convolution_oracle((0,) * 17, (2,) * 17, (2,) * 17, 3) == 1
+    assert schubert_count((1,) + (0,) * 5, 2) == 2**6 - 1  # the lines of F_2^6, in a window of 2825
 
 
 def test_domain_caps_are_enforced():

@@ -24,6 +24,7 @@ import pytest
 
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.rootdata import is_dominant
+from satkit import symfunc
 from satkit.symfunc import (
     SymPoly,
     _orbit_product,
@@ -444,3 +445,17 @@ def test_substitute_t_on_sympoly():
 def test_central_shift_on_monomials():
     assert monomial((2, 0)).central_shift(-1) == monomial((1, -1))
     assert monomial((1, -1)).central_shift(1) == monomial((2, 0))
+
+
+def test_gelfand_tsetlin_enumeration_is_capped_in_the_kernel():
+    # every route to the patterns passes the cached _weights, which refuses past
+    # the cap by Weyl's formula before enumerating; the message names the weight asked for
+    for call, mu, patterns in [
+        (schur, (9999999999, 0), 10000000000),
+        (hall_littlewood, (1000, 0, 0), 501501),  # refused at the Schur function of its top term
+        (weight_multiset, (-5, -1000, -1005), 2993976),
+    ]:
+        with pytest.raises(ValueError, match=rf"^V_\({', '.join(map(str, mu))}\) has {patterns} Gelfand-Tsetlin"):
+            call(mu)
+    assert symfunc._weyl_dimension((998, 0, 0)) == 499500 <= symfunc._MAX_PATTERNS
+    assert symfunc._weyl_dimension((2, 1, 0)) == sum(m for _, m in weight_multiset((2, 1, 0)))

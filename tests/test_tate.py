@@ -239,6 +239,17 @@ def test_dimension_bounds_and_trivial_config():
         assert tate_dimension(mu, u3) <= dimension(mu)
 
 
+def test_block_weights_refused_past_the_pattern_cap():
+    # each block is under the cap, their product of 160,000,800,001 patterns is not;
+    # it used to enumerate both blocks and then run out of memory building the product
+    cfg = TateConfig(GroupSpec(4, ((1, 1, 1, 1),)), SigmaAction.identity(4), (2, 2))
+    with pytest.raises(ValueError, match=r"^V_\(400000, 0, 400000, 0\) has 160000800001 Gelfand-Tsetlin patterns"):
+        tate_dimension((400000, 0, 400000, 0), cfg)
+    assert tate_dimension((2, 0, 1, 0), cfg) == 0
+    full = TateConfig(GroupSpec(4, tuple(tuple(int(i == j) for j in range(4)) for i in range(4))), SigmaAction.identity(4), (2, 2))
+    assert tate_dimension((2, 0, 1, 0), full) == dimension((2, 0)) * dimension((1, 0))
+
+
 def test_narrow_center_kills_std():
     # identity sigma, center only the torus direction: Std has no central weights
     cfg = TateConfig(GroupSpec(2, ((1, 1),)), SigmaAction.identity(2))
