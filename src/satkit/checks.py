@@ -10,8 +10,6 @@ count).  Keep the two code paths separate; routing one through the other
 would make the comparison vacuous.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 

@@ -12,8 +12,6 @@ byte-for-byte):
   the data is out of domain (non-dominant weight, unsupported prime, ...).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -87,8 +85,22 @@ def _element_terms(text, n, what):
     return terms
 
 
-def _lattice_from_text(text, what):
+def _bounded_fraction(entry):
+    """Fraction(entry), or ValueError when its numerator or denominator has more digits than
+    int() accepts from a string; an exponent ("1e99999") is checked before Fraction expands it."""
     from fractions import Fraction
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if isinstance(entry, str):
+        _, e, exponent = entry.lower().partition("e")
+        if e and abs(int(exponent)) > limit:
+            raise ValueError(entry)
+    x = Fraction(entry)
+    if max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise ValueError(entry)
+    return x
+
+
+def _lattice_from_text(text, what):
     from .plattice import PLattice
     data = _object_from_text(text, what)
     if set(data) != {"p", "basis"}:
@@ -107,7 +119,7 @@ def _lattice_from_text(text, what):
             if isinstance(entry, bool) or not isinstance(entry, (int, str)):
                 raise SchemaError(f"{what}: matrix entries must be integers or strings, got {entry!r}")
             try:
-                entries.append(Fraction(entry))
+                entries.append(_bounded_fraction(entry))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"{what}: matrix entry {entry!r} is not a rational number") from None
         rows.append(tuple(entries))
@@ -321,5 +333,17 @@ def main(argv=None):
     return code
 
 
+def run():
+    """The process entry point: main(), then os._exit, which skips the interpreter's teardown.
+
+    main() has printed and flushed the reply, so only stderr is left to flush.
+    An exception that escapes main() leaves before os._exit and ends the
+    process as usual: a traceback and exit 1.  In-process callers use main().
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

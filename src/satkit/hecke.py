@@ -33,8 +33,6 @@ lives in plattice.convolution_oracle; the two routes share no code.
 HeckeElement(n=2, T[2,0] + (1+v^2)*T[1,1])
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .laurent import LaurentScalar

@@ -23,8 +23,6 @@ LaurentScalar('1-v^4')
 Fraction(4, 1)
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from math import isqrt

@@ -78,8 +78,6 @@ Satake transform; the two routes share no code, which is what makes the
 agreement a real check.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

@@ -20,8 +20,6 @@ symfunc._weyl_dimension, which also counts the Gelfand-Tsetlin patterns
 that symfunc refuses to enumerate past its cap of 500,000.
 """
 
-from __future__ import annotations
-
 from .laurent import LaurentScalar
 from .rootdata import _is_dominant, check_weight, dual_weight
 from .symfunc import (

@@ -21,8 +21,6 @@ the integer-span solve are read off, plus _mat_mul.  GroupSpec, trace_k and
 the tests use it; plattice works on integers with kernels of its own.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 Weight = tuple  # tuple[int, ...]; rank is the length

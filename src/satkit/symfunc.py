@@ -54,8 +54,6 @@ SymPoly(n=2, m[2,0] + (-v^-2+1)*m[1,1])
 True
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -528,15 +526,26 @@ def _tensor_irreducibles(a, b):
     return tuple((lam, c) for lam, c in out.items() if c)
 
 
+# Weight entries _hl_schur's expansion may hold, 2^pairs terms of n entries: the largest admitted,
+# (1,0^17) with 2^17 distinct terms, takes 0.6 s and 80 MB on a 2-core host.  Every weight of
+# rank <= 6 is admitted; (7,6,...,0) is refused.
+_MAX_HL_ENTRIES = 1 << 22
+
+
 @lru_cache(maxsize=None)
 def _hl_schur(mu):
     """P_mu in the Schur basis for dominant mu, as {lam: coefficient dict}; cached, read only.
 
     Expands x^{mu + rho_B} prod_{mu_i > mu_j} (x_i - t x_j) as
     {(beta, deg_t): int} and straightens each a_beta / a_rho into a Schur
-    coefficient in Z[t], t^k = v^-2k.
+    coefficient in Z[t], t^k = v^-2k.  The product has a factor per pair
+    mu_i > mu_j, so up to 2^pairs terms of n entries: refused past
+    _MAX_HL_ENTRIES before any expansion.
     """
     n = len(mu)
+    pairs = n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in Counter(mu).values())
+    if n << min(pairs, 64) > _MAX_HL_ENTRIES:
+        raise ValueError(f"P_{mu} expands to 2^{pairs} terms of {n} entries, over the cap of {_MAX_HL_ENTRIES} entries")
     start = tuple(x + mu[i + 1:].count(x) for i, x in enumerate(mu))  # mu + rho_B
     poly = {(start, 0): 1}
     for i in range(n):

@@ -36,8 +36,6 @@ polynomials in p.
 HOperator(r=1, (1-p-2p^2)*T[p,0] + T[p,1])
 """
 
-from __future__ import annotations
-
 import math
 
 from .laurent import LaurentScalar, _add_scaled

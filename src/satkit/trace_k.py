@@ -18,8 +18,6 @@ the identity) and by the Tate weight-space machinery: an integer matrix of
 finite order m with sigma^m = 1 enforced at construction.
 """
 
-from __future__ import annotations
-
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension
 from .rootdata import _det, _mat_identity, _mat_mul, check_weight, is_dominant

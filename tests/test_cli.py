@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -212,6 +213,18 @@ GOLDEN = [
         1,
         '{"error":"V_(9999999999, 0, 0) has 50000000005000000000 Gelfand-Tsetlin patterns, over the cap of 500000"}',
     ),
+    # the Hall-Littlewood expansion is refused before it starts (it ran 33 s into a MemoryError)
+    (
+        ["satake", "--n", "8", "--h", '{"(7,6,5,4,3,2,1,0)":1}'],
+        1,
+        '{"error":"P_(7, 6, 5, 4, 3, 2, 1, 0) expands to 2^28 terms of 8 entries, over the cap of 4194304 entries"}',
+    ),
+    # an exponent past the int-string limit is refused before Fraction expands it (it ran past 40 s)
+    (
+        ["inv", "--a", '{"p":2,"basis":[["1e99999","0"],["0","1"]]}', "--b", '{"p":2,"basis":[["1","0"],["0","1"]]}'],
+        2,
+        """{"error":"--a: matrix entry '1e99999' is not a rational number"}""",
+    ),
     # lattice windows are admitted by their size, not their rank
     (["count", "--mu", "1,1,0,0", "--p", "3"], 0, "130"),
     (
@@ -304,6 +317,7 @@ CAPPED = [
     (["qbinom", "--n", "99999999999999999999", "--m", "2"], "v_binomial(99999999999999999999, 2) needs about "),
     (["weight-mult", "--n", "2", "--mu", "9999999999,0", "--lam", "1,1"], "V_(9999999999, 0) has 10000000000 "),
     (["h-op", "--r", "60"], "h_operator(60) needs about 27245162 "),
+    (["satake", "--n", "8", "--h", '{"(7,6,5,4,3,2,1,0)":1}'], "P_(7, 6, 5, 4, 3, 2, 1, 0) expands to 2^28 terms "),
 ]
 
 
@@ -324,6 +338,52 @@ def test_closed_stdout_ends_quietly():
     proc.stdout.close()
     stderr = proc.stderr.read()
     assert (proc.wait(), stderr) == (1, b"")
+
+
+# run() ends the process by os._exit once main() has flushed the reply
+def test_reply_larger_than_a_pipe_buffer_arrives_whole():
+    argv = ["h-op", "--r", "30"]
+    out = run(*argv)
+    assert len(out.stdout) > 65536
+    assert (out.returncode, out.stdout, out.stderr) == (*_main_in_process(argv), "")
+
+
+def test_exception_escaping_main_ends_in_traceback_and_exit_1():
+    script = (
+        "import satkit.cli\n"
+        "def boom(args):\n"
+        "    raise RuntimeError('handler failed')\n"
+        "satkit.cli._cmd_dim = boom\n"
+        "satkit.cli.run()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, "dim", "--n", "2", "--mu", "1,0"], capture_output=True, text=True
+    )
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith("Traceback") and out.stderr.endswith("RuntimeError: handler failed\n")
+
+
+def test_console_script_is_run():
+    # a string check: tomllib is 3.11+
+    with open(Path(__file__).parent.parent / "pyproject.toml", encoding="utf-8") as fh:
+        assert 'satkit = "satkit.cli:run"\n' in fh.read()
+
+
+def test_hall_littlewood_cap_admits_every_rank_six_weight():
+    # the staircase has the most pairs mu_i > mu_j of any rank-6 weight
+    code, text = _main_in_process(["satake", "--n", "6", "--h", '{"(5,4,3,2,1,0)":1}'])
+    assert code == 0 and json.loads(text)["(5,4,3,2,1,0)"] == "v^35"
+
+
+def test_lattice_entries_are_bounded_by_the_int_string_limit():
+    # as many digits as int() takes from a string are admitted, one more is refused like a 4301-digit entry
+    identity = '{"p":2,"basis":[["1","0"],["0","1"]]}'
+    admitted = _main_in_process(["inv", "--a", '{"p":2,"basis":[["1e4299","0"],["0","1"]]}', "--b", identity])
+    assert admitted == (0, "[0,-4299]\n")
+    for entry in ["1e4300", "1" + "0" * 4300, "1e-4300", "1e99999999999999", "9" * 4300 + "e1"]:
+        lattice = json.dumps({"p": 2, "basis": [[entry, "0"], ["0", "1"]]})
+        code, text = _main_in_process(["inv", "--a", lattice, "--b", identity])
+        assert code == 2 and json.loads(text)["error"].endswith("is not a rational number"), entry
 
 
 def test_cost_caps_admit_h_op_15():
@@ -355,7 +415,7 @@ def test_each_verb_imports_only_its_layers(u3_config):
     seen = json.loads(run.stdout)
     assert {m for m in seen[0][1] if m.startswith("satkit")} == {"satkit", "satkit.cli"}
     assert seen[1][0] == "dim"
-    unwanted = {"dataclasses", "inspect", "satkit.checks", "satkit.hecke"}
+    unwanted = {"__future__", "dataclasses", "inspect", "satkit.checks", "satkit.hecke"}
     unwanted |= {"satkit.plattice", "satkit.tate", "satkit.trace_k"}
     assert not unwanted & set(seen[1][1])
     # every verb but check leaves satkit.checks unloaded; check loads it
@@ -495,6 +555,8 @@ def _argvs(draw):
 @example(argv=["tate-dim", "--config", "U3_CONFIG", "--mu", "9999999999,0,0"])
 @example(argv=["satake", "--n", "2", "--h", '{"(9999999999,0)":1}'])
 @example(argv=["count", "--mu", "1,0,0,0,0,0,0,0,0,0,0,0", "--p", "3"])
+@example(argv=["satake", "--n", "8", "--h", '{"(7,6,5,4,3,2,1,0)":1}'])
+@example(argv=["inv", "--a", '{"p":2,"basis":[["1e99999","0"],["0","1"]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'])
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_fuzz_every_request_ends_in_one_json_line(argv, u3_config):
     argv = [u3_config if a == "U3_CONFIG" else a for a in argv]
