@@ -69,6 +69,10 @@ def _object_from_text(text, what):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: invalid JSON ({exc.msg})") from None
+    except ValueError:  # int() refuses an integer past the int-string digit limit
+        raise SchemaError(f"{what}: invalid JSON (an integer has more digits than int() accepts)") from None
+    except RecursionError:
+        raise SchemaError(f"{what}: invalid JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{what}: expected a JSON object")
     return data

@@ -209,14 +209,7 @@ class LaurentScalar:
         q = Fraction(q_value)
         if q <= 0:
             raise ValueError(f"q must be a positive rational, got {q_value!r}")
-        root = _exact_sqrt(q)
-        if root is not None:
-            total = Fraction(0)
-            for e, c in self.coeffs.items():
-                total += Fraction(c) * root ** e
-            return total
-        even = Fraction(0)
-        odd = Fraction(0)
+        even = odd = Fraction(0)
         for e, c in self.coeffs.items():
             if e % 2 == 0:
                 even += Fraction(c) * q ** (e // 2)
@@ -224,7 +217,8 @@ class LaurentScalar:
                 odd += Fraction(c) * q ** ((e - 1) // 2)
         if odd == 0:
             return even
-        return QuadExt(even, odd, q)
+        root = _exact_sqrt(q)
+        return QuadExt(even, odd, q) if root is None else even + odd * root
 
     def substitute_t(self, t_value):
         """Evaluate as a polynomial in t = v^-2 at a rational t_value.

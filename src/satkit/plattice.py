@@ -23,17 +23,29 @@ and with basis-as-columns and B1^-1 B2 (not B2^-1 B1) the convolution
 identity below holds with no sign or reversal fix-up; during development the
 identity was checked numerically before the convention was frozen.
 
-inv_pair works on the stored integers.  With B_i = A_i / p^{e_i},
-B1^-1 B2 = p^{e1 - e2} adj(A1) A2 / det(A1), so the valuations are those of
-the integer matrix adj(A1) A2 shifted by e1 - e2 - v_p(det A1).  They are
-read off by valuation-pivot elimination: an entry p^v u of minimal valuation
-(u a p-unit) p-divides every other entry, so each other row is scaled by u
-and has an integer multiple of the pivot row subtracted, which clears the
-pivot column while staying in Z and invertible over Z_(p); the pivot row
-can then be cleared by column operations that touch nothing else, so
-recursion on the complement reads off the remaining valuations.  The same
-elimination over Fractions, on B1^-1 B2 itself, is kept in the tests as the
-independent route the integer one is held to.
+inv_pair works on the stored integers, by valuation-pivot elimination: an
+entry p^v u of least valuation (u a p-unit) p-divides every other entry, so
+each other row is scaled by u and has an integer multiple of the pivot row
+subtracted, which clears the pivot column while staying in Z and invertible
+over Z_(p); the rest of the pivot row then has valuations >= v, so it can be
+cleared by column operations that touch nothing else, and recursion on the
+complement reads off the remaining valuations.  Valuations below k survive
+reduction mod p^k, so the elimination reduces each row mod p^k as it updates
+it, with k above every valuation its caller needs to tell apart, and its
+entries stay bounded.
+
+With B_i = A_i / p^{e_i}, B1^-1 B2 = p^{e1 - e2} A1^-1 A2, and two passes
+of that elimination give its valuations with no inverse or adjugate.  Let
+d1 = v_p(det A1) and c = d1 + 1.  The first pass eliminates [A1 | p^c A2]:
+the A1 block left at each step has a determinant of valuation at most d1,
+so an entry of valuation at most d1 < c, and all n pivots p^{v_i} u_i land
+there.  The pivot rows carry U A2, U invertible over Z_(p) with, up to the
+order of the columns, U A1 = diag(p^{v_i} u_i)(1 + N), N strictly upper
+triangular and integral at p.  So A1^-1 A2 has the valuations of diag(p^{-v_i}) U A2, and the second
+pass eliminates the carried rows scaled by p^{d1 - v_i}, shifting the result
+by e1 - e2 - c - d1.  The same elimination over Fractions, on B1^-1 B2
+itself, is kept in the tests as the independent route the integer one is
+held to.
 
 The depth-d window p^d L0 <= L <= L0 is walked as column-style Hermite
 normal forms H: integer lower triangular, diagonals p^{a_i} with
@@ -71,9 +83,8 @@ p^(nu_j - m),
 
 so inv(L, nu(p) L0) is the valuations of the integer matrix X D shifted by
 m - lo - d.  One column scaling and one Smith elimination per lattice, and
-the elimination stops at the first valuation that differs from mu's.
-inv_pair and _inv keep the adjugate route above; the tests hold the oracle's
-counts to it.  The Hecke side computes the same coefficient through the
+the elimination stops at the first valuation that differs from mu's.  The
+tests hold the oracle's counts to inv_pair's two-pass route.  The Hecke side computes the same coefficient through the
 Satake transform; the two routes share no code, which is what makes the
 agreement a real check.
 """
@@ -201,24 +212,30 @@ def _val_int(x, p):
     return v
 
 
-def _smith_steps(mat, p):
-    """Yield the valuations at p of the elementary divisors of a nonsingular integer matrix.
+def _smith_steps(mat, p, k):
+    """Yield (v, rest) for each pivot of the elimination of an integer matrix, working mod p^k.
 
-    In weakly increasing order, one per pivot: the pivot is an entry of least
-    valuation v, and clearing its row and column leaves every other entry in
-    p^v Z_(p).  Rows are scaled only by p-units, so every step stays in Z and
-    is invertible over Z_(p).
+    The v are the valuations at p of the elementary divisors, weakly
+    increasing: exact below k, and k once what is left is zero mod p^k.  The
+    pivot is an entry of least valuation and rest is the rest of its row, as
+    the earlier steps left it; clearing the pivot's row and column leaves
+    every other entry in p^v Z_(p).  Rows are scaled only by p-units, so
+    every step is invertible over Z_(p), and each row is reduced mod p^k as
+    it is updated, so no entry grows past the input's and p^k.
     """
+    q, v = p**k, 0
     m = [list(row) for row in mat]
     while m:
-        best = None
+        best = (k, 0, 0)  # an entry in p^k Z counts as valuation k
         for i, row in enumerate(m):
             for j, x in enumerate(row):
                 if x:
-                    v = _val_int(x, p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        v, pi, pj = best  # nonsingular, so some entry is nonzero
+                    w = _val_int(x, p)
+                    if w < best[0]:
+                        best = (w, i, j)
+            if best[0] == v:  # the last pivot's valuation is a floor: nothing left is smaller
+                break
+        v, pi, pj = best
         prow = m.pop(pi)
         pivot = prow.pop(pj)
         unit, scale = pivot // p**v, p**v
@@ -226,13 +243,13 @@ def _smith_steps(mat, p):
             x = row.pop(pj)
             if x:
                 f = x // scale
-                row[:] = [unit * a - f * b for a, b in zip(row, prow)]
-        yield v
+                row[:] = [(unit * a - f * b) % q for a, b in zip(row, prow)]
+        yield v, prow
 
 
-def _int_smith(mat, p):
-    """Valuations at p of the elementary divisors of a nonsingular integer matrix, weakly decreasing."""
-    return tuple(reversed(list(_smith_steps(mat, p))))
+def _int_smith(mat, p, k):
+    """The valuations of _smith_steps(mat, p, k), weakly decreasing."""
+    return tuple(reversed([v for v, _ in _smith_steps(mat, p, k)]))
 
 
 def smith_invariants(mat, p):
@@ -251,10 +268,11 @@ def smith_invariants(mat, p):
         raise ValueError("smith_invariants wants a square matrix")
     d = math.lcm(*(x.denominator for row in rows for x in row))
     ints = [[int(x * d) for x in row] for row in rows]
-    if _det_int(ints) == 0:
+    det = _det_int(ints)
+    if det == 0:
         raise ValueError("smith_invariants wants a nonsingular matrix")
     shift = _val_int(d, p)
-    return tuple(v - shift for v in _int_smith(ints, p))
+    return tuple(v - shift for v in _int_smith(ints, p, _val_int(det, p) + 1))
 
 
 def _det_int(mat):
@@ -278,19 +296,15 @@ def _det_int(mat):
 
 def _inv(p, a1, e1, a2, e2):
     """inv of the lattices p^-e1 A1 and p^-e2 A2, for nonsingular integer A1, A2."""
-    idx = range(len(a1))
-    adj = [
-        [
-            (-1) ** (i + j)
-            * _det_int([[a1[r][c] for c in idx if c != i] for r in idx if r != j])
-            for j in idx
-        ]
-        for i in idx
-    ]
-    det = sum(a1[0][k] * adj[k][0] for k in idx)
-    prod = [[sum(adj[i][k] * a2[k][j] for k in idx) for j in idx] for i in idx]
-    shift = e1 - e2 - _val_int(det, p)
-    return tuple(v + shift for v in _int_smith(prod, p))
+    n = len(a1)
+    d1, d2 = _val_int(_det_int(a1), p), _val_int(_det_int(a2), p)
+    c = d1 + 1
+    # the valuations of the second pass are at most c + d2 + (n - 1) d1
+    k = c + d2 + n * d1 + 1
+    # every pivot lands in the A1 block, so each rest ends with a row of U p^c A2
+    first = _smith_steps([list(r1) + [x * p**c for x in r2] for r1, r2 in zip(a1, a2)], p, k)
+    carried = [[x * p ** (d1 - v) for x in rest[-n:]] for v, rest in first]
+    return tuple(v + e1 - e2 - c - d1 for v in _int_smith(carried, p, k))
 
 
 def inv_pair(l1, l2):
@@ -350,7 +364,8 @@ def _shapes(p, n, depth):
         shapes.update(_hnf_rows(p, depth, diag))
     cells = {}
     for h in shapes:
-        cells.setdefault(_int_smith(h, p), []).append(h)
+        # p^depth H^-1 is integral, so no valuation of H passes depth
+        cells.setdefault(_int_smith(h, p, depth + 1), []).append(h)
     return shapes, {key: tuple(group) for key, group in cells.items()}
 
 
@@ -453,11 +468,13 @@ def convolution_oracle(lam, mu, nu, p):
     m = min(nu)
     scale = [p ** (x - m) for x in nu]
     want = [x + lo + depth - m for x in reversed(mu)]
+    # a valuation past max(want) is a mismatch already; k >= 1 keeps p^k an int
+    k = max(1, max(want) + 1)
     count = 0
     for h in cells.get(tuple(x - lo for x in lam), ()):
         # the valuations come smallest first: stop at the first that differs
-        steps = _smith_steps([[x * s for x, s in zip(row, scale)] for row in shapes[h]], p)
-        if all(v == w for v, w in zip(steps, want)):
+        steps = _smith_steps([[x * s for x, s in zip(row, scale)] for row in shapes[h]], p, k)
+        if all(v == w for (v, _), w in zip(steps, want)):
             count += 1
     return count
 

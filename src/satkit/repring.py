@@ -21,7 +21,7 @@ that symfunc refuses to enumerate past its cap of 500,000.
 """
 
 from .laurent import LaurentScalar
-from .rootdata import _is_dominant, check_weight, dual_weight
+from .rootdata import check_weight, dual_weight
 from .symfunc import (
     _MAX_PATTERNS,
     Combination,
@@ -46,9 +46,7 @@ class RepElement(Combination):
 
 
 def irreducible(mu):
-    mu = check_weight(mu)
-    if not _is_dominant(mu):
-        raise ValueError(f"highest weight must be dominant: {mu}")
+    mu = _highest_weight(mu)
     return RepElement._from_canonical(len(mu), {mu: LaurentScalar.one()})
 
 

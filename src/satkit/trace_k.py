@@ -20,7 +20,7 @@ finite order m with sigma^m = 1 enforced at construction.
 
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension
-from .rootdata import _det, _mat_identity, _mat_mul, check_weight, is_dominant
+from .rootdata import _det, _mat_identity, _mat_mul, check_weight
 from .symfunc import SymPoly, _scalars, _to_monomial
 
 
@@ -114,9 +114,6 @@ def s_pairing(mu):
     >>> s_pairing((1, 0))
     LaurentScalar('2')
     """
-    mu = check_weight(mu)
-    if not is_dominant(mu):
-        raise ValueError(f"highest weight must be dominant: {mu}")
     return LaurentScalar.from_int(dimension(mu))
 
 

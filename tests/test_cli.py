@@ -225,6 +225,19 @@ GOLDEN = [
         2,
         """{"error":"--a: matrix entry '1e99999' is not a rational number"}""",
     ),
+    # an integer past int()'s string limit, or nesting past the recursion limit, is a malformed payload
+    # (they ended in exit 1 with Python's own text, and in a RecursionError traceback)
+    (
+        ["conv", "--n", "2", "--a", '{"(1,0)":' + "1" * 5000 + "}", "--b", '{"(1,0)":1}'],
+        2,
+        '{"error":"--a: invalid JSON (an integer has more digits than int() accepts)"}',
+    ),
+    (
+        ["inv", "--a", '{"p":2,"basis":[[1,0],[0,1]]}', "--b", '{"p":2,"basis":[[' + "1" * 5000 + ",0],[0,1]]}"],
+        2,
+        '{"error":"--b: invalid JSON (an integer has more digits than int() accepts)"}',
+    ),
+    (["tensor", "--n", "2", "--a", "[" * 10000, "--b", "{}"], 2, '{"error":"--a: invalid JSON (nested too deeply)"}'),
     # lattice windows are admitted by their size, not their rank
     (["count", "--mu", "1,1,0,0", "--p", "3"], 0, "130"),
     (
@@ -384,6 +397,36 @@ def test_lattice_entries_are_bounded_by_the_int_string_limit():
         lattice = json.dumps({"p": 2, "basis": [[entry, "0"], ["0", "1"]]})
         code, text = _main_in_process(["inv", "--a", lattice, "--b", identity])
         assert code == 2 and json.loads(text)["error"].endswith("is not a rational number"), entry
+
+
+def _band_basis(n, shift):
+    # one-digit entries on the five central diagonals
+    return [[((i + shift) * 7 + j * 13 + i * j) % 19 - 9 if abs(i - j) <= 2 else 0 for j in range(n)] for i in range(n)]
+
+
+def _wide_basis(n, shift):
+    # 1000-digit entries: the leading digits of powers of 3
+    return [[str(3 ** (2100 + 37 * i + 11 * j + shift))[:1000] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        (_band_basis(30, 0), _band_basis(30, 1), [1] * 4 + [0] * 21 + [-1] * 4 + [-2]),
+        (_wide_basis(10, 1), _wide_basis(10, 2), [2] + [0] * 7 + [-1, -2]),
+    ],
+    ids=["rank-30-band", "rank-10-1000-digits"],
+)
+def test_inv_answers_large_bases_quickly(a, b, expected):
+    # expected frozen from the Fraction route of tests/test_plattice.py
+    lattices = [json.dumps({"p": 2, "basis": rows}) for rows in (a, b)]
+    out = subprocess.run(
+        [sys.executable, "-m", "satkit.cli", "inv", "--a", lattices[0], "--b", lattices[1]],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert (out.returncode, json.loads(out.stdout), out.stderr) == (0, expected, "")
 
 
 def test_cost_caps_admit_h_op_15():
@@ -557,6 +600,9 @@ def _argvs(draw):
 @example(argv=["count", "--mu", "1,0,0,0,0,0,0,0,0,0,0,0", "--p", "3"])
 @example(argv=["satake", "--n", "8", "--h", '{"(7,6,5,4,3,2,1,0)":1}'])
 @example(argv=["inv", "--a", '{"p":2,"basis":[["1e99999","0"],["0","1"]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'])
+@example(argv=["inv", "--a", '{"p":2,"basis":[[' + "1" * 5000 + ',0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'])
+@example(argv=["satake", "--n", "2", "--h", '{"(1,0)":' + "1" * 5000 + "}"])
+@example(argv=["s-op", "--n", "2", "--r", "[" * 10000])
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 def test_fuzz_every_request_ends_in_one_json_line(argv, u3_config):
     argv = [u3_config if a == "U3_CONFIG" else a for a in argv]

@@ -226,6 +226,30 @@ def test_integer_inv_pair_matches_fraction_route_on_random_lattices(pair):
 
 
 @st.composite
+def deep_lattice_pairs(draw):
+    """Two random lattices of rank 1..8, entries carrying factors p^0..p^6, exponents e in 0..3."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = st.builds(
+        lambda x, j: x * p**j, st.integers(min_value=-9, max_value=9), st.integers(min_value=0, max_value=6)
+    )
+    pair = []
+    for _ in range(2):
+        rows = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+        assume(plattice._det_int(rows) != 0)
+        den = p ** draw(st.integers(min_value=0, max_value=3))
+        pair.append(PLattice(p, tuple(tuple(Fraction(x, den) for x in row) for row in rows)))
+    return pair
+
+
+@given(deep_lattice_pairs())
+def test_inv_pair_matches_fraction_route_at_rank_up_to_8(pair):
+    # the valuations reach past p^6, so a modulus p^k too small for them would show
+    a, b = pair
+    assert inv_pair(a, b) == fraction_inv_pair(a, b)
+
+
+@st.composite
 def rational_matrices(draw):
     """A nonsingular rational matrix of rank 1..4, denominators not only powers of p."""
     p = draw(st.sampled_from((2, 3)))
@@ -360,7 +384,7 @@ for p in (2, 3):
                 total += within(plattice.convolution_oracle, a, b, nu, p)
 oracle = (total, calls["det"], calls["inv"])
 std = plattice.PLattice.standard(3, 2)
-within(plattice.inv_pair, std, std)  # the counters do see the adjugate route
+within(plattice.inv_pair, std, std)  # the counters do see inv_pair's determinants
 print(*oracle, calls["det"], calls["inv"])
 """
 
@@ -478,7 +502,7 @@ def _dominant_box(n, lo, hi):
     "p, n, depth", [(p, n, d) for p in (2, 3) for n in (1, 2, 3) for d in (0, 1, 2)] + [(2, 4, 1), (3, 4, 1)]
 )
 def test_oracle_counts_match_adjugate_route(p, n, depth):
-    # the oracle reads inv(L, nu(p) L0) off X D_nu; _inv takes the adjugate of each shape H
+    # the oracle reads inv(L, nu(p) L0) off X D_nu; _inv eliminates [H | p^c nu(p)] in two passes
     cells = _shapes(p, n, depth)[1]
     for nu in _dominant_box(n, 0, depth):
         target = PLattice.from_coweight(nu, p)
