@@ -19,30 +19,51 @@ is exact.
 
 The transforms run in the Schur basis, on term dicts {weight: {v-exponent:
 coeff}} of plain ints (or Fractions): _satake_terms reads the cached
-symfunc._hl_schur, _inverse_satake_terms eliminates in place, and convolve
-multiplies by symfunc._schur_product, the Brauer-Klimyk product that
-repring.tensor uses.  The monomial basis is met only at the boundary:
-satake and normalized_satake convert their result by symfunc._to_monomial
-and inverse_satake its argument by symfunc._to_schur, and each public
-function builds one LaurentScalar per output term.
+Hall-Littlewood expansions of symfunc._hl_terms, _inverse_satake_terms
+eliminates in place, and the product of two transforms is
+symfunc._schur_product, the Brauer-Klimyk product that repring.tensor
+uses.  The monomial basis is met only at the boundary: satake and
+normalized_satake convert their result by symfunc._to_monomial and
+inverse_satake its argument by symfunc._to_schur, and each public function
+builds one LaurentScalar per output term.
+
+convolve multiplies by a table, as SymPoly does by its orbit products and
+RepElement by Brauer-Klimyk.  T_(1,...,1) is central and invertible:
+P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu and <2rho, (1,...,1)> = 0, so the
+twist v^<2rho,mu> does not move either, and T_{lam + k(1,...,1)} *
+T_{mu + l(1,...,1)} is T_lam * T_mu with every coweight moved by
+(k + l)(1,...,1) and every coefficient unchanged (Macdonald, Symmetric
+Functions and Hall Polynomials, III.2 and V.2).  _structure_constants
+computes T_lam * T_mu by the transforms once per unordered pair of cores,
+lam - lam_n(1,...,1) and mu - mu_n(1,...,1), and convolve is the bilinear
+sum of its entries, each moved by (lam_n + mu_n)(1,...,1).
 
 An independent check of all of this against brute-force lattice counting
 lives in plattice.convolution_oracle; the two routes share no code.
 
 >>> convolve(basis((1, 0)), basis((1, 0)))
 HeckeElement(n=2, T[2,0] + (1+v^2)*T[1,1])
+>>> convolve(basis((2, 1)), basis((2, 1)))  # the same table entry, moved by 2(1, 1)
+HeckeElement(n=2, T[4,2] + (1+v^2)*T[3,3])
 """
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
-from .laurent import LaurentScalar
+from .laurent import LaurentScalar, _mul_into
 from .rootdata import _is_dominant, _two_rho_pairing, check_weight
 from .symfunc import (
+    _MAX_PATTERNS,
     Combination,
     SymPoly,
     _add_terms,
+    _central,
+    _check_expansion,
+    _check_patterns,
     _coeffs,
-    _hl_schur,
+    _hl_terms,
+    _moved,
     _scalars,
     _schur_product,
     _to_monomial,
@@ -99,13 +120,45 @@ def inverse_satake(f):
 
 
 def convolve(a, b):
-    """Convolution product: the Schur-basis product of the transforms, pulled back."""
+    """Convolution product: sum over pairs of terms of c_lam c_mu T_lam * T_mu, from the table.
+
+    T_lam * T_mu is the table's product of the cores with every coweight
+    moved by (lam_n + mu_n)(1, ..., 1).  Before any work, every coweight is
+    checked under its own name in the order the transform route meets it:
+    the Hall-Littlewood cap on a's terms, then b's; the Gelfand-Tsetlin cap
+    as the Schur-basis product pairs them, a's first term, b's terms, then
+    the rest of a's.
+    """
     if not isinstance(a, HeckeElement) or not isinstance(b, HeckeElement):
         raise ValueError("convolve wants two HeckeElements")
     a._check_rank(b)
-    fa = _satake_terms(_coeffs(a.terms), True)
-    fb = _satake_terms(_coeffs(b.terms), True)
-    return HeckeElement._from_canonical(a.n, _scalars(_inverse_satake_terms(_schur_product(fa, fb))))
+    for mu in itertools.chain(a.terms, b.terms):
+        _check_expansion(mu)
+    terms = list(a.terms)
+    for mu in itertools.chain(terms[:1], b.terms, terms[1:]):
+        _check_patterns(mu, _MAX_PATTERNS)
+    out = {}
+    for lam, ca in a.terms.items():
+        lam, k = _central(lam)
+        for mu, cb in b.terms.items():
+            mu, l = _central(mu)
+            table = _structure_constants(lam, mu) if lam <= mu else _structure_constants(mu, lam)
+            if k + l:
+                table = {_moved(nu, k + l): c for nu, c in table.items()}
+            _add_terms(out, table, _mul_into({}, ca.coeffs, cb.coeffs))
+    return HeckeElement._from_canonical(a.n, _scalars(out))
+
+
+@lru_cache(maxsize=None)
+def _structure_constants(lam, mu):
+    """T_lam * T_mu as {nu: coefficient dict}, by the transforms; cached, read only.
+
+    convolve asks for cores only, each unordered pair once: the Schur-basis
+    product of the two Satake transforms, pulled back by elimination.
+    """
+    fa = _satake_terms({lam: {0: 1}}, True)
+    fb = _satake_terms({mu: {0: 1}}, True)
+    return _inverse_satake_terms(_schur_product(fa, fb))
 
 
 # -- the transforms on {weight: coefficient dict} ------------------------
@@ -118,7 +171,7 @@ def _satake_terms(terms, twisted):
         if twisted:
             s = _two_rho_pairing(mu)
             c = {k + s: x for k, x in c.items()}
-        _add_terms(out, _hl_schur(mu), c)
+        _add_terms(out, _hl_terms(mu), c)
     return out
 
 
@@ -133,7 +186,7 @@ def _inverse_satake_terms(rest):
         c = rest[mu]
         s = _two_rho_pairing(mu)
         out[mu] = {k - s: x for k, x in c.items()}
-        _add_terms(rest, _hl_schur(mu), {k: -x for k, x in c.items()})
+        _add_terms(rest, _hl_terms(mu), {k: -x for k, x in c.items()})
     return out
 
 

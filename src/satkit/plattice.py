@@ -10,7 +10,10 @@ the least e >= 0.  Rationals are converted once, by the public constructor
 (which the CLI's inv verb and from_json go through); the basis property
 turns (A, e) back into Fraction rows for to_json and repr.  Equality and
 hashing are those of (p, A, e), i.e. of the basis matrix; two bases span
-the same lattice iff inv_pair between them is zero.
+the same lattice iff inv_pair between them is zero.  The constructor also
+keeps v_p(det A) from its singularity check, for inv_pair; a lattice built
+by the trusted constructor (window enumeration, scaling) computes it only
+when inv_pair first asks.
 
 The pair invariant is computed the only way it can be: for lattices L1, L2
 with basis matrices B1, B2, the relative position inv_pair(L1, L2) is the
@@ -117,7 +120,7 @@ def _check_p(p):
 class PLattice:
     """The lattice spanned by the columns of p^-e A, for A a nonsingular integer matrix."""
 
-    __slots__ = ("p", "a", "e")
+    __slots__ = ("p", "a", "e", "_d")
 
     def __init__(self, p, basis):
         p = _check_p(p)
@@ -135,9 +138,10 @@ class PLattice:
         # p-power denominators: the largest is a multiple of all the others
         den = max(x.denominator for row in rows for x in row)
         a = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
-        if _det_int(a) == 0:
+        det = _det_int(a)
+        if det == 0:
             raise ValueError("matrix is singular")
-        self.p, self.a, self.e = p, a, _val_int(den, p)
+        self.p, self.a, self.e, self._d = p, a, _val_int(den, p), _val_int(det, p)
 
     @classmethod
     def _trusted(cls, p, a, e):
@@ -147,8 +151,14 @@ class PLattice:
         while e and all(x % p == 0 for row in a for x in row):
             a, e = tuple(tuple(x // p for x in row) for row in a), e - 1
         out = object.__new__(cls)
-        out.p, out.a, out.e = p, a, e
+        out.p, out.a, out.e, out._d = p, a, e, None
         return out
+
+    def _det_val(self):
+        """v_p(det A): kept by the constructor, which needs det A anyway; else computed once, here."""
+        if self._d is None:
+            self._d = _val_int(_det_int(self.a), self.p)
+        return self._d
 
     @property
     def n(self):
@@ -294,10 +304,10 @@ def _det_int(mat):
     return sign * m[-1][-1] if n else 1
 
 
-def _inv(p, a1, e1, a2, e2):
-    """inv of the lattices p^-e1 A1 and p^-e2 A2, for nonsingular integer A1, A2."""
-    n = len(a1)
-    d1, d2 = _val_int(_det_int(a1), p), _val_int(_det_int(a2), p)
+def _inv(l1, l2):
+    """inv of the lattices p^-e1 A1 and p^-e2 A2 of one prime and rank."""
+    p, n, a1, e1, a2, e2 = l1.p, l1.n, l1.a, l1.e, l2.a, l2.e
+    d1, d2 = l1._det_val(), l2._det_val()
     c = d1 + 1
     # the valuations of the second pass are at most c + d2 + (n - 1) d1
     k = c + d2 + n * d1 + 1
@@ -315,7 +325,7 @@ def inv_pair(l1, l2):
         raise ValueError(f"prime mismatch: {l1.p} vs {l2.p}")
     if l1.n != l2.n:
         raise ValueError(f"rank mismatch: {l1.n} vs {l2.n}")
-    return _inv(l1.p, l1.a, l1.e, l2.a, l2.e)
+    return _inv(l1, l2)
 
 
 def _hnf_rows(p, depth, diag):

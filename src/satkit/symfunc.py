@@ -17,12 +17,20 @@ the monomial basis is met only at the public boundary.  The pieces:
   always stripping the lexicographically maximal key; lex order refines
   dominance for equal totals and distinct totals never interact, so the
   unitriangular table makes the loop end with the exact expansion;
+- _central: mu = core + mu_n(1, ..., 1), the core's last entry 0.  Since
+  V_{mu + k(1,...,1)} = V_mu (x) det^k and P_{mu + k(1,...,1)} =
+  (x_1...x_n)^k P_mu, the weights of V_mu, V_a (x) V_b and P_mu move with
+  the central shift and their coefficients do not, so the kernels below are
+  cached on cores: every central shift of a weight shares one entry, and
+  _weights, _tensor_terms and _hl_terms move the keys back.  Each checks
+  its cap on the caller's own weight first, so a refusal names it;
 - _schur_product: s_a s_b by Brauer-Klimyk (_tensor_irreducibles, cached
-  per pair), V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) -
-  rho}, the Weyl straightening a_beta / a_rho = +-s_{sort(beta) - rho} of
-  _straighten on plain ints; repring.tensor and hecke.convolve both use it;
+  per unordered pair of cores), V_a (x) V_b = sum_{w in wt(V_b)} sign *
+  V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
+  +-s_{sort(beta) - rho} of _straighten on plain ints; repring.tensor and
+  hecke's structure-constant table both use it;
 - _hl_schur(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
-  hard-wired, cached per mu.  Macdonald's
+  hard-wired, cached per core.  Macdonald's
 
       P_mu = sum_{w in S_n / S_mu} w(x^mu prod_{mu_i > mu_j} (x_i - t x_j) / (x_i - x_j))
 
@@ -33,8 +41,7 @@ the monomial basis is met only at the public boundary.  The pieces:
   a_f / a_rho for f = x^{mu + rho_B} prod_{mu_i > mu_j} (x_i - t x_j), with
   rho_B = (m-1, ..., 1, 0) on each block of m equal entries and a_f the
   alternant of f.  Each monomial x^beta of f straightens to +-s or 0, all on
-  ints; straightening holds for Laurent monomials, so negative entries need
-  no central shift.
+  ints.
 
 The public schur, hall_littlewood and expand_in_schur are these kernels
 with validation and LaurentScalar wrapping.  SymPoly * SymPoly is the one
@@ -336,7 +343,7 @@ def _mul_terms(p, q):
 
 def _schur_product(p, q):
     """The product of two term dicts in the Schur basis, by Brauer-Klimyk."""
-    return _bilinear(p, q, _tensor_irreducibles)
+    return _bilinear(p, q, _tensor_terms)
 
 
 def monomial(mu):
@@ -387,10 +394,12 @@ def _schur_weights_nonneg(lam):
 _MAX_PATTERNS = 500_000  # refused before any work: about 1 s of enumeration on a 2-core host
 
 
+@lru_cache(maxsize=None)
 def _weyl_dimension(mu):
     """dim V_mu for a dominant mu by the Weyl product formula: its number of Gelfand-Tsetlin patterns.
 
-    dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i), an exact integer.
+    dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i), an exact integer;
+    cached, since the pattern cap is checked on every product of two weights.
     """
     n = len(mu)
     num = den = 1
@@ -412,19 +421,36 @@ def _check_patterns(mu, cap, patterns=None):
         raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {cap}")
 
 
+def _central(mu):
+    """(mu - k(1, ..., 1), k) with k = mu_n: mu's core, whose last entry is 0, and its central shift.
+
+    V_{mu + k(1,...,1)} = V_mu (x) det^k and P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu,
+    so every weight of a pattern table, a Brauer-Klimyk product or a
+    Hall-Littlewood expansion moves by k(1, ..., 1) and no coefficient
+    changes: the cached kernels take cores, and their callers move the keys.
+    """
+    k = mu[-1]
+    return (tuple([x - k for x in mu]), k) if k else (mu, 0)
+
+
+def _moved(w, k):
+    """w + k(1, ..., 1)."""
+    return tuple([x + k for x in w])
+
+
 @lru_cache(maxsize=None)
 def _weights(mu):
-    """weight_multiset for a checked dominant mu: the core's patterns, shifted back; cached.
+    """weight_multiset for a checked dominant mu: the core's patterns, moved back; cached.
 
     Every Gelfand-Tsetlin enumeration passes here, and mu is refused past
     _MAX_PATTERNS before any of it; the check runs once per weight.
     """
     _check_patterns(mu, _MAX_PATTERNS)
-    shift = max(0, -min(mu))
-    pairs = _schur_weights_nonneg(tuple(x + shift for x in mu))
-    if shift == 0:
+    core, k = _central(mu)
+    pairs = _schur_weights_nonneg(core)
+    if k == 0:
         return pairs
-    return tuple((tuple(x - shift for x in w), m) for w, m in pairs)
+    return tuple((_moved(w, k), m) for w, m in pairs)
 
 
 def _highest_weight(mu):
@@ -509,9 +535,24 @@ def _straighten(beta):
     return sign, tuple(sorted(beta, reverse=True))
 
 
+def _tensor_terms(a, b):
+    """V_a (x) V_b as ((highest weight, nonzero int), ...): the cores' cached product, moved.
+
+    a, then b, is refused past _MAX_PATTERNS before any work, under its own
+    name; the product of the cores is cached once for both orders.
+    """
+    _check_patterns(a, _MAX_PATTERNS)
+    _check_patterns(b, _MAX_PATTERNS)
+    (a, k), (b, l) = _central(a), _central(b)
+    table = _tensor_irreducibles(a, b) if a <= b else _tensor_irreducibles(b, a)
+    if k + l == 0:
+        return table
+    return tuple((_moved(lam, k + l), c) for lam, c in table)
+
+
 @lru_cache(maxsize=None)
 def _tensor_irreducibles(a, b):
-    """V_a (x) V_b as ((highest weight, nonzero int), ...), by Brauer-Klimyk; cached."""
+    """V_a (x) V_b as ((highest weight, nonzero int), ...), by Brauer-Klimyk; cached per pair of cores."""
     weights_a, weights_b = _weights(a), _weights(b)
     if len(weights_a) < len(weights_b):
         a, weights_b = b, weights_a
@@ -532,20 +573,42 @@ def _tensor_irreducibles(a, b):
 _MAX_HL_ENTRIES = 1 << 22
 
 
+def _check_expansion(mu):
+    """Refuse P_mu when its expansion, 2^pairs terms of n entries, passes _MAX_HL_ENTRIES entries."""
+    n = len(mu)
+    pairs = n * (n - 1) // 2
+    if n << min(pairs, 64) <= _MAX_HL_ENTRIES:  # even with all entries distinct: every rank <= 6
+        return
+    pairs -= sum(m * (m - 1) // 2 for m in Counter(mu).values())
+    if n << min(pairs, 64) > _MAX_HL_ENTRIES:
+        raise ValueError(f"P_{mu} expands to 2^{pairs} terms of {n} entries, over the cap of {_MAX_HL_ENTRIES} entries")
+
+
+def _hl_terms(mu):
+    """P_mu in the Schur basis for dominant mu, as {lam: coefficient dict}, read only.
+
+    mu is refused past _MAX_HL_ENTRIES before any work, under its own name;
+    the expansion is that of mu's core, cached, with its keys moved.
+    """
+    _check_expansion(mu)
+    core, k = _central(mu)
+    table = _hl_schur(core)
+    if k == 0:
+        return table
+    return {_moved(lam, k): c for lam, c in table.items()}
+
+
 @lru_cache(maxsize=None)
 def _hl_schur(mu):
-    """P_mu in the Schur basis for dominant mu, as {lam: coefficient dict}; cached, read only.
+    """P_mu in the Schur basis for a checked dominant core mu; cached, read only (see _hl_terms).
 
     Expands x^{mu + rho_B} prod_{mu_i > mu_j} (x_i - t x_j) as
     {(beta, deg_t): int} and straightens each a_beta / a_rho into a Schur
     coefficient in Z[t], t^k = v^-2k.  The product has a factor per pair
-    mu_i > mu_j, so up to 2^pairs terms of n entries: refused past
-    _MAX_HL_ENTRIES before any expansion.
+    mu_i > mu_j, so up to 2^pairs terms of n entries: _check_expansion
+    bounds it.
     """
     n = len(mu)
-    pairs = n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in Counter(mu).values())
-    if n << min(pairs, 64) > _MAX_HL_ENTRIES:
-        raise ValueError(f"P_{mu} expands to 2^{pairs} terms of {n} entries, over the cap of {_MAX_HL_ENTRIES} entries")
     start = tuple(x + mu[i + 1:].count(x) for i, x in enumerate(mu))  # mu + rho_B
     poly = {(start, 0): 1}
     for i in range(n):
@@ -575,7 +638,7 @@ def hall_littlewood(mu):
     is strictly dominance-smaller, with coefficients in Z[v^-2].
     """
     mu = _highest_weight(mu)
-    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial(_hl_schur(mu))))
+    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial(_hl_terms(mu))))
 
 
 if __name__ == "__main__":

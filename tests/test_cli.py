@@ -219,6 +219,28 @@ GOLDEN = [
         1,
         '{"error":"P_(7, 6, 5, 4, 3, 2, 1, 0) expands to 2^28 terms of 8 entries, over the cap of 4194304 entries"}',
     ),
+    # the kernels are cached on the core mu - mu_n(1, ..., 1), but each cap names the weight asked for
+    (
+        ["satake", "--n", "8", "--h", '{"(8,7,6,5,4,3,2,1)":1}'],
+        1,
+        '{"error":"P_(8, 7, 6, 5, 4, 3, 2, 1) expands to 2^28 terms of 8 entries, over the cap of 4194304 entries"}',
+    ),
+    (
+        ["tensor", "--n", "3", "--a", '{"(800,400,1)":1}', "--b", '{"(1,1,1)":1}'],
+        1,
+        '{"error":"V_(800, 400, 1) has 64240200 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    (
+        ["conv", "--n", "3", "--a", '{"(1001,1,1)":1}', "--b", '{"(1,1,1)":1}'],
+        1,
+        '{"error":"V_(1001, 1, 1) has 501501 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    # several weights over the cap: the one the Schur-basis product meets first, a's first term then b's terms
+    (
+        ["conv", "--n", "3", "--a", '{"(1,0,0)":1,"(1000,0,0)":1}', "--b", '{"(2,1,0)":1,"(1002,1,0)":1}'],
+        1,
+        '{"error":"V_(1002, 1, 0) has 1006008 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
     # an exponent past the int-string limit is refused before Fraction expands it (it ran past 40 s)
     (
         ["inv", "--a", '{"p":2,"basis":[["1e99999","0"],["0","1"]]}', "--b", '{"p":2,"basis":[["1","0"],["0","1"]]}'],

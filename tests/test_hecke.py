@@ -1,15 +1,19 @@
 """Spherical Hecke algebra: transform, convolution, specialization."""
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_repring import _character_route
 from test_symfunc import _sympoly_mul_all_pairs
 
 from satkit.hecke import (
     HeckeElement,
+    _structure_constants,
     basis,
     convolve,
     inverse_satake,
@@ -18,6 +22,7 @@ from satkit.hecke import (
     specialize_v,
 )
 from satkit.laurent import LaurentScalar, parse_scalar
+from satkit.repring import irreducible, tensor
 from satkit.rootdata import dominance_leq, is_dominant, two_rho_pairing
 from satkit.symfunc import SymPoly, _add_into, hall_littlewood, monomial
 
@@ -172,6 +177,54 @@ def test_convolution_identity_element():
 @settings(max_examples=40, deadline=None)
 def test_convolution_commutes(a, b):
     assert convolve(a, b) == convolve(b, a)
+
+
+def test_structure_constants_commute_before_the_cache():
+    # convolve reads the table on the sorted pair of cores, so the test above compares one
+    # entry with itself; here the product is computed in both orders
+    compute = _structure_constants.__wrapped__
+    for n, hi in ((3, 2), (4, 1)):
+        for lam, mu in _pairs(_doms(n, hi=hi)):
+            assert compute(lam, mu) == compute(mu, lam), (lam, mu)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_central_shifts_match_independent_routes(data):
+    # all central shifts of a pair share one table entry and one Brauer-Klimyk entry, so the
+    # shifted products are held to routes that work on the shifted weights themselves
+    n = data.draw(st.sampled_from([2, 3]))
+    a, b = (data.draw(st.sampled_from(_doms(n, hi=3))) for _ in range(2))
+    k, l = (data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(2))
+    a, b = tuple(x + k for x in a), tuple(x + l for x in b)
+    assert convolve(basis(a), basis(b)) == _convolve_scalars(basis(a), basis(b))
+    ra, rb = irreducible(a), irreducible(b)
+    assert tensor(ra, rb).terms == _character_route(ra, rb)
+
+
+# In a fresh interpreter: every unordered pair of the hecke-convolve benchmark boxes.
+_TABLE_RUN = """
+import itertools
+from satkit import hecke, symfunc
+
+for n, hi in ((2, 6), (3, 4), (4, 2)):
+    box = [w for w in itertools.product(range(hi, -1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
+    for i, a in enumerate(box):
+        for b in box[i:]:
+            hecke.convolve(hecke.basis(a), hecke.basis(b))
+print(*(f.cache_info().misses for f in (hecke._structure_constants, symfunc._hl_schur, symfunc._tensor_irreducibles)))
+"""
+
+
+def test_table_computes_each_pair_of_cores_once():
+    # op counts, machine-independent: the 1,156 products need 203 products of cores; the Satake
+    # route run on every pair took 326 Hall-Littlewood expansions and 1,386 Brauer-Klimyk products
+    run = subprocess.run([sys.executable, "-c", _TABLE_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    pairs = [p for n, hi in ((2, 6), (3, 4), (4, 2)) for p in _pairs(_doms(n, hi=hi))]
+    cores = {tuple(sorted(tuple(x - w[-1] for x in w) for w in pair)) for pair in pairs}
+    assert (len(pairs), len(cores)) == (1156, 203)
+    assert tuple(map(int, run.stdout.split())) == (len(cores), 93, 203)
 
 
 @given(_elements(2), _elements(2), _elements(2))

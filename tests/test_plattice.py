@@ -249,6 +249,31 @@ def test_inv_pair_matches_fraction_route_at_rank_up_to_8(pair):
     assert inv_pair(a, b) == fraction_inv_pair(a, b)
 
 
+@given(deep_lattice_pairs(), st.integers(min_value=-2, max_value=2))
+def test_scaled_lattices_find_their_determinant_when_asked(pair, k):
+    # a lattice from the trusted constructor keeps no v_p(det A); inv_pair computes it
+    a, b = pair
+    assert inv_pair(a.scaled(k), b.scaled(k)) == inv_pair(a, b)
+
+
+def test_inv_pair_reuses_the_constructors_determinant(monkeypatch):
+    a = PLattice(3, ((9, 1, 0, 2), (0, 3, 1, 1), (5, 0, 27, 0), (1, 1, 1, 1)))
+    b = PLattice(3, ((1, 0, 0, 0), (0, Fraction(1, 3), 0, 0), (0, 0, 9, 3), (2, 0, 0, 1)))
+    std = PLattice.standard(2, 3)
+    calls = []
+    det = plattice._det_int
+    monkeypatch.setattr(plattice, "_det_int", lambda m: calls.append(len(m)) or det(m))
+    want = inv_pair(a, b)
+    assert calls == []
+    # window enumeration takes no determinant; a trusted lattice computes its own once, when inv_pair asks
+    lattice = enumerate_between(3, 2, 1)[-1]
+    scaled = a.scaled(0)
+    assert calls == []
+    assert [inv_pair(scaled, b), inv_pair(scaled, b)] == [want, want]
+    assert inv_pair(std, lattice) == fraction_inv_pair(std, lattice)
+    assert calls == [4, 2]
+
+
 @st.composite
 def rational_matrices(draw):
     """A nonsingular rational matrix of rank 1..4, denominators not only powers of p."""
@@ -383,8 +408,9 @@ for p in (2, 3):
             for nu in hecke.convolve(hecke.basis(a), hecke.basis(b)).support():
                 total += within(plattice.convolution_oracle, a, b, nu, p)
 oracle = (total, calls["det"], calls["inv"])
-std = plattice.PLattice.standard(3, 2)
-within(plattice.inv_pair, std, std)  # the counters do see inv_pair's determinants
+# the counters do see inv_pair's determinants: a trusted lattice has none kept
+std = plattice.PLattice.standard(3, 2).scaled(0)
+within(plattice.inv_pair, std, std)
 print(*oracle, calls["det"], calls["inv"])
 """
 
@@ -507,7 +533,7 @@ def test_oracle_counts_match_adjugate_route(p, n, depth):
     for nu in _dominant_box(n, 0, depth):
         target = PLattice.from_coweight(nu, p)
         for lam, group in cells.items():
-            counts = Counter(plattice._inv(p, h, 0, target.a, target.e) for h in group)
+            counts = Counter(plattice._inv(PLattice._trusted(p, h, 0), target) for h in group)
             # and again with lam's cell in a window below L0 (lo < 0), nu shifted alike
             c = lam[0]
             low, low_nu = tuple(x - c for x in lam), tuple(x - c for x in nu)
