@@ -34,9 +34,22 @@ twist v^<2rho,mu> does not move either, and T_{lam + k(1,...,1)} *
 T_{mu + l(1,...,1)} is T_lam * T_mu with every coweight moved by
 (k + l)(1,...,1) and every coefficient unchanged (Macdonald, Symmetric
 Functions and Hall Polynomials, III.2 and V.2).  _structure_constants
-computes T_lam * T_mu by the transforms once per unordered pair of cores,
-lam - lam_n(1,...,1) and mu - mu_n(1,...,1), and convolve is the bilinear
-sum of its entries, each moved by (lam_n + mu_n)(1,...,1).
+is keyed on unordered pairs of cores, lam - lam_n(1,...,1) and
+mu - mu_n(1,...,1), and convolve is the bilinear sum of its entries, each
+moved by (lam_n + mu_n)(1,...,1).
+
+The table is keyed on duality too.  g -> (g^T)^-1 preserves K and sends
+T_lam to T_lam*, lam* = -w0 lam = (-lam_n, ..., -lam_1), and <2rho, lam*> =
+<2rho, lam>; so T_lam* * T_mu* is T_lam * T_mu with every nu replaced by
+nu* and no coefficient changed.  On cores this reads: the dual core of a
+core mu is (mu_1 - mu_n, ..., mu_1 - mu_1), and the entry of the dual pair
+of cores is the entry with every nu moved to (s - nu_n, ..., s - nu_1),
+s = lam_1 + mu_1.  _structure_constants computes T_lam * T_mu by the
+transforms (_transform_product) once per orbit of a pair of cores under
+duality, and reads the other member off it.  A cap that refuses inside a
+product refuses inside its dual too, and then the product is computed
+directly, so that the refusal names a weight of the product of the cores
+asked for.
 
 An independent check of all of this against brute-force lattice counting
 lives in plattice.convolution_oracle; the two routes share no code.
@@ -45,6 +58,10 @@ lives in plattice.convolution_oracle; the two routes share no code.
 HeckeElement(n=2, T[2,0] + (1+v^2)*T[1,1])
 >>> convolve(basis((2, 1)), basis((2, 1)))  # the same table entry, moved by 2(1, 1)
 HeckeElement(n=2, T[4,2] + (1+v^2)*T[3,3])
+>>> convolve(basis((2, 0, 0)), basis((1, 1, 0)))
+HeckeElement(n=3, T[3,1,0] + (v^4)*T[2,1,1])
+>>> convolve(basis((2, 2, 0)), basis((1, 0, 0)))  # the dual pair: nu -> (3 - nu_3, 3 - nu_2, 3 - nu_1)
+HeckeElement(n=3, T[3,2,0] + (v^4)*T[2,2,1])
 """
 
 import itertools
@@ -62,6 +79,8 @@ from .symfunc import (
     _check_expansion,
     _check_patterns,
     _coeffs,
+    _dual_cores,
+    _dual_moved,
     _hl_terms,
     _moved,
     _scalars,
@@ -151,11 +170,28 @@ def convolve(a, b):
 
 @lru_cache(maxsize=None)
 def _structure_constants(lam, mu):
-    """T_lam * T_mu as {nu: coefficient dict}, by the transforms; cached, read only.
+    """T_lam * T_mu as {nu: coefficient dict} for cores lam <= mu; cached, read only.
 
-    convolve asks for cores only, each unordered pair once: the Schur-basis
-    product of the two Satake transforms, pulled back by elimination.
+    The entry of the smaller of (lam, mu) and its dual pair is computed by
+    _transform_product and the other is read off it, each nu moved to its
+    dual.  A cap that refuses a weight of the dual product would name that
+    weight; the same cap refuses the dual of it here, so the entry is then
+    computed directly and the refusal names a weight of this product.
     """
+    duals = _dual_cores(lam, mu)
+    if duals < (lam, mu):
+        try:
+            entry = _structure_constants(*duals)
+        except ValueError:
+            pass
+        else:
+            s = lam[0] + mu[0]
+            return {_dual_moved(nu, s): c for nu, c in entry.items()}
+    return _transform_product(lam, mu)
+
+
+def _transform_product(lam, mu):
+    """T_lam * T_mu as {nu: coefficient dict}: the Schur-basis product of the two Satake transforms, pulled back."""
     fa = _satake_terms({lam: {0: 1}}, True)
     fb = _satake_terms({mu: {0: 1}}, True)
     return _inverse_satake_terms(_schur_product(fa, fb))

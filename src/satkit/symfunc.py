@@ -24,13 +24,24 @@ the monomial basis is met only at the public boundary.  The pieces:
   cached on cores: every central shift of a weight shares one entry, and
   _weights, _tensor_terms and _hl_terms move the keys back.  Each checks
   its cap on the caller's own weight first, so a refusal names it;
+- _dual_cores: V_mu* = V_{-w0 mu} has highest weight (-mu_n, ..., -mu_1),
+  whose core is (mu_1 - mu_n, ..., mu_1 - mu_1) for a core mu.  Since
+  V_{a*} (x) V_{b*} = (V_a (x) V_b)* and P_{mu*}(x; t) = P_mu(x^-1; t), the
+  entry of a core, or of a sorted pair of cores, is its dual's with every
+  key kappa moved to (s - kappa_n, ..., s - kappa_1), s the sum of the
+  cores' first entries, and no coefficient changed.  _tensor_irreducibles
+  and _hl_schur (and hecke's structure-constant table) compute the smaller
+  key of each such orbit and read the other off it.  Both caps answer alike
+  on a weight and its dual: equal Weyl dimensions, equal pair counts;
 - _schur_product: s_a s_b by Brauer-Klimyk (_tensor_irreducibles, cached
-  per unordered pair of cores), V_a (x) V_b = sum_{w in wt(V_b)} sign *
+  per unordered pair of cores and computed once per dual orbit by
+  _brauer_klimyk), V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
   +-s_{sort(beta) - rho} of _straighten on plain ints; repring.tensor and
   hecke's structure-constant table both use it;
 - _hl_schur(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
-  hard-wired, cached per core.  Macdonald's
+  hard-wired, cached per core and computed once per dual orbit by
+  _hl_expand.  Macdonald's
 
       P_mu = sum_{w in S_n / S_mu} w(x^mu prod_{mu_i > mu_j} (x_i - t x_j) / (x_i - x_j))
 
@@ -438,6 +449,16 @@ def _moved(w, k):
     return tuple([x + k for x in w])
 
 
+def _dual_moved(w, s):
+    """(s - w_n, ..., s - w_1): the dual weight -w0 w moved by s(1, ..., 1)."""
+    return tuple([s - x for x in reversed(w)])
+
+
+def _dual_cores(*cores):
+    """The cores of the duals of the given cores, sorted: mu* = (mu_1 - mu_n, ..., mu_1 - mu_1) for a core mu."""
+    return tuple(sorted(_dual_moved(mu, mu[0]) for mu in cores))
+
+
 @lru_cache(maxsize=None)
 def _weights(mu):
     """weight_multiset for a checked dominant mu: the core's patterns, moved back; cached.
@@ -552,7 +573,20 @@ def _tensor_terms(a, b):
 
 @lru_cache(maxsize=None)
 def _tensor_irreducibles(a, b):
-    """V_a (x) V_b as ((highest weight, nonzero int), ...), by Brauer-Klimyk; cached per pair of cores."""
+    """V_a (x) V_b as ((highest weight, nonzero int), ...) for cores a <= b; cached.
+
+    V_{a*} (x) V_{b*} = (V_a (x) V_b)*, so the entry of the smaller of (a, b) and its dual
+    pair is computed by _brauer_klimyk and the other is read off it.
+    """
+    duals = _dual_cores(a, b)
+    if duals < (a, b):
+        s = a[0] + b[0]
+        return tuple((_dual_moved(lam, s), c) for lam, c in _tensor_irreducibles(*duals))
+    return _brauer_klimyk(a, b)
+
+
+def _brauer_klimyk(a, b):
+    """V_a (x) V_b as ((highest weight, nonzero int), ...), by Brauer-Klimyk on the weights of the smaller factor."""
     weights_a, weights_b = _weights(a), _weights(b)
     if len(weights_a) < len(weights_b):
         a, weights_b = b, weights_a
@@ -601,6 +635,18 @@ def _hl_terms(mu):
 @lru_cache(maxsize=None)
 def _hl_schur(mu):
     """P_mu in the Schur basis for a checked dominant core mu; cached, read only (see _hl_terms).
+
+    P_{mu*}(x; t) = P_mu(x^-1; t), so the entry of the smaller of mu and its dual core is
+    computed by _hl_expand and the other is read off it.
+    """
+    (dual,) = _dual_cores(mu)
+    if dual < mu:
+        return {_dual_moved(lam, mu[0]): c for lam, c in _hl_schur(dual).items()}
+    return _hl_expand(mu)
+
+
+def _hl_expand(mu):
+    """P_mu in the Schur basis for a checked dominant mu, as {lam: coefficient dict}, by straightening.
 
     Expands x^{mu + rho_B} prod_{mu_i > mu_j} (x_i - t x_j) as
     {(beta, deg_t): int} and straightens each a_beta / a_rho into a Schur

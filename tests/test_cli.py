@@ -241,6 +241,18 @@ GOLDEN = [
         1,
         '{"error":"V_(1002, 1, 0) has 1006008 Gelfand-Tsetlin patterns, over the cap of 500000"}',
     ),
+    # a refusal met inside a product names a weight of the product of the cores: the first pair's
+    # dual pair is the smaller key, and its refusal would name (2, 2, 1, 1, 0, 0, 0, 0)
+    (
+        ["conv", "--n", "8", "--a", '{"(1,1,1,1,1,1,0,0)":1}', "--b", '{"(1,1,1,1,0,0,0,0)":1}'],
+        1,
+        '{"error":"P_(2, 2, 2, 2, 1, 1, 0, 0) expands to 2^20 terms of 8 entries, over the cap of 4194304 entries"}',
+    ),
+    (
+        ["conv", "--n", "8", "--a", '{"(2,2,2,2,1,1,1,1)":1}', "--b", '{"(2,2,2,2,1,1,1,1)":1}'],
+        1,
+        '{"error":"P_(2, 2, 2, 1, 1, 0, 0, 0) expands to 2^21 terms of 8 entries, over the cap of 4194304 entries"}',
+    ),
     # an exponent past the int-string limit is refused before Fraction expands it (it ran past 40 s)
     (
         ["inv", "--a", '{"p":2,"basis":[["1e99999","0"],["0","1"]]}', "--b", '{"p":2,"basis":[["1","0"],["0","1"]]}'],

@@ -1,6 +1,7 @@
 """Spherical Hecke algebra: transform, convolution, specialization."""
 
 import itertools
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from test_symfunc import _sympoly_mul_all_pairs
 
 from satkit.hecke import (
     HeckeElement,
-    _structure_constants,
+    _transform_product,
     basis,
     convolve,
     inverse_satake,
@@ -23,7 +24,7 @@ from satkit.hecke import (
 )
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.repring import irreducible, tensor
-from satkit.rootdata import dominance_leq, is_dominant, two_rho_pairing
+from satkit.rootdata import dominance_leq, dual_weight, is_dominant, two_rho_pairing
 from satkit.symfunc import SymPoly, _add_into, hall_littlewood, monomial
 
 
@@ -181,11 +182,29 @@ def test_convolution_commutes(a, b):
 
 def test_structure_constants_commute_before_the_cache():
     # convolve reads the table on the sorted pair of cores, so the test above compares one
-    # entry with itself; here the product is computed in both orders
-    compute = _structure_constants.__wrapped__
+    # entry with itself; here the product is computed by the transforms in both orders
     for n, hi in ((3, 2), (4, 1)):
         for lam, mu in _pairs(_doms(n, hi=hi)):
-            assert compute(lam, mu) == compute(mu, lam), (lam, mu)
+            assert _transform_product(lam, mu) == _transform_product(mu, lam), (lam, mu)
+
+
+def _core(mu):
+    return tuple(x - mu[-1] for x in mu)
+
+
+def _dual_pair(pair):
+    # the sorted cores of -w0 lam and -w0 mu: (mu_1 - mu_n, ..., mu_1 - mu_1) for a core mu
+    return tuple(sorted(tuple(mu[0] - x for x in reversed(mu)) for mu in pair))
+
+
+def test_structure_constants_agree_with_their_duals_before_the_cache():
+    # the table reads one entry of each dual orbit off the other; here both members are
+    # computed by the transforms, and the dual's is moved: nu -> (s - nu_n, ..., s - nu_1)
+    for n, hi in ((3, 2), (4, 1)):
+        for pair in _pairs(sorted({_core(mu) for mu in _doms(n, hi=hi)})):
+            s = pair[0][0] + pair[1][0]
+            dual = _transform_product(*_dual_pair(pair))
+            assert {tuple(s - x for x in reversed(nu)): c for nu, c in dual.items()} == _transform_product(*pair), pair
 
 
 @given(st.data())
@@ -202,29 +221,92 @@ def test_central_shifts_match_independent_routes(data):
     assert tensor(ra, rb).terms == _character_route(ra, rb)
 
 
-# In a fresh interpreter: every unordered pair of the hecke-convolve benchmark boxes.
-_TABLE_RUN = """
-import itertools
-from satkit import hecke, symfunc
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dual_weights_match_independent_routes(data):
+    # a pair of weights and the pair of their duals -w0 lam, -w0 mu, centrally shifted, share one
+    # table entry and one Brauer-Klimyk entry up to duality, so these products are held to routes
+    # that work on the dual weights themselves
+    n, hi = data.draw(st.sampled_from([(2, 3), (3, 3), (4, 1)]))
+    a, b = (dual_weight(data.draw(st.sampled_from(_doms(n, hi=hi)))) for _ in range(2))
+    k, l = (data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(2))
+    a, b = tuple(x + k for x in a), tuple(x + l for x in b)
+    assert convolve(basis(a), basis(b)) == _convolve_scalars(basis(a), basis(b))
+    ra, rb = irreducible(a), irreducible(b)
+    assert tensor(ra, rb).terms == _character_route(ra, rb)
 
-for n, hi in ((2, 6), (3, 4), (4, 2)):
-    box = [w for w in itertools.product(range(hi, -1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
+
+# In a fresh interpreter: every unordered pair of the benchmark boxes given, multiplied by
+# PRODUCT; prints the table's misses, then how many entries the transform route, straightening
+# and Brauer-Klimyk computed (an entry read off its dual's is not computed).
+_COUNTED_RUN = """
+import itertools
+from collections import Counter
+from satkit import hecke, repring, symfunc
+
+computed = Counter()
+def counted(module, name):
+    route = getattr(module, name)
+    def call(*args):
+        computed[name] += 1
+        return route(*args)
+    setattr(module, name, call)
+routes = ((hecke, "_transform_product"), (symfunc, "_hl_expand"), (symfunc, "_brauer_klimyk"))
+for module, name in routes:
+    counted(module, name)
+for n, lo, hi in BOXES:
+    box = [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
     for i, a in enumerate(box):
         for b in box[i:]:
-            hecke.convolve(hecke.basis(a), hecke.basis(b))
-print(*(f.cache_info().misses for f in (hecke._structure_constants, symfunc._hl_schur, symfunc._tensor_irreducibles)))
+            PRODUCT
+print(hecke._structure_constants.cache_info().misses, symfunc._tensor_irreducibles.cache_info().misses,
+      *(computed[name] for _, name in routes))
 """
 
 
-def test_table_computes_each_pair_of_cores_once():
-    # op counts, machine-independent: the 1,156 products need 203 products of cores; the Satake
-    # route run on every pair took 326 Hall-Littlewood expansions and 1,386 Brauer-Klimyk products
-    run = subprocess.run([sys.executable, "-c", _TABLE_RUN], capture_output=True, text=True)
+def _counted_run(boxes, product):
+    code = _COUNTED_RUN.replace("BOXES", repr(boxes)).replace("PRODUCT", product)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    pairs = [p for n, hi in ((2, 6), (3, 4), (4, 2)) for p in _pairs(_doms(n, hi=hi))]
-    cores = {tuple(sorted(tuple(x - w[-1] for x in w) for w in pair)) for pair in pairs}
-    assert (len(pairs), len(cores)) == (1156, 203)
-    assert tuple(map(int, run.stdout.split())) == (len(cores), 93, 203)
+    return tuple(map(int, run.stdout.split()))
+
+
+def _orbits(boxes):
+    """The unordered pairs of the boxes, their sorted pairs of cores, and those pairs up to duality."""
+    pairs = [p for n, lo, hi in boxes for p in _pairs(_doms(n, hi=hi, lo=lo))]
+    cores = {tuple(sorted(map(_core, pair))) for pair in pairs}
+    return pairs, cores, {min(pair, _dual_pair(pair)) for pair in cores}
+
+
+def test_table_computes_each_pair_of_cores_once():
+    # op counts, machine-independent: the 1,156 products look up 203 pairs of cores, and 128
+    # entries are computed, one per orbit under duality, the rest read off their duals' (60
+    # Hall-Littlewood expansions and 128 Brauer-Klimyk products); the Satake route run on every
+    # pair took 326 and 1,386, and the table keyed on pairs of cores alone 93 and 203
+    boxes = ((2, 0, 6), (3, 0, 4), (4, 0, 2))
+    pairs, cores, orbits = _orbits(boxes)
+    assert (len(pairs), len(cores), len(orbits)) == (1156, 203, 128)
+    got = _counted_run(boxes, "hecke.convolve(hecke.basis(a), hecke.basis(b))")
+    assert got == (len(cores), 183, len(orbits), 60, 128)
+
+
+def test_tensor_computes_each_dual_orbit_once():
+    # the tensor-sweep boxes: 1,785 products look up 220 pairs of cores, and Brauer-Klimyk
+    # computes 145 of them, one per orbit under duality
+    boxes = ((2, -4, 4), (3, -2, 2), (4, -1, 1))
+    pairs, cores, orbits = _orbits(boxes)
+    assert (len(pairs), len(cores), len(orbits)) == (1785, 220, 145)
+    got = _counted_run(boxes, "repring.tensor(repring.irreducible(a), repring.irreducible(b))")
+    assert got == (0, len(cores), 0, 0, len(orbits))
+
+
+def test_refusals_inside_the_table_name_a_weight_of_the_product():
+    # both weights are under the pattern cap, and a Schur key of the first one's Hall-Littlewood
+    # expansion is over it; (998, 998, 0) * (0, 0, 0) is the dual of (998, 0, 0) * (0, 0, 0), whose
+    # refusal names (997, 1, 0), so that entry is not read off its dual's
+    for mu, refused in (((998, 998, 0), "(998, 997, 1)"), ((998, 0, 0), "(997, 1, 0)")):
+        with pytest.raises(ValueError, match=rf"^V_{re.escape(refused)} has 996003 Gelfand-Tsetlin patterns"):
+            convolve(basis(mu), basis((0, 0, 0)))
 
 
 @given(_elements(2), _elements(2), _elements(2))

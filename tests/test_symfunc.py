@@ -394,6 +394,28 @@ def test_hall_littlewood_central_shift():
     assert shifted == hall_littlewood((1, -1))
 
 
+def _dual_core(mu):
+    return tuple(mu[0] - x for x in reversed(mu))
+
+
+def _moved_to_dual(entry, cores):
+    # every key kappa to (s - kappa_n, ..., s - kappa_1), s the sum of the cores' first entries
+    s = sum(mu[0] for mu in cores)
+    return {tuple(s - x for x in reversed(kappa)): c for kappa, c in entry}
+
+
+def test_kernels_agree_with_their_duals_before_the_cache():
+    # _hl_schur and _tensor_irreducibles read one entry of each dual orbit off the other;
+    # here both members are computed, by straightening and by Brauer-Klimyk
+    cores = [mu for mu in _dominants(0, 3, 3) if mu[-1] == 0]
+    for mu in cores:
+        assert _moved_to_dual(symfunc._hl_expand(_dual_core(mu)).items(), [mu]) == symfunc._hl_expand(mu), mu
+    for i, a in enumerate(cores):
+        for b in cores[i:]:
+            duals = sorted((_dual_core(a), _dual_core(b)))
+            assert _moved_to_dual(symfunc._brauer_klimyk(*duals), [a, b]) == dict(symfunc._brauer_klimyk(a, b)), (a, b)
+
+
 def test_hall_littlewood_returns_a_copy_of_the_cache():
     for mu in [(2, 1, 0), (1, -1), (3,)]:
         want = hall_littlewood(mu)
