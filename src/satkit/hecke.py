@@ -28,28 +28,16 @@ inverse_satake its argument by symfunc._to_schur, and each public function
 builds one LaurentScalar per output term.
 
 convolve multiplies by a table, as SymPoly does by its orbit products and
-RepElement by Brauer-Klimyk.  T_(1,...,1) is central and invertible:
-P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu and <2rho, (1,...,1)> = 0, so the
-twist v^<2rho,mu> does not move either, and T_{lam + k(1,...,1)} *
-T_{mu + l(1,...,1)} is T_lam * T_mu with every coweight moved by
-(k + l)(1,...,1) and every coefficient unchanged (Macdonald, Symmetric
-Functions and Hall Polynomials, III.2 and V.2).  _structure_constants
-is keyed on unordered pairs of cores, lam - lam_n(1,...,1) and
-mu - mu_n(1,...,1), and convolve is the bilinear sum of its entries, each
-moved by (lam_n + mu_n)(1,...,1).
-
-The table is keyed on duality too.  g -> (g^T)^-1 preserves K and sends
-T_lam to T_lam*, lam* = -w0 lam = (-lam_n, ..., -lam_1), and <2rho, lam*> =
-<2rho, lam>; so T_lam* * T_mu* is T_lam * T_mu with every nu replaced by
-nu* and no coefficient changed.  On cores this reads: the dual core of a
-core mu is (mu_1 - mu_n, ..., mu_1 - mu_1), and the entry of the dual pair
-of cores is the entry with every nu moved to (s - nu_n, ..., s - nu_1),
-s = lam_1 + mu_1.  _structure_constants computes T_lam * T_mu by the
-transforms (_transform_product) once per orbit of a pair of cores under
-duality, and reads the other member off it.  A cap that refuses inside a
-product refuses inside its dual too, and then the product is computed
-directly, so that the refusal names a weight of the product of the cores
-asked for.
+RepElement by Brauer-Klimyk: _structure_constants, the table of
+_transform_product keyed on cores up to duality by symfunc._on_cores (the
+keying is stated once, in symfunc's module docstring).  The keying applies
+to T_lam * T_mu: T_(1,...,1) is central and invertible, P_{mu + k(1,...,1)}
+= (x_1...x_n)^k P_mu and <2rho, (1,...,1)> = 0, so a central shift moves
+every nu and no coefficient; and g -> (g^T)^-1 preserves K and sends T_lam
+to T_lam*, lam* = -w0 lam, with <2rho, lam*> = <2rho, lam>, so T_lam* *
+T_mu* is T_lam * T_mu with every nu replaced by nu* (Macdonald, Symmetric
+Functions and Hall Polynomials, III.2 and V.2).  A refusal met inside a
+product names a weight of the product of the cores asked for.
 
 An independent check of all of this against brute-force lattice counting
 lives in plattice.convolution_oracle; the two routes share no code.
@@ -66,23 +54,18 @@ HeckeElement(n=3, T[3,2,0] + (v^4)*T[2,2,1])
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .laurent import LaurentScalar, _mul_into
 from .rootdata import _is_dominant, _two_rho_pairing, check_weight
 from .symfunc import (
-    _MAX_PATTERNS,
     Combination,
     SymPoly,
     _add_terms,
-    _central,
     _check_expansion,
     _check_patterns,
     _coeffs,
-    _dual_cores,
-    _dual_moved,
     _hl_terms,
-    _moved,
+    _on_cores,
     _scalars,
     _schur_product,
     _to_monomial,
@@ -155,46 +138,28 @@ def convolve(a, b):
         _check_expansion(mu)
     terms = list(a.terms)
     for mu in itertools.chain(terms[:1], b.terms, terms[1:]):
-        _check_patterns(mu, _MAX_PATTERNS)
+        _check_patterns(mu)
     out = {}
     for lam, ca in a.terms.items():
-        lam, k = _central(lam)
         for mu, cb in b.terms.items():
-            mu, l = _central(mu)
-            table = _structure_constants(lam, mu) if lam <= mu else _structure_constants(mu, lam)
-            if k + l:
-                table = {_moved(nu, k + l): c for nu, c in table.items()}
-            _add_terms(out, table, _mul_into({}, ca.coeffs, cb.coeffs))
+            _add_terms(out, _structure_constants(lam, mu), _mul_into({}, ca.coeffs, cb.coeffs))
     return HeckeElement._from_canonical(a.n, _scalars(out))
 
 
-@lru_cache(maxsize=None)
-def _structure_constants(lam, mu):
-    """T_lam * T_mu as {nu: coefficient dict} for cores lam <= mu; cached, read only.
-
-    The entry of the smaller of (lam, mu) and its dual pair is computed by
-    _transform_product and the other is read off it, each nu moved to its
-    dual.  A cap that refuses a weight of the dual product would name that
-    weight; the same cap refuses the dual of it here, so the entry is then
-    computed directly and the refusal names a weight of this product.
-    """
-    duals = _dual_cores(lam, mu)
-    if duals < (lam, mu):
-        try:
-            entry = _structure_constants(*duals)
-        except ValueError:
-            pass
-        else:
-            s = lam[0] + mu[0]
-            return {_dual_moved(nu, s): c for nu, c in entry.items()}
-    return _transform_product(lam, mu)
-
-
 def _transform_product(lam, mu):
-    """T_lam * T_mu as {nu: coefficient dict}: the Schur-basis product of the two Satake transforms, pulled back."""
+    """T_lam * T_mu as {nu: coefficient dict}: the Schur-basis product of the two Satake transforms, pulled back.
+
+    Every Schur key of the two transforms is checked against the pattern cap
+    first, in descending order, so a refusal names the largest one over it.
+    """
     fa = _satake_terms({lam: {0: 1}}, True)
     fb = _satake_terms({mu: {0: 1}}, True)
+    for nu in sorted({*fa, *fb}, reverse=True):
+        _check_patterns(nu)
     return _inverse_satake_terms(_schur_product(fa, fb))
+
+
+_structure_constants = _on_cores(_transform_product)
 
 
 # -- the transforms on {weight: coefficient dict} ------------------------

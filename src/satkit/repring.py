@@ -23,10 +23,8 @@ that symfunc refuses to enumerate past its cap of 500,000.
 from .laurent import LaurentScalar
 from .rootdata import check_weight, dual_weight
 from .symfunc import (
-    _MAX_PATTERNS,
     Combination,
     SymPoly,
-    _check_patterns,
     _coeffs,
     _highest_weight,
     _scalars,
@@ -73,13 +71,7 @@ def weight_multiplicity(mu, lam):
     mu, lam = check_weight(mu), check_weight(lam)
     if len(mu) != len(lam):
         raise ValueError(f"rank mismatch: {mu} vs {lam}")
-    mu = _highest_weight(mu)
-    # the kernel's cap, checked here as well so that it can be lowered for this function alone
-    _check_patterns(mu, _MAX_PATTERNS)
-    for w, m in _weights(mu):
-        if w == lam:
-            return m
-    return 0
+    return _weights(_highest_weight(mu)).get(lam, 0)
 
 
 def tensor(r1, r2):

@@ -17,31 +17,31 @@ the monomial basis is met only at the public boundary.  The pieces:
   always stripping the lexicographically maximal key; lex order refines
   dominance for equal totals and distinct totals never interact, so the
   unitriangular table makes the loop end with the exact expansion;
-- _central: mu = core + mu_n(1, ..., 1), the core's last entry 0.  Since
+- _on_cores: the one keying of the four tables on the dual-group side
+  (weight multiplicities, Brauer-Klimyk products, Hall-Littlewood
+  expansions here, and hecke's structure constants), each a route computing
+  the table on cores.  A core is mu - mu_n(1, ..., 1), last entry 0; since
   V_{mu + k(1,...,1)} = V_mu (x) det^k and P_{mu + k(1,...,1)} =
-  (x_1...x_n)^k P_mu, the weights of V_mu, V_a (x) V_b and P_mu move with
-  the central shift and their coefficients do not, so the kernels below are
-  cached on cores: every central shift of a weight shares one entry, and
-  _weights, _tensor_terms and _hl_terms move the keys back.  Each checks
-  its cap on the caller's own weight first, so a refusal names it;
-- _dual_cores: V_mu* = V_{-w0 mu} has highest weight (-mu_n, ..., -mu_1),
-  whose core is (mu_1 - mu_n, ..., mu_1 - mu_1) for a core mu.  Since
-  V_{a*} (x) V_{b*} = (V_a (x) V_b)* and P_{mu*}(x; t) = P_mu(x^-1; t), the
-  entry of a core, or of a sorted pair of cores, is its dual's with every
-  key kappa moved to (s - kappa_n, ..., s - kappa_1), s the sum of the
-  cores' first entries, and no coefficient changed.  _tensor_irreducibles
-  and _hl_schur (and hecke's structure-constant table) compute the smaller
-  key of each such orbit and read the other off it.  Both caps answer alike
-  on a weight and its dual: equal Weyl dimensions, equal pair counts;
-- _schur_product: s_a s_b by Brauer-Klimyk (_tensor_irreducibles, cached
-  per unordered pair of cores and computed once per dual orbit by
-  _brauer_klimyk), V_a (x) V_b = sum_{w in wt(V_b)} sign *
+  (x_1...x_n)^k P_mu, the keys of an entry move with the central shift and
+  its coefficients do not.  V_mu* = V_{-w0 mu} has the core (mu_1 - mu_n,
+  ..., mu_1 - mu_1) for a core mu, and V_{a*} (x) V_{b*} = (V_a (x) V_b)*,
+  P_{mu*}(x; t) = P_mu(x^-1; t); so the entry of a sorted tuple of cores is
+  its dual tuple's with every key kappa moved to (s - kappa_n, ..., s -
+  kappa_1), s the sum of the cores' first entries, and no coefficient
+  changed.  The helper caches the entry of each sorted tuple of cores,
+  computes the smaller of a tuple and its dual tuple by the route and reads
+  the other off it, and moves the keys back by the summed central shift.
+  Its callers, _weights, _tensor_terms, _hl_terms (and hecke.convolve),
+  check their caps on their own weights first, so a refusal names them;
+  both caps answer alike on a weight and its dual (equal Weyl dimensions,
+  equal pair counts);
+- _schur_product: s_a s_b by Brauer-Klimyk (_tensor_irreducibles, the
+  table of _brauer_klimyk), V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
   +-s_{sort(beta) - rho} of _straighten on plain ints; repring.tensor and
   hecke's structure-constant table both use it;
 - _hl_schur(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
-  hard-wired, cached per core and computed once per dual orbit by
-  _hl_expand.  Macdonald's
+  hard-wired, the table of _hl_expand.  Macdonald's
 
       P_mu = sum_{w in S_n / S_mu} w(x^mu prod_{mu_i > mu_j} (x_i - t x_j) / (x_i - x_j))
 
@@ -275,7 +275,7 @@ def _orbit(w):
 
 @lru_cache(maxsize=None)
 def _orbit_product(a, b):
-    """The coefficients of m_a m_b as ((gamma, c_gamma), ...), gamma dominant.
+    """The coefficients of m_a m_b as {gamma: c_gamma}, gamma dominant; read only.
 
     c_gamma = #{(alpha, beta) in O(a) x O(b) : alpha + beta = gamma}.  S_n
     permutes these pairs, so the pairs summing into O(gamma) number
@@ -289,7 +289,7 @@ def _orbit_product(a, b):
         a, b = b, a
     hits = Counter(tuple(sorted([x + y for x, y in zip(a, beta)], reverse=True)) for beta in _orbit(b))
     size_a = len(_orbit(a))
-    return tuple((g, size_a * m // len(_orbit(g))) for g, m in hits.items())
+    return {g: size_a * m // len(_orbit(g)) for g, m in hits.items()}
 
 
 def _coeffs(terms):
@@ -336,13 +336,13 @@ def _add_terms(out, p, c):
 def _bilinear(p, q, table):
     """sum over pairs of terms of c_a c_b table(a, b), as a new term dict.
 
-    table(a, b) gives the product of two basis elements as ((gamma, int), ...).
+    table(a, b) gives the product of two basis elements as {gamma: int}.
     """
     out = {}
     for a, ca in p.items():
         for b, cb in q.items():
             cab = _mul_into({}, ca, cb)
-            for g, m in table(a, b):
+            for g, m in table(a, b).items():
                 _accumulate(out, g, cab, m)
     return out
 
@@ -384,12 +384,11 @@ def _gt_row_sum_chains(row):
             yield chain + (s,)
 
 
-@lru_cache(maxsize=None)
-def _schur_weights_nonneg(lam):
-    """Weight multiplicities of the irreducible with highest weight lam >= 0.
+def _gelfand_tsetlin(lam):
+    """Weight multiplicities of the irreducible with highest weight lam >= 0, as {weight: multiplicity}.
 
-    Returns ((weight, multiplicity), ...) over ALL weights (not only the
-    dominant ones); the total multiplicity is dim V_lam.
+    Over ALL weights (not only the dominant ones), by enumerating the
+    Gelfand-Tsetlin patterns; the total multiplicity is dim V_lam.
     """
     counter = Counter()
     for chain in _gt_row_sum_chains(lam):
@@ -399,7 +398,7 @@ def _schur_weights_nonneg(lam):
             w.append(s - prev)
             prev = s
         counter[tuple(w)] += 1
-    return tuple(sorted(counter.items()))
+    return dict(counter)
 
 
 _MAX_PATTERNS = 500_000  # refused before any work: about 1 s of enumeration on a 2-core host
@@ -424,54 +423,67 @@ def _weyl_dimension(mu):
     return q
 
 
-def _check_patterns(mu, cap, patterns=None):
-    """Refuse V_mu when its Gelfand-Tsetlin patterns, dim V_mu unless given, number more than cap."""
+def _check_patterns(mu, patterns=None):
+    """Refuse V_mu when its Gelfand-Tsetlin patterns, dim V_mu unless given, number more than _MAX_PATTERNS."""
     if patterns is None:
         patterns = _weyl_dimension(mu)
-    if patterns > cap:
-        raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {cap}")
+    if patterns > _MAX_PATTERNS:
+        raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
 
 
-def _central(mu):
-    """(mu - k(1, ..., 1), k) with k = mu_n: mu's core, whose last entry is 0, and its central shift.
+def _on_cores(route):
+    """The table of route(*cores) as a lookup on weights: lookup(*weights) -> {weight: value}, read only.
 
-    V_{mu + k(1,...,1)} = V_mu (x) det^k and P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu,
-    so every weight of a pattern table, a Brauer-Klimyk product or a
-    Hall-Littlewood expansion moves by k(1, ..., 1) and no coefficient
-    changes: the cached kernels take cores, and their callers move the keys.
+    route takes sorted cores mu - mu_n(1, ..., 1) and returns a dict keyed on
+    weights.  The lookup caches one entry per sorted tuple of cores; of a
+    tuple and its dual tuple, the smaller is computed by route and the other
+    read off it, every key kappa moved to (s - kappa_n, ..., s - kappa_1) with
+    s the sum of the cores' first entries.  If the dual's entry is refused
+    (ValueError), this entry is computed by route, so that the refusal names
+    a weight of this product.  The keys move back by the summed central
+    shift.  The cache's cache_info is the lookup's.
     """
-    k = mu[-1]
-    return (tuple([x - k for x in mu]), k) if k else (mu, 0)
+
+    @lru_cache(maxsize=None)
+    def table(cores):
+        duals = tuple(sorted(tuple([mu[0] - x for x in reversed(mu)]) for mu in cores))
+        if duals < cores:
+            try:
+                entry = table(duals)
+            except ValueError:
+                pass
+            else:
+                s = sum(mu[0] for mu in cores)
+                return {tuple([s - x for x in reversed(kappa)]): c for kappa, c in entry.items()}
+        return route(*cores)
+
+    def lookup(*weights):
+        cores = []
+        shift = 0
+        for mu in weights:
+            k = mu[-1]
+            cores.append(tuple([x - k for x in mu]) if k else mu)
+            shift += k
+        entry = table(tuple(sorted(cores)))
+        if not shift:
+            return entry
+        return {tuple([x + shift for x in kappa]): c for kappa, c in entry.items()}
+
+    lookup.cache_info = table.cache_info
+    return lookup
 
 
-def _moved(w, k):
-    """w + k(1, ..., 1)."""
-    return tuple([x + k for x in w])
+_pattern_weights = _on_cores(_gelfand_tsetlin)
 
 
-def _dual_moved(w, s):
-    """(s - w_n, ..., s - w_1): the dual weight -w0 w moved by s(1, ..., 1)."""
-    return tuple([s - x for x in reversed(w)])
-
-
-def _dual_cores(*cores):
-    """The cores of the duals of the given cores, sorted: mu* = (mu_1 - mu_n, ..., mu_1 - mu_1) for a core mu."""
-    return tuple(sorted(_dual_moved(mu, mu[0]) for mu in cores))
-
-
-@lru_cache(maxsize=None)
 def _weights(mu):
-    """weight_multiset for a checked dominant mu: the core's patterns, moved back; cached.
+    """{weight: multiplicity} over all weights of V_mu, for a checked dominant mu; read only.
 
     Every Gelfand-Tsetlin enumeration passes here, and mu is refused past
-    _MAX_PATTERNS before any of it; the check runs once per weight.
+    _MAX_PATTERNS before any of it.
     """
-    _check_patterns(mu, _MAX_PATTERNS)
-    core, k = _central(mu)
-    pairs = _schur_weights_nonneg(core)
-    if k == 0:
-        return pairs
-    return tuple((_moved(w, k), m) for w, m in pairs)
+    _check_patterns(mu)
+    return _pattern_weights(mu)
 
 
 def _highest_weight(mu):
@@ -486,15 +498,15 @@ def weight_multiset(mu):
     """All weights of the GL_n irreducible V_mu with multiplicities.
 
     Handles negative entries by the central shift.  Returns a tuple of
-    (weight, multiplicity) pairs, deterministic order.
+    (weight, multiplicity) pairs, sorted.
     """
-    return _weights(_highest_weight(mu))
+    return tuple(sorted(_weights(_highest_weight(mu)).items()))
 
 
 @lru_cache(maxsize=None)
 def _dominant_weights(mu):
     """The Schur -> monomial table: ((w, K_mu,w), ...) over V_mu's dominant weights, mu first."""
-    return tuple(sorted(((w, m) for w, m in _weights(mu) if _is_dominant(w)), reverse=True))
+    return tuple(sorted(((w, m) for w, m in _weights(mu).items() if _is_dominant(w)), reverse=True))
 
 
 def _to_monomial(terms):
@@ -557,48 +569,35 @@ def _straighten(beta):
 
 
 def _tensor_terms(a, b):
-    """V_a (x) V_b as ((highest weight, nonzero int), ...): the cores' cached product, moved.
+    """V_a (x) V_b as {highest weight: nonzero int}, read only, from the table on cores.
 
-    a, then b, is refused past _MAX_PATTERNS before any work, under its own
-    name; the product of the cores is cached once for both orders.
+    a, then b, is refused past _MAX_PATTERNS before any work, under its own name.
     """
-    _check_patterns(a, _MAX_PATTERNS)
-    _check_patterns(b, _MAX_PATTERNS)
-    (a, k), (b, l) = _central(a), _central(b)
-    table = _tensor_irreducibles(a, b) if a <= b else _tensor_irreducibles(b, a)
-    if k + l == 0:
-        return table
-    return tuple((_moved(lam, k + l), c) for lam, c in table)
-
-
-@lru_cache(maxsize=None)
-def _tensor_irreducibles(a, b):
-    """V_a (x) V_b as ((highest weight, nonzero int), ...) for cores a <= b; cached.
-
-    V_{a*} (x) V_{b*} = (V_a (x) V_b)*, so the entry of the smaller of (a, b) and its dual
-    pair is computed by _brauer_klimyk and the other is read off it.
-    """
-    duals = _dual_cores(a, b)
-    if duals < (a, b):
-        s = a[0] + b[0]
-        return tuple((_dual_moved(lam, s), c) for lam, c in _tensor_irreducibles(*duals))
-    return _brauer_klimyk(a, b)
+    _check_patterns(a)
+    _check_patterns(b)
+    return _tensor_irreducibles(a, b)
 
 
 def _brauer_klimyk(a, b):
-    """V_a (x) V_b as ((highest weight, nonzero int), ...), by Brauer-Klimyk on the weights of the smaller factor."""
-    weights_a, weights_b = _weights(a), _weights(b)
-    if len(weights_a) < len(weights_b):
-        a, weights_b = b, weights_a
+    """V_a (x) V_b as {highest weight: nonzero int}, by Brauer-Klimyk on the weights of the smaller factor.
+
+    Only the factor of smaller dimension has its Gelfand-Tsetlin patterns
+    enumerated; of the other, only the highest weight is used.
+    """
+    if _weyl_dimension(a) < _weyl_dimension(b):
+        a, b = b, a
     rho = range(len(a) - 1, -1, -1)
     top = [x + r for x, r in zip(a, rho)]
     out = {}
-    for w, m in weights_b:
+    for w, m in _weights(b).items():
         sign, beta = _straighten(tuple([x + y for x, y in zip(top, w)]))
         if sign:
             lam = tuple([x - r for x, r in zip(beta, rho)])
             out[lam] = out.get(lam, 0) + sign * m
-    return tuple((lam, c) for lam, c in out.items() if c)
+    return {lam: c for lam, c in out.items() if c}
+
+
+_tensor_irreducibles = _on_cores(_brauer_klimyk)
 
 
 # Weight entries _hl_schur's expansion may hold, 2^pairs terms of n entries: the largest admitted,
@@ -619,30 +618,12 @@ def _check_expansion(mu):
 
 
 def _hl_terms(mu):
-    """P_mu in the Schur basis for dominant mu, as {lam: coefficient dict}, read only.
+    """P_mu in the Schur basis for dominant mu, as {lam: coefficient dict}, read only, from the table on cores.
 
-    mu is refused past _MAX_HL_ENTRIES before any work, under its own name;
-    the expansion is that of mu's core, cached, with its keys moved.
+    mu is refused past _MAX_HL_ENTRIES before any work, under its own name.
     """
     _check_expansion(mu)
-    core, k = _central(mu)
-    table = _hl_schur(core)
-    if k == 0:
-        return table
-    return {_moved(lam, k): c for lam, c in table.items()}
-
-
-@lru_cache(maxsize=None)
-def _hl_schur(mu):
-    """P_mu in the Schur basis for a checked dominant core mu; cached, read only (see _hl_terms).
-
-    P_{mu*}(x; t) = P_mu(x^-1; t), so the entry of the smaller of mu and its dual core is
-    computed by _hl_expand and the other is read off it.
-    """
-    (dual,) = _dual_cores(mu)
-    if dual < mu:
-        return {_dual_moved(lam, mu[0]): c for lam, c in _hl_schur(dual).items()}
-    return _hl_expand(mu)
+    return _hl_schur(mu)
 
 
 def _hl_expand(mu):
@@ -675,6 +656,9 @@ def _hl_expand(mu):
         if sign:
             _accumulate(out, tuple([x - r for x, r in zip(beta, rho)]), {-2 * k: c}, sign)
     return out
+
+
+_hl_schur = _on_cores(_hl_expand)
 
 
 def hall_littlewood(mu):

@@ -40,7 +40,7 @@ import math
 
 from .laurent import LaurentScalar, _add_scaled
 from .rootdata import GroupSpec, check_weight, in_integer_span, is_dominant
-from .symfunc import _MAX_PATTERNS, _check_patterns, _weyl_dimension, weight_multiset
+from .symfunc import _check_patterns, _weyl_dimension, weight_multiset
 from .trace_k import SigmaAction
 
 
@@ -128,7 +128,7 @@ def _block_weight_multiset(mu, blocks):
             raise ValueError(f"highest weight must be dominant per block: {chunk} in {mu}")
         chunks.append(chunk)
         pos += b
-    _check_patterns(mu, _MAX_PATTERNS, math.prod(_weyl_dimension(chunk) for chunk in chunks))
+    _check_patterns(mu, math.prod(_weyl_dimension(chunk) for chunk in chunks))
     out = [((), 1)]
     for chunk in chunks:
         out = [(w + bw, m * bm) for w, m in out for bw, bm in weight_multiset(chunk)]

@@ -253,6 +253,18 @@ GOLDEN = [
         1,
         '{"error":"P_(2, 2, 2, 1, 1, 0, 0, 0) expands to 2^21 terms of 8 entries, over the cap of 4194304 entries"}',
     ),
+    # several Schur keys of one product over the pattern cap: the transforms' keys are checked in
+    # descending order, so the largest is named, whichever order the cached expansions hold them in
+    (
+        ["conv", "--n", "4", "--a", '{"(29,18,16,0)":1}', "--b", '{"(0,0,0,0)":1}'],
+        1,
+        '{"error":"V_(29, 18, 15, 1) has 565440 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    (
+        ["conv", "--n", "4", "--a", '{"(27,26,13,0)":1}', "--b", '{"(0,0,0,0)":1}'],
+        1,
+        '{"error":"V_(27, 25, 14, 0) has 546750 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
     # an exponent past the int-string limit is refused before Fraction expands it (it ran past 40 s)
     (
         ["inv", "--a", '{"p":2,"basis":[["1e99999","0"],["0","1"]]}', "--b", '{"p":2,"basis":[["1","0"],["0","1"]]}'],

@@ -237,30 +237,38 @@ def test_dual_weights_match_independent_routes(data):
 
 
 # In a fresh interpreter: every unordered pair of the benchmark boxes given, multiplied by
-# PRODUCT; prints the table's misses, then how many entries the transform route, straightening
-# and Brauer-Klimyk computed (an entry read off its dual's is not computed).
+# PRODUCT; prints the misses of the structure-constant and Brauer-Klimyk tables, then how many
+# entries the transform route, straightening and Brauer-Klimyk computed (an entry read off its
+# dual's is not computed), then the pattern table's misses and entries computed.  Each table is
+# bound to its route when built, so the tables are rebuilt by symfunc._on_cores on counted routes.
 _COUNTED_RUN = """
 import itertools
 from collections import Counter
 from satkit import hecke, repring, symfunc
 
 computed = Counter()
-def counted(module, name):
+def counted(module, table, name):
     route = getattr(module, name)
-    def call(*args):
+    def call(*cores):
         computed[name] += 1
-        return route(*args)
-    setattr(module, name, call)
-routes = ((hecke, "_transform_product"), (symfunc, "_hl_expand"), (symfunc, "_brauer_klimyk"))
-for module, name in routes:
-    counted(module, name)
+        return route(*cores)
+    setattr(module, table, symfunc._on_cores(call))
+tables = (
+    (hecke, "_structure_constants", "_transform_product"),
+    (symfunc, "_hl_schur", "_hl_expand"),
+    (symfunc, "_tensor_irreducibles", "_brauer_klimyk"),
+    (symfunc, "_pattern_weights", "_gelfand_tsetlin"),
+)
+for module, table, name in tables:
+    counted(module, table, name)
 for n, lo, hi in BOXES:
     box = [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
     for i, a in enumerate(box):
         for b in box[i:]:
             PRODUCT
 print(hecke._structure_constants.cache_info().misses, symfunc._tensor_irreducibles.cache_info().misses,
-      *(computed[name] for _, name in routes))
+      *(computed[name] for _, _, name in tables[:3]),
+      symfunc._pattern_weights.cache_info().misses, computed["_gelfand_tsetlin"])
 """
 
 
@@ -287,7 +295,9 @@ def test_table_computes_each_pair_of_cores_once():
     pairs, cores, orbits = _orbits(boxes)
     assert (len(pairs), len(cores), len(orbits)) == (1156, 203, 128)
     got = _counted_run(boxes, "hecke.convolve(hecke.basis(a), hecke.basis(b))")
-    assert got == (len(cores), 183, len(orbits), 60, 128)
+    assert got[:5] == (len(cores), 183, len(orbits), 60, 128)
+    # the pattern table: 32 cores looked up, 23 enumerated (without duality, all 32)
+    assert got[5:] == (32, 23)
 
 
 def test_tensor_computes_each_dual_orbit_once():
@@ -297,7 +307,8 @@ def test_tensor_computes_each_dual_orbit_once():
     pairs, cores, orbits = _orbits(boxes)
     assert (len(pairs), len(cores), len(orbits)) == (1785, 220, 145)
     got = _counted_run(boxes, "repring.tensor(repring.irreducible(a), repring.irreducible(b))")
-    assert got == (0, len(cores), 0, 0, len(orbits))
+    assert got[:5] == (0, len(cores), 0, 0, len(orbits))
+    assert got[5:] == (34, 25)
 
 
 def test_refusals_inside_the_table_name_a_weight_of_the_product():

@@ -375,6 +375,27 @@ def test_transform_route_never_takes_the_monomial_product():
     assert not from_symfunc & {"_mul_terms", "_orbit_product"}
 
 
+def test_hecke_leaves_the_keying_of_its_table_to_symfunc():
+    # the structure-constant table is built by symfunc._on_cores, which alone caches the
+    # Satake-side tables on cores up to duality; hecke has no cache and no keying of its own
+    tree = ast.parse(inspect.getsource(hecke))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    from_symfunc = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "symfunc"
+        for alias in node.names
+    }
+    assert "_on_cores" in from_symfunc
+    assert not imported & {"functools", "lru_cache", "cache"}
+    assert not {name for name in from_symfunc if any(word in name for word in ("central", "dual", "moved"))}
+
+
 _NO_ADJUGATE_RUN = """
 import itertools
 from satkit import hecke, plattice

@@ -1,12 +1,14 @@
 """Representation ring of GL_n: dimensions, tensor products, duality."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit import repring
+from satkit import symfunc
 from satkit.laurent import LaurentScalar
 from satkit.repring import (
     RepElement,
@@ -55,7 +57,7 @@ def test_weight_multiplicity_kostka_values():
 
 def test_weight_multiplicity_refuses_past_the_pattern_cap(monkeypatch):
     # the estimate is dim V_mu, the number of Gelfand-Tsetlin patterns; the cap itself is admitted
-    monkeypatch.setattr(repring, "_MAX_PATTERNS", dimension((2, 1, 0)))
+    monkeypatch.setattr(symfunc, "_MAX_PATTERNS", dimension((2, 1, 0)))
     assert weight_multiplicity((2, 1, 0), (1, 1, 1)) == 2
     with pytest.raises(ValueError, match=r"^V_\(3, 1, 0\) has 15 Gelfand-Tsetlin patterns, over the cap of 8$"):
         weight_multiplicity((3, 1, 0), (2, 1, 1))
@@ -79,6 +81,28 @@ def test_tensor_dimension_homomorphism():
             prod = tensor(irreducible(a), irreducible(b))
             total = sum(c.as_int() * dimension(w) for w, c in prod.terms.items())
             assert total == dimension(a) * dimension(b), (a, b)
+
+
+# In a fresh interpreter, with the pattern table rebuilt on a route that records its cores.
+_BIG_BY_SMALL_RUN = """
+from satkit import repring, symfunc
+
+enumerated = []
+def route(*cores):
+    enumerated.append(cores)
+    return symfunc._gelfand_tsetlin(*cores)
+symfunc._pattern_weights = symfunc._on_cores(route)
+print(repring.tensor(repring.irreducible((998, 0, 0)), repring.irreducible((1, 0, 0))))
+print(enumerated)
+"""
+
+
+def test_tensor_enumerates_only_the_smaller_factor():
+    # Brauer-Klimyk walks the weights of the factor of smaller dimension and of the other needs
+    # only its highest weight, so the 499,500 patterns of (998, 0, 0) are never enumerated
+    run = subprocess.run([sys.executable, "-c", _BIG_BY_SMALL_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "RepElement(n=3, V[999,0,0] + V[998,1,0])\n[((1, 0, 0),)]\n"
 
 
 def test_littlewood_richardson_positivity():

@@ -405,15 +405,16 @@ def _moved_to_dual(entry, cores):
 
 
 def test_kernels_agree_with_their_duals_before_the_cache():
-    # _hl_schur and _tensor_irreducibles read one entry of each dual orbit off the other;
-    # here both members are computed, by straightening and by Brauer-Klimyk
+    # the tables read one entry of each dual orbit off the other; here both members are
+    # computed, by straightening, by Brauer-Klimyk and by Gelfand-Tsetlin enumeration
     cores = [mu for mu in _dominants(0, 3, 3) if mu[-1] == 0]
     for mu in cores:
         assert _moved_to_dual(symfunc._hl_expand(_dual_core(mu)).items(), [mu]) == symfunc._hl_expand(mu), mu
+        assert _moved_to_dual(symfunc._gelfand_tsetlin(_dual_core(mu)).items(), [mu]) == symfunc._gelfand_tsetlin(mu), mu
     for i, a in enumerate(cores):
         for b in cores[i:]:
             duals = sorted((_dual_core(a), _dual_core(b)))
-            assert _moved_to_dual(symfunc._brauer_klimyk(*duals), [a, b]) == dict(symfunc._brauer_klimyk(a, b)), (a, b)
+            assert _moved_to_dual(symfunc._brauer_klimyk(*duals).items(), [a, b]) == symfunc._brauer_klimyk(a, b), (a, b)
 
 
 def test_hall_littlewood_returns_a_copy_of_the_cache():
@@ -470,7 +471,7 @@ def test_central_shift_on_monomials():
 
 
 def test_gelfand_tsetlin_enumeration_is_capped_in_the_kernel():
-    # every route to the patterns passes the cached _weights, which refuses past
+    # every route to the patterns passes _weights, which refuses past
     # the cap by Weyl's formula before enumerating; the message names the weight asked for
     for call, mu, patterns in [
         (schur, (9999999999, 0), 10000000000),
