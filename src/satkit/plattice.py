@@ -26,16 +26,18 @@ and with basis-as-columns and B1^-1 B2 (not B2^-1 B1) the convolution
 identity below holds with no sign or reversal fix-up; during development the
 identity was checked numerically before the convention was frozen.
 
-inv_pair works on the stored integers, by valuation-pivot elimination: an
-entry p^v u of least valuation (u a p-unit) p-divides every other entry, so
-each other row is scaled by u and has an integer multiple of the pivot row
-subtracted, which clears the pivot column while staying in Z and invertible
-over Z_(p); the rest of the pivot row then has valuations >= v, so it can be
-cleared by column operations that touch nothing else, and recursion on the
-complement reads off the remaining valuations.  Valuations below k survive
-reduction mod p^k, so the elimination reduces each row mod p^k as it updates
-it, with k above every valuation its caller needs to tell apart, and its
-entries stay bounded.
+inv_pair works on the stored integers, by valuation-pivot elimination:
+an entry p^v u of least valuation (u a p-unit) p-divides every other entry,
+so each other row is scaled by u and has an integer multiple of the pivot
+row subtracted, which clears the pivot column while staying in Z and
+invertible over Z_(p); the rest of the pivot row then has valuations >= v,
+so it can be cleared by column operations that touch nothing else, and
+recursion on the complement reads off the remaining valuations.
+Valuations below k survive reduction mod p^k, so the elimination reduces
+its input mod p^k on entry and each row as it updates it, with k above
+every valuation its caller needs to tell apart, and its entries stay
+bounded.  An entry's valuation is then read off gcd(x, p^k) = p^min(v, k),
+one C call whatever the size of k, and the pivot is the entry of least gcd.
 
 With B_i = A_i / p^{e_i}, B1^-1 B2 = p^{e1 - e2} A1^-1 A2, and two passes
 of that elimination give its valuations with no inverse or adjugate.  Let
@@ -55,16 +57,22 @@ normal forms H: integer lower triangular, diagonals p^{a_i} with
 0 <= a_i <= d, off-diagonal entries 0 <= h_ij < h_ii (j < i), and
 containment p^d L0 <= H L0, i.e. X = p^d H^-1 integral.  X is lower
 triangular and its row i depends only on rows <= i of H, so rows are chosen
-one at a time by exact forward substitution and a row whose X row is not
-integral cuts off all its completions.  Each lattice in the window appears
-exactly once (this is the classical normal form for subgroups of
-(Z/p^d)^n; the counts 15 and 129 are frozen in the tests).  The window
-p^hi L0 <= L <= p^lo L0 is p^lo times the depth hi - lo one, so only the
-integer shapes H are cached, per (p, n, depth), each with its X, together
-with their partition into Schubert cells by inv(L0, H), the valuations of H
-itself.  For L = p^lo H, inv(L0, L) = inv(L0, H) + lo and inv(L, T) =
-inv(H, T) - lo.  enumerate_between makes a PLattice of each shape;
-schubert_count is a cell size.
+one at a time by exact forward substitution.  Entry k < i of row i of X is
+-s_k / p^{a_i}, s_k = sum_{k <= j < i} h_ij X_jk, which involves only the
+offsets h_ik, ..., h_i,i-1: so the offsets are solved from the last column
+back, each from the congruence h_ik X_kk = -s_k mod p^{a_i} (no solution,
+or an arithmetic progression), and only rows with an integral X are ever
+made; each row's solutions are sorted, so the walk is row-major
+lexicographic in the offsets.  Each lattice in the window appears exactly
+once (this is the classical normal form for subgroups of (Z/p^d)^n; the
+counts 15 and 129 are frozen in the tests).  The window p^hi L0 <= L <=
+p^lo L0 is p^lo times the depth hi - lo one, so only the integer shapes H
+are cached, per (p, n, depth), each with its X (_window); their partition
+into Schubert cells by inv(L0, H), the valuations of H itself, is a
+separate cache (_cells), filled only when a count asks for a cell:
+enumerate_between reads the window alone.  For L = p^lo H, inv(L0, L) =
+inv(L0, H) + lo and inv(L, T) = inv(H, T) - lo.  enumerate_between makes a
+PLattice of each shape; schubert_count is a cell size.
 
 A window is refused before any enumeration when it holds more than
 _MAX_LATTICES lattices, counted by summing the Poincare-formula cell sizes
@@ -78,18 +86,27 @@ The point of the module is convolution_oracle(lam, mu, nu, p):
     #{ L : inv(L0, L) = lam  and  inv(L, nu(p) L0) = mu }
 
 which must equal the T_nu-coefficient of T_lam * T_mu specialized at q = p.
-It tests only the shapes of lam's cell, and needs no adjugate: with X =
-p^d H^-1 cached beside H, m = min nu and D the column scaling by
-p^(nu_j - m),
+It tests the shapes of one cell, with no adjugate.  With m = min nu and D
+the diagonal scaling by p^(nu_j - m):
 
-    (p^lo H)^-1 nu(p) = p^(m - lo - d) X D,
+- over lam's cell, L = p^lo H with X = p^depth H^-1 cached beside H, and
+  (p^lo H)^-1 nu(p) = p^(m - lo - depth) X D, so inv(L, nu(p) L0) is the
+  valuations of the integer matrix X D shifted by m - lo - depth;
+- over mu*'s cell, mu* = (-mu_n, ..., -mu_1): inv(L, nu(p) L0) = mu exactly
+  when inv(nu(p) L0, L) = mu*, and those L are nu(p) p^lo H for the shapes
+  H of mu*'s cell, so inv(L0, L) is the valuations of the row-scaled D H
+  shifted by m + lo.  This is a bijection of lattices and uses no
+  commutativity of the Hecke algebra.
 
-so inv(L, nu(p) L0) is the valuations of the integer matrix X D shifted by
-m - lo - d.  One column scaling and one Smith elimination per lattice, and
-the elimination stops at the first valuation that differs from mu's.  The
-tests hold the oracle's counts to inv_pair's two-pass route.  The Hecke side computes the same coefficient through the
-Satake transform; the two routes share no code, which is what makes the
-agreement a real check.
+lam's window is checked against the caps first, so every refusal is lam's;
+mu*'s cell is walked when it is strictly smaller (by the Poincare formula,
+|mu*'s cell| = |mu's|) and its window no deeper than lam's, so a central or
+wide mu never brings in a larger window.  One scaling and one Smith
+elimination per lattice, and the elimination stops at the first valuation
+that differs from the one wanted.  The tests hold the oracle's counts to
+inv_pair's two-pass route, and the two sides to each other.  The Hecke side
+computes the same coefficient through the Satake transform; the two routes
+share no code, which is what makes the agreement a real check.
 """
 
 import itertools
@@ -230,25 +247,26 @@ def _smith_steps(mat, p, k):
     pivot is an entry of least valuation and rest is the rest of its row, as
     the earlier steps left it; clearing the pivot's row and column leaves
     every other entry in p^v Z_(p).  Rows are scaled only by p-units, so
-    every step is invertible over Z_(p), and each row is reduced mod p^k as
-    it is updated, so no entry grows past the input's and p^k.
+    every step is invertible over Z_(p), and the input is reduced mod p^k on
+    entry and each row again as it is updated, so no entry passes p^k.  An
+    entry's valuation is read off gcd(x, p^k), the power p^min(v, k), and
+    the pivot is the entry of least gcd.
     """
-    q, v = p**k, 0
-    m = [list(row) for row in mat]
+    q = p**k
+    scale, v = 1, 0
+    m = [[x % q for x in row] for row in mat]
     while m:
-        best = (k, 0, 0)  # an entry in p^k Z counts as valuation k
+        best, pi, pj = q, 0, 0  # an entry in p^k Z has gcd p^k: valuation k
         for i, row in enumerate(m):
             for j, x in enumerate(row):
-                if x:
-                    w = _val_int(x, p)
-                    if w < best[0]:
-                        best = (w, i, j)
-            if best[0] == v:  # the last pivot's valuation is a floor: nothing left is smaller
+                if x and (g := math.gcd(x, q)) < best:
+                    best, pi, pj = g, i, j
+            if best == scale:  # the last pivot's gcd is a floor: nothing left is smaller
                 break
-        v, pi, pj = best
+        while scale < best:
+            scale, v = scale * p, v + 1
         prow = m.pop(pi)
-        pivot = prow.pop(pj)
-        unit, scale = pivot // p**v, p**v
+        unit = prow.pop(pj) // scale
         for row in m:
             x = row.pop(pj)
             if x:
@@ -333,8 +351,8 @@ def _hnf_rows(p, depth, diag):
 
     Pairs (H, X) of integer matrices as row tuples, row-major lexicographic
     in the off-diagonal entries of H.  Alongside each prefix of rows of H it
-    keeps the rows of X, found by forward substitution; a row of H whose X
-    row is not integral is dropped with every completion of it.
+    keeps the rows of X; each new row's offsets are solved from the last
+    column back so that its row of X is integral, and sorted.
     """
     n = len(diag)
     found = []
@@ -345,38 +363,51 @@ def _hnf_rows(p, depth, diag):
             found.append((tuple(hs), tuple(xs)))
             return
         d = p ** diag[i]
-        for off in itertools.product(range(d), repeat=i):
-            x = []
-            for k in range(i):
-                s = sum(off[j] * xs[j][k] for j in range(k, i))
-                if s % d:
-                    break
-                x.append(-s // d)
-            else:
-                x.append(p ** (depth - diag[i]))
-                zeros = (0,) * (n - i - 1)
-                extend(hs + [off + (d,) + zeros], xs + [tuple(x) + zeros])
+        # (offsets off_k.., X row entries x_k.., the sums s_0..s_{k-1} so far)
+        partial = [((), (), [0] * i)]
+        for k in range(i - 1, -1, -1):
+            xk = xs[k]
+            # off_k X_kk = -s_k mod d: none, or every m-th residue from the least
+            g = math.gcd(xk[k], d)
+            m = d // g
+            solved = []
+            for off, x, sums in partial:
+                s = sums[k]
+                if s % g == 0:
+                    for o in range((-s // g) % m, d, m):
+                        solved.append(
+                            ((o,) + off, (-(s + o * xk[k]) // d,) + x, [t + o * y for t, y in zip(sums[:k], xk)])
+                        )
+            partial = solved
+        zeros = (0,) * (n - i - 1)
+        for off, x, _ in sorted(partial):
+            extend(hs + [off + (d,) + zeros], xs + [x + (p ** (depth - diag[i]),) + zeros])
 
     extend([], [])
     return found
 
 
 @lru_cache(maxsize=None)
-def _shapes(p, n, depth):
-    """The depth window p^depth L0 <= L <= L0, each lattice once, and its cells.
+def _window(p, n, depth):
+    """The depth window p^depth L0 <= L <= L0, each lattice once.
 
-    Returns (shapes, cells): a dict from each integer basis H, in enumeration
-    order, to its integral inverse X = p^depth H^-1, and a dict from
-    inv(L0, H) to the tuple of those H (the same objects).
+    A dict from each integer basis H, in enumeration order, to its integral
+    inverse X = p^depth H^-1.
     """
-    shapes = {}
+    window = {}
     for diag in itertools.product(range(depth + 1), repeat=n):
-        shapes.update(_hnf_rows(p, depth, diag))
+        window.update(_hnf_rows(p, depth, diag))
+    return window
+
+
+@lru_cache(maxsize=None)
+def _cells(p, n, depth):
+    """The depth window's Schubert cells: a dict from inv(L0, H) to the tuple of those H of _window."""
     cells = {}
-    for h in shapes:
+    for h in _window(p, n, depth):
         # p^depth H^-1 is integral, so no valuation of H passes depth
         cells.setdefault(_int_smith(h, p, depth + 1), []).append(h)
-    return shapes, {key: tuple(group) for key, group in cells.items()}
+    return {key: tuple(group) for key, group in cells.items()}
 
 
 def enumerate_between(p, n, nn):
@@ -390,16 +421,13 @@ def enumerate_between(p, n, nn):
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {n!r}")
     if not isinstance(nn, int) or not 0 <= nn <= _MAX_WINDOW:
         raise ValueError(f"window must be 0..{_MAX_WINDOW}, got {nn!r}")
-    return [PLattice._trusted(p, h, nn) for h in _shapes(p, n, 2 * nn)[0]]
+    return [PLattice._trusted(p, h, nn) for h in _window(p, n, 2 * nn)]
 
 
-@lru_cache(maxsize=None)
-def _window_lattices(p, n, depth):
-    """The number of lattices in the depth window of rank n, by the Poincare formula.
+def _cell_size(p, mu):
+    """|K mu(p) K / K| = p^<2rho,mu> W(1/p) / W_mu(1/p) for a dominant mu (Macdonald, SFHP, Ch. V).
 
-    The sum over the window's cells, dominant mu with entries in 0..depth, of
-    |K mu(p) K / K| = p^<2rho,mu> W(1/p) / W_mu(1/p) (Macdonald, SFHP, Ch. V),
-    in integers: p^(<2rho,mu> - #{i<j : mu_i > mu_j}) W(p) / W_mu(p), with
+    In integers: p^(<2rho,mu> - #{i<j : mu_i > mu_j}) W(p) / W_mu(p), with
     W(p) = prod_{i<=n} (p^i - 1)/(p - 1) the Poincare polynomial of S_n at p.
     """
 
@@ -409,12 +437,15 @@ def _window_lattices(p, n, depth):
             out *= (p**i - 1) // (p - 1)
         return out
 
-    total, whole = 0, poincare(n)
-    for mu in itertools.combinations_with_replacement(range(depth, -1, -1), n):
-        gaps = sum(a - b - 1 for i, a in enumerate(mu) for b in mu[i + 1 :] if a > b)
-        stabilizer = math.prod(poincare(len(list(block))) for _, block in itertools.groupby(mu))
-        total += p**gaps * whole // stabilizer
-    return total
+    gaps = sum(a - b - 1 for i, a in enumerate(mu) for b in mu[i + 1 :] if a > b)
+    stabilizer = math.prod(poincare(len(list(block))) for _, block in itertools.groupby(mu))
+    return p**gaps * poincare(len(mu)) // stabilizer
+
+
+@lru_cache(maxsize=None)
+def _window_lattices(p, n, depth):
+    """The number of lattices in the depth window of rank n: its cells' sizes, dominant mu in 0..depth."""
+    return sum(_cell_size(p, mu) for mu in itertools.combinations_with_replacement(range(depth, -1, -1), n))
 
 
 def _check_window(p, n, depth):
@@ -451,15 +482,56 @@ def schubert_count(mu, p):
     if not is_dominant(mu):
         raise ValueError(f"coweight must be dominant: {mu}")
     lo, hi = _window_for(mu, p)
-    cells = _shapes(p, len(mu), hi - lo)[1]
-    return len(cells.get(tuple(e - lo for e in mu), ()))
+    return len(_cells(p, len(mu), hi - lo).get(tuple(e - lo for e in mu), ()))
+
+
+def _oracle_cell(lam, mu, p):
+    """(dual, lo, depth): the cell convolution_oracle walks, in the window p^(lo + depth) L0 <= L <= p^lo L0.
+
+    lam's cell (dual False), its window checked against the caps first; or
+    mu*'s (dual True), mu* = (-mu_n, ..., -mu_1), when that cell is strictly
+    smaller and its window no deeper.  |mu*'s cell| = |mu's|, as <2rho, mu*>
+    = <2rho, mu> and the stabilizers match.
+    """
+    lo, hi = _window_for(lam, p)
+    dlo, dhi = min(0, -mu[0]), max(0, -mu[-1])
+    if dhi - dlo <= hi - lo and _cell_size(p, mu) < _cell_size(p, lam):
+        return True, dlo, dhi - dlo
+    return False, lo, hi - lo
+
+
+def _oracle_count(lam, mu, nu, p, dual, lo, depth):
+    """convolution_oracle's count over lam's cell (dual False) or mu*'s, in the window of lo and depth.
+
+    m = min nu and D the diagonal p^(nu_j - m).  Over lam's cell, L = p^lo H
+    and (p^lo H)^-1 nu(p) = p^(m - lo - depth) X D with X = p^depth H^-1, so
+    inv(L, nu(p) L0) is the valuations of X D shifted by m - lo - depth.
+    Over mu*'s, L = nu(p) p^lo H (inv(L, nu(p) L0) = mu iff inv(nu(p) L0, L)
+    = mu*), so inv(L0, L) is the valuations of D H shifted by m + lo.
+    """
+    n, m = len(nu), min(nu)
+    scale = [p ** (x - m) for x in nu]
+    if dual:
+        cell = _cells(p, n, depth).get(tuple(-x - lo for x in reversed(mu)), ())
+        mats = ([[x * s for x in row] for row, s in zip(h, scale)] for h in cell)
+        want = [x - m - lo for x in reversed(lam)]
+    else:
+        window = _window(p, n, depth)
+        cell = _cells(p, n, depth).get(tuple(x - lo for x in lam), ())
+        mats = ([[x * s for x, s in zip(row, scale)] for row in window[h]] for h in cell)
+        want = [x + lo + depth - m for x in reversed(mu)]
+    # a valuation past max(want) is a mismatch already; k >= 1 keeps p^k an int
+    k = max(1, max(want) + 1)
+    # the valuations come smallest first: stop at the first that differs
+    return sum(all(v == w for (v, _), w in zip(_smith_steps(mat, p, k), want)) for mat in mats)
 
 
 def convolution_oracle(lam, mu, nu, p):
     """Count lattices L with inv(L0, L) = lam and inv(L, nu(p) L0) = mu.
 
     This is the structure constant of T_lam * T_mu on T_nu with v^2
-    specialized to p, counted one lattice of lam's cell at a time.
+    specialized to p, counted one lattice of the smaller of lam's and mu*'s
+    cells at a time.
     """
     lam, mu, nu = check_weight(lam), check_weight(mu), check_weight(nu)
     p = _check_p(p)
@@ -469,24 +541,7 @@ def convolution_oracle(lam, mu, nu, p):
     for w in (lam, mu, nu):
         if not is_dominant(w):
             raise ValueError(f"coweights must be dominant: {w}")
-    # L = p^lo H for the shapes H of lam's cell, and (p^lo H)^-1 nu(p) =
-    # p^(m - lo - depth) X D with X = p^depth H^-1, m = min nu and D the
-    # column scaling by p^(nu_j - m): all integers, no adjugate
-    lo, hi = _window_for(lam, p)
-    depth = hi - lo
-    shapes, cells = _shapes(p, n, depth)
-    m = min(nu)
-    scale = [p ** (x - m) for x in nu]
-    want = [x + lo + depth - m for x in reversed(mu)]
-    # a valuation past max(want) is a mismatch already; k >= 1 keeps p^k an int
-    k = max(1, max(want) + 1)
-    count = 0
-    for h in cells.get(tuple(x - lo for x in lam), ()):
-        # the valuations come smallest first: stop at the first that differs
-        steps = _smith_steps([[x * s for x, s in zip(row, scale)] for row in shapes[h]], p, k)
-        if all(v == w for (v, _), w in zip(steps, want)):
-            count += 1
-    return count
+    return _oracle_count(lam, mu, nu, p, *_oracle_cell(lam, mu, p))
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ the monomial basis is met only at the public boundary.  The pieces:
   changed.  The helper caches the entry of each sorted tuple of cores,
   computes the smaller of a tuple and its dual tuple by the route and reads
   the other off it, and moves the keys back by the summed central shift.
-  Its callers, _weights, _tensor_terms, _hl_terms (and hecke.convolve),
+  Its callers, _weights, _schur_product, _hl_terms (and hecke.convolve),
   check their caps on their own weights first, so a refusal names them;
   both caps answer alike on a weight and its dual (equal Weyl dimensions,
   equal pair counts);
@@ -353,8 +353,18 @@ def _mul_terms(p, q):
 
 
 def _schur_product(p, q):
-    """The product of two term dicts in the Schur basis, by Brauer-Klimyk."""
-    return _bilinear(p, q, _tensor_terms)
+    """The product of two term dicts in the Schur basis, by Brauer-Klimyk.
+
+    Each weight is refused past _MAX_PATTERNS before any work, under its own
+    name, once and in the order the pairs of terms meet them: p's first
+    term, q's terms, then the rest of p's.
+    """
+    if p and q:
+        rest = iter(p)
+        _check_patterns(next(rest))
+        for mu in itertools.chain(q, rest):
+            _check_patterns(mu)
+    return _bilinear(p, q, _tensor_irreducibles)
 
 
 def monomial(mu):
@@ -409,7 +419,7 @@ def _weyl_dimension(mu):
     """dim V_mu for a dominant mu by the Weyl product formula: its number of Gelfand-Tsetlin patterns.
 
     dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i), an exact integer;
-    cached, since the pattern cap is checked on every product of two weights.
+    cached, since the pattern cap is checked on every weight of every product.
     """
     n = len(mu)
     num = den = 1
@@ -566,16 +576,6 @@ def _straighten(beta):
             elif b == beta[j]:
                 return 0, None
     return sign, tuple(sorted(beta, reverse=True))
-
-
-def _tensor_terms(a, b):
-    """V_a (x) V_b as {highest weight: nonzero int}, read only, from the table on cores.
-
-    a, then b, is refused past _MAX_PATTERNS before any work, under its own name.
-    """
-    _check_patterns(a)
-    _check_patterns(b)
-    return _tensor_irreducibles(a, b)
 
 
 def _brauer_klimyk(a, b):

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from satkit import hecke, plattice
 from satkit.plattice import (
     PLattice,
-    _shapes,
+    _cells,
+    _window,
     convolution_oracle,
     enumerate_between,
     inv_pair,
@@ -117,11 +118,10 @@ def window(p, n, lo, hi):
     Rebuilt from the cached integer shapes H as the unvalidated lattices
     p^lo H; cells are keyed by inv(L0, L) and hold the same PLattice objects.
     """
-    shapes, shape_cells = _shapes(p, n, hi - lo)
-    made = {h: PLattice._trusted(p, h, -lo) for h in shapes}
+    made = {h: PLattice._trusted(p, h, -lo) for h in _window(p, n, hi - lo)}
     cells = {
         tuple(e + lo for e in key): tuple(made[h] for h in group)
-        for key, group in shape_cells.items()
+        for key, group in _cells(p, n, hi - lo).items()
     }
     return tuple(made.values()), cells
 
@@ -445,6 +445,115 @@ def test_oracle_takes_no_adjugate():
     assert det_control > 0 and inv_control == 1
 
 
+def _hnf_rows_by_filtering(p, depth, diag):
+    """The shapes (H, X) of the depth window with diagonal p^diag, by trying every offset of every row.
+
+    The reference for plattice._hnf_rows: each row of H runs over all of
+    range(p^diag[i])^i, lexicographically, and is kept when its row of X =
+    p^depth H^-1, by forward substitution, is integral.
+    """
+    n = len(diag)
+    found = []
+
+    def extend(hs, xs):
+        i = len(hs)
+        if i == n:
+            found.append((tuple(hs), tuple(xs)))
+            return
+        d = p ** diag[i]
+        for off in itertools.product(range(d), repeat=i):
+            x = []
+            for k in range(i):
+                s = sum(off[j] * xs[j][k] for j in range(k, i))
+                if s % d:
+                    break
+                x.append(-s // d)
+            else:
+                x.append(p ** (depth - diag[i]))
+                zeros = (0,) * (n - i - 1)
+                extend(hs + [off + (d,) + zeros], xs + [tuple(x) + zeros])
+
+    extend([], [])
+    return found
+
+
+@pytest.mark.parametrize(
+    "p, n, depth", [(p, n, d) for p in (2, 3) for n in (1, 2, 3) for d in (0, 1, 2)] + [(2, 4, 2)]
+)
+def test_solved_window_rows_match_filtered_ones(p, n, depth):
+    # the same shapes and inverses, in the same order, row by row and for the whole window
+    every = []
+    for diag in itertools.product(range(depth + 1), repeat=n):
+        rows = plattice._hnf_rows(p, depth, diag)
+        assert rows == _hnf_rows_by_filtering(p, depth, diag), diag
+        every += rows
+    assert list(_window(p, n, depth).items()) == every
+
+
+@pytest.mark.parametrize("n, top, p", [(2, 3, 2), (2, 3, 3), (3, 2, 2)])
+def test_smaller_cell_route_matches_lam_cell_route(n, top, p):
+    # inv(L, nu(p) L0) = mu iff inv(nu(p) L0, L) = mu*: a bijection of lattices, not commutativity
+    box = _dominant_box(n, 0, top)
+    sides = Counter()
+    for lam in box:
+        lo, hi = plattice._window_for(lam, p)
+        for mu in box:
+            slo, shi = plattice._window_for(tuple(-x for x in reversed(mu)), p)
+            dual, _, depth = plattice._oracle_cell(lam, mu, p)
+            sides[dual] += 1
+            assert depth == (shi - slo if dual else hi - lo)
+            for nu in _dominant_box(n, 0, 2 * top):
+                if sum(nu) != sum(lam) + sum(mu):
+                    continue
+                by_lam = plattice._oracle_count(lam, mu, nu, p, False, lo, hi - lo)
+                by_dual = plattice._oracle_count(lam, mu, nu, p, True, slo, shi - slo)
+                assert by_dual == by_lam, (lam, mu, nu)
+                assert convolution_oracle(lam, mu, nu, p) == by_lam, (lam, mu, nu)
+    assert sides[True] > 0 and sides[False] > 0
+
+
+_ORACLE_WORK_RUN = """
+import itertools
+from satkit import hecke, plattice
+
+
+def box(n, top):
+    return [w for w in itertools.product(range(top, -1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
+
+
+# the pairs of the lattice-oracle benchmark: GL_3 at p = 2 with one factor in 0..1, GL_2 0..3 at p = 3
+small, gl2 = box(3, 1), box(2, 3)
+pairs = [(a, b, 2) for a in small for b in box(3, 2) if b not in small or small.index(b) >= small.index(a)]
+pairs += [(a, b, 3) for i, a in enumerate(gl2) for b in gl2[i:]]
+cases = [(a, b, nu, p) for a, b, p in pairs for nu in hecke.convolve(hecke.basis(a), hecke.basis(b)).support()]
+plattice.enumerate_between(3, 3, 1)
+classified = plattice._cells.cache_info().currsize
+for case in cases:
+    plattice.convolution_oracle(*case)  # every window and its cells cached from here on
+tested = 0
+steps = plattice._smith_steps
+
+
+def counted(*args):
+    global tested
+    tested += 1
+    return steps(*args)
+
+
+plattice._smith_steps = counted
+print(classified, len(cases), sum(plattice.convolution_oracle(*case) for case in cases), tested)
+"""
+
+
+def test_oracle_work_on_the_benchmark_pairs():
+    # a fresh interpreter: enumeration alone classifies no cell, and the oracle walks the smaller cells
+    run = subprocess.run([sys.executable, "-c", _ORACLE_WORK_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    classified, cases, total, tested = map(int, run.stdout.split())
+    assert (classified, cases, total) == (0, 132, 311)
+    assert tested == 707  # 1,145 over lam's cells alone
+
+
 def test_enumeration_window_counts():
     assert len(enumerate_between(2, 2, 0)) == 1
     assert len(enumerate_between(2, 2, 1)) == 15
@@ -550,7 +659,7 @@ def _dominant_box(n, lo, hi):
 )
 def test_oracle_counts_match_adjugate_route(p, n, depth):
     # the oracle reads inv(L, nu(p) L0) off X D_nu; _inv eliminates [H | p^c nu(p)] in two passes
-    cells = _shapes(p, n, depth)[1]
+    cells = _cells(p, n, depth)
     for nu in _dominant_box(n, 0, depth):
         target = PLattice.from_coweight(nu, p)
         for lam, group in cells.items():
@@ -583,7 +692,7 @@ def test_gl4_structure_constants_match_convolve(top, p, coefficients):
     assert _oracle_against_convolve(4, top, p) == coefficients
 
 
-@pytest.mark.skipif(not os.environ.get("SATKIT_SLOW_ORACLE"), reason="about 10 s of lattice counting")
+@pytest.mark.skipif(not os.environ.get("SATKIT_SLOW_ORACLE"), reason="about 6 s of lattice counting")
 def test_gl4_structure_constants_match_convolve_at_p3_depth2():
     assert _oracle_against_convolve(4, 2, 3) == 286
 
@@ -591,7 +700,7 @@ def test_gl4_structure_constants_match_convolve_at_p3_depth2():
 def test_window_sizes_match_enumeration():
     # the cap's estimate, the Poincare-formula sum over the window's cells, is exact
     for p, n, depth in [(2, 2, 2), (2, 3, 2), (3, 3, 2), (2, 3, 4), (3, 2, 4), (2, 4, 2), (3, 4, 1), (2, 5, 1)]:
-        assert plattice._window_lattices(p, n, depth) == len(_shapes(p, n, depth)[0]), (p, n, depth)
+        assert plattice._window_lattices(p, n, depth) == len(_window(p, n, depth)), (p, n, depth)
     assert plattice._window_lattices(3, 3, 4) == 67969  # the largest window of rank <= 3
     assert plattice._window_lattices(3, 4, 2) == 24033
     assert plattice._window_lattices(2, 5, 2) == 55989
@@ -614,7 +723,7 @@ def test_schubert_counts_match_poincare_polynomial_formula_wider():
         assert schubert_count(mu, p) == _cell_size_formula(mu, p), (mu, p)
 
 
-@pytest.mark.skipif(not os.environ.get("SATKIT_SLOW_ORACLE"), reason="about 10 s of window enumeration")
+@pytest.mark.skipif(not os.environ.get("SATKIT_SLOW_ORACLE"), reason="about 4 s of window enumeration")
 def test_schubert_counts_match_poincare_polynomial_formula_largest_windows():
     # windows of 40,000 to 70,000 lattices, each a few seconds cold
     cases = [case for n in (1, 2, 3) for case in _width_cells(n, 4, 3)]
@@ -624,7 +733,7 @@ def test_schubert_counts_match_poincare_polynomial_formula_largest_windows():
 
 
 def test_lattice_budget_refuses_before_enumeration():
-    before = _shapes.cache_info().currsize
+    before = _window.cache_info().currsize, _cells.cache_info().currsize
     with pytest.raises(ValueError, match=r"^the depth-2 window of rank 5 at p = 3 has 3622259 lattices, over the cap of 70000$"):
         convolution_oracle((2, 2, 0, 0, 0), (1, 0, 0, 0, 0), (3, 2, 0, 0, 0), 3)
     with pytest.raises(ValueError, match=r"^the depth-4 window of rank 4 at p = 2 has 821335 lattices"):
@@ -635,7 +744,7 @@ def test_lattice_budget_refuses_before_enumeration():
         schubert_count((0,) * 18, 2)  # its window is L0 alone, but a rank-18 one is never smaller
     with pytest.raises(ValueError, match=r"^rank must be <= 17, got 10000$"):
         convolution_oracle((0,) * 10000, (0,) * 10000, (0,) * 10000, 2)
-    assert _shapes.cache_info().currsize == before
+    assert (_window.cache_info().currsize, _cells.cache_info().currsize) == before
     assert schubert_count((0,) * 17, 2) == 1
     assert convolution_oracle((0,) * 17, (2,) * 17, (2,) * 17, 3) == 1
     assert schubert_count((1,) + (0,) * 5, 2) == 2**6 - 1  # the lines of F_2^6, in a window of 2825
