@@ -6,8 +6,8 @@ rationals (fractions.Fraction); there is not a single float in the library.
 Module map:
 
 - laurent:   the coefficient ring Z[v, v^-1], canonical printing/parsing
-- rootdata:  weights, dominance order, 2rho-pairing, group data; the exact
-             linear-algebra kernel
+- rootdata:  weights, dominance order, 2rho-pairing, group data; the one
+             integer determinant and the integer-span solve built on it
 - symfunc:   the combination base shared by SymPoly, HeckeElement and
              RepElement; symmetric functions, stored in the monomial basis
              and computed in the Schur basis; Schur and Hall-Littlewood

@@ -203,9 +203,3 @@ def specialize_v(x, q_value):
     if isinstance(x, (HeckeElement, SymPoly)):
         return {w: c.specialize(q) for w, c in sorted(x.terms.items())}
     raise ValueError(f"cannot specialize {x!r}")
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -159,45 +159,6 @@ class LaurentScalar:
             {e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()}
         )
 
-    # -- division -----------------------------------------------------
-
-    def exact_div(self, other):
-        """Exact quotient self/other in Z[v, v^-1]; ValueError if inexact.
-
-        Ordinary ascending long division after shifting both operands to
-        honest polynomials.  Exactness of each coefficient step is checked;
-        a nonzero remainder raises.
-        """
-        other = _coerce(other)
-        if other.is_zero():
-            raise ValueError("division by zero scalar")
-        if self.is_zero():
-            return LaurentScalar.zero()
-        s_min, o_min = self.min_exp(), other.min_exp()
-        num = {e - s_min: Fraction(c) for e, c in self.coeffs.items()}
-        den = {e - o_min: Fraction(c) for e, c in other.coeffs.items()}
-        lead = den[0]  # nonzero by construction: o_min shifted to 0
-        # exact quotient exponents are bounded by deg(num) - deg(den)
-        bound = max(num) - max(den)
-        quo = {}
-        while num:
-            low = min(num)
-            if low > bound:
-                raise ValueError(f"inexact division: {self} / {other}")
-            q = num[low] / lead
-            quo[low] = q
-            for e, c in den.items():
-                t = low + e
-                num[t] = num.get(t, Fraction(0)) - q * c
-                if num[t] == 0:
-                    del num[t]
-        shift = s_min - o_min
-        out = LaurentScalar._from_canonical(_canonical({e + shift: c for e, c in quo.items()}))
-        if self.is_integer_coeffs() and other.is_integer_coeffs():
-            if not out.is_integer_coeffs():
-                raise ValueError(f"inexact division over Z: {self} / {other}")
-        return out
-
     # -- substitutions --------------------------------------------------
 
     def specialize(self, q_value):
@@ -278,11 +239,6 @@ class QuadExt:
         return f"({self.a} + {self.b}*sqrt({self.q}))"
 
 
-def _canonical(d):
-    """d without its zero coefficients, whole Fractions turned into ints."""
-    return {k: (c if type(c) is int else _norm_coeff(c)) for k, c in d.items() if c}
-
-
 def _add_scaled(acc, p, c=1, shift=0):
     """acc += c * v^shift * p on canonical coefficient dicts, in place; returns acc.
 
@@ -314,7 +270,7 @@ def _try_coerce(x):
     if isinstance(x, LaurentScalar):
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return LaurentScalar._from_canonical(_canonical({0: x}))
+        return LaurentScalar({0: x})
     return None
 
 
@@ -388,9 +344,3 @@ def parse_scalar(s, var="v"):
         c = mag if sign == "+" else -mag
         coeffs[exp] = coeffs.get(exp, 0) + c
     return LaurentScalar(coeffs)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

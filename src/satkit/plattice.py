@@ -114,7 +114,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rootdata import check_weight, is_dominant
+from .rootdata import _det_int, check_weight, is_dominant
 
 _ALLOWED_PRIMES = (2, 3)
 _MAX_RANK = 3  # enumerate_between's rank range; the counting routes are capped by _MAX_LATTICES
@@ -301,25 +301,6 @@ def smith_invariants(mat, p):
         raise ValueError("smith_invariants wants a nonsingular matrix")
     shift = _val_int(d, p)
     return tuple(v - shift for v in _int_smith(ints, p, _val_int(det, p) + 1))
-
-
-def _det_int(mat):
-    """Determinant of a square integer matrix (Bareiss elimination); 1 if empty."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
 
 
 def _inv(l1, l2):
@@ -542,9 +523,3 @@ def convolution_oracle(lam, mu, nu, p):
         if not is_dominant(w):
             raise ValueError(f"coweights must be dominant: {w}")
     return _oracle_count(lam, mu, nu, p, *_oracle_cell(lam, mu, p))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -87,9 +87,3 @@ def dual(r):
     if not isinstance(r, RepElement):
         raise ValueError("dual wants a RepElement")
     return RepElement._from_canonical(r.n, {dual_weight(w): c for w, c in r.terms.items()})
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

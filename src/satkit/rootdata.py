@@ -15,13 +15,12 @@ Conventions, fixed once:
 - dual_weight reverses and negates (the highest weight of the dual
   representation; on dominants this is -w0).
 
-The package's one exact linear-algebra kernel lives here too: a Gauss-Jordan
-elimination over Fractions (_gauss_jordan) from which rank, determinant and
-the integer-span solve are read off, plus _mat_mul.  GroupSpec, trace_k and
-the tests use it; plattice works on integers with kernels of its own.
+The package's one exact determinant lives here too: _det_int, Bareiss
+elimination on integer matrices.  SigmaAction checks unimodularity with it,
+GroupSpec independence (det of the Gram matrix), in_integer_span its
+adjugate solve, and plattice its lattice bases.  Everything here is integer
+arithmetic; plattice's valuation elimination over Z_(p) is its own.
 """
-
-from fractions import Fraction
 
 Weight = tuple  # tuple[int, ...]; rank is the length
 
@@ -106,18 +105,19 @@ class GroupSpec:
     integer span is what in_tate_lattice tests membership of.
     """
 
-    __slots__ = ("n", "center_generators")
+    __slots__ = ("n", "center_generators", "_span")
 
     def __init__(self, n, center_generators=()):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"rank must be a positive int: {n!r}")
         gens = tuple(check_weight(g) for g in center_generators)
         for g in gens:
             if len(g) != n:
                 raise ValueError(f"center generator {g} has rank {len(g)}, expected {n}")
-        if gens and _rank(gens) != len(gens):
+        span = _span_data(gens)
+        if span[1] == 0:
             raise ValueError("center generators must be linearly independent")
-        self.n, self.center_generators = n, gens
+        self.n, self.center_generators, self._span = n, gens, span
 
     def __eq__(self, other):
         if not isinstance(other, GroupSpec):
@@ -134,74 +134,66 @@ class GroupSpec:
 def in_integer_span(target, generators):
     """Is target an integer combination of the (independent) generators?
 
-    Solves the rational linear system and checks integrality; with
-    independent generators the solution, when it exists, is unique.
+    With G the generators as rows, the only rational solution of c G = t is
+    c = A t / Delta (see _span_data), so t lies in the integer span exactly
+    when Delta divides every entry of A t and the quotients give back t.
     """
     target = check_weight(target)
-    gens = [check_weight(g) for g in generators]
-    if not gens:
-        return all(x == 0 for x in target)
-    n = len(target)
+    gens = tuple(check_weight(g) for g in generators)
     for g in gens:
-        if len(g) != n:
+        if len(g) != len(target):
             raise ValueError(f"rank mismatch between target {target} and generator {g}")
-    # augmented system: columns are the generators, then the target
-    k = len(gens)
-    rref, pivots, _ = _gauss_jordan([[g[i] for g in gens] + [target[i]] for i in range(n)], k)
-    if len(pivots) != k:
+    span = _span_data(gens)
+    if span[1] == 0:
         raise ValueError("generators must be linearly independent")
-    # consistency: rows below the pivots must have zero rhs
-    if any(row[k] != 0 for row in rref[k:]):
-        return False
-    return all(row[k].denominator == 1 for row in rref[:k])
+    return _in_span(target, span)
 
 
-# -- exact linear algebra over Q ------------------------------------------
+# -- exact integer linear algebra -----------------------------------------
 
 
-def _gauss_jordan(rows, ncols=None):
-    """Gauss-Jordan elimination over Fractions: the one exact kernel.
+def _span_data(gens):
+    """(G, Delta, A) for generator rows G: Delta = det(G G^T) and A = adj(G G^T) G.
 
-    Pivots are sought in the first ncols columns (all of them by default);
-    row operations act on whole rows, so further columns ride along as an
-    augmented block.  Returns (rref, pivots, det): the reduced rows, the
-    pivot columns in order, and the product of the pivots signed by the row
-    swaps, which is the determinant when the matrix is square and every
-    column has a pivot.
+    Delta is 0 exactly when the generators are dependent.  The adjugate comes
+    from cofactors; the empty minor has determinant 1, so no generators give
+    (G, 1, ()).
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
-    pivots = []
-    det = Fraction(1)
-    for col in range(ncols):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != top:
-            mat[top], mat[pivot] = mat[pivot], mat[top]
-            det = -det
-        lead = mat[top][col]
-        det *= lead
-        mat[top] = [x / lead for x in mat[top]]
-        for r in range(len(mat)):
-            if r != top and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[top])]
-        pivots.append(col)
-    return mat, pivots, det
+    gram = _mat_mul(gens, tuple(zip(*gens)))
+    k = range(len(gens))
+    adj = [
+        [(-1) ** (i + j) * _det_int([r[:i] + r[i + 1:] for m, r in enumerate(gram) if m != j]) for j in k]
+        for i in k
+    ]
+    return gens, _det_int(gram), _mat_mul(adj, gens)
 
 
-def _rank(rows):
-    """Rank over Q of a rational matrix."""
-    return len(_gauss_jordan(rows)[1])
+def _in_span(t, span):
+    """Is the integer vector t in the integer span, for span = _span_data(G) with Delta != 0?"""
+    gens, delta, a = span
+    quotients = [divmod(sum(x * y for x, y in zip(row, t)), delta) for row in a]
+    if any(r for _, r in quotients):
+        return False
+    return all(sum(c * g[i] for (c, _), g in zip(quotients, gens)) == x for i, x in enumerate(t))
 
 
-def _det(rows):
-    """Determinant of a square rational matrix, as a Fraction."""
-    _, pivots, det = _gauss_jordan(rows)
-    return det if len(pivots) == len(rows) else Fraction(0)
+def _det_int(mat):
+    """Determinant of a square integer matrix (Bareiss elimination); 1 if empty."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def _mat_mul(a, b):
@@ -212,9 +204,3 @@ def _mat_mul(a, b):
 
 def _mat_identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -669,9 +669,3 @@ def hall_littlewood(mu):
     """
     mu = _highest_weight(mu)
     return SymPoly._from_canonical(len(mu), _scalars(_to_monomial(_hl_terms(mu))))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -7,9 +7,12 @@ cocharacter lattice of the center (by generators), the Tate sublattice is
                 of the center generators },     m = order of sigma,
 
 and the Tate dimension of an irreducible V_mu is the number of its weights
-(with multiplicity) landing in that sublattice.  The group may be a product
-of GL-blocks (TateConfig.blocks); irreducibles of a product have the product
-weight multiset, block by block.
+(with multiplicity) landing in that sublattice.  The orbit sum is the
+integer matrix SigmaAction.orbit_sum, computed once, and the span test the
+integer solve GroupSpec keeps (rootdata._span_data): per weight, two
+matrix-vector products.  The group may be a product of GL-blocks
+(TateConfig.blocks); irreducibles of a product have the product weight
+multiset, block by block.
 
 Two ready-made configurations:
 
@@ -39,7 +42,7 @@ HOperator(r=1, (1-p-2p^2)*T[p,0] + T[p,1])
 import math
 
 from .laurent import LaurentScalar, _add_scaled
-from .rootdata import GroupSpec, check_weight, in_integer_span, is_dominant
+from .rootdata import GroupSpec, _in_span, check_weight, is_dominant
 from .symfunc import _check_patterns, _weyl_dimension, weight_multiset
 from .trace_k import SigmaAction
 
@@ -55,11 +58,11 @@ class TateConfig:
         if sigma.n != group.n:
             raise ValueError(f"sigma acts on rank {sigma.n}, group has rank {group.n}")
         blocks = tuple(blocks) or (group.n,)
-        if any(not isinstance(b, int) or b < 1 for b in blocks) or sum(blocks) != group.n:
+        if any(not isinstance(b, int) or isinstance(b, bool) or b < 1 for b in blocks) or sum(blocks) != group.n:
             raise ValueError(f"blocks {blocks} must be positive ints summing to {group.n}")
         # sigma must keep the center lattice inside itself
         for g in group.center_generators:
-            if not in_integer_span(sigma.apply(g), group.center_generators):
+            if not _in_span(sigma.apply(g), group._span):
                 raise ValueError(f"sigma does not preserve the center lattice at {g}")
         self.group, self.sigma, self.blocks = group, sigma, blocks
 
@@ -106,12 +109,12 @@ def in_tate_lattice(lam, cfg):
         raise ValueError("in_tate_lattice wants a TateConfig")
     if len(lam) != cfg.group.n:
         raise ValueError(f"weight {lam} has rank {len(lam)}, config has rank {cfg.group.n}")
-    total = (0,) * len(lam)
-    cur = lam
-    for _ in range(cfg.sigma.order):
-        total = tuple(a + b for a, b in zip(total, cur))
-        cur = cfg.sigma.apply(cur)
-    return in_integer_span(total, cfg.group.center_generators)
+    return _in_tate_lattice(lam, cfg)
+
+
+def _in_tate_lattice(lam, cfg):
+    """in_tate_lattice for a weight already checked against cfg."""
+    return _in_span(tuple(sum(x * y for x, y in zip(row, lam)) for row in cfg.sigma.orbit_sum), cfg.group._span)
 
 
 def _block_weight_multiset(mu, blocks):
@@ -142,7 +145,7 @@ def tate_dimension(mu, cfg):
         raise ValueError("tate_dimension wants a TateConfig")
     if len(mu) != cfg.group.n:
         raise ValueError(f"weight {mu} has rank {len(mu)}, config has rank {cfg.group.n}")
-    return sum(m for w, m in _block_weight_multiset(mu, cfg.blocks) if in_tate_lattice(w, cfg))
+    return sum(m for w, m in _block_weight_multiset(mu, cfg.blocks) if _in_tate_lattice(w, cfg))
 
 
 def _reverse_negate_matrix(n):
@@ -163,12 +166,7 @@ def similitude_unitary_config(r):
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be a positive int: {r!r}")
     g = 2 * r + 1
-    rn = _reverse_negate_matrix(g)
-    matrix = tuple(
-        tuple((rn[i][j] if i < g and j < g else (1 if i == j == g else 0)) for j in range(g + 1))
-        for i in range(g + 1)
-    )
-    sigma = SigmaAction(matrix, 2)
+    sigma = SigmaAction(tuple(row + (0,) for row in _reverse_negate_matrix(g)) + ((0,) * g + (1,),), 2)
     group = GroupSpec(g + 1, ((1,) * g + (0,), (0,) * g + (1,)))
     return TateConfig(group, sigma, (g, 1))
 
@@ -295,9 +293,3 @@ def h_operator(r):
             else:
                 coeffs[j] = acc
     return HOperator(r, coeffs)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

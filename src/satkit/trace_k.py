@@ -20,8 +20,12 @@ finite order m with sigma^m = 1 enforced at construction.
 
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension
-from .rootdata import _det, _mat_identity, _mat_mul, check_weight
+from .rootdata import _det_int, _mat_identity, _mat_mul, check_weight
 from .symfunc import SymPoly, _scalars, _to_monomial
+
+# order * n^3 entry products: the most the order check takes, and more than the determinant's
+# n^3 / 3; refused before either runs (up to it, 1-2 s on a 2-core host)
+_MAX_ORDER_OPS = 10**7
 
 
 class SigmaAction:
@@ -29,10 +33,10 @@ class SigmaAction:
 
     matrix is row-major: (sigma w)_i = sum_j matrix[i][j] w_j.  Requires
     sigma^order = identity (order need not be minimal) and det = +-1 so the
-    lattice maps onto itself.
+    lattice maps onto itself.  orbit_sum is the matrix sum_{i<order} sigma^i.
     """
 
-    __slots__ = ("matrix", "order")
+    __slots__ = ("matrix", "order", "orbit_sum")
 
     def __init__(self, matrix, order):
         rows = tuple(tuple(x for x in row) for row in matrix)
@@ -43,16 +47,18 @@ class SigmaAction:
             for x in r:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError(f"sigma matrix entries must be ints: {x!r}")
-        if not isinstance(order, int) or order < 1:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise ValueError(f"order must be a positive int: {order!r}")
-        if _det(rows) not in (1, -1):
+        if order * n**3 > _MAX_ORDER_OPS:
+            raise ValueError(
+                f"checking sigma^{order} on rank {n} takes up to {order * n**3} entry products, over the cap of {_MAX_ORDER_OPS}"
+            )
+        if _det_int(rows) not in (1, -1):
             raise ValueError("sigma must be invertible over Z (det +-1)")
-        power = _mat_identity(n)
-        for _ in range(order):
-            power = _mat_mul(rows, power)
-        if power != _mat_identity(n):
+        orbit_sum = _orbit_sum(rows, order)
+        if orbit_sum is None:
             raise ValueError(f"sigma^{order} is not the identity")
-        self.matrix, self.order = rows, order
+        self.matrix, self.order, self.orbit_sum = rows, order, orbit_sum
 
     def __eq__(self, other):
         if not isinstance(other, SigmaAction):
@@ -88,6 +94,36 @@ class SigmaAction:
     @classmethod
     def from_json(cls, data):
         return cls(tuple(tuple(r) for r in data["matrix"]), data["order"])
+
+
+def _orbit_sum(rows, order):
+    """sum_{i<order} sigma^i, or None unless sigma^order = 1.
+
+    The order m0 of sigma mod 3 comes first, in at most `order` products: if
+    sigma^order = 1 then m0 divides order.  The kernel of GL_n(Z) -> GL_n(Z/3)
+    is torsion-free (Minkowski), so sigma has finite order exactly when
+    sigma^m0 = 1 over Z; then the sum is (order / m0) sum_{i<m0} sigma^i.
+    """
+    one = _mat_identity(len(rows))
+    mod3 = power = tuple(tuple(x % 3 for x in row) for row in rows)
+    m0 = 1
+    while power != one and m0 < order:
+        power = tuple(tuple(x % 3 for x in row) for row in _mat_mul(mod3, power))
+        m0 += 1
+    if power != one or order % m0 or _mat_pow(rows, m0) != one:
+        return None
+    powers = [one]
+    for _ in range(m0 - 1):
+        powers.append(_mat_mul(rows, powers[-1]))
+    return tuple(tuple(order // m0 * sum(col) for col in zip(*rs)) for rs in zip(*powers))
+
+
+def _mat_pow(a, e):
+    """a^e for e >= 1 by repeated squaring: an infinite-order a is seen in about 2 log2(e) products."""
+    if e == 1:
+        return a
+    half = _mat_pow(_mat_mul(a, a), e // 2)
+    return _mat_mul(a, half) if e % 2 else half
 
 
 def s_operator(r, sigma=None):
@@ -133,9 +169,3 @@ def trace_of_endomorphism(r, scalars):
             raise ValueError(f"no scalar given for constituent {w}")
         in_schur[w] = (mult * table[w]).coeffs
     return SymPoly._from_canonical(r.n, _scalars(_to_monomial(in_schur)))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -35,6 +35,31 @@ def u3_config(tmp_path_factory):
     return str(path)
 
 
+# configs refused as they load, each by a different check; named in GOLDEN by their keys
+REFUSED_CONFIGS = {
+    "BOOL_CONFIG": {"n": True, "center": [], "sigma": {"matrix": [[1]], "order": True}, "blocks": [True]},
+    # sigma^2 = 1, but the order check is refused by its cap before it starts
+    "HUGE_ORDER_CONFIG": {
+        "n": 3,
+        "center": [[1, 1, 1]],
+        "sigma": {"matrix": [[0, 0, -1], [0, -1, 0], [-1, 0, 0]], "order": 10**8},
+    },
+    # infinite order: seen from its order mod 3, not from a million products
+    "INFINITE_ORDER_CONFIG": {"n": 2, "center": [], "sigma": {"matrix": [[2, 1], [1, 1]], "order": 10**6}},
+}
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory, u3_config):
+    folder = tmp_path_factory.mktemp("refused")
+    paths = {"U3_CONFIG": u3_config}
+    for name, data in REFUSED_CONFIGS.items():
+        path = folder / f"{name.lower()}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return paths
+
+
 EXPECTED = [
     (["satake", "--n", "2", "--h", '{"(1,0)":1}'], '{"(1,0)":"v"}'),
     (["inv-satake", "--n", "2", "--f", '{"(1,0)":"v"}'], '{"(1,0)":"1"}'),
@@ -86,6 +111,22 @@ def test_verb_output(args, expected):
 # HeckeElement, RepElement).
 GOLDEN = [
     (["tate-dim", "--config", "U3_CONFIG", "--mu", "1,1,0"], 0, "1"),
+    (
+        ["tate-dim", "--config", "BOOL_CONFIG", "--mu", "0"],
+        2,
+        '{"error":"--config: rank must be a positive int: True"}',
+    ),
+    (
+        ["tate-dim", "--config", "HUGE_ORDER_CONFIG", "--mu", "1,1,0"],
+        2,
+        '{"error":"--config: checking sigma^100000000 on rank 3 takes up to 2700000000 entry products, '
+        'over the cap of 10000000"}',
+    ),
+    (
+        ["tate-dim", "--config", "INFINITE_ORDER_CONFIG", "--mu", "1,0"],
+        2,
+        '{"error":"--config: sigma^1000000 is not the identity"}',
+    ),
     (["h-op", "--r", "2"], 0, '{"0":"1-p-p^2+p^3-p^4+2p^5+3p^6","1":"1-p-2p^2","2":"1"}'),
     (["qbinom", "--n", "4", "--m", "2"], 0, '"1+v+2v^2+v^3+v^4"'),
     (
@@ -295,8 +336,8 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("args,code,stdout", GOLDEN, ids=lambda x: x[0] if isinstance(x, list) else None)
-def test_golden_stdout(args, code, stdout, u3_config):
-    out = run(*[u3_config if a == "U3_CONFIG" else a for a in args])
+def test_golden_stdout(args, code, stdout, config_paths):
+    out = run(*[config_paths.get(a, a) for a in args])
     assert (out.returncode, out.stdout, out.stderr) == (code, stdout + "\n", "")
 
 
@@ -387,6 +428,15 @@ def test_cost_caps_refuse_before_work(argv, estimate):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and text.count("\n") == 1
     assert json.loads(text)["error"].startswith(estimate)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_CONFIGS))
+def test_refused_configs_end_quickly(name, config_paths):
+    # each ran past a 10-s timeout or answered 1 before sigma's order and bools were checked
+    start = time.perf_counter()
+    code, text = _main_in_process(["tate-dim", "--config", config_paths[name], "--mu", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and text.count("\n") == 1 and "error" in json.loads(text)
 
 
 def test_closed_stdout_ends_quietly():

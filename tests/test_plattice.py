@@ -29,7 +29,7 @@ from satkit.plattice import (
     inv_pair,
     schubert_count,
 )
-from satkit.rootdata import _det, _gauss_jordan, _mat_identity, _mat_mul
+from satkit.rootdata import _mat_identity, _mat_mul
 
 # -- the Fraction route: the reference the integer kernels are held to ------
 
@@ -48,6 +48,51 @@ def val_p(x, p):
         den //= p
         v -= 1
     return v
+
+
+def _gauss_jordan(rows, ncols=None):
+    """Gauss-Jordan elimination over Fractions, the library's kernel before the integer one.
+
+    Pivots are sought in the first ncols columns (all of them by default);
+    row operations act on whole rows, so further columns ride along as an
+    augmented block.  Returns (rref, pivots, det): the reduced rows, the
+    pivot columns in order, and the product of the pivots signed by the row
+    swaps, which is the determinant when the matrix is square and every
+    column has a pivot.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            mat[top], mat[pivot] = mat[pivot], mat[top]
+            det = -det
+        lead = mat[top][col]
+        det *= lead
+        mat[top] = [x / lead for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots, det
+
+
+def _rank(rows):
+    """Rank over Q of a rational matrix."""
+    return len(_gauss_jordan(rows)[1])
+
+
+def _det(rows):
+    """Determinant of a square rational matrix, as a Fraction."""
+    _, pivots, det = _gauss_jordan(rows)
+    return det if len(pivots) == len(rows) else Fraction(0)
 
 
 def _mat_inv(rows):
@@ -336,14 +381,14 @@ def test_lattice_route_shares_no_code_with_transform_route():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert not imported & {"hecke", "symfunc", "laurent"}
-    # and of rootdata only the weight checks, none of its Fraction kernel
+    # and of rootdata only the weight checks and the integer determinant
     from_rootdata = {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "rootdata"
         for alias in node.names
     }
-    assert from_rootdata == {"check_weight", "is_dominant"}
+    assert from_rootdata == {"check_weight", "is_dominant", "_det_int"}
 
 
 _SCHUR_ROUTE_RUN = """

@@ -5,15 +5,14 @@ import itertools
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_plattice import _mat_inv
+from test_plattice import _det, _gauss_jordan, _mat_inv, _rank
 from test_symfunc import _det as leibniz_det
 
 from satkit.rootdata import (
     GroupSpec,
-    _det,
+    _det_int,
     _mat_identity,
     _mat_mul,
-    _rank,
     check_weight,
     dominance_leq,
     dual_weight,
@@ -161,3 +160,69 @@ def test_kernel_rank_is_largest_nonzero_minor(a):
         default=0,
     )
     assert _rank(a) == want
+
+
+@given(_square_pairs)
+def test_integer_det_matches_fraction_det(pair):
+    a, b = pair
+    assert _det_int(a) == _det(a) == leibniz_det(a)
+    assert _det_int(_mat_mul(a, b)) == _det_int(a) * _det_int(b)
+    assert _det_int(()) == 1  # the empty minor of a 1 x 1 adjugate
+
+
+# -- integer-span membership, against the Fraction solve ---------------------
+
+
+def fraction_in_integer_span(target, gens):
+    """The former library route: Gauss-Jordan over Fractions on the augmented system [G^T | t]."""
+    if not gens:
+        return all(x == 0 for x in target)
+    k = len(gens)
+    rref, pivots, _ = _gauss_jordan([[g[i] for g in gens] + [x] for i, x in enumerate(target)], k)
+    if len(pivots) != k:
+        raise ValueError("generators must be linearly independent")
+    if any(row[k] != 0 for row in rref[k:]):
+        return False
+    return all(row[k].denominator == 1 for row in rref[:k])
+
+
+@st.composite
+def _span_cases(draw):
+    """(target, generators) of rank 1-6, entries -3..3: in the span, off it by a small step, or anywhere."""
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=n))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+    target = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)]
+    kind = draw(st.sampled_from(["in", "near", "any"]))
+    if kind == "near":
+        target[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif kind == "any":
+        target = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return tuple(target), tuple(gens)
+
+
+def _verdict(test, *args):
+    try:
+        return test(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(_span_cases())
+def test_in_integer_span_matches_fraction_solve(case):
+    target, gens = case
+    assert _verdict(in_integer_span, target, gens) == _verdict(fraction_in_integer_span, target, gens)
+
+
+@given(_span_cases())
+def test_group_spec_independence_matches_fraction_rank(case):
+    _, gens = case
+    refused = _verdict(GroupSpec, len(gens[0]), gens) == "center generators must be linearly independent"
+    assert refused == (_rank(gens) < len(gens))
+
+
+def test_in_integer_span_sees_rational_but_not_integer_combinations():
+    # (1, 1) = (1/2)(2, 0) + (1/2)(0, 2): in the rational span only
+    assert not in_integer_span((1, 1), ((2, 0), (0, 2)))
+    assert fraction_in_integer_span((1, 1), ((2, 0), (0, 2))) is False
+    assert in_integer_span((2, -4), ((2, 0), (0, 2)))

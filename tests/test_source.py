@@ -1,0 +1,78 @@
+"""Gates on the shape of the package source, read with ast.
+
+Dead private code: every underscore-prefixed function or method (dunders
+aside) defined in the package is named somewhere in the package outside its
+own definition, as a name, an attribute or an import.  A function only a
+test calls belongs in the tests.
+
+One exact kernel: the modules of the Tate route compute with integers only,
+so none of them imports from fractions.
+"""
+
+import ast
+from pathlib import Path
+
+import satkit
+
+PACKAGE = Path(satkit.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _private_defs(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield node
+
+
+def _mentions(tree):
+    """(name, line) for every name, attribute and imported name in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def _unused_private(trees):
+    """module.name of each private function that no code outside its own definition names."""
+    mentions = {module: list(_mentions(tree)) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for node in _private_defs(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and not (other == module and line in own)
+                for other, found in mentions.items()
+                for name, line in found
+            ):
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_every_private_function_is_used_in_the_package():
+    assert _unused_private(TREES) == []
+
+
+def test_the_gate_sees_an_unused_private_function():
+    # recursion is no use; a call from another module, or a method call, is
+    trees = {
+        "a": ast.parse("def _recursive():\n    return _recursive()\n\ndef _called():\n    pass\n"),
+        "b": ast.parse("from .a import _called\n\nclass C:\n    def _method(self):\n        pass\n\nC()._method()\n"),
+    }
+    assert _unused_private(trees) == ["a._recursive"]
+
+
+def test_integer_modules_import_nothing_from_fractions():
+    for module in ("rootdata", "trace_k", "tate"):
+        imported = set()
+        for node in ast.walk(TREES[module]):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "fractions" not in imported, module

@@ -21,6 +21,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_laurent import exact_div
 
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.rootdata import is_dominant
@@ -276,7 +277,7 @@ def _hl_symmetrized(lam):
         for j in range(i + 1, n):
             poly = _xp_div_binomial(poly, i, j)
     vfac = _stabilizer_scalar(lam)
-    return SymPoly(n, {e: c.exact_div(vfac) for e, c in poly.items() if is_dominant(e)})
+    return SymPoly(n, {e: exact_div(c, vfac) for e, c in poly.items() if is_dominant(e)})
 
 
 def _dominants(lo, hi, n):

@@ -14,11 +14,14 @@ from collections.abc import Hashable
 from math import comb
 
 import pytest
+from test_laurent import exact_div
+from test_rootdata import fraction_in_integer_span
 
 from satkit import tate
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.repring import dimension
-from satkit.rootdata import GroupSpec
+from satkit.symfunc import weight_multiset
+from satkit.rootdata import GroupSpec, is_dominant
 from satkit.tate import (
     HOperator,
     TateConfig,
@@ -80,7 +83,7 @@ def _v_binomial_by_division(n, m):
     for i in range(1, m + 1):
         num = num * LaurentScalar({k: 1 for k in range(n - m + i)})
         den = den * LaurentScalar({k: 1 for k in range(i)})
-    return num.exact_div(den)
+    return exact_div(num, den)
 
 
 # -- Gaussian binomials --------------------------------------------------
@@ -278,6 +281,80 @@ def test_exterior_power_profiles_record_the_mismatch():
     claimed = {n: [comb((n + 1) // 2, i) for i in range(n + 1)] for n in (3, 5)}
     assert computed[3] != claimed[3]
     assert computed[5] != claimed[5]
+
+
+# -- Tate dimensions, against the route the orbit-sum matrix replaced --------
+
+
+def _tate_dimension_by_orbit_walk(mu, cfg):
+    """Per weight w: sum_{i<order} sigma^i(w) by `order` applies, then the Fraction solve."""
+    weights, pos = [((), 1)], 0
+    for b in cfg.blocks:
+        weights = [(w + bw, m * bm) for w, m in weights for bw, bm in weight_multiset(mu[pos:pos + b])]
+        pos += b
+    total = 0
+    for w, m in weights:
+        orbit, cur = (0,) * len(w), w
+        for _ in range(cfg.sigma.order):
+            orbit = tuple(a + b for a, b in zip(orbit, cur))
+            cur = cfg.sigma.apply(cur)
+        total += m * fraction_in_integer_span(orbit, cfg.group.center_generators)
+    return total
+
+
+def _dominant_blocks(blocks, lo, hi):
+    """Highest weights dominant on each block, entries lo..hi."""
+    per_block = [[w for w in itertools.product(range(hi, lo - 1, -1), repeat=b) if is_dominant(w)] for b in blocks]
+    return [sum(parts, ()) for parts in itertools.product(*per_block)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unitary_tate_dimensions_match_orbit_walk(n):
+    cfg = unitary_config(n)
+    for mu in _dominant_blocks((n,), 0, 2):
+        assert tate_dimension(mu, cfg) == _tate_dimension_by_orbit_walk(mu, cfg), mu
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_similitude_tate_dimensions_match_orbit_walk(r):
+    cfg = similitude_unitary_config(r)
+    for mu in _dominant_blocks(cfg.blocks, -1, 1):
+        assert tate_dimension(mu, cfg) == _tate_dimension_by_orbit_walk(mu, cfg), mu
+
+
+ROT4 = ((0, -1), (1, 0))  # minimal order 4
+ROT6 = ((1, -1), (1, 0))  # minimal order 6
+
+
+def _with_fixed_line(rot):
+    """rot on the first two coordinates, the identity on a third."""
+    return tuple(row + (0,) for row in rot) + ((0, 0, 1),)
+
+
+@pytest.mark.parametrize(
+    "group,matrix,blocks",
+    [
+        (GroupSpec(2), ROT4, (2,)),
+        (GroupSpec(2), ROT6, (2,)),
+        # GL_2 x GL_1 with the center on the fixed line: sum_{i<12} sigma^i = (12 / m0) sum_{i<m0} sigma^i
+        # is 12 on that line, and 12 lambda_3 lies in 24Z for even lambda_3 where 4 lambda_3 needs 6 | lambda_3
+        (GroupSpec(3, ((0, 0, 24),)), _with_fixed_line(ROT4), (2, 1)),
+        (GroupSpec(3, ((0, 0, 24),)), _with_fixed_line(ROT6), (2, 1)),
+        (GroupSpec(3, ((0, 0, 8), (1, 1, 0))), _with_fixed_line(((0, 1), (1, 0))), (2, 1)),
+    ],
+)
+def test_tate_dimensions_past_the_minimal_order_match_orbit_walk(group, matrix, blocks):
+    cfg = TateConfig(group, SigmaAction(matrix, 12), blocks)
+    for mu in _dominant_blocks(blocks, -3, 3):
+        assert tate_dimension(mu, cfg) == _tate_dimension_by_orbit_walk(mu, cfg), mu
+
+
+def test_orbit_sum_scales_past_the_minimal_order():
+    # the same sigma and center at its minimal order 4 and at order 12 give different lattices
+    group, sigma = GroupSpec(3, ((0, 0, 24),)), _with_fixed_line(ROT4)
+    at4, at12 = (TateConfig(group, SigmaAction(sigma, order), (2, 1)) for order in (4, 12))
+    assert tate_dimension((0, 0, 2), at4) == 0
+    assert tate_dimension((0, 0, 2), at12) == 1
 
 
 def test_config_validation_and_json():

@@ -3,10 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_symfunc import _det as leibniz_det
 
 from satkit.laurent import LaurentScalar
 from satkit.repring import dimension, irreducible, tensor
-from satkit.rootdata import is_dominant
+from satkit.rootdata import _mat_identity, _mat_mul, is_dominant
 from satkit.symfunc import schur, weight_multiset
 from satkit.trace_k import SigmaAction, s_operator, s_pairing, trace_of_endomorphism
 
@@ -53,6 +56,63 @@ def test_sigma_action_validation():
         SigmaAction(((2, 0), (0, 1)), 1)  # determinant not a unit
     with pytest.raises(ValueError):
         SigmaAction(((1, 0),), 1)  # not square
+
+
+_small_square = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def _powers(rows, count):
+    """sigma^0, ..., sigma^count by repeated products: the route the order check replaced."""
+    out = [_mat_identity(len(rows))]
+    for _ in range(count):
+        out.append(_mat_mul(rows, out[-1]))
+    return out
+
+
+def _refusal(matrix, order):
+    try:
+        SigmaAction(matrix, order)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(_small_square, st.integers(1, 12))
+def test_sigma_action_checks_against_leibniz_and_repeated_products(matrix, order):
+    rows = tuple(map(tuple, matrix))
+    if leibniz_det(rows) not in (1, -1):
+        want = "sigma must be invertible over Z (det +-1)"
+    elif _powers(rows, order)[-1] != _mat_identity(len(rows)):
+        want = f"sigma^{order} is not the identity"
+    else:
+        want = None
+    assert _refusal(rows, order) == want
+
+
+# sigma of minimal order 1, 2, 3, 4, 6 and 6 (a signed 3-cycle), each given every order
+# 1..12: accepted exactly on the multiples of its minimal order
+FINITE_ORDER = [
+    ((1, 0), (0, 1)),
+    ((0, 1), (1, 0)),
+    ((0, -1), (1, -1)),
+    ((0, -1), (1, 0)),
+    ((1, -1), (1, 0)),
+    ((0, 0, -1), (1, 0, 0), (0, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("matrix", FINITE_ORDER)
+def test_orbit_sum_is_the_sum_of_order_powers(matrix):
+    identity = _mat_identity(len(matrix))
+    for order in range(1, 13):
+        powers = _powers(matrix, order)
+        if powers[-1] != identity:
+            assert _refusal(matrix, order) == f"sigma^{order} is not the identity"
+            continue
+        want = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*powers[:-1]))
+        assert SigmaAction(matrix, order).orbit_sum == want, order
 
 
 def test_sigma_action_apply_and_json():

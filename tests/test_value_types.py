@@ -111,6 +111,21 @@ def test_tate_config_json_round_trip(cfg):
             (GroupSpec(2, ((1, 0),)), SigmaAction(((0, 1), (1, 0)), 2)),
             "sigma does not preserve the center lattice at (1, 0)",
         ),
+        # a bool is not an int here, as for weight and sigma-matrix entries
+        (GroupSpec, (True, ((1,),)), "rank must be a positive int: True"),
+        (SigmaAction, (((1,),), True), "order must be a positive int: True"),
+        (
+            TateConfig,
+            (GroupSpec(1), SigmaAction.identity(1), (True,)),
+            "blocks (True,) must be positive ints summing to 1",
+        ),
+        # the order check is refused past its cap before it starts, whatever sigma is
+        (
+            SigmaAction,
+            (((0, 0, -1), (0, -1, 0), (-1, 0, 0)), 10**8),
+            "checking sigma^100000000 on rank 3 takes up to 2700000000 entry products, over the cap of 10000000",
+        ),
+        (SigmaAction, (((2, 1), (1, 1)), 10**6), "sigma^1000000 is not the identity"),
     ],
 )
 def test_constructor_errors_are_pinned(cls, args, message):
