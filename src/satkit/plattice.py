@@ -70,7 +70,9 @@ p^lo L0 is p^lo times the depth hi - lo one, so only the integer shapes H
 are cached, per (p, n, depth), each with its X (_window); their partition
 into Schubert cells by inv(L0, H), the valuations of H itself, is a
 separate cache (_cells), filled only when a count asks for a cell:
-enumerate_between reads the window alone.  For L = p^lo H, inv(L0, L) =
+enumerate_between reads the window alone.  A third cache (_groups) splits
+each cell by the shapes' key (r, c): r_i the least valuation of row i of H,
+c_j that of column j of X.  For L = p^lo H, inv(L0, L) =
 inv(L0, H) + lo and inv(L, T) = inv(H, T) - lo.  enumerate_between makes a
 PLattice of each shape; schubert_count is a cell size.
 
@@ -86,8 +88,8 @@ The point of the module is convolution_oracle(lam, mu, nu, p):
     #{ L : inv(L0, L) = lam  and  inv(L, nu(p) L0) = mu }
 
 which must equal the T_nu-coefficient of T_lam * T_mu specialized at q = p.
-It tests the shapes of one cell, with no adjugate.  With m = min nu and D
-the diagonal scaling by p^(nu_j - m):
+It counts the shapes of one cell, with no adjugate.  With m = min nu, s =
+nu - m and D the diagonal scaling by p^s:
 
 - over lam's cell, L = p^lo H with X = p^depth H^-1 cached beside H, and
   (p^lo H)^-1 nu(p) = p^(m - lo - depth) X D, so inv(L, nu(p) L0) is the
@@ -101,12 +103,30 @@ the diagonal scaling by p^(nu_j - m):
 lam's window is checked against the caps first, so every refusal is lam's;
 mu*'s cell is walked when it is strictly smaller (by the Poincare formula,
 |mu*'s cell| = |mu's|) and its window no deeper than lam's, so a central or
-wide mu never brings in a larger window.  One scaling and one Smith
-elimination per lattice, and the elimination stops at the first valuation
-that differs from the one wanted.  The tests hold the oracle's counts to
-inv_pair's two-pass route, and the two sides to each other.  The Hecke side
-computes the same coefficient through the Satake transform; the two routes
-share no code, which is what makes the agreement a real check.
+wide mu never brings in a larger window.
+
+The count needs no elimination per lattice.  The sum v_1 + ... + v_k of
+the k least valuations of an integer matrix M is delta_k, the least
+valuation of its k x k minors (Macdonald, SFHP, II): delta_1 is the least
+entry valuation, delta_n = v_p(det M), and delta_(n-1) that of adj M =
+det(M) M^-1.  For the matrices tested, with d = v_p(det H) (the sum of the
+cell's key) and W the wanted valuations ascending:
+
+    side    M      delta_1               delta_n                 delta_(n-1)
+    lam's   X D    min_j (c_j + s_j)     n depth - d + sum(s)    delta_n - depth + min_j (r_j - s_j)
+    mu*'s   D H    min_i (r_i + s_i)     d + sum(s)              delta_n - depth + min_i (c_i - s_i)
+
+as (X D)^-1 = p^-depth D^-1 H and (D H)^-1 = p^-depth X D^-1.  So all
+members of a group share the three, and none of them is counted unless
+delta_1 = W_1, delta_(n-1) = sum(W) - W_n and delta_n = sum(W).  At rank
+<= 3 the three give all the valuations, and a group that passes is counted
+whole.  Past it only the members of such groups are scaled and
+eliminated, each elimination stopping at the first valuation that differs
+from the one wanted.  The tests hold the oracle's counts to inv_pair's
+two-pass route, to that elimination run on every lattice of the cell, and
+the two sides to each other.  The Hecke side computes the same coefficient
+through the Satake transform; the two routes share no code, which is
+what makes the agreement a real check.
 """
 
 import itertools
@@ -116,7 +136,7 @@ from functools import lru_cache
 
 from .rootdata import _det_int, check_weight, is_dominant
 
-_ALLOWED_PRIMES = (2, 3)
+_ALLOWED_PRIMES = (2, 3, 5, 7)
 _MAX_RANK = 3  # enumerate_between's rank range; the counting routes are capped by _MAX_LATTICES
 _MAX_WINDOW = 2
 # just above the largest window of rank <= 3, GL_3 at p = 3 and depth 4: 67,969
@@ -391,6 +411,27 @@ def _cells(p, n, depth):
     return {key: tuple(group) for key, group in cells.items()}
 
 
+@lru_cache(maxsize=None)
+def _groups(p, n, depth):
+    """Each cell of _cells split by its shapes' key: a dict from inv(L0, H) to a tuple of (r, c, shapes).
+
+    r_i is the least valuation of row i of H and c_j that of column j of X
+    = p^depth H^-1.  Each is read off the gcd of the row or column, a power
+    of p, since the diagonal entry p^(a_i) of H, or p^(depth - a_j) of X, is
+    one of the entries.  Within a group the shapes keep their order.
+    """
+    window = _window(p, n, depth)
+    logs = {p**k: k for k in range(depth + 1)}
+    groups = {}
+    for cell, shapes in _cells(p, n, depth).items():
+        split = {}
+        for h in shapes:
+            key = (tuple(logs[math.gcd(*row)] for row in h), tuple(logs[math.gcd(*col)] for col in zip(*window[h])))
+            split.setdefault(key, []).append(h)
+        groups[cell] = tuple((r, c, tuple(group)) for (r, c), group in split.items())
+    return groups
+
+
 def enumerate_between(p, n, nn):
     """All lattices L with p^N L0 <= L <= p^-N L0 (the depth-N window).
 
@@ -484,26 +525,43 @@ def _oracle_cell(lam, mu, p):
 def _oracle_count(lam, mu, nu, p, dual, lo, depth):
     """convolution_oracle's count over lam's cell (dual False) or mu*'s, in the window of lo and depth.
 
-    m = min nu and D the diagonal p^(nu_j - m).  Over lam's cell, L = p^lo H
-    and (p^lo H)^-1 nu(p) = p^(m - lo - depth) X D with X = p^depth H^-1, so
-    inv(L, nu(p) L0) is the valuations of X D shifted by m - lo - depth.
-    Over mu*'s, L = nu(p) p^lo H (inv(L, nu(p) L0) = mu iff inv(nu(p) L0, L)
-    = mu*), so inv(L0, L) is the valuations of D H shifted by m + lo.
+    With m = min nu, s = nu - m and D = diag(p^s), each shape's matrix is X
+    D (lam's cell: inv(L, nu(p) L0) shifted by lo + depth - m) or D H
+    (mu*'s: inv(L0, L) shifted by -m - lo); see the module docstring.  The
+    cell fixes its v_p(det), and the group key its least valuation and its
+    largest, which is depth less the least entry valuation of p^depth M^-1.
     """
     n, m = len(nu), min(nu)
-    scale = [p ** (x - m) for x in nu]
+    s = [x - m for x in nu]
     if dual:
-        cell = _cells(p, n, depth).get(tuple(-x - lo for x in reversed(mu)), ())
-        mats = ([[x * s for x in row] for row, s in zip(h, scale)] for h in cell)
+        cell = tuple(-x - lo for x in reversed(mu))
         want = [x - m - lo for x in reversed(lam)]
+        det = sum(cell) + sum(s)
+    else:
+        cell = tuple(x - lo for x in lam)
+        want = [x + lo + depth - m for x in reversed(mu)]
+        det = n * depth - sum(cell) + sum(s)
+    if det != sum(want):
+        return 0
+    passing = []
+    for r, c, shapes in _groups(p, n, depth).get(cell, ()):
+        if dual:  # D H, and (D H)^-1 = p^-depth X D^-1
+            least, largest = min(a + b for a, b in zip(r, s)), depth - min(a - b for a, b in zip(c, s))
+        else:  # X D, and (X D)^-1 = p^-depth D^-1 H
+            least, largest = min(a + b for a, b in zip(c, s)), depth - min(a - b for a, b in zip(r, s))
+        if least == want[0] and largest == want[-1]:
+            passing += shapes
+    if n <= 3:
+        return len(passing)
+    scale = [p**x for x in s]
+    if dual:
+        mats = ([[x * t for x in row] for row, t in zip(h, scale)] for h in passing)
     else:
         window = _window(p, n, depth)
-        cell = _cells(p, n, depth).get(tuple(x - lo for x in lam), ())
-        mats = ([[x * s for x, s in zip(row, scale)] for row in window[h]] for h in cell)
-        want = [x + lo + depth - m for x in reversed(mu)]
-    # a valuation past max(want) is a mismatch already; k >= 1 keeps p^k an int
-    k = max(1, max(want) + 1)
-    # the valuations come smallest first: stop at the first that differs
+        mats = ([[x * t for x, t in zip(row, scale)] for row in window[h]] for h in passing)
+    # a valuation past max(want) is a mismatch already, and want[0] >= 0 keeps p^k an int;
+    # the valuations come smallest first, so each elimination stops at the first that differs
+    k = max(want) + 1
     return sum(all(v == w for (v, _), w in zip(_smith_steps(mat, p, k), want)) for mat in mats)
 
 
@@ -511,8 +569,8 @@ def convolution_oracle(lam, mu, nu, p):
     """Count lattices L with inv(L0, L) = lam and inv(L, nu(p) L0) = mu.
 
     This is the structure constant of T_lam * T_mu on T_nu with v^2
-    specialized to p, counted one lattice of the smaller of lam's and mu*'s
-    cells at a time.
+    specialized to p, counted over the smaller of lam's and mu*'s cells a
+    group of lattices at a time.
     """
     lam, mu, nu = check_weight(lam), check_weight(mu), check_weight(nu)
     p = _check_p(p)

@@ -15,11 +15,12 @@ Conventions, fixed once:
 - dual_weight reverses and negates (the highest weight of the dual
   representation; on dominants this is -w0).
 
-The package's one exact determinant lives here too: _det_int, Bareiss
-elimination on integer matrices.  SigmaAction checks unimodularity with it,
-GroupSpec independence (det of the Gram matrix), in_integer_span its
-adjugate solve, and plattice its lattice bases.  Everything here is integer
-arithmetic; plattice's valuation elimination over Z_(p) is its own.
+The package's one exact elimination lives here too: _bareiss, fraction-free
+on integer matrices, of which the determinant _det_int is the case with no
+columns riding along.  SigmaAction checks unimodularity with _det_int and
+plattice its lattice bases; GroupSpec and in_integer_span eliminate
+[G G^T | G] once for det(G G^T) and adj(G G^T) G.  Everything here is
+integer arithmetic; plattice's valuation elimination over Z_(p) is its own.
 """
 
 Weight = tuple  # tuple[int, ...]; rank is the length
@@ -155,17 +156,13 @@ def in_integer_span(target, generators):
 def _span_data(gens):
     """(G, Delta, A) for generator rows G: Delta = det(G G^T) and A = adj(G G^T) G.
 
-    Delta is 0 exactly when the generators are dependent.  The adjugate comes
-    from cofactors; the empty minor has determinant 1, so no generators give
+    Both come from one elimination of [G G^T | G].  Delta is 0 exactly when
+    the generators are dependent, and then A is None; no generators give
     (G, 1, ()).
     """
     gram = _mat_mul(gens, tuple(zip(*gens)))
-    k = range(len(gens))
-    adj = [
-        [(-1) ** (i + j) * _det_int([r[:i] + r[i + 1:] for m, r in enumerate(gram) if m != j]) for j in k]
-        for i in k
-    ]
-    return gens, _det_int(gram), _mat_mul(adj, gens)
+    delta, a = _bareiss([row + g for row, g in zip(gram, gens)])
+    return gens, delta, a
 
 
 def _in_span(t, span):
@@ -179,21 +176,46 @@ def _in_span(t, span):
 
 def _det_int(mat):
     """Determinant of a square integer matrix (Bareiss elimination); 1 if empty."""
-    m = [list(row) for row in mat]
-    n = len(m)
+    return _bareiss(mat)[0]
+
+
+def _bareiss(rows):
+    """(det M, adj(M) B) for the k integer rows [M | B], M their first k columns; (0, None) if M is singular.
+
+    Fraction-free elimination (Bareiss): on pivot column c, each entry x to
+    its right, in each row eliminated, becomes (pivot x - f y) / (the
+    previous pivot), with f the row's entry in column c and y the pivot
+    row's entry in x's column.  The division is exact, and the last pivot
+    is det M times the sign of the row swaps.  With no columns B only the
+    rows below each pivot are eliminated, all a determinant needs, and the
+    second item is ().  With some, the rows above are too (Gauss-Jordan,
+    k^2 (k + width of B) steps), which leaves det(M) M^-1 B = adj(M) B in
+    the B columns, up to the same sign.
+    """
+    m = [list(row) for row in rows]
+    k = len(m)
+    width = len(m[0]) if k else 0
+    wide = width > k
     sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+    for c in range(k):
+        if m[c][c] == 0:
+            swap = next((r for r in range(c + 1, k) if m[r][c]), None)
             if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
+                return 0, None
+            m[c], m[swap] = m[swap], m[c]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
+        prow = m[c]
+        pivot = prow[c]
+        for i in range(0 if wide else c + 1, k):
+            if i != c:
+                row = m[i]
+                f = row[c]
+                for j in range(c + 1, width):
+                    row[j] = (row[j] * pivot - f * prow[j]) // prev
+        prev = pivot
+    if not wide:
+        return sign * prev, ()
+    return sign * prev, tuple(tuple(x * sign for x in row[k:]) for row in m)
 
 
 def _mat_mul(a, b):

@@ -26,6 +26,8 @@ from .symfunc import SymPoly, _scalars, _to_monomial
 # order * n^3 entry products: the most the order check takes, and more than the determinant's
 # n^3 / 3; refused before either runs (up to it, 1-2 s on a 2-core host)
 _MAX_ORDER_OPS = 10**7
+# the Mersenne prime 2^61 - 1: sigma^m0 is checked mod it before over Z
+_CHECK_PRIME = 2**61 - 1
 
 
 class SigmaAction:
@@ -103,14 +105,19 @@ def _orbit_sum(rows, order):
     sigma^order = 1 then m0 divides order.  The kernel of GL_n(Z) -> GL_n(Z/3)
     is torsion-free (Minkowski), so sigma has finite order exactly when
     sigma^m0 = 1 over Z; then the sum is (order / m0) sum_{i<m0} sigma^i.
+    sigma^m0 is taken mod a large prime first, in products of bounded
+    entries, and over Z only when that is the identity: an infinite-order
+    sigma with large entries is refused before its powers grow.
     """
     one = _mat_identity(len(rows))
-    mod3 = power = tuple(tuple(x % 3 for x in row) for row in rows)
+    mod3 = power = _mat_mod(rows, 3)
     m0 = 1
     while power != one and m0 < order:
-        power = tuple(tuple(x % 3 for x in row) for row in _mat_mul(mod3, power))
+        power = _mat_mod(_mat_mul(mod3, power), 3)
         m0 += 1
-    if power != one or order % m0 or _mat_pow(rows, m0) != one:
+    if power != one or order % m0:
+        return None
+    if _mat_pow(_mat_mod(rows, _CHECK_PRIME), m0, _CHECK_PRIME) != one or _mat_pow(rows, m0) != one:
         return None
     powers = [one]
     for _ in range(m0 - 1):
@@ -118,12 +125,17 @@ def _orbit_sum(rows, order):
     return tuple(tuple(order // m0 * sum(col) for col in zip(*rs)) for rs in zip(*powers))
 
 
-def _mat_pow(a, e):
-    """a^e for e >= 1 by repeated squaring: an infinite-order a is seen in about 2 log2(e) products."""
+def _mat_mod(a, q):
+    return tuple(tuple(x % q for x in row) for row in a)
+
+
+def _mat_pow(a, e, q=None):
+    """a^e for e >= 1 by repeated squaring, in about 2 log2(e) products; mod q when q is given."""
     if e == 1:
         return a
-    half = _mat_pow(_mat_mul(a, a), e // 2)
-    return _mat_mul(a, half) if e % 2 else half
+    mul = _mat_mul if q is None else (lambda x, y: _mat_mod(_mat_mul(x, y), q))
+    half = _mat_pow(mul(a, a), e // 2, q)
+    return mul(a, half) if e % 2 else half
 
 
 def s_operator(r, sigma=None):

@@ -370,7 +370,7 @@ def test_check_verbs_pass():
 def test_domain_errors_exit_1():
     for args in [
         ["dim", "--n", "2", "--mu", "0,1"],
-        ["count", "--mu", "1,0", "--p", "5"],
+        ["count", "--mu", "1,0", "--p", "11"],
         ["qbinom", "--n", "2", "--m", "3"],
         ["satake", "--n", "2", "--h", '{"(0,1)":1}'],
         ["satake", "--n", "2", "--h", '{"(99999999999999999999,0)":1}'],

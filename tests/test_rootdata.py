@@ -1,6 +1,7 @@
 """Weights, dominance order, and integer-span membership."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -10,12 +11,14 @@ from test_symfunc import _det as leibniz_det
 
 from satkit.rootdata import (
     GroupSpec,
+    _bareiss,
     _det_int,
     _mat_identity,
     _mat_mul,
     check_weight,
     dominance_leq,
     dual_weight,
+    _span_data,
     in_integer_span,
     is_dominant,
     two_rho_pairing,
@@ -168,6 +171,51 @@ def test_integer_det_matches_fraction_det(pair):
     assert _det_int(a) == _det(a) == leibniz_det(a)
     assert _det_int(_mat_mul(a, b)) == _det_int(a) * _det_int(b)
     assert _det_int(()) == 1  # the empty minor of a 1 x 1 adjugate
+
+
+def cofactor_adjugate(a):
+    """adj(a) from cofactors, k^2 determinants of size k - 1; the empty minor's determinant is 1."""
+    k = range(len(a))
+    return tuple(
+        tuple((-1) ** (i + j) * _det_int([r[:i] + r[i + 1 :] for m, r in enumerate(a) if m != j]) for j in k)
+        for i in k
+    )
+
+
+def cofactor_span_data(gens):
+    """(G, Delta, A) with A = adj(G G^T) G by cofactors: the route _span_data's one elimination replaced."""
+    gram = _mat_mul(gens, tuple(zip(*gens)))
+    delta = _det_int(gram)
+    return gens, delta, _mat_mul(cofactor_adjugate(gram), gens) if delta else None
+
+
+@given(_square_pairs)
+def test_bareiss_gives_det_and_adjugate_times_the_riding_columns(pair):
+    a, b = pair
+    det, adj_b = _bareiss([row + extra for row, extra in zip(a, b)])
+    assert det == leibniz_det(a)
+    assert _bareiss(a) == (det, () if det else None)
+    if det:
+        assert adj_b == _mat_mul(cofactor_adjugate(a), b)
+    else:
+        assert adj_b is None
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=1, max_size=6))
+def test_span_data_matches_cofactor_route(rows):
+    gens = tuple(map(tuple, rows))
+    assert _span_data(gens) == cofactor_span_data(gens)
+
+
+def test_span_data_of_many_generators_is_quick():
+    # by cofactors, about 1 s at 30 generators and 4 s at 40; one elimination takes k^2 (k + n) steps
+    for n in (30, 40):
+        lower = tuple(tuple(int(j <= i) for j in range(n)) for i in range(n))
+        start = time.perf_counter()
+        _, delta, a = GroupSpec(n, lower)._span
+        assert time.perf_counter() - start < 0.5
+        # G is unimodular: det(G G^T) = 1 and A = (G G^T)^-1 G = (G^T)^-1
+        assert delta == 1 and _mat_mul(a, tuple(zip(*lower))) == _mat_identity(n)
 
 
 # -- integer-span membership, against the Fraction solve ---------------------

@@ -1,12 +1,14 @@
 """S-operators on the K-ring: ring homomorphism laws and the pairing."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_symfunc import _det as leibniz_det
 
+from satkit import trace_k
 from satkit.laurent import LaurentScalar
 from satkit.repring import dimension, irreducible, tensor
 from satkit.rootdata import _mat_identity, _mat_mul, is_dominant
@@ -113,6 +115,32 @@ def test_orbit_sum_is_the_sum_of_order_powers(matrix):
             continue
         want = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*powers[:-1]))
         assert SigmaAction(matrix, order).orbit_sum == want, order
+
+
+def _companion(coeffs):
+    """The companion matrix of x^n + c_(n-1) x^(n-1) + ... + c_0, coeffs = (c_0, ..., c_(n-1))."""
+    n = len(coeffs)
+    return tuple(tuple(-coeffs[i] if j == n - 1 else int(j == i - 1) for j in range(n)) for i in range(n))
+
+
+def test_infinite_order_sigma_with_large_entries_is_refused_fast():
+    # x^6 + 2x^5 + ... + 2x - 1 is primitive mod 3, so sigma has order 728 = 3^6 - 1 mod 3; the
+    # 300-digit coefficients, each 2 mod 3, give sigma infinite order and det -1.  Squaring over Z
+    # would multiply numbers of up to about 200,000 digits; mod the prime sigma^728 is refused at once
+    big = 3 * 10**299 + 2
+    sigma = _companion((-1,) + (big,) * 5)
+    start = time.perf_counter()
+    assert _refusal(sigma, 728) == "sigma^728 is not the identity"
+    assert time.perf_counter() - start < 1
+    # a finite-order sigma with large entries passes the check mod the prime and then over Z:
+    # the swap conjugated by a unipotent u with a 300-digit entry
+    u, u_inv = ((1, big), (0, 1)), ((1, -big), (0, 1))
+    swap = _mat_mul(_mat_mul(u, ((0, 1), (1, 0))), u_inv)
+    want = tuple(tuple(2 * (x + y) for x, y in zip(a, b)) for a, b in zip(_mat_identity(2), swap))
+    assert SigmaAction(swap, 4).orbit_sum == want
+    # and a sigma whose power is the identity mod the prime alone is refused over Z: order 3 mod 3
+    shear = ((1, trace_k._CHECK_PRIME), (0, 1))
+    assert _refusal(shear, 3) == "sigma^3 is not the identity"
 
 
 def test_sigma_action_apply_and_json():
