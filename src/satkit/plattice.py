@@ -81,7 +81,8 @@ _MAX_LATTICES lattices, counted by summing the Poincare-formula cell sizes
 p^<2rho,mu> W(1/p) / W_mu(1/p) over its dominant mu (W the Poincare
 polynomial of S_n, W_mu that of mu's stabilizer; Macdonald, SFHP, Ch. V).
 Rank needs no cap of its own below 18, past which every window wider than
-L0 alone is over the budget anyway; enumerate_between keeps rank <= 3.
+L0 alone is over the budget anyway; enumerate_between keeps rank <= 3 and
+the budget too.
 
 The point of the module is convolution_oracle(lam, mu, nu, p):
 
@@ -443,6 +444,8 @@ def enumerate_between(p, n, nn):
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {n!r}")
     if not isinstance(nn, int) or not 0 <= nn <= _MAX_WINDOW:
         raise ValueError(f"window must be 0..{_MAX_WINDOW}, got {nn!r}")
+    # every window of rank <= 3 at p = 2, 3 is under the budget; at p = 5, 7 the depth-4 ones are not
+    _check_window(p, n, 2 * nn)
     return [PLattice._trusted(p, h, nn) for h in _window(p, n, 2 * nn)]
 
 

@@ -878,6 +878,10 @@ def test_lattice_budget_refuses_before_enumeration():
         schubert_count((0,) * 18, 2)  # its window is L0 alone, but a rank-18 one is never smaller
     with pytest.raises(ValueError, match=r"^rank must be <= 17, got 10000$"):
         convolution_oracle((0,) * 10000, (0,) * 10000, (0,) * 10000, 2)
+    with pytest.raises(ValueError, match=r"^the depth-4 window of rank 3 at p = 5 has 2890693 lattices"):
+        enumerate_between(5, 3, 2)
+    with pytest.raises(ValueError, match=r"^the depth-4 window of rank 3 at p = 7 has 37603817 lattices"):
+        enumerate_between(7, 3, 2)
     assert (_window.cache_info().currsize, _cells.cache_info().currsize) == before
     assert schubert_count((0,) * 17, 2) == 1
     assert convolution_oracle((0,) * 17, (2,) * 17, (2,) * 17, 3) == 1
