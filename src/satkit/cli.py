@@ -65,8 +65,16 @@ def _scalar_from_json(value, what):
 
 
 def _object_from_text(text, what):
+    def unique_keys(pairs):  # json.loads would keep only the last value of a repeated key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{what}: key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: invalid JSON ({exc.msg})") from None
     except ValueError:  # int() refuses an integer past the int-string digit limit
@@ -81,10 +89,14 @@ def _object_from_text(text, what):
 def _element_terms(text, n, what):
     data = _object_from_text(text, what)
     terms = {}
+    keys = {}
     for key, value in data.items():
         w = _weight_from_key(key, what)
         if len(w) != n:
             raise SchemaError(f"{what}: weight {key} has rank {len(w)}, expected {n}")
+        if w in keys:
+            raise SchemaError(f"{what}: keys {keys[w]!r} and {key!r} name the same weight {_weight_key(w)}")
+        keys[w] = key
         terms[w] = _scalar_from_json(value, what)
     return terms
 

@@ -27,10 +27,16 @@ normalized_satake convert their result by symfunc._to_monomial and
 inverse_satake its argument by symfunc._to_schur, and each public function
 builds one LaurentScalar per output term.
 
-convolve multiplies by a table, as SymPoly does by its orbit products and
-RepElement by Brauer-Klimyk: _structure_constants, the table of
-_transform_product keyed on cores up to duality by symfunc._on_cores (the
-keying is stated once, in symfunc's module docstring).  The keying applies
+convolve multiplies by a table in symfunc._bilinear, the product loop of
+SymPoly's orbit products and RepElement's Brauer-Klimyk products too:
+_structure_constants, the table of _transform_product keyed on cores up to
+duality by symfunc._on_cores (the keying is stated once, in symfunc's
+module docstring).  Each lookup hands over the cached entry of the pair of
+cores, {nu: coefficient dict}, with the summed central shift; the loop
+moves each nu by it as it writes the term into the product, so the entry
+is read once and never copied, and each output term gets its own scalar.
+The Hall-Littlewood entries of _hl_terms are read the same way, moved as
+_add_terms adds them.  The keying applies
 to T_lam * T_mu: T_(1,...,1) is central and invertible, P_{mu + k(1,...,1)}
 = (x_1...x_n)^k P_mu and <2rho, (1,...,1)> = 0, so a central shift moves
 every nu and no coefficient; and g -> (g^T)^-1 preserves K and sends T_lam
@@ -55,12 +61,13 @@ HeckeElement(n=3, T[3,2,0] + (v^4)*T[2,2,1])
 import itertools
 from fractions import Fraction
 
-from .laurent import LaurentScalar, _mul_into
+from .laurent import LaurentScalar
 from .rootdata import _is_dominant, _two_rho_pairing, check_weight
 from .symfunc import (
     Combination,
     SymPoly,
     _add_terms,
+    _bilinear,
     _check_expansion,
     _check_patterns,
     _coeffs,
@@ -139,11 +146,7 @@ def convolve(a, b):
     terms = list(a.terms)
     for mu in itertools.chain(terms[:1], b.terms, terms[1:]):
         _check_patterns(mu)
-    out = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            _add_terms(out, _structure_constants(lam, mu), _mul_into({}, ca.coeffs, cb.coeffs))
-    return HeckeElement._from_canonical(a.n, _scalars(out))
+    return HeckeElement._from_canonical(a.n, _bilinear(a.terms, b.terms, _structure_constants))
 
 
 def _transform_product(lam, mu):
@@ -156,7 +159,7 @@ def _transform_product(lam, mu):
     fb = _satake_terms({mu: {0: 1}}, True)
     for nu in sorted({*fa, *fb}, reverse=True):
         _check_patterns(nu)
-    return _inverse_satake_terms(_schur_product(fa, fb))
+    return _inverse_satake_terms(_coeffs(_schur_product(_scalars(fa), _scalars(fb))))
 
 
 _structure_constants = _on_cores(_transform_product)
@@ -172,7 +175,8 @@ def _satake_terms(terms, twisted):
         if twisted:
             s = _two_rho_pairing(mu)
             c = {k + s: x for k, x in c.items()}
-        _add_terms(out, _hl_terms(mu), c)
+        entry, shift = _hl_terms(mu)
+        _add_terms(out, entry, c, shift)
     return out
 
 
@@ -187,7 +191,8 @@ def _inverse_satake_terms(rest):
         c = rest[mu]
         s = _two_rho_pairing(mu)
         out[mu] = {k - s: x for k, x in c.items()}
-        _add_terms(rest, _hl_terms(mu), {k: -x for k, x in c.items()})
+        entry, shift = _hl_terms(mu)
+        _add_terms(rest, entry, {k: -x for k, x in c.items()}, shift)
     return out
 
 

@@ -259,11 +259,41 @@ def _mul_into(acc, p, q):
     """acc += p * q on canonical coefficient dicts, in place; returns acc.
 
     The package's one polynomial multiplication: LaurentScalar.__mul__ and
-    the coefficient-dict kernels of symfunc and hecke all come here.
+    the coefficient-dict kernels of symfunc and hecke all come here, or to
+    _times, its form that starts a new dict with a scaled copy.
     """
     for k, c in q.items():
         _add_scaled(acc, p, c, k)
     return acc
+
+
+def _times(p, q):
+    """p * q as a new canonical coefficient dict; p and q are only read.
+
+    p is a nonzero coefficient dict.  q is a nonzero int or Fraction, or a
+    nonzero coefficient dict: its first term makes a scaled copy of p, and
+    only its further terms go through _add_scaled.  A copy has no
+    cancellation to check, and a whole Fraction in it becomes an int.
+    """
+    if type(q) is dict:
+        terms = iter(q.items())
+        shift, c = next(terms)
+    else:
+        terms, shift, c = (), 0, q
+    out = {}
+    for k, x in p.items():
+        x *= c
+        out[k + shift] = x if type(x) is int else _norm_coeff(x)
+    for k, c in terms:
+        _add_scaled(out, p, c, k)
+    return out
+
+
+def _add_times(acc, p, q):
+    """acc += p * q in place, for q as in _times; returns acc, from which a cancelled coefficient is removed."""
+    if type(q) is dict:
+        return _mul_into(acc, p, q)
+    return _add_scaled(acc, p, q)
 
 
 def _try_coerce(x):

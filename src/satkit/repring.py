@@ -71,7 +71,8 @@ def weight_multiplicity(mu, lam):
     mu, lam = check_weight(mu), check_weight(lam)
     if len(mu) != len(lam):
         raise ValueError(f"rank mismatch: {mu} vs {lam}")
-    return _weights(_highest_weight(mu)).get(lam, 0)
+    entry, shift = _weights(_highest_weight(mu))
+    return entry.get(tuple([x - shift for x in lam]), 0)
 
 
 def tensor(r1, r2):
@@ -79,7 +80,7 @@ def tensor(r1, r2):
     if not isinstance(r1, RepElement) or not isinstance(r2, RepElement):
         raise ValueError("tensor wants two RepElements")
     r1._check_rank(r2)
-    return RepElement._from_canonical(r1.n, _scalars(_schur_product(_coeffs(r1.terms), _coeffs(r2.terms))))
+    return RepElement._from_canonical(r1.n, _schur_product(r1.terms, r2.terms))
 
 
 def dual(r):

@@ -49,8 +49,16 @@ def is_dominant(w):
 
 
 def _is_dominant(w):
-    """is_dominant for a weight already checked: a tuple of ints."""
-    return all(a >= b for a, b in zip(w, w[1:]))
+    """is_dominant for a weight already checked: a tuple of ints.
+
+    A plain loop: every basis element and every irreducible is checked here.
+    """
+    prev = w[0] if w else 0
+    for x in w:
+        if x > prev:
+            return False
+        prev = x
+    return True
 
 
 def dominance_leq(a, b):

@@ -30,11 +30,21 @@ the monomial basis is met only at the public boundary.  The pieces:
   kappa_1), s the sum of the cores' first entries, and no coefficient
   changed.  The helper caches the entry of each sorted tuple of cores,
   computes the smaller of a tuple and its dual tuple by the route and reads
-  the other off it, and moves the keys back by the summed central shift.
+  the other off it.  A lookup hands its consumer the cached entry itself,
+  read only, with the summed central shift k; the consumer moves each key
+  by k(1, ..., 1) as it reads it, so no moved copy of an entry is made.
   Its callers, _weights, _schur_product, _hl_terms (and hecke.convolve),
   check their caps on their own weights first, so a refusal names them;
   both caps answer alike on a weight and its dual (equal Weyl dimensions,
   equal pair counts);
+- _bilinear: the one product loop, sum over pairs of terms of c_a c_b
+  table(a, b), for a table that gives (entry, shift) as an _on_cores lookup
+  does.  Each entry is read once per pair and each of its keys, moved by
+  the shift, is written straight into the product: a weight met first gets
+  a new scalar, a scaled copy of the pair's coefficient dict, and only a
+  weight met again is added into (and dropped if it cancels).  SymPoly *
+  SymPoly, repring.tensor and hecke.convolve all run it, on their elements'
+  own {weight: LaurentScalar} terms;
 - _schur_product: s_a s_b by Brauer-Klimyk (_tensor_irreducibles, the
   table of _brauer_klimyk), V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
@@ -58,7 +68,8 @@ The public schur, hall_littlewood and expand_in_schur are these kernels
 with validation and LaurentScalar wrapping.  SymPoly * SymPoly is the one
 product taken in the monomial basis: the coefficient of m_gamma in m_a m_b
 is #{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, which
-_orbit_product reads off one orbit and caches per pair (a, b).
+_orbit_product reads off one orbit and caches per pair (a, b); _bilinear
+reads it as a table with shift 0.
 
 SymPoly shares its representation and linear arithmetic with
 hecke.HeckeElement and repring.RepElement through the base class
@@ -77,7 +88,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentScalar, _add_scaled, _coerce, _mul_into
+from .laurent import LaurentScalar, _add_scaled, _add_times, _coerce, _mul_into, _times
 from .rootdata import _is_dominant, check_weight
 
 
@@ -238,11 +249,11 @@ class SymPoly(Combination):
     _mismatch = "rank mismatch: {} vs {} variables"
 
     def __mul__(self, other):
-        """SymPoly * SymPoly by _mul_terms on coefficient dicts; otherwise times a scalar."""
+        """SymPoly * SymPoly by _bilinear on the orbit products; otherwise times a scalar."""
         if not isinstance(other, SymPoly):
             return super().__mul__(other)
         self._check_rank(other)
-        return SymPoly._from_canonical(self.n, _scalars(_mul_terms(_coeffs(self.terms), _coeffs(other.terms))))
+        return SymPoly._from_canonical(self.n, _bilinear(self.terms, other.terms, _orbit_entry))
 
     def substitute_t(self, t_value):
         """Evaluate every coefficient as a polynomial in t = v^-2.
@@ -292,6 +303,11 @@ def _orbit_product(a, b):
     return {g: size_a * m // len(_orbit(g)) for g, m in hits.items()}
 
 
+def _orbit_entry(a, b):
+    """_orbit_product as a table for _bilinear: the entry of (a, b), with no central shift."""
+    return _orbit_product(a, b), 0
+
+
 def _coeffs(terms):
     """{weight: LaurentScalar} -> {weight: coefficient dict}, sharing the dicts (read only)."""
     return {w: c.coeffs for w, c in terms.items()}
@@ -303,57 +319,62 @@ def _scalars(raw):
 
 
 def _accumulate(out, w, c, m):
-    """out[w] += m * c on a {weight: coefficient dict} term dict, in place.
+    """out[w] += c * m on a {weight: coefficient dict} term dict, in place.
 
-    c is a coefficient dict (only read) and m a nonzero int; a weight whose
+    c is a coefficient dict and m a nonzero int or coefficient dict, both
+    only read; a weight met first gets a new dict, and a weight whose
     coefficient cancels is removed.
     """
     acc = out.get(w)
     if acc is None:
-        acc = out[w] = {}
-    _add_scaled(acc, c, m)
-    if not acc:
+        out[w] = _times(c, m)
+    elif not _add_times(acc, c, m):
         del out[w]
 
 
-def _add_terms(out, p, c):
-    """out += c * p on {weight: coefficient dict} term dicts, in place; returns out.
+def _add_terms(out, p, c, shift):
+    """out += c * p on {weight: coefficient dict} term dicts, in place, each key of p moved by shift(1, ..., 1); returns out.
 
-    c is a coefficient dict.  The dicts of p and c are only read; out's own
-    dicts are updated in place, and a weight whose coefficient cancels is
-    removed.
+    p and shift are an entry of a table on cores and its central shift, as an
+    _on_cores lookup gives them; c is a nonzero coefficient dict.
     """
     for w, x in p.items():
-        acc = out.get(w)
-        if acc is None:
-            acc = out[w] = {}
-        _mul_into(acc, x, c)
-        if not acc:
-            del out[w]
+        _accumulate(out, tuple([y + shift for y in w]) if shift else w, x, c)
     return out
 
 
 def _bilinear(p, q, table):
-    """sum over pairs of terms of c_a c_b table(a, b), as a new term dict.
+    """sum over pairs of terms of c_a c_b table(a, b), as a new {weight: LaurentScalar} term dict.
 
-    table(a, b) gives the product of two basis elements as {gamma: int}.
+    The package's one product loop: SymPoly * SymPoly, repring.tensor and
+    hecke.convolve all run it.  p and q are {weight: LaurentScalar} term
+    dicts, only read.  table(a, b) gives (entry, shift) as an _on_cores
+    lookup does: entry is the product of the basis elements of the cores,
+    {gamma: c} with c a nonzero int or coefficient dict, read only, and each
+    of its keys moves by shift(1, ..., 1).  Each key of the entry is moved
+    and written straight into the product: a weight met first gets a new
+    scalar, the pair's coefficient dict times c; only a weight met again is
+    added into, and dropped if it cancels.
     """
     out = {}
     for a, ca in p.items():
+        ca = ca.coeffs
         for b, cb in q.items():
-            cab = _mul_into({}, ca, cb)
-            for g, m in table(a, b).items():
-                _accumulate(out, g, cab, m)
+            cab = _times(ca, cb.coeffs)
+            entry, shift = table(a, b)
+            for g, c in entry.items():
+                if shift:
+                    g = tuple([x + shift for x in g])
+                acc = out.get(g)
+                if acc is None:
+                    out[g] = LaurentScalar._from_canonical(_times(cab, c))
+                elif not _add_times(acc.coeffs, cab, c):
+                    del out[g]
     return out
 
 
-def _mul_terms(p, q):
-    """The product of two term dicts in the monomial basis, by _orbit_product."""
-    return _bilinear(p, q, _orbit_product)
-
-
 def _schur_product(p, q):
-    """The product of two term dicts in the Schur basis, by Brauer-Klimyk.
+    """The product of two {weight: LaurentScalar} term dicts in the Schur basis, by Brauer-Klimyk.
 
     Each weight is refused past _MAX_PATTERNS before any work, under its own
     name, once and in the order the pairs of terms meet them: p's first
@@ -442,7 +463,7 @@ def _check_patterns(mu, patterns=None):
 
 
 def _on_cores(route):
-    """The table of route(*cores) as a lookup on weights: lookup(*weights) -> {weight: value}, read only.
+    """The table of route(*cores) as a lookup on weights: lookup(*weights) -> (entry, shift).
 
     route takes sorted cores mu - mu_n(1, ..., 1) and returns a dict keyed on
     weights.  The lookup caches one entry per sorted tuple of cores; of a
@@ -450,8 +471,11 @@ def _on_cores(route):
     read off it, every key kappa moved to (s - kappa_n, ..., s - kappa_1) with
     s the sum of the cores' first entries.  If the dual's entry is refused
     (ValueError), this entry is computed by route, so that the refusal names
-    a weight of this product.  The keys move back by the summed central
-    shift.  The cache's cache_info is the lookup's.
+    a weight of this product.  The lookup hands over the cached entry itself,
+    read only, with the summed central shift k: the table's value at the
+    weights is the entry with every key moved by k(1, ..., 1), and each
+    consumer moves the keys as it reads them.  The cache's cache_info is the
+    lookup's.
     """
 
     @lru_cache(maxsize=None)
@@ -474,10 +498,7 @@ def _on_cores(route):
             k = mu[-1]
             cores.append(tuple([x - k for x in mu]) if k else mu)
             shift += k
-        entry = table(tuple(sorted(cores)))
-        if not shift:
-            return entry
-        return {tuple([x + shift for x in kappa]): c for kappa, c in entry.items()}
+        return table(tuple(sorted(cores))), shift
 
     lookup.cache_info = table.cache_info
     return lookup
@@ -487,7 +508,7 @@ _pattern_weights = _on_cores(_gelfand_tsetlin)
 
 
 def _weights(mu):
-    """{weight: multiplicity} over all weights of V_mu, for a checked dominant mu; read only.
+    """All weights of V_mu with multiplicities, for a checked dominant mu, as (entry, shift) of _pattern_weights.
 
     Every Gelfand-Tsetlin enumeration passes here, and mu is refused past
     _MAX_PATTERNS before any of it.
@@ -510,13 +531,15 @@ def weight_multiset(mu):
     Handles negative entries by the central shift.  Returns a tuple of
     (weight, multiplicity) pairs, sorted.
     """
-    return tuple(sorted(_weights(_highest_weight(mu)).items()))
+    entry, shift = _weights(_highest_weight(mu))
+    return tuple(sorted((tuple([x + shift for x in w]), m) for w, m in entry.items()))
 
 
 @lru_cache(maxsize=None)
 def _dominant_weights(mu):
     """The Schur -> monomial table: ((w, K_mu,w), ...) over V_mu's dominant weights, mu first."""
-    return tuple(sorted(((w, m) for w, m in _weights(mu).items() if _is_dominant(w)), reverse=True))
+    entry, shift = _weights(mu)
+    return tuple(sorted(((tuple([x + shift for x in w]), m) for w, m in entry.items() if _is_dominant(w)), reverse=True))
 
 
 def _to_monomial(terms):
@@ -586,10 +609,11 @@ def _brauer_klimyk(a, b):
     """
     if _weyl_dimension(a) < _weyl_dimension(b):
         a, b = b, a
+    weights, shift = _weights(b)
     rho = range(len(a) - 1, -1, -1)
-    top = [x + r for x, r in zip(a, rho)]
+    top = [x + r + shift for x, r in zip(a, rho)]
     out = {}
-    for w, m in _weights(b).items():
+    for w, m in weights.items():
         sign, beta = _straighten(tuple([x + y for x, y in zip(top, w)]))
         if sign:
             lam = tuple([x - r for x, r in zip(beta, rho)])
@@ -618,7 +642,7 @@ def _check_expansion(mu):
 
 
 def _hl_terms(mu):
-    """P_mu in the Schur basis for dominant mu, as {lam: coefficient dict}, read only, from the table on cores.
+    """P_mu in the Schur basis for dominant mu, as (entry, shift) of the table on cores: {lam: coefficient dict}, read only.
 
     mu is refused past _MAX_HL_ENTRIES before any work, under its own name.
     """
@@ -668,4 +692,6 @@ def hall_littlewood(mu):
     is strictly dominance-smaller, with coefficients in Z[v^-2].
     """
     mu = _highest_weight(mu)
-    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial(_hl_terms(mu))))
+    entry, shift = _hl_terms(mu)
+    moved = {tuple([x + shift for x in lam]): c for lam, c in entry.items()}
+    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial(moved)))

@@ -236,6 +236,18 @@ GOLDEN = [
         """(choose from 'gl2-paper', 'hl-specialize', 'oracle', 'tate')"}""",
     ),
     (["conv", "--n", "2", "--a", '{"(1,0)":1}'], 2, '{"error":"the following arguments are required: --b"}'),
+    # two keys naming one weight are refused: json.loads keeps only a repeated key's last value, and
+    # the terms of keys spelt apart were merged into one, so either way a term was lost
+    (
+        ["conv", "--n", "2", "--a", '{"(1,0)":1,"( 1 , 0 )":-1}', "--b", '{"(1,0)":1}'],
+        2,
+        """{"error":"--a: keys '(1,0)' and '( 1 , 0 )' name the same weight (1,0)"}""",
+    ),
+    (
+        ["tensor", "--n", "2", "--a", '{"(1,0)":1,"(1,0)":2}', "--b", '{"(1,0)":1}'],
+        2,
+        """{"error":"--a: key '(1,0)' is given twice"}""",
+    ),
     (["dim", "--n", "x", "--mu", "1"], 2, """{"error":"argument --n: invalid int value: 'x'"}"""),
     # Gelfand-Tsetlin enumeration is refused past its cap, in the kernel every verb reaches it through;
     # each of these ended in a MemoryError traceback under a 1-GB address-space limit without the cap
@@ -389,6 +401,8 @@ def test_schema_errors_exit_2():
         ["dim", "--n", "3", "--mu", "1,0"],  # rank mismatch
         ["satake", "--n", "2", "--h", '{"bad":1}'],
         ["conv", "--n", "2", "--a", '{"(1,0)":"1/0"}', "--b", '{"(1,0)":1}'],
+        ["conv", "--n", "2", "--a", '{"(1,0)":1,"( 1 , 0 )":-1}', "--b", '{"(1,0)":1}'],
+        ["tensor", "--n", "2", "--a", '{"(1,0)":1,"(1,0)":2}', "--b", '{"(1,0)":1}'],
         ["inv", "--a", '{"p":2,"basis":[["x",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["inv", "--a", '{"p":2,"basis":[["1/0",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["inv", "--a", '{"p":2,"basis":[[1,0],[3,1],[1,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],

@@ -83,6 +83,34 @@ def test_rep_results_are_canonical(r, s, c):
     _assert_canonical(tensor(r, s))
 
 
+def _snapshot(r):
+    return {w: dict(c.coeffs) for w, c in r.terms.items()}
+
+
+def test_products_share_no_dict_with_the_tables():
+    # a product's scalars are its own: writing into them must change no cached table entry (nor
+    # the factors), so the same product taken again comes out unchanged
+    products = [
+        (tensor, irreducible((2, 1)), irreducible((1, 0))),
+        (tensor, irreducible((3, 2)), irreducible((1, -1))),  # central shift 1
+        (tensor, irreducible((2, 0, 0)) + 2 * irreducible((1, 1, 0)), irreducible((1, 0, -1))),
+        (convolve, basis((1, 0)), basis((1, 0))),
+        (convolve, basis((3, 2)), basis((2, 1))),  # central shift 3
+        (convolve, basis((2, 0, 0)) + basis((1, 1, 0)) * LaurentScalar({1: 2}), basis((1, 0, 0))),
+        (SymPoly.__mul__, monomial((2, 0)), monomial((1, 0)) + monomial((1, 1))),
+    ]
+    for product, a, b in products:
+        factors = _snapshot(a), _snapshot(b)
+        first = product(a, b)
+        expected = _snapshot(first)
+        for c in first.terms.values():
+            for k in c.coeffs:
+                c.coeffs[k] += 7
+            c.coeffs[99] = 1
+        assert _snapshot(product(a, b)) == expected, (product, a, b)
+        assert (_snapshot(a), _snapshot(b)) == factors, (product, a, b)
+
+
 def test_kinds_are_pairwise_unequal():
     kinds = [monomial((1, 0)), basis((1, 0)), irreducible((1, 0))]
     for x, y in itertools.combinations(kinds, 2):

@@ -161,7 +161,8 @@ def _character_route(r1, r2):
     return expand_in_schur(character(r1) * character(r2))
 
 
-@pytest.mark.parametrize("n, lo, hi", [(3, -2, 2), (4, -1, 1)])
+# the tensor-sweep benchmark boxes: GL_2 with central shifts up to 4, GL_3 and GL_4
+@pytest.mark.parametrize("n, lo, hi", [(2, -4, 4), (3, -2, 2), (4, -1, 1)])
 def test_tensor_matches_character_route(n, lo, hi):
     doms = list(_dominants(lo, hi, n))
     for a in doms:
@@ -172,8 +173,14 @@ def test_tensor_matches_character_route(n, lo, hi):
             assert got == tensor(rb, ra), (a, b)
 
 
+# rational coefficients too, whose products and sums can come out whole or cancel
 _graded = st.dictionaries(
-    st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=2), max_size=3
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    ),
+    max_size=3,
 ).map(LaurentScalar)
 
 
@@ -187,6 +194,12 @@ def _rep_elements(n):
 def test_tensor_of_graded_sums_matches_character_route(data):
     n = data.draw(st.sampled_from([2, 3]))
     r1, r2 = data.draw(_rep_elements(n)), data.draw(_rep_elements(n))
-    got = tensor(r1, r2)
-    assert got.terms == _character_route(r1, r2)
-    assert got == tensor(r2, r1)
+    # (r1 + r2)(r1 - r2): the products r2 r1 and -r1 r2 of its pairs of terms cancel
+    for a, b in ((r1, r2), (r1 + r2, r1 - r2)):
+        got = tensor(a, b)
+        assert got.terms == _character_route(a, b)
+        assert got == tensor(b, a)
+        # no cancelled term or coefficient is stored, and no whole Fraction (Fraction(2) == 2 above)
+        for c in got.terms.values():
+            assert c.coeffs
+            assert all(x != 0 and (type(x) is int or x.denominator != 1) for x in c.coeffs.values()), c
