@@ -159,6 +159,7 @@ def _transform_product(lam, mu):
     fb = _satake_terms({mu: {0: 1}}, True)
     for nu in sorted({*fa, *fb}, reverse=True):
         _check_patterns(nu)
+    # the product's scalars are new and dropped here, so the elimination may own their dicts
     return _inverse_satake_terms(_coeffs(_schur_product(_scalars(fa), _scalars(fb))))
 
 

@@ -5,6 +5,8 @@ and results computed inside the package skip validation.  The property
 below holds every such result to what validation would have produced: it
 equals its own re-validation and stores no zero coefficient, and no
 coefficient of a scalar is zero or a Fraction with denominator 1.
+Each product is also taken as (x + y)(x - y), whose pairs of terms y x and
+-x y cancel, since all three products commute.
 """
 
 import itertools
@@ -62,6 +64,7 @@ def _assert_linear_results_canonical(a, b, c):
 def test_sympoly_results_are_canonical(f, g, c):
     _assert_linear_results_canonical(f, g, c)
     _assert_canonical(f * g)
+    _assert_canonical((f + g) * (f - g))
     _assert_canonical(inverse_satake(f))
     expansion = expand_in_schur(f)
     assert RepElement(f.n, expansion).terms == expansion
@@ -74,6 +77,7 @@ def test_hecke_results_are_canonical(a, b, c):
     _assert_linear_results_canonical(a, b, c)
     _assert_canonical(satake(a))
     _assert_canonical(convolve(a, b))
+    _assert_canonical(convolve(a + b, a - b))
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,6 +85,7 @@ def test_hecke_results_are_canonical(a, b, c):
 def test_rep_results_are_canonical(r, s, c):
     _assert_linear_results_canonical(r, s, c)
     _assert_canonical(tensor(r, s))
+    _assert_canonical(tensor(r + s, r - s))
 
 
 def _snapshot(r):
