@@ -83,8 +83,7 @@ def gl2_paper():
 # -- transform vs. lattice count ----------------------------------------
 
 
-def _dual_route_rows(n, p, pairs, tag):
-    rows = []
+def _dual_route_row(p, pairs, tag):
     bad = []
     for lam, mu in pairs:
         product = convolve(basis(lam), basis(mu))
@@ -93,8 +92,7 @@ def _dual_route_rows(n, p, pairs, tag):
             got = Fraction(convolution_oracle(lam, mu, nu, p))
             if want != got:
                 bad.append((lam, mu, nu, str(want), str(got)))
-    rows.append(_row(tag, not bad, f"disagreements {bad!r}"))
-    return rows
+    return _row(tag, not bad, f"disagreements {bad!r}")
 
 
 def oracle():
@@ -106,9 +104,9 @@ def oracle():
     ]
     for p in (2, 3):
         pairs = [(a, b) for a in doms2 for b in doms2]
-        rows += _dual_route_rows(2, p, pairs, f"gl2-structure-constants-p{p}")
+        rows.append(_dual_route_row(p, pairs, f"gl2-structure-constants-p{p}"))
     fund3 = [(1, 0, 0), (1, 1, 0), (2, 1, 0)]
-    rows += _dual_route_rows(3, 2, [(a, b) for a in fund3 for b in fund3], "gl3-structure-constants-p2")
+    rows.append(_dual_route_row(2, [(a, b) for a in fund3 for b in fund3], "gl3-structure-constants-p2"))
 
     # minuscule cell sizes against Gaussian binomials at v = p
     bad = []

@@ -18,14 +18,15 @@ inverse is dominance-triangular elimination against the basis
 is exact.
 
 The transforms run in the Schur basis, on term dicts {weight: {v-exponent:
-coeff}} of plain ints (or Fractions): _satake_terms reads the cached
-Hall-Littlewood expansions of symfunc._hl_terms, _inverse_satake_terms
-eliminates in place, and the product of two transforms is
-symfunc._schur_product, the Brauer-Klimyk product that repring.tensor
-uses.  The monomial basis is met only at the boundary: satake and
-normalized_satake convert their result by symfunc._to_monomial and
-inverse_satake its argument by symfunc._to_schur, and each public function
-builds one LaurentScalar per output term.
+coeff}} of plain ints (or Fractions), as compositions of symfunc's two
+change-of-basis kernels and _twist, which multiplies each term c_mu by
+v^(+-<2rho,mu>): satake is _apply by the Hall-Littlewood table
+symfunc._hl_terms after _twist(+1), then _apply by the Schur -> monomial
+table symfunc._dominant_weights; inverse_satake is _solve by the same two
+tables in the other order, then _twist(-1).  The product of two transforms
+is symfunc._schur_product, the Brauer-Klimyk product that repring.tensor
+uses.  The monomial basis is met only at the boundary, and each public
+function builds one LaurentScalar per output term.
 
 convolve multiplies by a table in symfunc._bilinear, the product loop of
 SymPoly's orbit products and RepElement's Brauer-Klimyk products too:
@@ -36,13 +37,13 @@ cores, {nu: coefficient dict}, with the summed central shift; the loop
 moves each nu by it as it writes the term into the product, so the entry
 is read once and never copied, and each output term gets its own scalar.
 The Hall-Littlewood entries of _hl_terms are read the same way, moved as
-_add_terms adds them.  The keying applies
-to T_lam * T_mu: T_(1,...,1) is central and invertible, P_{mu + k(1,...,1)}
-= (x_1...x_n)^k P_mu and <2rho, (1,...,1)> = 0, so a central shift moves
-every nu and no coefficient; and g -> (g^T)^-1 preserves K and sends T_lam
-to T_lam*, lam* = -w0 lam, with <2rho, lam*> = <2rho, lam>, so T_lam* *
-T_mu* is T_lam * T_mu with every nu replaced by nu* (Macdonald, Symmetric
-Functions and Hall Polynomials, III.2 and V.2).  A refusal met inside a
+_apply and _solve read them.  The keying applies to T_lam * T_mu:
+T_(1,...,1) is central and invertible, P_{mu + k(1,...,1)} = (x_1...x_n)^k
+P_mu and <2rho, (1,...,1)> = 0, so a central shift moves every nu and no
+coefficient; and g -> (g^T)^-1 preserves K and sends T_lam to T_lam*, lam* =
+-w0 lam, with <2rho, lam*> = <2rho, lam>, so T_lam* * T_mu* is T_lam * T_mu
+with every nu replaced by nu* (Macdonald, Symmetric Functions and Hall
+Polynomials, III.2 and V.2).  A refusal met inside a
 product names a weight of the product of the cores asked for.
 
 An independent check of all of this against brute-force lattice counting
@@ -66,17 +67,17 @@ from .rootdata import _is_dominant, _two_rho_pairing, check_weight
 from .symfunc import (
     Combination,
     SymPoly,
-    _add_terms,
+    _apply,
     _bilinear,
     _check_expansion,
     _check_patterns,
     _coeffs,
+    _dominant_weights,
     _hl_terms,
     _on_cores,
     _scalars,
     _schur_product,
-    _to_monomial,
-    _to_schur,
+    _solve,
 )
 
 
@@ -103,29 +104,29 @@ def satake(h):
     """The Satake transform into symmetric Laurent polynomials."""
     if not isinstance(h, HeckeElement):
         raise ValueError("satake wants a HeckeElement")
-    return SymPoly._from_canonical(h.n, _scalars(_to_monomial(_satake_terms(_coeffs(h.terms), True))))
+    in_schur = _apply(_twist(_coeffs(h.terms), 1), _hl_terms)
+    return SymPoly._from_canonical(h.n, _scalars(_apply(in_schur, _dominant_weights)))
 
 
 def normalized_satake(h):
     """The transform without the v^<2rho,mu> twist: T_mu -> P_mu(x; v^-2)."""
     if not isinstance(h, HeckeElement):
         raise ValueError("normalized_satake wants a HeckeElement")
-    return SymPoly._from_canonical(h.n, _scalars(_to_monomial(_satake_terms(_coeffs(h.terms), False))))
+    in_schur = _apply(_coeffs(h.terms), _hl_terms)
+    return SymPoly._from_canonical(h.n, _scalars(_apply(in_schur, _dominant_weights)))
 
 
 def inverse_satake(f):
     """The inverse transform; total on symmetric Laurent polynomials.
 
-    Expands f in the Schur basis, then eliminates: strip the lex-maximal key
-    mu (which is dominance-maximal within its total-sum class), divide its
-    coefficient by the monomial v^<2rho,mu>, subtract that multiple of
-    satake(T_mu).  Since P_mu is unitriangular this terminates with the
-    exact preimage.
+    Expands f in the Schur basis, then in the basis P_mu, both by
+    symfunc._solve, since s_mu and P_mu are unitriangular; the coefficient
+    of P_mu divided by v^<2rho,mu> is that of T_mu.
     """
     if not isinstance(f, SymPoly):
         raise ValueError("inverse_satake wants a SymPoly")
-    rest = {w: dict(c.coeffs) for w, c in f.terms.items()}
-    return HeckeElement._from_canonical(f.n, _scalars(_inverse_satake_terms(_to_schur(rest))))
+    in_schur = _solve({w: dict(c.coeffs) for w, c in f.terms.items()}, _dominant_weights)
+    return HeckeElement._from_canonical(f.n, _scalars(_twist(_solve(in_schur, _hl_terms), -1)))
 
 
 def convolve(a, b):
@@ -155,45 +156,23 @@ def _transform_product(lam, mu):
     Every Schur key of the two transforms is checked against the pattern cap
     first, in descending order, so a refusal names the largest one over it.
     """
-    fa = _satake_terms({lam: {0: 1}}, True)
-    fb = _satake_terms({mu: {0: 1}}, True)
+    fa = _apply(_twist({lam: {0: 1}}, 1), _hl_terms)
+    fb = _apply(_twist({mu: {0: 1}}, 1), _hl_terms)
     for nu in sorted({*fa, *fb}, reverse=True):
         _check_patterns(nu)
     # the product's scalars are new and dropped here, so the elimination may own their dicts
-    return _inverse_satake_terms(_coeffs(_schur_product(_scalars(fa), _scalars(fb))))
+    return _twist(_solve(_coeffs(_schur_product(_scalars(fa), _scalars(fb))), _hl_terms), -1)
 
 
 _structure_constants = _on_cores(_transform_product)
 
 
-# -- the transforms on {weight: coefficient dict} ------------------------
-
-
-def _satake_terms(terms, twisted):
-    """sum over mu of c_mu v^<2rho,mu> P_mu (twisted) or c_mu P_mu (not), in the Schur basis."""
+def _twist(terms, sign):
+    """Each term c_mu times v^(sign <2rho,mu>), as a new {weight: coefficient dict} term dict."""
     out = {}
     for mu, c in terms.items():
-        if twisted:
-            s = _two_rho_pairing(mu)
-            c = {k + s: x for k, x in c.items()}
-        entry, shift = _hl_terms(mu)
-        _add_terms(out, entry, c, shift)
-    return out
-
-
-def _inverse_satake_terms(rest):
-    """The preimage {mu: coefficient dict} of the Schur-basis term dict rest, which it empties.
-
-    rest must own its coefficient dicts: the elimination updates them in place.
-    """
-    out = {}
-    while rest:
-        mu = max(rest)
-        c = rest[mu]
-        s = _two_rho_pairing(mu)
-        out[mu] = {k - s: x for k, x in c.items()}
-        entry, shift = _hl_terms(mu)
-        _add_terms(rest, entry, {k: -x for k, x in c.items()}, shift)
+        s = sign * _two_rho_pairing(mu)
+        out[mu] = {k + s: x for k, x in c.items()}
     return out
 
 

@@ -440,9 +440,9 @@ def enumerate_between(p, n, nn):
     1
     """
     p = _check_p(p)
-    if not isinstance(n, int) or not 1 <= n <= _MAX_RANK:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_RANK:
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {n!r}")
-    if not isinstance(nn, int) or not 0 <= nn <= _MAX_WINDOW:
+    if not isinstance(nn, int) or isinstance(nn, bool) or not 0 <= nn <= _MAX_WINDOW:
         raise ValueError(f"window must be 0..{_MAX_WINDOW}, got {nn!r}")
     # every window of rank <= 3 at p = 2, 3 is under the budget; at p = 5, 7 the depth-4 ones are not
     _check_window(p, n, 2 * nn)

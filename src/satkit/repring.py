@@ -6,10 +6,11 @@ twist bookkeeping and is inert under all operations here except that tensor
 products multiply coefficients.
 
 A RepElement is already in the Schur basis, the one basis of symfunc's
-kernels: character() lands in SymPoly by symfunc._to_monomial, and tensor()
-is symfunc._schur_product, the Brauer-Klimyk product that hecke.convolve
-uses too, V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) - rho}
-by straightening on plain ints, never multiplying characters (for honest
+kernels: character() lands in SymPoly by symfunc._apply on the Schur ->
+monomial table symfunc._dominant_weights, and tensor() is
+symfunc._schur_product, the Brauer-Klimyk product that hecke.convolve uses
+too, V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) - rho} by
+straightening on plain ints, never multiplying characters (for honest
 irreducibles the structure constants are the Littlewood-Richardson numbers,
 so they are nonnegative integers; tests lean on that).  dimension() is the
 exact Weyl product formula
@@ -25,11 +26,12 @@ from .rootdata import check_weight, dual_weight
 from .symfunc import (
     Combination,
     SymPoly,
+    _apply,
     _coeffs,
+    _dominant_weights,
     _highest_weight,
     _scalars,
     _schur_product,
-    _to_monomial,
     _weights,
     _weyl_dimension,
 )
@@ -52,7 +54,7 @@ def character(r):
     """The character as a SymPoly: sum of coeff * s_mu."""
     if not isinstance(r, RepElement):
         raise ValueError("character wants a RepElement")
-    return SymPoly._from_canonical(r.n, _scalars(_to_monomial(_coeffs(r.terms))))
+    return SymPoly._from_canonical(r.n, _scalars(_apply(_coeffs(r.terms), _dominant_weights)))
 
 
 def dimension(mu):

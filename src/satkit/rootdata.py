@@ -23,8 +23,6 @@ plattice its lattice bases; GroupSpec and in_integer_span eliminate
 integer arithmetic; plattice's valuation elimination over Z_(p) is its own.
 """
 
-Weight = tuple  # tuple[int, ...]; rank is the length
-
 
 def check_weight(w):
     """Validate a weight and return it as a tuple of ints."""

@@ -10,13 +10,19 @@ Inside the package the transform side works in the Schur basis, on term
 dicts {weight: {v-exponent: coeff}} (laurent's coefficient-dict kernels);
 the monomial basis is met only at the public boundary.  The pieces:
 
-- _to_monomial: Schur -> monomial, s_mu = sum_w K_mu,w m_w over the cached
-  table _dominant_weights(mu) of V_mu's dominant weights, read off
-  Gelfand-Tsetlin patterns (weight_multiset);
-- _to_schur: monomial -> Schur, eliminating along the dominance order and
-  always stripping the lexicographically maximal key; lex order refines
-  dominance for equal totals and distinct totals never interact, so the
-  unitriangular table makes the loop end with the exact expansion;
+- _apply and _solve: the two kernels of every change of basis, for a table
+  that gives (entry, shift) as an _on_cores lookup does, each entry read
+  only and its keys moved by the shift.  _apply(terms, table) is sum_mu c_mu
+  table(mu); _solve(rest, table) is its inverse for a unitriangular table,
+  one whose entry at mu holds mu with coefficient 1 and otherwise only
+  lex-smaller keys: it strips the lexicographically maximal key of rest,
+  keeps its coefficient and subtracts that multiple of the rest of the
+  entry.  Lex order refines dominance for equal totals and distinct totals
+  never interact, so the loop ends with the exact expansion.  The tables are
+  _dominant_weights(mu), s_mu = sum_w K_mu,w m_w over V_mu's dominant
+  weights read off Gelfand-Tsetlin patterns (weight_multiset), and
+  _hl_terms(mu), P_mu in the Schur basis; hecke's transforms are these two
+  kernels and a twist by v^<2rho,mu>;
 - _on_cores: the one keying of the four tables on the dual-group side
   (weight multiplicities, Brauer-Klimyk products, Hall-Littlewood
   expansions here, and hecke's structure constants), each a route computing
@@ -180,10 +186,14 @@ class Combination:
         return hash((self.n, frozenset(self.terms.items())))
 
     def to_json(self):
+        """{"n": n, "terms": [...]} for json.dumps: an int coefficient as itself, a Fraction as its text "p/q"."""
         return {
             "n": self.n,
             "terms": [
-                {self._key: list(w), "coeff": {str(e): c for e, c in sorted(self.terms[w].coeffs.items())}}
+                {
+                    self._key: list(w),
+                    "coeff": {str(e): c if type(c) is int else str(c) for e, c in sorted(self.terms[w].coeffs.items())},
+                }
                 for w in self.support()
             ],
         }
@@ -193,7 +203,7 @@ class Combination:
         terms = {}
         for entry in data["terms"]:
             w = tuple(entry[cls._key])
-            coeff = LaurentScalar({int(e): c for e, c in entry["coeff"].items()})
+            coeff = LaurentScalar({int(e): Fraction(c) if isinstance(c, str) else c for e, c in entry["coeff"].items()})
             terms[w] = terms.get(w, LaurentScalar.zero()) + coeff
         return cls(data["n"], terms)
 
@@ -271,7 +281,7 @@ class SymPoly(Combination):
 
     def central_shift(self, k):
         """Multiply by (x_1 ... x_n)^k: every weight moves by k(1,...,1)."""
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError("central shift must be an int")
         return SymPoly._from_canonical(
             self.n, {tuple(x + k for x in w): c for w, c in self.terms.items()}
@@ -332,14 +342,41 @@ def _accumulate(out, w, c, m):
         del out[w]
 
 
-def _add_terms(out, p, c, shift):
-    """out += c * p on {weight: coefficient dict} term dicts, in place, each key of p moved by shift(1, ..., 1); returns out.
+def _apply(terms, table):
+    """sum over mu of c_mu table(mu), as a new {weight: coefficient dict} term dict; terms is only read.
 
-    p and shift are an entry of a table on cores and its central shift, as an
-    _on_cores lookup gives them; c is a nonzero coefficient dict.
+    table(mu) gives (entry, shift) as an _on_cores lookup does: entry is
+    {w: c} with c a nonzero int or coefficient dict, read only, and each of
+    its keys moves by shift(1, ..., 1).
     """
-    for w, x in p.items():
-        _accumulate(out, tuple([y + shift for y in w]) if shift else w, x, c)
+    out = {}
+    for mu, c in terms.items():
+        entry, shift = table(mu)
+        for w, x in entry.items():
+            if shift:
+                w = tuple([y + shift for y in w])
+            _accumulate(out, w, c, x)
+    return out
+
+
+def _solve(rest, table):
+    """The terms c with _apply(c, table) == rest, for a unitriangular table; empties rest.
+
+    Unitriangular: table(mu), moved by its shift, holds mu with coefficient 1
+    and otherwise only lex-smaller keys.  rest must own its coefficient dicts:
+    they are updated in place and handed to the result.
+    """
+    out = {}
+    while rest:
+        mu = max(rest)
+        c = out[mu] = rest.pop(mu)
+        minus_c = {k: -x for k, x in c.items()}
+        entry, shift = table(mu)
+        for w, x in entry.items():
+            if shift:
+                w = tuple([y + shift for y in w])
+            if w != mu:
+                _accumulate(rest, w, minus_c, x)
     return out
 
 
@@ -537,35 +574,15 @@ def weight_multiset(mu):
 
 @lru_cache(maxsize=None)
 def _dominant_weights(mu):
-    """The Schur -> monomial table: ((w, K_mu,w), ...) over V_mu's dominant weights, mu first."""
+    """The Schur -> monomial table, s_mu = sum_w K_mu,w m_w: ({w: K_mu,w}, shift) over V_mu's dominant weights."""
     entry, shift = _weights(mu)
-    return tuple(sorted(((tuple([x + shift for x in w]), m) for w, m in entry.items() if _is_dominant(w)), reverse=True))
-
-
-def _to_monomial(terms):
-    """A Schur-basis term dict in the monomial basis, as a new term dict (terms is only read)."""
-    out = {}
-    for mu, c in terms.items():
-        for w, m in _dominant_weights(mu):
-            _accumulate(out, w, c, m)
-    return out
-
-
-def _to_schur(rest):
-    """A monomial-basis term dict in the Schur basis; empties rest, whose dicts it must own."""
-    out = {}
-    while rest:
-        mu = max(rest)  # lex max is dominance-maximal in its class
-        c = out[mu] = rest.pop(mu)
-        for w, m in _dominant_weights(mu)[1:]:
-            _accumulate(rest, w, c, -m)
-    return out
+    return {w: m for w, m in entry.items() if _is_dominant(w)}, shift
 
 
 def schur(mu):
     """The Schur polynomial s_mu as a SymPoly (irreducible GL_n character)."""
     mu = _highest_weight(mu)
-    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial({mu: {0: 1}})))
+    return SymPoly._from_canonical(len(mu), _scalars(_apply({mu: {0: 1}}, _dominant_weights)))
 
 
 def expand_in_schur(f):
@@ -576,7 +593,7 @@ def expand_in_schur(f):
     """
     if not isinstance(f, SymPoly):
         raise ValueError("expand_in_schur wants a SymPoly")
-    return _scalars(_to_schur({w: dict(c.coeffs) for w, c in f.terms.items()}))
+    return _scalars(_solve({w: dict(c.coeffs) for w, c in f.terms.items()}, _dominant_weights))
 
 
 # -- Weyl straightening: Brauer-Klimyk and Hall-Littlewood --------------
@@ -692,6 +709,4 @@ def hall_littlewood(mu):
     is strictly dominance-smaller, with coefficients in Z[v^-2].
     """
     mu = _highest_weight(mu)
-    entry, shift = _hl_terms(mu)
-    moved = {tuple([x + shift for x in lam]): c for lam, c in entry.items()}
-    return SymPoly._from_canonical(len(mu), _scalars(_to_monomial(moved)))
+    return SymPoly._from_canonical(len(mu), _scalars(_apply(_apply({mu: {0: 1}}, _hl_terms), _dominant_weights)))

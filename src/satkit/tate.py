@@ -154,7 +154,7 @@ def _reverse_negate_matrix(n):
 
 def unitary_config(n):
     """Rank n, sigma = reverse-and-negate, center Z(1,...,1)."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"rank must be a positive int: {n!r}")
     sigma = SigmaAction(_reverse_negate_matrix(n), 2)
     group = GroupSpec(n, ((1,) * n,))
@@ -163,7 +163,7 @@ def unitary_config(n):
 
 def similitude_unitary_config(r):
     """Rank 2r+2 = Z^{2r+1} (+) Z with the similitude coordinate last."""
-    if not isinstance(r, int) or r < 1:
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError(f"r must be a positive int: {r!r}")
     g = 2 * r + 1
     sigma = SigmaAction(tuple(row + (0,) for row in _reverse_negate_matrix(g)) + ((0,) * g + (1,),), 2)
@@ -173,7 +173,7 @@ def similitude_unitary_config(r):
 
 def std_with_twist(r):
     """Highest weight of Std of the rank-(2r+1) block with homothety twist 1."""
-    if not isinstance(r, int) or r < 1:
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError(f"r must be a positive int: {r!r}")
     return (1,) + (0,) * (2 * r) + (1,)
 
@@ -212,7 +212,7 @@ def v_binomial(n, m):
     >>> v_binomial(4, 2)
     LaurentScalar('1+v+2v^2+v^3+v^4')
     """
-    if not isinstance(n, int) or not isinstance(m, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, m)):
         raise ValueError("v_binomial wants integers")
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
@@ -227,9 +227,9 @@ def v_binomial(n, m):
 
 def hecke_coweight(r, j):
     """lambda_j = (1^j, 0^{2r-2j+1}, (-1)^j | 0), rank 2r+2."""
-    if not isinstance(r, int) or r < 1:
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError(f"r must be a positive int: {r!r}")
-    if not isinstance(j, int) or not 0 <= j <= r:
+    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= r:
         raise ValueError(f"need 0 <= j <= r, got j={j!r}")
     return (1,) * j + (0,) * (2 * r - 2 * j + 1) + (-1,) * j + (0,)
 
@@ -275,7 +275,7 @@ def h_operator(r):
     The variable of the coefficient scalars is read as p; the Gaussian
     binomials are evaluated at v = -p via the substitution v -> -v.
     """
-    if not isinstance(r, int) or r < 1:
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError(f"r must be a positive int: {r!r}")
     _check_row_cost(2 * r + 1, r, f"h_operator({r})")
     coeffs = {}

@@ -21,7 +21,7 @@ finite order m with sigma^m = 1 enforced at construction.
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension
 from .rootdata import _det_int, _mat_identity, _mat_mul, check_weight
-from .symfunc import SymPoly, _scalars, _to_monomial
+from .symfunc import SymPoly, _apply, _dominant_weights, _scalars
 
 # order * n^3 entry products: the most the order check takes, and more than the determinant's
 # n^3 / 3; refused before either runs (up to it, 1-2 s on a 2-core host)
@@ -180,4 +180,4 @@ def trace_of_endomorphism(r, scalars):
         if w not in table:
             raise ValueError(f"no scalar given for constituent {w}")
         in_schur[w] = (mult * table[w]).coeffs
-    return SymPoly._from_canonical(r.n, _scalars(_to_monomial(in_schur)))
+    return SymPoly._from_canonical(r.n, _scalars(_apply(in_schur, _dominant_weights)))

@@ -15,11 +15,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit.hecke import HeckeElement, basis, convolve, inverse_satake, satake
+from satkit.hecke import HeckeElement, basis, convolve, inverse_satake, normalized_satake, satake
 from satkit.laurent import LaurentScalar
-from satkit.repring import RepElement, irreducible, tensor
+from satkit.repring import RepElement, character, irreducible, tensor
 from satkit.rootdata import is_dominant
-from satkit.symfunc import SymPoly, expand_in_schur, monomial
+from satkit.symfunc import Combination, SymPoly, expand_in_schur, hall_littlewood, monomial, schur
+from satkit.trace_k import trace_of_endomorphism
 
 
 def _doms(n, lo, hi):
@@ -89,13 +90,22 @@ def test_rep_results_are_canonical(r, s, c):
 
 
 def _snapshot(r):
-    return {w: dict(c.coeffs) for w, c in r.terms.items()}
+    """A copy of the coefficient dicts of a combination or a {weight: scalar} dict; any other argument as it is."""
+    if isinstance(r, Combination):
+        r = r.terms
+    if not isinstance(r, dict):
+        return r
+    return {w: dict(c.coeffs) if isinstance(c, LaurentScalar) else c for w, c in r.items()}
 
 
 def test_products_share_no_dict_with_the_tables():
-    # a product's scalars are its own: writing into them must change no cached table entry (nor
-    # the factors), so the same product taken again comes out unchanged
-    products = [
+    # a result's scalars are its own: writing into them must change no cached table entry (nor
+    # the arguments), so the same call made again comes out unchanged.  The transforms hand
+    # their elimination's dicts on to the result, so they are called here as well as the products
+    hl = basis((2, 0, 0)) + basis((1, 1, 0)) * LaurentScalar({1: 2, -1: Fraction(1, 2)})
+    f = hall_littlewood((2, 1)) + monomial((1, 1)) * LaurentScalar({2: -3}) + monomial((0, -1))
+    r = irreducible((2, 1, 0)) + irreducible((1, 0, -1)) * LaurentScalar({1: 2})
+    calls = [
         (tensor, irreducible((2, 1)), irreducible((1, 0))),
         (tensor, irreducible((3, 2)), irreducible((1, -1))),  # central shift 1
         (tensor, irreducible((2, 0, 0)) + 2 * irreducible((1, 1, 0)), irreducible((1, 0, -1))),
@@ -103,17 +113,30 @@ def test_products_share_no_dict_with_the_tables():
         (convolve, basis((3, 2)), basis((2, 1))),  # central shift 3
         (convolve, basis((2, 0, 0)) + basis((1, 1, 0)) * LaurentScalar({1: 2}), basis((1, 0, 0))),
         (SymPoly.__mul__, monomial((2, 0)), monomial((1, 0)) + monomial((1, 1))),
+        (satake, hl),
+        (satake, basis((3, 2))),  # central shift 2
+        (normalized_satake, hl),
+        (inverse_satake, f),
+        (inverse_satake, satake(hl)),
+        (expand_in_schur, f),
+        (expand_in_schur, schur((2, 1, -1))),
+        (hall_littlewood, (2, 1, 0)),
+        (hall_littlewood, (1, -1)),
+        (schur, (2, 1, 0)),
+        (schur, (3, -1)),
+        (character, r),
+        (trace_of_endomorphism, r, {(2, 1, 0): Fraction(1, 3), (1, 0, -1): 2}),
     ]
-    for product, a, b in products:
-        factors = _snapshot(a), _snapshot(b)
-        first = product(a, b)
+    for call, *args in calls:
+        before = [_snapshot(x) for x in args]
+        first = call(*args)
         expected = _snapshot(first)
-        for c in first.terms.values():
+        for c in (first if isinstance(first, dict) else first.terms).values():
             for k in c.coeffs:
                 c.coeffs[k] += 7
             c.coeffs[99] = 1
-        assert _snapshot(product(a, b)) == expected, (product, a, b)
-        assert (_snapshot(a), _snapshot(b)) == factors, (product, a, b)
+        assert _snapshot(call(*args)) == expected, (call, args)
+        assert [_snapshot(x) for x in args] == before, (call, args)
 
 
 def test_kinds_are_pairwise_unequal():

@@ -1,9 +1,10 @@
 """Gates on the shape of the package source, read with ast.
 
 Dead private code: every underscore-prefixed function or method (dunders
-aside) defined in the package is named somewhere in the package outside its
-own definition, as a name, an attribute or an import.  A function only a
-test calls belongs in the tests.
+aside) defined in the package, and every underscore-prefixed name bound by a
+module-level assignment (tables, caps, constants), is named somewhere in the
+package outside its own definition, as a name, an attribute or an import.
+A function only a test calls belongs in the tests.
 
 One exact kernel: the modules of the Tate route compute with integers only,
 so none of them imports from fractions.
@@ -19,11 +20,15 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sort
 
 
 def _private_defs(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = node.name
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                yield node
+    """(name, node) for each private function or method, then each private name a module-level assignment binds."""
+    defs = [(node.name, node) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs += [(name.id, node) for t in targets for name in ast.walk(t) if isinstance(name, ast.Name)]
+    for name, node in defs:
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            yield name, node
 
 
 def _mentions(tree):
@@ -39,18 +44,18 @@ def _mentions(tree):
 
 
 def _unused_private(trees):
-    """module.name of each private function that no code outside its own definition names."""
+    """module.name of each private function or assigned name that no code outside its own definition names."""
     mentions = {module: list(_mentions(tree)) for module, tree in trees.items()}
     unused = []
     for module, tree in trees.items():
-        for node in _private_defs(tree):
+        for private, node in _private_defs(tree):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(
-                name == node.name and not (other == module and line in own)
+                name == private and not (other == module and line in own)
                 for other, found in mentions.items()
                 for name, line in found
             ):
-                unused.append(f"{module}.{node.name}")
+                unused.append(f"{module}.{private}")
     return unused
 
 
@@ -59,12 +64,16 @@ def test_every_private_function_is_used_in_the_package():
 
 
 def test_the_gate_sees_an_unused_private_function():
-    # recursion is no use; a call from another module, or a method call, is
+    # recursion is no use, nor a table that only its own assignment names; a call from another
+    # module, a method call, or a read of an assigned name in a function is
     trees = {
-        "a": ast.parse("def _recursive():\n    return _recursive()\n\ndef _called():\n    pass\n"),
+        "a": ast.parse(
+            "def _recursive():\n    return _recursive()\n\ndef _called():\n    return _CAP\n\n"
+            "_CAP = 3\n_table = _called(_called)\n"
+        ),
         "b": ast.parse("from .a import _called\n\nclass C:\n    def _method(self):\n        pass\n\nC()._method()\n"),
     }
-    assert _unused_private(trees) == ["a._recursive"]
+    assert _unused_private(trees) == ["a._recursive", "a._table"]
 
 
 def test_integer_modules_import_nothing_from_fractions():

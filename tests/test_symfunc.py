@@ -16,6 +16,7 @@ SATKIT_SLOW_ORACLE=1 set.
 """
 
 import itertools
+import json
 import os
 from collections import Counter
 from fractions import Fraction
@@ -436,6 +437,18 @@ def test_hall_littlewood_rejects_non_dominant():
 # -- basis conversion ----------------------------------------------------
 
 
+def test_change_of_basis_tables_are_unitriangular():
+    # symfunc._solve inverts symfunc._apply only for a table whose entry at mu, moved by its
+    # shift, holds mu with coefficient exactly 1 and otherwise only lex-smaller keys
+    for n, lo, hi in [(1, -3, 3), (2, -2, 3), (3, -2, 2), (4, -1, 1)]:
+        for mu in _dominants(lo, hi, n):
+            for table, one in [(symfunc._hl_terms, {0: 1}), (symfunc._dominant_weights, 1)]:
+                entry, shift = table(mu)
+                moved = {tuple(x + shift for x in w): c for w, c in entry.items()}
+                assert moved.pop(mu) == one, (table, mu)
+                assert all(w < mu for w in moved), (table, mu)
+
+
 def test_expand_in_schur_round_trip():
     for mu in [(2, 1, 0), (3, 1, 0), (2, 2, 0)]:
         f = hall_littlewood(mu)
@@ -456,8 +469,11 @@ def test_expand_in_schur_reads_off_schur_combinations():
 
 
 def test_json_round_trip():
-    f = hall_littlewood((2, 1, 0))
-    assert SymPoly.from_json(f.to_json()) == f
+    # through JSON text: a Fraction coefficient is written as "p/q" and read back exactly
+    halves = SymPoly(2, {(1, 0): Fraction(1, 2), (1, 1): LaurentScalar({-2: Fraction(-3, 4), 1: 5})})
+    for f in [hall_littlewood((2, 1, 0)), halves]:
+        assert SymPoly.from_json(json.loads(json.dumps(f.to_json()))) == f
+    assert SymPoly(2, {(1, 0): Fraction(1, 2)}).to_json()["terms"] == [{"weight": [1, 0], "coeff": {"0": "1/2"}}]
 
 
 def test_substitute_t_on_sympoly():

@@ -11,8 +11,19 @@ from itertools import product
 import pytest
 
 from satkit.laurent import QuadExt
+from satkit.plattice import enumerate_between
 from satkit.rootdata import GroupSpec
-from satkit.tate import HOperator, TateConfig, h_operator, similitude_unitary_config, unitary_config
+from satkit.symfunc import SymPoly
+from satkit.tate import (
+    HOperator,
+    TateConfig,
+    h_operator,
+    hecke_coweight,
+    similitude_unitary_config,
+    std_with_twist,
+    unitary_config,
+    v_binomial,
+)
 from satkit.trace_k import SigmaAction
 
 REPRS = [
@@ -126,6 +137,17 @@ def test_tate_config_json_round_trip(cfg):
             "checking sigma^100000000 on rank 3 takes up to 2700000000 entry products, over the cap of 10000000",
         ),
         (SigmaAction, (((2, 1), (1, 1)), 10**6), "sigma^1000000 is not the identity"),
+        # nor for the int parameters of the public functions: each refuses a bool as it refuses a non-int
+        (h_operator, (True,), "r must be a positive int: True"),
+        (v_binomial, (True, False), "v_binomial wants integers"),
+        (hecke_coweight, (True, 0), "r must be a positive int: True"),
+        (hecke_coweight, (1, False), "need 0 <= j <= r, got j=False"),
+        (unitary_config, (True,), "rank must be a positive int: True"),
+        (similitude_unitary_config, (True,), "r must be a positive int: True"),
+        (std_with_twist, (True,), "r must be a positive int: True"),
+        (enumerate_between, (2, True, 0), "rank must be 1..3, got True"),
+        (enumerate_between, (2, 1, False), "window must be 0..2, got False"),
+        (SymPoly.central_shift, (SymPoly(1, {(1,): 1}), True), "central shift must be an int"),
     ],
 )
 def test_constructor_errors_are_pinned(cls, args, message):
