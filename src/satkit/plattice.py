@@ -67,14 +67,16 @@ lexicographic in the offsets.  Each lattice in the window appears exactly
 once (this is the classical normal form for subgroups of (Z/p^d)^n; the
 counts 15 and 129 are frozen in the tests).  The window p^hi L0 <= L <=
 p^lo L0 is p^lo times the depth hi - lo one, so only the integer shapes H
-are cached, per (p, n, depth), each with its X (_window); their partition
-into Schubert cells by inv(L0, H), the valuations of H itself, is a
-separate cache (_cells), filled only when a count asks for a cell:
-enumerate_between reads the window alone.  A third cache (_groups) splits
-each cell by the shapes' key (r, c): r_i the least valuation of row i of H,
-c_j that of column j of X.  For L = p^lo H, inv(L0, L) =
-inv(L0, H) + lo and inv(L, T) = inv(H, T) - lo.  enumerate_between makes a
-PLattice of each shape; schubert_count is a cell size.
+are cached, per (p, n, depth), each with its X (_window).  Their
+Schubert cells, by inv(L0, H), the valuations of H itself, are a separate
+cache (_cells), filled only when a count asks for a cell: enumerate_between
+reads the window alone.  _cells splits each cell into groups by the
+shapes' key (r, c): r_i the least valuation of row i of H, c_j that of
+column j of X.  One pass over the window computes each key, and at rank
+<= 3 reads the cell off it too (below); past rank 3 the cell is H's
+elimination.  For L = p^lo H, inv(L0, L) = inv(L0, H) + lo and inv(L, T) =
+inv(H, T) - lo.  enumerate_between makes a PLattice of each shape;
+schubert_count sums the sizes of a cell's groups.
 
 A window is refused before any enumeration when it holds more than
 _MAX_LATTICES lattices, counted by summing the Poincare-formula cell sizes
@@ -121,7 +123,10 @@ as (X D)^-1 = p^-depth D^-1 H and (D H)^-1 = p^-depth X D^-1.  So all
 members of a group share the three, and none of them is counted unless
 delta_1 = W_1, delta_(n-1) = sum(W) - W_n and delta_n = sum(W).  At rank
 <= 3 the three give all the valuations, and a group that passes is counted
-whole.  Past it only the members of such groups are scaled and
+whole.  For M = H itself (s = 0) they are delta_1 = min r, delta_n = d
+(the sum of H's diagonal exponents) and delta_(n-1) = d - depth + min c,
+so at rank <= 3 _cells reads each shape's cell off its key, with no
+elimination either.  Past it only the members of such groups are scaled and
 eliminated, each elimination stopping at the first valuation that differs
 from the one wanted.  The tests hold the oracle's counts to inv_pair's
 two-pass route, to that elimination run on every lattice of the cell, and
@@ -146,6 +151,8 @@ _MAX_LATTICES = 70_000
 # past it every window but L0's alone has more than _MAX_LATTICES lattices (the lines
 # of F_p^n number more than p^(n-1)); below it a window's count takes at most 0.13 s
 _MAX_LATTICE_RANK = _MAX_LATTICES.bit_length()
+# delta_1, delta_(n-1) and delta_n, which a shape's key gives, are all of its valuations up to rank 3
+_KEY_RANK = 3
 
 
 def _check_p(p):
@@ -155,6 +162,13 @@ def _check_p(p):
     return p
 
 
+def _fraction(x):
+    """A matrix entry as a Fraction; like a LaurentScalar coefficient, it must be an int (not a bool) or a Fraction."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"matrix entries must be ints or Fractions: {x!r}")
+    return Fraction(x)
+
+
 class PLattice:
     """The lattice spanned by the columns of p^-e A, for A a nonsingular integer matrix."""
 
@@ -162,7 +176,7 @@ class PLattice:
 
     def __init__(self, p, basis):
         p = _check_p(p)
-        rows = tuple(tuple(Fraction(x) for x in row) for row in basis)
+        rows = tuple(tuple(_fraction(x) for x in row) for row in basis)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -244,7 +258,8 @@ class PLattice:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["p"], tuple(tuple(Fraction(x) for x in row) for row in data["basis"]))
+        # to_json writes each entry as text; any other entry is the constructor's to check
+        return cls(data["p"], [[Fraction(x) if isinstance(x, str) else x for x in row] for row in data["basis"]])
 
     def __repr__(self):
         rows = "; ".join(",".join(str(x) for x in row) for row in self.basis)
@@ -312,7 +327,7 @@ def smith_invariants(mat, p):
     (2, 0)
     """
     p = _check_p(p)
-    rows = [[Fraction(x) for x in row] for row in mat]
+    rows = [[_fraction(x) for x in row] for row in mat]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("smith_invariants wants a square matrix")
     d = math.lcm(*(x.denominator for row in rows for x in row))
@@ -404,33 +419,28 @@ def _window(p, n, depth):
 
 @lru_cache(maxsize=None)
 def _cells(p, n, depth):
-    """The depth window's Schubert cells: a dict from inv(L0, H) to the tuple of those H of _window."""
-    cells = {}
-    for h in _window(p, n, depth):
-        # p^depth H^-1 is integral, so no valuation of H passes depth
-        cells.setdefault(_int_smith(h, p, depth + 1), []).append(h)
-    return {key: tuple(group) for key, group in cells.items()}
-
-
-@lru_cache(maxsize=None)
-def _groups(p, n, depth):
-    """Each cell of _cells split by its shapes' key: a dict from inv(L0, H) to a tuple of (r, c, shapes).
+    """The depth window's Schubert cells, each split by its shapes' key: inv(L0, H) -> ((r, c, shapes), ...).
 
     r_i is the least valuation of row i of H and c_j that of column j of X
     = p^depth H^-1.  Each is read off the gcd of the row or column, a power
     of p, since the diagonal entry p^(a_i) of H, or p^(depth - a_j) of X, is
-    one of the entries.  Within a group the shapes keep their order.
+    one of the entries.  Up to _KEY_RANK the key fixes the cell (see the
+    module docstring); past it the cell is H's elimination.  Cells, groups
+    and the shapes within a group keep the window's order.
     """
-    window = _window(p, n, depth)
     logs = {p**k: k for k in range(depth + 1)}
-    groups = {}
-    for cell, shapes in _cells(p, n, depth).items():
-        split = {}
-        for h in shapes:
-            key = (tuple(logs[math.gcd(*row)] for row in h), tuple(logs[math.gcd(*col)] for col in zip(*window[h])))
-            split.setdefault(key, []).append(h)
-        groups[cell] = tuple((r, c, tuple(group)) for (r, c), group in split.items())
-    return groups
+    cells = {}
+    for h, x in _window(p, n, depth).items():
+        r, c = tuple(logs[math.gcd(*row)] for row in h), tuple(logs[math.gcd(*col)] for col in zip(*x))
+        if n <= _KEY_RANK:
+            # the least valuation is delta_1 = min r, the largest delta_n - delta_(n-1) = depth - min c,
+            # and at rank 3 the middle one is what is left of delta_n = det
+            least, largest, det = min(r), depth - min(c), sum(logs[h[i][i]] for i in range(n))
+            cell = (largest, det - least - largest, least) if n == 3 else (largest, least)[:n]
+        else:  # p^depth H^-1 is integral, so no valuation of H passes depth
+            cell = _int_smith(h, p, depth + 1)
+        cells.setdefault(cell, {}).setdefault((r, c), []).append(h)
+    return {cell: tuple((r, c, tuple(group)) for (r, c), group in split.items()) for cell, split in cells.items()}
 
 
 def enumerate_between(p, n, nn):
@@ -507,7 +517,7 @@ def schubert_count(mu, p):
     if not is_dominant(mu):
         raise ValueError(f"coweight must be dominant: {mu}")
     lo, hi = _window_for(mu, p)
-    return len(_cells(p, len(mu), hi - lo).get(tuple(e - lo for e in mu), ()))
+    return sum(len(shapes) for _, _, shapes in _cells(p, len(mu), hi - lo).get(tuple(e - lo for e in mu), ()))
 
 
 def _oracle_cell(lam, mu, p):
@@ -547,14 +557,13 @@ def _oracle_count(lam, mu, nu, p, dual, lo, depth):
     if det != sum(want):
         return 0
     passing = []
-    for r, c, shapes in _groups(p, n, depth).get(cell, ()):
-        if dual:  # D H, and (D H)^-1 = p^-depth X D^-1
-            least, largest = min(a + b for a, b in zip(r, s)), depth - min(a - b for a, b in zip(c, s))
-        else:  # X D, and (X D)^-1 = p^-depth D^-1 H
-            least, largest = min(a + b for a, b in zip(c, s)), depth - min(a - b for a, b in zip(r, s))
-        if least == want[0] and largest == want[-1]:
+    for r, c, shapes in _cells(p, n, depth).get(cell, ()):
+        if not dual:  # X D, and (X D)^-1 = p^-depth D^-1 H: X's columns take the place of H's rows
+            r, c = c, r
+        # D H, and (D H)^-1 = p^-depth X D^-1
+        if min(a + b for a, b in zip(r, s)) == want[0] and depth - min(a - b for a, b in zip(c, s)) == want[-1]:
             passing += shapes
-    if n <= 3:
+    if n <= _KEY_RANK:
         return len(passing)
     scale = [p**x for x in s]
     if dual:

@@ -23,26 +23,27 @@ the monomial basis is met only at the public boundary.  The pieces:
   weights read off Gelfand-Tsetlin patterns (weight_multiset), and
   _hl_terms(mu), P_mu in the Schur basis; hecke's transforms are these two
   kernels and a twist by v^<2rho,mu>;
-- _on_cores: the one keying of the four tables on the dual-group side
-  (weight multiplicities, Brauer-Klimyk products, Hall-Littlewood
-  expansions here, and hecke's structure constants), each a route computing
-  the table on cores.  A core is mu - mu_n(1, ..., 1), last entry 0; since
-  V_{mu + k(1,...,1)} = V_mu (x) det^k and P_{mu + k(1,...,1)} =
-  (x_1...x_n)^k P_mu, the keys of an entry move with the central shift and
-  its coefficients do not.  V_mu* = V_{-w0 mu} has the core (mu_1 - mu_n,
-  ..., mu_1 - mu_1) for a core mu, and V_{a*} (x) V_{b*} = (V_a (x) V_b)*,
-  P_{mu*}(x; t) = P_mu(x^-1; t); so the entry of a sorted tuple of cores is
-  its dual tuple's with every key kappa moved to (s - kappa_n, ..., s -
-  kappa_1), s the sum of the cores' first entries, and no coefficient
-  changed.  The helper caches the entry of each sorted tuple of cores,
-  computes the smaller of a tuple and its dual tuple by the route and reads
-  the other off it.  A lookup hands its consumer the cached entry itself,
-  read only, with the summed central shift k; the consumer moves each key
-  by k(1, ..., 1) as it reads it, so no moved copy of an entry is made.
-  Its callers, _weights, _schur_product, _hl_terms (and hecke.convolve),
-  check their caps on their own weights first, so a refusal names them;
-  both caps answer alike on a weight and its dual (equal Weyl dimensions,
-  equal pair counts);
+- _on_cores: the one keying of the five tables on the dual-group side
+  (weight multiplicities, the Schur -> monomial table, Brauer-Klimyk
+  products, Hall-Littlewood expansions here, and hecke's structure
+  constants), each a route computing the table on cores.  A core is
+  mu - mu_n(1, ..., 1), last entry 0; since V_{mu + k(1,...,1)} =
+  V_mu (x) det^k and P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu, the keys of
+  an entry move with the central shift and its coefficients do not.
+  V_mu* = V_{-w0 mu} has the core (mu_1 - mu_n, ..., mu_1 - mu_1) for a
+  core mu, and V_{a*} (x) V_{b*} = (V_a (x) V_b)*, P_{mu*}(x; t) =
+  P_mu(x^-1; t); so the entry of a sorted tuple of cores is its dual
+  tuple's with every key kappa moved to (s - kappa_n, ..., s - kappa_1),
+  s the sum of the cores' first entries, and no coefficient changed.  The
+  helper caches the entry of each sorted tuple of cores, computes the
+  smaller of a tuple and its dual tuple by the route and reads the other
+  off it.  A lookup hands its consumer the cached entry itself, read only,
+  with the summed central shift k; the consumer moves each key by
+  k(1, ..., 1) as it reads it, so no moved copy of an entry is made.  Its
+  callers, _weights, _dominant_weights, _schur_product, _hl_terms (and
+  hecke.convolve), check their caps on their own weights first, so a
+  refusal names them; both caps answer alike on a weight and its dual
+  (equal Weyl dimensions, equal pair counts);
 - _bilinear: the one product loop, sum over pairs of terms of c_a c_b
   table(a, b), for a table that gives (entry, shift) as an _on_cores lookup
   does.  Each entry is read once per pair and each of its keys, moved by
@@ -572,11 +573,21 @@ def weight_multiset(mu):
     return tuple(sorted((tuple([x + shift for x in w]), m) for w, m in entry.items()))
 
 
-@lru_cache(maxsize=None)
+def _dominant_entry(mu):
+    """{w: K_mu,w} over the dominant weights of V_mu, for a core mu: the dominant keys of its pattern entry."""
+    return {w: m for w, m in _pattern_weights(mu)[0].items() if _is_dominant(w)}
+
+
+_dominant_table = _on_cores(_dominant_entry)
+
+
 def _dominant_weights(mu):
-    """The Schur -> monomial table, s_mu = sum_w K_mu,w m_w: ({w: K_mu,w}, shift) over V_mu's dominant weights."""
-    entry, shift = _weights(mu)
-    return {w: m for w, m in entry.items() if _is_dominant(w)}, shift
+    """The Schur -> monomial table, s_mu = sum_w K_mu,w m_w: ({w: K_mu,w}, shift) over V_mu's dominant weights.
+
+    mu is refused past _MAX_PATTERNS before any work, under its own name.
+    """
+    _check_patterns(mu)
+    return _dominant_table(mu)
 
 
 def schur(mu):

@@ -312,6 +312,34 @@ def test_tensor_computes_each_dual_orbit_once():
     assert got[5:] == (34, 25)
 
 
+_ROUND_TRIP_RUN = """
+import itertools
+from satkit import hecke, symfunc
+
+weights = [
+    w
+    for n, lo, hi in ((2, -2, 4), (3, -1, 3), (4, 0, 2))
+    for w in itertools.product(range(hi, lo - 1, -1), repeat=n)
+    if list(w) == sorted(w, reverse=True)
+]
+for mu in weights:
+    assert hecke.inverse_satake(hecke.satake(hecke.basis(mu))) == hecke.basis(mu)
+print(len(weights), len({tuple(x - w[-1] for x in w) for w in weights}),
+      symfunc._dominant_table.cache_info().currsize, symfunc._pattern_weights.cache_info().currsize)
+"""
+
+
+def test_schur_table_holds_one_entry_per_core():
+    # in a fresh interpreter: the Schur -> monomial table is keyed on cores, so the 78 weights, with
+    # 32 cores, leave 32 entries (78 when it was keyed on weights); its route reads the pattern
+    # entry of a core only when the core is not read off its dual's entry, so the pattern table
+    # holds fewer still
+    run = subprocess.run([sys.executable, "-c", _ROUND_TRIP_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    weights, cores, schur_entries, pattern_entries = map(int, run.stdout.split())
+    assert (weights, cores, schur_entries, pattern_entries) == (78, 32, 32, 23)
+
+
 def test_refusals_inside_the_table_name_a_weight_of_the_product():
     # both weights are under the pattern cap, and a Schur key of the first one's Hall-Littlewood
     # expansion is over it; (998, 998, 0) * (0, 0, 0) is the dual of (998, 0, 0) * (0, 0, 0), whose

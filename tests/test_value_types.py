@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from satkit.laurent import QuadExt
-from satkit.plattice import enumerate_between
+from satkit.plattice import PLattice, enumerate_between, smith_invariants
 from satkit.rootdata import GroupSpec
 from satkit.symfunc import SymPoly
 from satkit.tate import (
@@ -148,6 +148,14 @@ def test_tate_config_json_round_trip(cfg):
         (enumerate_between, (2, True, 0), "rank must be 1..3, got True"),
         (enumerate_between, (2, 1, False), "window must be 0..2, got False"),
         (SymPoly.central_shift, (SymPoly(1, {(1,): 1}), True), "central shift must be an int"),
+        # matrix entries are ints or Fractions, as LaurentScalar coefficients: a float is not turned
+        # into its binary fraction, nor a bool or a string into a number
+        (PLattice, (2, [[0.1]]), "matrix entries must be ints or Fractions: 0.1"),
+        (PLattice, (2, [[True]]), "matrix entries must be ints or Fractions: True"),
+        (PLattice, (2, [[1, 0], [0, "1/2"]]), "matrix entries must be ints or Fractions: '1/2'"),
+        (smith_invariants, ([[0.1]], 2), "matrix entries must be ints or Fractions: 0.1"),
+        (PLattice.from_json, ({"p": 2, "basis": [[0.1]]},), "matrix entries must be ints or Fractions: 0.1"),
+        (smith_invariants, ([[1, 0], [0, False]], 2), "matrix entries must be ints or Fractions: False"),
     ],
 )
 def test_constructor_errors_are_pinned(cls, args, message):
