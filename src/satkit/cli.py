@@ -39,7 +39,10 @@ _KEY_RE = re.compile(r"\(\s*-?\d+(?:\s*,\s*-?\d+)*\s*,?\s*\)")
 def _weight_from_key(key, what):
     if not isinstance(key, str) or not _KEY_RE.fullmatch(key.strip()):
         raise SchemaError(f'{what}: keys must look like "(1,0)", got {key!r}')
-    return tuple(int(x) for x in re.findall(r"-?\d+", key))
+    try:
+        return tuple(int(x) for x in re.findall(r"-?\d+", key))
+    except ValueError:  # int() refuses an entry past the int-string digit limit
+        raise SchemaError(f"{what}: a key entry has more digits than int() accepts") from None
 
 
 def _weight_from_flag(text, what):

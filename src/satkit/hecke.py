@@ -24,9 +24,10 @@ v^(+-<2rho,mu>): satake is _apply by the Hall-Littlewood table
 symfunc._hl_terms after _twist(+1), then _apply by the Schur -> monomial
 table symfunc._dominant_weights; inverse_satake is _solve by the same two
 tables in the other order, then _twist(-1).  The product of two transforms
-is symfunc._schur_product, the Brauer-Klimyk product that repring.tensor
-uses.  The monomial basis is met only at the boundary, and each public
-function builds one LaurentScalar per output term.
+is symfunc._bilinear by the Brauer-Klimyk table
+symfunc._tensor_irreducibles, as in repring.tensor.  The monomial basis is
+met only at the boundary, and each public function builds one LaurentScalar
+per output term.
 
 convolve multiplies by a table in symfunc._bilinear, the product loop of
 SymPoly's orbit products and RepElement's Brauer-Klimyk products too:
@@ -76,8 +77,8 @@ from .symfunc import (
     _hl_terms,
     _on_cores,
     _scalars,
-    _schur_product,
     _solve,
+    _tensor_irreducibles,
 )
 
 
@@ -133,11 +134,14 @@ def convolve(a, b):
     """Convolution product: sum over pairs of terms of c_lam c_mu T_lam * T_mu, from the table.
 
     T_lam * T_mu is the table's product of the cores with every coweight
-    moved by (lam_n + mu_n)(1, ..., 1).  Before any work, every coweight is
-    checked under its own name in the order the transform route meets it:
-    the Hall-Littlewood cap on a's terms, then b's; the Gelfand-Tsetlin cap
-    as the Schur-basis product pairs them, a's first term, b's terms, then
-    the rest of a's.
+    moved by (lam_n + mu_n)(1, ..., 1).  Before any entry is read, every
+    coweight is checked under its own name in the order the transform route
+    meets it: the Hall-Littlewood cap on a's terms, then b's; the
+    Gelfand-Tsetlin cap in the order _bilinear looks the pairs up, a's
+    first term, b's terms, then the rest of a's.  The table's lookup checks
+    the pattern cap only on the pair it is handed, and an earlier pair's
+    entry can be refused inside the route, at a Schur key or product key of
+    its own, so the caps of all terms come first.
     """
     if not isinstance(a, HeckeElement) or not isinstance(b, HeckeElement):
         raise ValueError("convolve wants two HeckeElements")
@@ -161,10 +165,10 @@ def _transform_product(lam, mu):
     for nu in sorted({*fa, *fb}, reverse=True):
         _check_patterns(nu)
     # the product's scalars are new and dropped here, so the elimination may own their dicts
-    return _twist(_solve(_coeffs(_schur_product(_scalars(fa), _scalars(fb))), _hl_terms), -1)
+    return _twist(_solve(_coeffs(_bilinear(_scalars(fa), _scalars(fb), _tensor_irreducibles)), _hl_terms), -1)
 
 
-_structure_constants = _on_cores(_transform_product)
+_structure_constants = _on_cores(_transform_product, _check_patterns)
 
 
 def _twist(terms, sign):

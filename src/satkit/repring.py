@@ -7,13 +7,13 @@ products multiply coefficients.
 
 A RepElement is already in the Schur basis, the one basis of symfunc's
 kernels: character() lands in SymPoly by symfunc._apply on the Schur ->
-monomial table symfunc._dominant_weights, and tensor() is
-symfunc._schur_product, the Brauer-Klimyk product that hecke.convolve uses
-too, V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) - rho} by
-straightening on plain ints, never multiplying characters (for honest
-irreducibles the structure constants are the Littlewood-Richardson numbers,
-so they are nonnegative integers; tests lean on that).  dimension() is the
-exact Weyl product formula
+monomial table symfunc._dominant_weights, and tensor() is symfunc._bilinear
+by symfunc._tensor_irreducibles, the Brauer-Klimyk table that hecke's
+transform product uses too, V_a (x) V_b = sum_{w in wt(V_b)} sign *
+V_{sort(a + w + rho) - rho} by straightening on plain ints, never
+multiplying characters (for honest irreducibles the structure constants
+are the Littlewood-Richardson numbers, so they are nonnegative integers;
+tests lean on that).  dimension() is the exact Weyl product formula
 
     dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i),
 
@@ -27,12 +27,13 @@ from .symfunc import (
     Combination,
     SymPoly,
     _apply,
+    _bilinear,
     _coeffs,
     _dominant_weights,
     _highest_weight,
+    _pattern_weights,
     _scalars,
-    _schur_product,
-    _weights,
+    _tensor_irreducibles,
     _weyl_dimension,
 )
 
@@ -73,7 +74,7 @@ def weight_multiplicity(mu, lam):
     mu, lam = check_weight(mu), check_weight(lam)
     if len(mu) != len(lam):
         raise ValueError(f"rank mismatch: {mu} vs {lam}")
-    entry, shift = _weights(_highest_weight(mu))
+    entry, shift = _pattern_weights(_highest_weight(mu))
     return entry.get(tuple([x - shift for x in lam]), 0)
 
 
@@ -82,7 +83,7 @@ def tensor(r1, r2):
     if not isinstance(r1, RepElement) or not isinstance(r2, RepElement):
         raise ValueError("tensor wants two RepElements")
     r1._check_rank(r2)
-    return RepElement._from_canonical(r1.n, _schur_product(r1.terms, r2.terms))
+    return RepElement._from_canonical(r1.n, _bilinear(r1.terms, r2.terms, _tensor_irreducibles))
 
 
 def dual(r):

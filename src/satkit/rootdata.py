@@ -35,6 +35,12 @@ def check_weight(w):
     return t
 
 
+def _positive_int(x, what):
+    """Refuse x unless it is a positive int (not a bool): "{what} must be a positive int: {x!r}"."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise ValueError(f"{what} must be a positive int: {x!r}")
+
+
 def same_rank(a, b):
     a, b = check_weight(a), check_weight(b)
     if len(a) != len(b):
@@ -115,8 +121,7 @@ class GroupSpec:
     __slots__ = ("n", "center_generators", "_span")
 
     def __init__(self, n, center_generators=()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"rank must be a positive int: {n!r}")
+        _positive_int(n, "rank")
         gens = tuple(check_weight(g) for g in center_generators)
         for g in gens:
             if len(g) != n:

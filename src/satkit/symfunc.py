@@ -39,11 +39,13 @@ the monomial basis is met only at the public boundary.  The pieces:
   smaller of a tuple and its dual tuple by the route and reads the other
   off it.  A lookup hands its consumer the cached entry itself, read only,
   with the summed central shift k; the consumer moves each key by
-  k(1, ..., 1) as it reads it, so no moved copy of an entry is made.  Its
-  callers, _weights, _dominant_weights, _schur_product, _hl_terms (and
-  hecke.convolve), check their caps on their own weights first, so a
-  refusal names them; both caps answer alike on a weight and its dual
-  (equal Weyl dimensions, equal pair counts);
+  k(1, ..., 1) as it reads it, so no moved copy of an entry is made.  Each
+  table is built with its cap, _check_expansion for _hl_terms and
+  _check_patterns for the other four, and the lookup checks the cap on
+  each weight it is handed, in order, so a weight is refused under the
+  caller's own name before its entry is read or computed; both caps answer
+  alike on a weight and its dual (equal Weyl dimensions, equal pair
+  counts);
 - _bilinear: the one product loop, sum over pairs of terms of c_a c_b
   table(a, b), for a table that gives (entry, shift) as an _on_cores lookup
   does.  Each entry is read once per pair and each of its keys, moved by
@@ -51,13 +53,16 @@ the monomial basis is met only at the public boundary.  The pieces:
   a new scalar, a scaled copy of the pair's coefficient dict, and only a
   weight met again is added into (and dropped if it cancels).  SymPoly *
   SymPoly, repring.tensor and hecke.convolve all run it, on their elements'
-  own {weight: LaurentScalar} terms;
-- _schur_product: s_a s_b by Brauer-Klimyk (_tensor_irreducibles, the
-  table of _brauer_klimyk), V_a (x) V_b = sum_{w in wt(V_b)} sign *
+  own {weight: LaurentScalar} terms.  It looks up the first factor's first
+  term with each term of the second, then the rest of the first factor's,
+  so a table's cap meets the first factor's first term, the second's terms
+  and then the rest of the first's, in that order;
+- _tensor_irreducibles: s_a s_b by Brauer-Klimyk, the table of
+  _brauer_klimyk, V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
   +-s_{sort(beta) - rho} of _straighten on plain ints; repring.tensor and
-  hecke's structure-constant table both use it;
-- _hl_schur(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
+  hecke's structure-constant table both multiply by it in _bilinear;
+- _hl_terms(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
   hard-wired, the table of _hl_expand.  Macdonald's
 
       P_mu = sum_{w in S_n / S_mu} w(x^mu prod_{mu_i > mu_j} (x_i - t x_j) / (x_i - x_j))
@@ -96,7 +101,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentScalar, _add_scaled, _add_times, _coerce, _mul_into, _times
-from .rootdata import _is_dominant, check_weight
+from .rootdata import _is_dominant, _positive_int, check_weight
 
 
 class Combination:
@@ -115,12 +120,11 @@ class Combination:
 
     __slots__ = ("n", "terms")
     _key = _symbol = _bad_rank = _bad_key = None  # set by each subclass
-    _bad_n = "rank must be a positive int: {!r}"
+    _bad_n = "rank"  # the noun of n in its refusal
     _mismatch = "rank mismatch: {} vs {}"
 
     def __init__(self, n, terms=None):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(self._bad_n.format(n))
+        _positive_int(n, self._bad_n)
         self.n = n
         self.terms = {}
         for w, c in (terms or {}).items():
@@ -254,7 +258,7 @@ class SymPoly(Combination):
     __slots__ = ()
     _key = "weight"
     _symbol = "m"
-    _bad_n = "number of variables must be a positive int: {!r}"
+    _bad_n = "number of variables"
     _bad_rank = "weight {} has rank {}, expected {}"
     _bad_key = "monomial-basis keys must be dominant: {}"
     _mismatch = "rank mismatch: {} vs {} variables"
@@ -392,7 +396,8 @@ def _bilinear(p, q, table):
     of its keys moves by shift(1, ..., 1).  Each key of the entry is moved
     and written straight into the product: a weight met first gets a new
     scalar, the pair's coefficient dict times c; only a weight met again is
-    added into, and dropped if it cancels.
+    added into, and dropped if it cancels.  The pairs are looked up p's first
+    term with each of q's, then the rest of p's.
     """
     out = {}
     for a, ca in p.items():
@@ -409,21 +414,6 @@ def _bilinear(p, q, table):
                 elif not _add_times(acc.coeffs, cab, c):
                     del out[g]
     return out
-
-
-def _schur_product(p, q):
-    """The product of two {weight: LaurentScalar} term dicts in the Schur basis, by Brauer-Klimyk.
-
-    Each weight is refused past _MAX_PATTERNS before any work, under its own
-    name, once and in the order the pairs of terms meet them: p's first
-    term, q's terms, then the rest of p's.
-    """
-    if p and q:
-        rest = iter(p)
-        _check_patterns(next(rest))
-        for mu in itertools.chain(q, rest):
-            _check_patterns(mu)
-    return _bilinear(p, q, _tensor_irreducibles)
 
 
 def monomial(mu):
@@ -470,7 +460,7 @@ def _gelfand_tsetlin(lam):
     return dict(counter)
 
 
-_MAX_PATTERNS = 500_000  # refused before any work: about 1 s of enumeration on a 2-core host
+_MAX_PATTERNS = 500_000  # refused before its entry is read or computed: about 1 s of enumeration on a 2-core host
 
 
 @lru_cache(maxsize=None)
@@ -500,20 +490,22 @@ def _check_patterns(mu, patterns=None):
         raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
 
 
-def _on_cores(route):
+def _on_cores(route, cap):
     """The table of route(*cores) as a lookup on weights: lookup(*weights) -> (entry, shift).
 
     route takes sorted cores mu - mu_n(1, ..., 1) and returns a dict keyed on
-    weights.  The lookup caches one entry per sorted tuple of cores; of a
-    tuple and its dual tuple, the smaller is computed by route and the other
-    read off it, every key kappa moved to (s - kappa_n, ..., s - kappa_1) with
-    s the sum of the cores' first entries.  If the dual's entry is refused
-    (ValueError), this entry is computed by route, so that the refusal names
-    a weight of this product.  The lookup hands over the cached entry itself,
-    read only, with the summed central shift k: the table's value at the
-    weights is the entry with every key moved by k(1, ..., 1), and each
-    consumer moves the keys as it reads them.  The cache's cache_info is the
-    lookup's.
+    weights.  The lookup first calls cap on each weight it is handed, in
+    order, so a weight past the table's cap is refused under the caller's
+    own name before its entry is read or computed.  It caches one entry per
+    sorted tuple of cores; of a tuple and its dual tuple, the smaller is
+    computed by route and the other read off it, every key kappa moved to
+    (s - kappa_n, ..., s - kappa_1) with s the sum of the cores' first
+    entries.  If the dual's entry is refused (ValueError), this entry is
+    computed by route, so that the refusal names a weight of this product.
+    The lookup hands over the cached entry itself, read only, with the
+    summed central shift k: the table's value at the weights is the entry
+    with every key moved by k(1, ..., 1), and each consumer moves the keys
+    as it reads them.  The cache's cache_info is the lookup's.
     """
 
     @lru_cache(maxsize=None)
@@ -533,6 +525,7 @@ def _on_cores(route):
         cores = []
         shift = 0
         for mu in weights:
+            cap(mu)
             k = mu[-1]
             cores.append(tuple([x - k for x in mu]) if k else mu)
             shift += k
@@ -542,17 +535,8 @@ def _on_cores(route):
     return lookup
 
 
-_pattern_weights = _on_cores(_gelfand_tsetlin)
-
-
-def _weights(mu):
-    """All weights of V_mu with multiplicities, for a checked dominant mu, as (entry, shift) of _pattern_weights.
-
-    Every Gelfand-Tsetlin enumeration passes here, and mu is refused past
-    _MAX_PATTERNS before any of it.
-    """
-    _check_patterns(mu)
-    return _pattern_weights(mu)
+# All weights of V_mu with multiplicities; every Gelfand-Tsetlin enumeration passes here.
+_pattern_weights = _on_cores(_gelfand_tsetlin, _check_patterns)
 
 
 def _highest_weight(mu):
@@ -569,7 +553,7 @@ def weight_multiset(mu):
     Handles negative entries by the central shift.  Returns a tuple of
     (weight, multiplicity) pairs, sorted.
     """
-    entry, shift = _weights(_highest_weight(mu))
+    entry, shift = _pattern_weights(_highest_weight(mu))
     return tuple(sorted((tuple([x + shift for x in w]), m) for w, m in entry.items()))
 
 
@@ -578,16 +562,8 @@ def _dominant_entry(mu):
     return {w: m for w, m in _pattern_weights(mu)[0].items() if _is_dominant(w)}
 
 
-_dominant_table = _on_cores(_dominant_entry)
-
-
-def _dominant_weights(mu):
-    """The Schur -> monomial table, s_mu = sum_w K_mu,w m_w: ({w: K_mu,w}, shift) over V_mu's dominant weights.
-
-    mu is refused past _MAX_PATTERNS before any work, under its own name.
-    """
-    _check_patterns(mu)
-    return _dominant_table(mu)
+# The Schur -> monomial table, s_mu = sum_w K_mu,w m_w over V_mu's dominant weights.
+_dominant_weights = _on_cores(_dominant_entry, _check_patterns)
 
 
 def schur(mu):
@@ -637,7 +613,7 @@ def _brauer_klimyk(a, b):
     """
     if _weyl_dimension(a) < _weyl_dimension(b):
         a, b = b, a
-    weights, shift = _weights(b)
+    weights, shift = _pattern_weights(b)
     rho = range(len(a) - 1, -1, -1)
     top = [x + r + shift for x, r in zip(a, rho)]
     out = {}
@@ -649,10 +625,11 @@ def _brauer_klimyk(a, b):
     return {lam: c for lam, c in out.items() if c}
 
 
-_tensor_irreducibles = _on_cores(_brauer_klimyk)
+# s_a s_b in the Schur basis: the table of repring.tensor and of hecke's transform product.
+_tensor_irreducibles = _on_cores(_brauer_klimyk, _check_patterns)
 
 
-# Weight entries _hl_schur's expansion may hold, 2^pairs terms of n entries: the largest admitted,
+# Weight entries _hl_expand's expansion may hold, 2^pairs terms of n entries: the largest admitted,
 # (1,0^17) with 2^17 distinct terms, takes 0.6 s and 80 MB on a 2-core host.  Every weight of
 # rank <= 6 is admitted; (7,6,...,0) is refused.
 _MAX_HL_ENTRIES = 1 << 22
@@ -667,15 +644,6 @@ def _check_expansion(mu):
     pairs -= sum(m * (m - 1) // 2 for m in Counter(mu).values())
     if n << min(pairs, 64) > _MAX_HL_ENTRIES:
         raise ValueError(f"P_{mu} expands to 2^{pairs} terms of {n} entries, over the cap of {_MAX_HL_ENTRIES} entries")
-
-
-def _hl_terms(mu):
-    """P_mu in the Schur basis for dominant mu, as (entry, shift) of the table on cores: {lam: coefficient dict}, read only.
-
-    mu is refused past _MAX_HL_ENTRIES before any work, under its own name.
-    """
-    _check_expansion(mu)
-    return _hl_schur(mu)
 
 
 def _hl_expand(mu):
@@ -710,7 +678,8 @@ def _hl_expand(mu):
     return out
 
 
-_hl_schur = _on_cores(_hl_expand)
+# P_mu in the Schur basis, {lam: coefficient dict}.
+_hl_terms = _on_cores(_hl_expand, _check_expansion)
 
 
 def hall_littlewood(mu):

@@ -42,7 +42,7 @@ HOperator(r=1, (1-p-2p^2)*T[p,0] + T[p,1])
 import math
 
 from .laurent import LaurentScalar, _add_scaled
-from .rootdata import GroupSpec, _in_span, check_weight, is_dominant
+from .rootdata import GroupSpec, _in_span, _positive_int, check_weight, is_dominant
 from .symfunc import _check_patterns, _weyl_dimension, weight_multiset
 from .trace_k import SigmaAction
 
@@ -154,8 +154,7 @@ def _reverse_negate_matrix(n):
 
 def unitary_config(n):
     """Rank n, sigma = reverse-and-negate, center Z(1,...,1)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"rank must be a positive int: {n!r}")
+    _positive_int(n, "rank")
     sigma = SigmaAction(_reverse_negate_matrix(n), 2)
     group = GroupSpec(n, ((1,) * n,))
     return TateConfig(group, sigma, (n,))
@@ -163,8 +162,7 @@ def unitary_config(n):
 
 def similitude_unitary_config(r):
     """Rank 2r+2 = Z^{2r+1} (+) Z with the similitude coordinate last."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive int: {r!r}")
+    _positive_int(r, "r")
     g = 2 * r + 1
     sigma = SigmaAction(tuple(row + (0,) for row in _reverse_negate_matrix(g)) + ((0,) * g + (1,),), 2)
     group = GroupSpec(g + 1, ((1,) * g + (0,), (0,) * g + (1,)))
@@ -173,8 +171,7 @@ def similitude_unitary_config(r):
 
 def std_with_twist(r):
     """Highest weight of Std of the rank-(2r+1) block with homothety twist 1."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive int: {r!r}")
+    _positive_int(r, "r")
     return (1,) + (0,) * (2 * r) + (1,)
 
 
@@ -227,8 +224,7 @@ def v_binomial(n, m):
 
 def hecke_coweight(r, j):
     """lambda_j = (1^j, 0^{2r-2j+1}, (-1)^j | 0), rank 2r+2."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive int: {r!r}")
+    _positive_int(r, "r")
     if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= r:
         raise ValueError(f"need 0 <= j <= r, got j={j!r}")
     return (1,) * j + (0,) * (2 * r - 2 * j + 1) + (-1,) * j + (0,)
@@ -275,8 +271,7 @@ def h_operator(r):
     The variable of the coefficient scalars is read as p; the Gaussian
     binomials are evaluated at v = -p via the substitution v -> -v.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive int: {r!r}")
+    _positive_int(r, "r")
     _check_row_cost(2 * r + 1, r, f"h_operator({r})")
     coeffs = {}
     for n, row in enumerate(_gauss_rows(2 * r + 1, r)):

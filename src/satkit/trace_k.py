@@ -20,7 +20,7 @@ finite order m with sigma^m = 1 enforced at construction.
 
 from .laurent import LaurentScalar, _coerce
 from .repring import RepElement, character, dimension
-from .rootdata import _det_int, _mat_identity, _mat_mul, check_weight
+from .rootdata import _det_int, _mat_identity, _mat_mul, _positive_int, check_weight
 from .symfunc import SymPoly, _apply, _dominant_weights, _scalars
 
 # order * n^3 entry products: the most the order check takes, and more than the determinant's
@@ -49,8 +49,7 @@ class SigmaAction:
             for x in r:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError(f"sigma matrix entries must be ints: {x!r}")
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise ValueError(f"order must be a positive int: {order!r}")
+        _positive_int(order, "order")
         if order * n**3 > _MAX_ORDER_OPS:
             raise ValueError(
                 f"checking sigma^{order} on rank {n} takes up to {order * n**3} entry products, over the cap of {_MAX_ORDER_OPS}"

@@ -294,6 +294,24 @@ GOLDEN = [
         1,
         '{"error":"V_(1002, 1, 0) has 1006008 Gelfand-Tsetlin patterns, over the cap of 500000"}',
     ),
+    # tensor meets them in the same order: swapping a's terms moves the first one met to a's
+    (
+        ["tensor", "--n", "3", "--a", '{"(1,0,0)":1,"(1000,0,0)":1}', "--b", '{"(2,1,0)":1,"(1002,1,0)":1}'],
+        1,
+        '{"error":"V_(1002, 1, 0) has 1006008 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    (
+        ["tensor", "--n", "3", "--a", '{"(1000,0,0)":1,"(1,0,0)":1}', "--b", '{"(2,1,0)":1,"(1002,1,0)":1}'],
+        1,
+        '{"error":"V_(1000, 0, 0) has 501501 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
+    # every term's own cap comes before the first pair's entry, which here is refused at a Schur key
+    # of its transform, V_(29, 18, 15, 1)
+    (
+        ["conv", "--n", "4", "--a", '{"(29,18,16,0)":1}', "--b", '{"(0,0,0,0)":1,"(2000,0,0,0)":1}'],
+        1,
+        '{"error":"V_(2000, 0, 0, 0) has 1337337001 Gelfand-Tsetlin patterns, over the cap of 500000"}',
+    ),
     # a refusal met inside a product names a weight of the product of the cores: the first pair's
     # dual pair is the smaller key, and its refusal would name (2, 2, 1, 1, 0, 0, 0, 0)
     (
@@ -337,6 +355,12 @@ GOLDEN = [
         '{"error":"--b: invalid JSON (an integer has more digits than int() accepts)"}',
     ),
     (["tensor", "--n", "2", "--a", "[" * 10000, "--b", "{}"], 2, '{"error":"--a: invalid JSON (nested too deeply)"}'),
+    # so is a key entry past that limit, as the same entry is in a flag (it ended in exit 1 with Python's own text)
+    (
+        ["conv", "--n", "2", "--a", '{"(' + "9" * 5000 + ',0)":1}', "--b", '{"(1,0)":1}'],
+        2,
+        '{"error":"--a: a key entry has more digits than int() accepts"}',
+    ),
     # lattice windows are admitted by their size, not their rank
     (["count", "--mu", "1,1,0,0", "--p", "3"], 0, "130"),
     (
@@ -403,6 +427,7 @@ def test_schema_errors_exit_2():
         ["conv", "--n", "2", "--a", '{"(1,0)":"1/0"}', "--b", '{"(1,0)":1}'],
         ["conv", "--n", "2", "--a", '{"(1,0)":1,"( 1 , 0 )":-1}', "--b", '{"(1,0)":1}'],
         ["tensor", "--n", "2", "--a", '{"(1,0)":1,"(1,0)":2}', "--b", '{"(1,0)":1}'],
+        ["conv", "--n", "2", "--a", '{"(' + "9" * 5000 + ',0)":1}', "--b", '{"(1,0)":1}'],
         ["inv", "--a", '{"p":2,"basis":[["x",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["inv", "--a", '{"p":2,"basis":[["1/0",0],[0,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["inv", "--a", '{"p":2,"basis":[[1,0],[3,1],[1,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],

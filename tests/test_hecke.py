@@ -241,34 +241,40 @@ def test_dual_weights_match_independent_routes(data):
 # PRODUCT; prints the misses of the structure-constant and Brauer-Klimyk tables, then how many
 # entries the transform route, straightening and Brauer-Klimyk computed (an entry read off its
 # dual's is not computed), then the pattern table's misses and entries computed.  Each table is
-# bound to its route when built, so the tables are rebuilt by symfunc._on_cores on counted routes.
+# bound to its route when built, so the tables are rebuilt by symfunc._on_cores on counted routes,
+# each with its cap; a module that imported a table by name holds the old lookup, so the new one
+# is bound in every loaded satkit module that holds the name.
 _COUNTED_RUN = """
 import itertools
+import sys
 from collections import Counter
 from satkit import hecke, repring, symfunc
 
 computed = Counter()
-def counted(module, table, name):
+def counted(module, table, name, cap):
     route = getattr(module, name)
     def call(*cores):
         computed[name] += 1
         return route(*cores)
-    setattr(module, table, symfunc._on_cores(call))
+    lookup = symfunc._on_cores(call, cap)
+    for loaded_name, loaded in list(sys.modules.items()):
+        if loaded_name.partition(".")[0] == "satkit" and hasattr(loaded, table):
+            setattr(loaded, table, lookup)
 tables = (
-    (hecke, "_structure_constants", "_transform_product"),
-    (symfunc, "_hl_schur", "_hl_expand"),
-    (symfunc, "_tensor_irreducibles", "_brauer_klimyk"),
-    (symfunc, "_pattern_weights", "_gelfand_tsetlin"),
+    (hecke, "_structure_constants", "_transform_product", symfunc._check_patterns),
+    (symfunc, "_hl_terms", "_hl_expand", symfunc._check_expansion),
+    (symfunc, "_tensor_irreducibles", "_brauer_klimyk", symfunc._check_patterns),
+    (symfunc, "_pattern_weights", "_gelfand_tsetlin", symfunc._check_patterns),
 )
-for module, table, name in tables:
-    counted(module, table, name)
+for module, table, name, cap in tables:
+    counted(module, table, name, cap)
 for n, lo, hi in BOXES:
     box = [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
     for i, a in enumerate(box):
         for b in box[i:]:
             PRODUCT
 print(hecke._structure_constants.cache_info().misses, symfunc._tensor_irreducibles.cache_info().misses,
-      *(computed[name] for _, _, name in tables[:3]),
+      *(computed[name] for _, _, name, _ in tables[:3]),
       symfunc._pattern_weights.cache_info().misses, computed["_gelfand_tsetlin"])
 """
 
@@ -325,7 +331,7 @@ weights = [
 for mu in weights:
     assert hecke.inverse_satake(hecke.satake(hecke.basis(mu))) == hecke.basis(mu)
 print(len(weights), len({tuple(x - w[-1] for x in w) for w in weights}),
-      symfunc._dominant_table.cache_info().currsize, symfunc._pattern_weights.cache_info().currsize)
+      symfunc._dominant_weights.cache_info().currsize, symfunc._pattern_weights.cache_info().currsize)
 """
 
 

@@ -428,7 +428,7 @@ def test_transform_route_never_takes_the_monomial_product():
         if isinstance(node, ast.ImportFrom) and node.module == "symfunc"
         for alias in node.names
     }
-    assert "_schur_product" in from_symfunc
+    assert "_tensor_irreducibles" in from_symfunc
     assert not from_symfunc & {"_mul_terms", "_orbit_product"}
 
 

@@ -85,15 +85,20 @@ def test_tensor_dimension_homomorphism():
             assert total == dimension(a) * dimension(b), (a, b)
 
 
-# In a fresh interpreter, with the pattern table rebuilt on a route that records its cores.
+# In a fresh interpreter, with the pattern table rebuilt on a route that records its cores and
+# bound in every loaded satkit module that imported it by name.
 _BIG_BY_SMALL_RUN = """
+import sys
 from satkit import repring, symfunc
 
 enumerated = []
 def route(*cores):
     enumerated.append(cores)
     return symfunc._gelfand_tsetlin(*cores)
-symfunc._pattern_weights = symfunc._on_cores(route)
+lookup = symfunc._on_cores(route, symfunc._check_patterns)
+for name, module in list(sys.modules.items()):
+    if name.partition(".")[0] == "satkit" and hasattr(module, "_pattern_weights"):
+        module._pattern_weights = lookup
 print(repring.tensor(repring.irreducible((998, 0, 0)), repring.irreducible((1, 0, 0))))
 print(enumerated)
 """

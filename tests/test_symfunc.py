@@ -488,8 +488,8 @@ def test_central_shift_on_monomials():
 
 
 def test_gelfand_tsetlin_enumeration_is_capped_in_the_kernel():
-    # every route to the patterns passes _weights, which refuses past
-    # the cap by Weyl's formula before enumerating; the message names the weight asked for
+    # every route to the patterns passes a table whose lookup refuses past the cap by
+    # Weyl's formula before enumerating; the message names the weight asked for
     for call, mu, patterns in [
         (schur, (9999999999, 0), 10000000000),
         (hall_littlewood, (1000, 0, 0), 501501),  # refused at the Schur function of its top term
