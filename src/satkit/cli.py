@@ -153,8 +153,7 @@ def _weight_key(w):
 
 
 def _format_element(el):
-    ordered = sorted(el.terms.items(), key=lambda kv: kv[0], reverse=True)
-    return _dumps({_weight_key(w): c.to_string() for w, c in ordered})
+    return _dumps({_weight_key(w): el.terms[w].to_string() for w in el.support()})
 
 
 # -- verb handlers -------------------------------------------------------
@@ -202,11 +201,19 @@ def _cmd_weight_mult(args):
     return _dumps(weight_multiplicity(mu, lam))
 
 
-def _cmd_dim(args):
+def _printable_dimension(mu):
+    """dim V_mu, refused when it has more digits than str() converts (sys.get_int_max_str_digits)."""
     from .repring import dimension
+    dim, limit = dimension(mu), sys.get_int_max_str_digits()
+    if limit and dim >= 10**limit:
+        raise ValueError(f"dim V_{mu} has more than {limit} digits, past the int-string conversion limit")
+    return dim
+
+
+def _cmd_dim(args):
     mu = _weight_from_flag(args.mu, "--mu")
     _require_rank(args.n, mu, "--mu")
-    return _dumps(dimension(mu))
+    return _dumps(_printable_dimension(mu))
 
 
 def _cmd_s_op(args):
@@ -220,6 +227,7 @@ def _cmd_s_pairing(args):
     from .trace_k import s_pairing
     mu = _weight_from_flag(args.mu, "--mu")
     _require_rank(args.n, mu, "--mu")
+    _printable_dimension(mu)  # s_pairing(mu) is dim V_mu
     return _dumps(s_pairing(mu).to_string())
 
 
@@ -241,8 +249,7 @@ def _cmd_tate_dim(args):
 
 def _cmd_h_op(args):
     from .tate import h_operator
-    h = h_operator(args.r)
-    return _dumps({str(j): h.coeffs[j].to_string(var="p") for j in sorted(h.coeffs)})
+    return _dumps(h_operator(args.r).to_json()["coeffs"])
 
 
 def _cmd_qbinom(args):

@@ -91,48 +91,44 @@ The point of the module is convolution_oracle(lam, mu, nu, p):
     #{ L : inv(L0, L) = lam  and  inv(L, nu(p) L0) = mu }
 
 which must equal the T_nu-coefficient of T_lam * T_mu specialized at q = p.
-It counts the shapes of one cell, with no adjugate.  With m = min nu, s =
-nu - m and D the diagonal scaling by p^s:
-
-- over lam's cell, L = p^lo H with X = p^depth H^-1 cached beside H, and
-  (p^lo H)^-1 nu(p) = p^(m - lo - depth) X D, so inv(L, nu(p) L0) is the
-  valuations of the integer matrix X D shifted by m - lo - depth;
-- over mu*'s cell, mu* = (-mu_n, ..., -mu_1): inv(L, nu(p) L0) = mu exactly
-  when inv(nu(p) L0, L) = mu*, and those L are nu(p) p^lo H for the shapes
-  H of mu*'s cell, so inv(L0, L) is the valuations of the row-scaled D H
-  shifted by m + lo.  This is a bijection of lattices and uses no
-  commutativity of the Hecke algebra.
+It counts the shapes of one cell, with no adjugate, by one route.  With
+w* = (-w_n, ..., -w_1) for a coweight w, m = min nu, s = nu - m and D the
+diagonal scaling by p^s: inv(L, nu(p) L0) = mu exactly when inv(nu(p) L0,
+L) = mu*, and those L are nu(p) p^lo H for the shapes H of mu*'s cell, so
+inv(L0, L) is the valuations of the row-scaled D H shifted by m + lo.  This
+is a bijection of lattices and uses no commutativity of the Hecke algebra.
+lam's cell is walked as mu*'s cell of the starred triple (mu*, lam*, nu*):
+as inv(A, B) = inv(B, A)* and nu*(p) = w0 nu(p)^-1 w0 with w0 in K, a shape
+M of lam's cell passes that count exactly when w0 M is counted here.
 
 lam's window is checked against the caps first, so every refusal is lam's;
 mu*'s cell is walked when it is strictly smaller (by the Poincare formula,
 |mu*'s cell| = |mu's|) and its window no deeper than lam's, so a central or
-wide mu never brings in a larger window.
+wide mu never brings in a larger window, and lam's cell otherwise.
 
 The count needs no elimination per lattice.  The sum v_1 + ... + v_k of
 the k least valuations of an integer matrix M is delta_k, the least
 valuation of its k x k minors (Macdonald, SFHP, II): delta_1 is the least
 entry valuation, delta_n = v_p(det M), and delta_(n-1) that of adj M =
-det(M) M^-1.  For the matrices tested, with d = v_p(det H) (the sum of the
+det(M) M^-1.  For the matrix tested, with d = v_p(det H) (the sum of the
 cell's key) and W the wanted valuations ascending:
 
-    side    M      delta_1               delta_n                 delta_(n-1)
-    lam's   X D    min_j (c_j + s_j)     n depth - d + sum(s)    delta_n - depth + min_j (r_j - s_j)
-    mu*'s   D H    min_i (r_i + s_i)     d + sum(s)              delta_n - depth + min_i (c_i - s_i)
+    M      delta_1               delta_n       delta_(n-1)
+    D H    min_i (r_i + s_i)     d + sum(s)    delta_n - depth + min_i (c_i - s_i)
 
-as (X D)^-1 = p^-depth D^-1 H and (D H)^-1 = p^-depth X D^-1.  So all
-members of a group share the three, and none of them is counted unless
-delta_1 = W_1, delta_(n-1) = sum(W) - W_n and delta_n = sum(W).  At rank
-<= 3 the three give all the valuations, and a group that passes is counted
-whole.  For M = H itself (s = 0) they are delta_1 = min r, delta_n = d
-(the sum of H's diagonal exponents) and delta_(n-1) = d - depth + min c,
-so at rank <= 3 _cells reads each shape's cell off its key, with no
-elimination either.  Past it only the members of such groups are scaled and
-eliminated, each elimination stopping at the first valuation that differs
-from the one wanted.  The tests hold the oracle's counts to inv_pair's
-two-pass route, to that elimination run on every lattice of the cell, and
-the two sides to each other.  The Hecke side computes the same coefficient
-through the Satake transform; the two routes share no code, which is
-what makes the agreement a real check.
+as (D H)^-1 = p^-depth X D^-1.  So all members of a group share the three,
+and none of them is counted unless delta_1 = W_1, delta_(n-1) = sum(W) -
+W_n and delta_n = sum(W).  At rank <= 3 the three give all the valuations,
+and a group that passes is counted whole.  The row's case s = 0, M = H, is
+delta_1 = min r, delta_n = d (the sum of H's diagonal exponents) and
+delta_(n-1) = d - depth + min c, so at rank <= 3 _cells reads each shape's
+cell off its key, with no elimination either.  Past it only the members of
+such groups are scaled and eliminated, each elimination stopping at the
+first valuation that differs from the one wanted.  The tests hold the
+oracle's counts to inv_pair's two-pass route, to that elimination run on
+every lattice of the cell, and the two sides to each other.  The Hecke side
+computes the same coefficient through the Satake transform; the two routes
+share no code, which is what makes the agreement a real check.
 """
 
 import itertools
@@ -520,57 +516,46 @@ def schubert_count(mu, p):
     return sum(len(shapes) for _, _, shapes in _cells(p, len(mu), hi - lo).get(tuple(e - lo for e in mu), ()))
 
 
-def _oracle_cell(lam, mu, p):
-    """(dual, lo, depth): the cell convolution_oracle walks, in the window p^(lo + depth) L0 <= L <= p^lo L0.
+def _oracle_cell(lam, mu, nu, p):
+    """The arguments (lam, mu, nu, p, lo, depth) of _oracle_count, which walks their mu*'s cell.
 
-    lam's cell (dual False), its window checked against the caps first; or
-    mu*'s (dual True), mu* = (-mu_n, ..., -mu_1), when that cell is strictly
-    smaller and its window no deeper.  |mu*'s cell| = |mu's|, as <2rho, mu*>
-    = <2rho, mu> and the stabilizers match.
+    lam's window is checked against the caps first.  mu*'s cell, mu* =
+    (-mu_n, ..., -mu_1), is taken when it is strictly smaller and its window
+    no deeper: |mu*'s cell| = |mu's|, as <2rho, mu*> = <2rho, mu> and the
+    stabilizers match.  Otherwise lam's cell is taken, in its own window, as
+    mu*'s cell of the starred triple (mu*, lam*, nu*).
     """
     lo, hi = _window_for(lam, p)
     dlo, dhi = min(0, -mu[0]), max(0, -mu[-1])
     if dhi - dlo <= hi - lo and _cell_size(p, mu) < _cell_size(p, lam):
-        return True, dlo, dhi - dlo
-    return False, lo, hi - lo
+        return lam, mu, nu, p, dlo, dhi - dlo
+    star = (tuple(-x for x in reversed(w)) for w in (mu, lam, nu))
+    return (*star, p, lo, hi - lo)
 
 
-def _oracle_count(lam, mu, nu, p, dual, lo, depth):
-    """convolution_oracle's count over lam's cell (dual False) or mu*'s, in the window of lo and depth.
+def _oracle_count(lam, mu, nu, p, lo, depth):
+    """convolution_oracle's count over mu*'s cell, in the window of lo and depth.
 
-    With m = min nu, s = nu - m and D = diag(p^s), each shape's matrix is X
-    D (lam's cell: inv(L, nu(p) L0) shifted by lo + depth - m) or D H
-    (mu*'s: inv(L0, L) shifted by -m - lo); see the module docstring.  The
-    cell fixes its v_p(det), and the group key its least valuation and its
-    largest, which is depth less the least entry valuation of p^depth M^-1.
+    With m = min nu, s = nu - m and D = diag(p^s), each shape's matrix is D
+    H, whose valuations are inv(L0, L) shifted by -m - lo; see the module
+    docstring.  The cell fixes its v_p(det), and the group key its least
+    valuation and its largest, which is depth less the least entry valuation
+    of p^depth (D H)^-1 = X D^-1.
     """
     n, m = len(nu), min(nu)
     s = [x - m for x in nu]
-    if dual:
-        cell = tuple(-x - lo for x in reversed(mu))
-        want = [x - m - lo for x in reversed(lam)]
-        det = sum(cell) + sum(s)
-    else:
-        cell = tuple(x - lo for x in lam)
-        want = [x + lo + depth - m for x in reversed(mu)]
-        det = n * depth - sum(cell) + sum(s)
-    if det != sum(want):
+    cell = tuple(-x - lo for x in reversed(mu))
+    want = [x - m - lo for x in reversed(lam)]
+    if sum(cell) + sum(s) != sum(want):
         return 0
     passing = []
     for r, c, shapes in _cells(p, n, depth).get(cell, ()):
-        if not dual:  # X D, and (X D)^-1 = p^-depth D^-1 H: X's columns take the place of H's rows
-            r, c = c, r
-        # D H, and (D H)^-1 = p^-depth X D^-1
         if min(a + b for a, b in zip(r, s)) == want[0] and depth - min(a - b for a, b in zip(c, s)) == want[-1]:
             passing += shapes
     if n <= _KEY_RANK:
         return len(passing)
     scale = [p**x for x in s]
-    if dual:
-        mats = ([[x * t for x in row] for row, t in zip(h, scale)] for h in passing)
-    else:
-        window = _window(p, n, depth)
-        mats = ([[x * t for x, t in zip(row, scale)] for row in window[h]] for h in passing)
+    mats = ([[x * t for x in row] for row, t in zip(h, scale)] for h in passing)
     # a valuation past max(want) is a mismatch already, and want[0] >= 0 keeps p^k an int;
     # the valuations come smallest first, so each elimination stops at the first that differs
     k = max(want) + 1
@@ -581,8 +566,8 @@ def convolution_oracle(lam, mu, nu, p):
     """Count lattices L with inv(L0, L) = lam and inv(L, nu(p) L0) = mu.
 
     This is the structure constant of T_lam * T_mu on T_nu with v^2
-    specialized to p, counted over the smaller of lam's and mu*'s cells a
-    group of lattices at a time.
+    specialized to p, counted a group of lattices at a time over the smaller
+    of lam's and mu*'s cells, lam's as mu*'s cell of the starred triple.
     """
     lam, mu, nu = check_weight(lam), check_weight(mu), check_weight(nu)
     p = _check_p(p)
@@ -592,4 +577,4 @@ def convolution_oracle(lam, mu, nu, p):
     for w in (lam, mu, nu):
         if not is_dominant(w):
             raise ValueError(f"coweights must be dominant: {w}")
-    return _oracle_count(lam, mu, nu, p, *_oracle_cell(lam, mu, p))
+    return _oracle_count(*_oracle_cell(lam, mu, nu, p))

@@ -96,6 +96,8 @@ True
 """
 
 import itertools
+import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -295,8 +297,27 @@ class SymPoly(Combination):
 
 @lru_cache(maxsize=None)
 def _orbit(w):
-    """The S_n-orbit of a weight, each point once, sorted for determinism."""
-    return tuple(sorted(set(itertools.permutations(w))))
+    """The S_n-orbit of a weight, each point once, sorted for determinism.
+
+    Each distinct entry takes the first place in turn, ascending, ahead of
+    the orbit of the entries left, so each point is made once and in order,
+    never one of the n! permutations per point.
+    """
+
+    def points(rest):
+        if not rest:
+            yield ()
+        for x in sorted(set(rest)):
+            i = rest.index(x)
+            for tail in points(rest[:i] + rest[i + 1 :]):
+                yield (x,) + tail
+
+    return tuple(points(w))
+
+
+def _orbit_size(w):
+    """|O(w)| = n! / prod m_i!, m_i the multiplicities of w's entries."""
+    return math.factorial(len(w)) // math.prod(math.factorial(m) for m in Counter(w).values())
 
 
 @lru_cache(maxsize=None)
@@ -309,13 +330,14 @@ def _orbit_product(a, b):
     the same fibre size) counts them as |O(a)| N_gamma with N_gamma =
     #{beta in O(b) : sort(a + beta) = gamma}.  Hence c_gamma =
     |O(a)| N_gamma / |O(gamma)|, exactly, and only one orbit is walked: the
-    smaller of the two, since m_a m_b = m_b m_a.
+    smaller of the two, since m_a m_b = m_b m_a.  The sizes come from the
+    multiplicities, so the larger orbit is never made.
     """
-    if len(_orbit(a)) < len(_orbit(b)):
+    if _orbit_size(a) < _orbit_size(b):
         a, b = b, a
     hits = Counter(tuple(sorted([x + y for x, y in zip(a, beta)], reverse=True)) for beta in _orbit(b))
-    size_a = len(_orbit(a))
-    return {g: size_a * m // len(_orbit(g)) for g, m in hits.items()}
+    size_a = _orbit_size(a)
+    return {g: size_a * m // _orbit_size(g) for g, m in hits.items()}
 
 
 def _orbit_entry(a, b):
@@ -487,7 +509,10 @@ def _check_patterns(mu, patterns=None):
     if patterns is None:
         patterns = _weyl_dimension(mu)
     if patterns > _MAX_PATTERNS:
-        raise ValueError(f"V_{mu} has {patterns} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
+        # a count with more digits than str() converts is named by its order of magnitude
+        limit = sys.get_int_max_str_digits()
+        count = f"at least 10^{limit}" if limit and patterns >= 10**limit else patterns
+        raise ValueError(f"V_{mu} has {count} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
 
 
 def _on_cores(route, cap):

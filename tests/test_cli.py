@@ -404,6 +404,14 @@ def test_check_verbs_pass():
 
 
 def test_domain_errors_exit_1():
+    # the most digits int() reads from text: dim V_(nines, 0) = 10^4300 has one more than str() writes
+    nines = "9" * 4300
+    past_str_limit = [
+        ["dim", "--n", "2", "--mu", nines + ",0"],
+        ["s-pairing", "--n", "2", "--mu", nines + ",0"],
+        ["satake", "--n", "2", "--h", '{"(' + nines + ',0)":1}'],
+        ["tensor", "--n", "2", "--a", '{"(' + nines + ',0)":1}', "--b", '{"(1,0)":1}'],
+    ]
     for args in [
         ["dim", "--n", "2", "--mu", "0,1"],
         ["count", "--mu", "1,0", "--p", "11"],
@@ -411,10 +419,12 @@ def test_domain_errors_exit_1():
         ["satake", "--n", "2", "--h", '{"(0,1)":1}'],
         ["satake", "--n", "2", "--h", '{"(99999999999999999999,0)":1}'],
         ["weight-mult", "--n", "2", "--mu", "99999999999999999999,0", "--lam", "1,1"],
-    ]:
+    ] + past_str_limit:
         out = run(*args)
         assert out.returncode == 1, args
-        assert "error" in json.loads(out.stdout)
+        error = json.loads(out.stdout)["error"]
+        if args in past_str_limit:  # the refusal names the weight, not Python's int-string limit
+            assert f"V_({nines}, 0) has" in error, args
 
 
 def test_schema_errors_exit_2():

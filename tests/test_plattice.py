@@ -548,11 +548,14 @@ def test_solved_window_rows_match_filtered_ones(p, n, depth):
 
 
 def per_lattice_count(lam, mu, nu, p, dual, lo, depth):
-    """plattice._oracle_count by one scaling and one Smith elimination per shape of the cell.
+    """convolution_oracle's count by one scaling and one Smith elimination per shape of a cell.
 
-    The route the grouped count replaced: the cell is classified by
-    elimination, and each matrix X D (lam's cell) or D H (mu*'s) is
-    eliminated until its first valuation that differs from the one wanted.
+    The routes the grouped count replaced: the cell is classified by
+    elimination, and each matrix X D (lam's cell, dual False) or D H (mu*'s,
+    dual True) is eliminated until its first valuation that differs from the
+    one wanted.  plattice keeps only the D H route and counts lam's cell as
+    mu*'s cell of the starred triple (mu*, lam*, nu*); X D is kept here as
+    the independent reference for that side.
     """
     n, m = len(nu), min(nu)
     scale = [p ** (x - m) for x in nu]
@@ -586,9 +589,11 @@ def test_grouped_count_matches_per_lattice_count(n, top, p):
             for nu in _dominant_box(n, 0, 2 * top):
                 if abs(sum(nu) - sum(lam) - sum(mu)) > 1:
                     continue
+                star = [tuple(-x for x in reversed(w)) for w in (mu, lam, nu)]
                 for dual, side_lo, side_depth in ((False, lo, hi - lo), (True, slo, shi - slo)):
                     want = per_lattice_count(lam, mu, nu, p, dual, side_lo, side_depth)
-                    got = plattice._oracle_count(lam, mu, nu, p, dual, side_lo, side_depth)
+                    # lam's cell is mu*'s cell of the starred triple
+                    got = plattice._oracle_count(*((lam, mu, nu) if dual else star), p, side_lo, side_depth)
                     assert got == want, (lam, mu, nu, dual)
                     nonzero += want > 0
     assert nonzero > 0
@@ -652,14 +657,17 @@ def test_smaller_cell_route_matches_lam_cell_route(n, top, p):
         lo, hi = plattice._window_for(lam, p)
         for mu in box:
             slo, shi = plattice._window_for(tuple(-x for x in reversed(mu)), p)
-            dual, _, depth = plattice._oracle_cell(lam, mu, p)
-            sides[dual] += 1
-            assert depth == (shi - slo if dual else hi - lo)
             for nu in _dominant_box(n, 0, 2 * top):
                 if sum(nu) != sum(lam) + sum(mu):
                     continue
-                by_lam = plattice._oracle_count(lam, mu, nu, p, False, lo, hi - lo)
-                by_dual = plattice._oracle_count(lam, mu, nu, p, True, slo, shi - slo)
+                # lam's cell is walked as mu*'s cell of the starred triple (mu*, lam*, nu*)
+                star = tuple(tuple(-x for x in reversed(w)) for w in (mu, lam, nu))
+                args = plattice._oracle_cell(lam, mu, nu, p)
+                dual = args[:3] == (lam, mu, nu)
+                sides[dual] += 1
+                assert args == ((lam, mu, nu, p, slo, shi - slo) if dual else (*star, p, lo, hi - lo))
+                by_lam = plattice._oracle_count(*star, p, lo, hi - lo)
+                by_dual = plattice._oracle_count(lam, mu, nu, p, slo, shi - slo)
                 assert by_dual == by_lam, (lam, mu, nu)
                 assert convolution_oracle(lam, mu, nu, p) == by_lam, (lam, mu, nu)
     assert sides[True] > 0 and sides[False] > 0
@@ -712,6 +720,40 @@ def test_oracle_work_on_the_benchmark_pairs():
     # when each shape was classified by one) and every count is a sum of group sizes (707 lattices
     # when each was eliminated, 1,145 over lam's cells alone)
     assert tested == 0
+
+
+_RANK4_WORK_RUN = """
+import itertools
+from satkit import hecke, plattice
+
+box = [w for w in itertools.product(range(2, -1, -1), repeat=4) if list(w) == sorted(w, reverse=True)]
+pairs = [(a, b) for i, a in enumerate(box) for b in box[i:]]
+cases = [(a, b, nu) for a, b in pairs for nu in hecke.convolve(hecke.basis(a), hecke.basis(b)).support()]
+tested = 0
+steps = plattice._smith_steps
+
+
+def counted(*args):
+    global tested
+    tested += 1
+    return steps(*args)
+
+
+plattice._smith_steps = counted
+total = sum(plattice.convolution_oracle(a, b, nu, 2) for a, b, nu in cases)  # cold: every window and cell made here
+print(len(cases), total, tested)
+"""
+
+
+def test_oracle_work_at_rank_4():
+    # a fresh interpreter: past rank 3 the cells are classified, and the members of passing groups
+    # eliminated, one shape at a time; a change to the side choice or the key filter that adds
+    # eliminations shows here
+    run = subprocess.run([sys.executable, "-c", _RANK4_WORK_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    cases, total, tested = map(int, run.stdout.split())
+    assert (cases, total) == (286, 3504)
+    assert tested == 6014
 
 
 def test_enumeration_window_counts():
@@ -818,7 +860,7 @@ def _dominant_box(n, lo, hi):
     "p, n, depth", [(p, n, d) for p in (2, 3) for n in (1, 2, 3) for d in (0, 1, 2)] + [(2, 4, 1), (3, 4, 1)]
 )
 def test_oracle_counts_match_adjugate_route(p, n, depth):
-    # the oracle reads inv(L, nu(p) L0) off X D_nu; _inv eliminates [H | p^c nu(p)] in two passes
+    # the oracle reads inv(L0, L) off D_nu H over one cell; _inv eliminates [H | p^c nu(p)] in two passes
     cells = {lam: [h for _, _, group in split for h in group] for lam, split in _cells(p, n, depth).items()}
     for nu in _dominant_box(n, 0, depth):
         target = PLattice.from_coweight(nu, p)

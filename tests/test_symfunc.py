@@ -18,6 +18,8 @@ SATKIT_SLOW_ORACLE=1 set.
 import itertools
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -347,6 +349,29 @@ def test_orbit_product_matches_all_pairs_walk():
         for a in weights:
             for b in weights:
                 assert dict(_orbit_product(a, b)) == _orbit_product_all_pairs(a, b), (a, b)
+
+
+def test_orbit_matches_permutation_route():
+    # every weight of the box, dominant or not, with repeated and negative entries
+    for n, lo, hi in ((1, -1, 1), (2, -2, 2), (3, -1, 2), (4, -1, 2), (5, 0, 2)):
+        for w in itertools.product(range(lo, hi + 1), repeat=n):
+            assert symfunc._orbit(w) == tuple(_orbit_points(w)), w
+            assert symfunc._orbit_size(w) == len(_orbit_points(w)), w
+
+
+_RANK12_PRODUCT_RUN = """
+from satkit.symfunc import monomial
+
+product = monomial(tuple(range(11, -1, -1))) * monomial((1,) + (0,) * 11)
+print(len(product.terms))
+"""
+
+
+def test_orbit_product_never_makes_the_larger_orbit():
+    # m_(11,...,0) has 12! orbit points; the product walks the 12 of (1, 0^11) and sizes the rest
+    run = subprocess.run([sys.executable, "-c", _RANK12_PRODUCT_RUN], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) == 12
 
 
 def test_sympoly_product_matches_all_pairs_walk():
