@@ -10,13 +10,20 @@ byte-for-byte):
 * errors print ``{"error": ...}`` on stdout — exit 2 when the request never
   made sense (malformed payload, unknown verb), exit 1 when it parsed but
   the data is out of domain (non-dominant weight, unsupported prime, ...).
+
+A well-formed request is read straight off the verb table: a verb, then
+each of its flags exactly once as ``--flag value`` in any order, no value
+empty or starting with "-", or ``check SUITE``.  Every other command line
+(an unknown verb; a flag missing, repeated, abbreviated or written
+``--flag=value``; a negative number; -h/--help) goes to argparse, imported
+and built only then, which words the refusal or prints the help.
 """
 
-import argparse
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 # Handlers import their own layer, so a request loads only what its verb needs;
 # the `check` parser reads the suite names here, held to sorted(checks.SUITES) by a test.
@@ -46,11 +53,11 @@ def _weight_from_key(key, what):
 
 
 def _weight_from_flag(text, what):
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise SchemaError(f"{what}: expected comma-separated integers, got {text!r}")
+    parts = text.split(",")
+    if len(parts) > 1 and not parts[-1].strip():
+        parts.pop()  # one trailing comma, as payload keys allow
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(int(p) for p in parts)  # int() refuses an empty entry
     except ValueError:
         raise SchemaError(f"{what}: expected comma-separated integers, got {text!r}") from None
 
@@ -238,6 +245,8 @@ def _cmd_tate_dim(args):
             raw = fh.read()
     except OSError as exc:
         raise SchemaError(f"--config: cannot read {args.config!r} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"--config: cannot read {args.config!r} (byte {exc.start} is not ASCII)") from None
     data = _object_from_text(raw, "--config")
     try:
         cfg = TateConfig.from_json(data)
@@ -297,50 +306,85 @@ def _require_rank(n, w, what):
 # -- parser / dispatch ---------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse prints usage on stderr and exits 2; route through the JSON
-    # error body instead so every failure mode has the same machine shape.
-    def error(self, message):
-        raise SchemaError(message)
+def _verbs():
+    """{verb: (handler, {flag: type})}, the one verb table.
+
+    Built when a request runs, not at import, so that a handler replaced on
+    the module is the one called.  `check` takes the positional SUITE, one of
+    _SUITES, in place of flags.
+    """
+    return {
+        "satake": (_cmd_satake, {"n": int, "h": str}),
+        "inv-satake": (_cmd_inv_satake, {"n": int, "f": str}),
+        "conv": (_cmd_conv, {"n": int, "a": str, "b": str}),
+        "normalize": (_cmd_normalize, {"n": int, "h": str}),
+        "tensor": (_cmd_tensor, {"n": int, "a": str, "b": str}),
+        "weight-mult": (_cmd_weight_mult, {"n": int, "mu": str, "lam": str}),
+        "dim": (_cmd_dim, {"n": int, "mu": str}),
+        "s-op": (_cmd_s_op, {"n": int, "r": str}),
+        "s-pairing": (_cmd_s_pairing, {"n": int, "mu": str}),
+        "tate-dim": (_cmd_tate_dim, {"config": str, "mu": str}),
+        "h-op": (_cmd_h_op, {"r": int}),
+        "qbinom": (_cmd_qbinom, {"n": int, "m": int}),
+        "inv": (_cmd_inv, {"a": str, "b": str}),
+        "count": (_cmd_count, {"mu": str, "p": int}),
+        "oracle": (_cmd_oracle, {"lam": str, "mu": str, "nu": str, "p": int}),
+        "check": (_cmd_check, {}),
+    }
+
+
+def _parse_fast(argv):
+    """The namespace argparse gives a well-formed request (see the module docstring), read off
+    the verb table; None for any other argv, which is left to argparse."""
+    verbs = _verbs()
+    if not argv or argv[0] not in verbs:
+        return None
+    verb, rest = argv[0], argv[1:]
+    handler, flags = verbs[verb]
+    if verb == "check":
+        if len(rest) != 1 or rest[0] not in _SUITES:
+            return None
+        return SimpleNamespace(verb=verb, suite=rest[0], handler=handler)
+    if len(rest) != 2 * len(flags):
+        return None
+    values = {}
+    for flag, value in zip(rest[::2], rest[1::2]):
+        name = flag[2:]
+        if not flag.startswith("--") or name not in flags or name in values or not value or value[0] == "-":
+            return None
+        try:
+            values[name] = flags[name](value)
+        except ValueError:
+            return None
+    return SimpleNamespace(verb=verb, **values, handler=handler)
 
 
 def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse prints usage on stderr and exits 2; route through the JSON
+        # error body instead so every failure mode has the same machine shape.
+        def error(self, message):
+            raise SchemaError(message)
+
     parser = _Parser(prog="satkit", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    def verb(name, handler, **flags):
-        p = sub.add_parser(name)
+    for verb, (handler, flags) in _verbs().items():
+        p = sub.add_parser(verb)
         for flag, kind in flags.items():
-            p.add_argument("--" + flag, required=True, type=kind, dest=flag.replace("-", "_"))
+            p.add_argument("--" + flag, required=True, type=kind)
         p.set_defaults(handler=handler)
-
-    verb("satake", _cmd_satake, n=int, h=str)
-    verb("inv-satake", _cmd_inv_satake, n=int, f=str)
-    verb("conv", _cmd_conv, n=int, a=str, b=str)
-    verb("normalize", _cmd_normalize, n=int, h=str)
-    verb("tensor", _cmd_tensor, n=int, a=str, b=str)
-    verb("weight-mult", _cmd_weight_mult, n=int, mu=str, lam=str)
-    verb("dim", _cmd_dim, n=int, mu=str)
-    verb("s-op", _cmd_s_op, n=int, r=str)
-    verb("s-pairing", _cmd_s_pairing, n=int, mu=str)
-    verb("tate-dim", _cmd_tate_dim, config=str, mu=str)
-    verb("h-op", _cmd_h_op, r=int)
-    verb("qbinom", _cmd_qbinom, n=int, m=int)
-    verb("inv", _cmd_inv, a=str, b=str)
-    verb("count", _cmd_count, mu=str, p=int)
-    verb("oracle", _cmd_oracle, lam=str, mu=str, nu=str, p=int)
-
-    check = sub.add_parser("check")
-    check.add_argument("suite", choices=_SUITES)
-    check.set_defaults(handler=_cmd_check)
+    sub.choices["check"].add_argument("suite", choices=_SUITES)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     code = 0
     try:
-        args = parser.parse_args(argv)
+        args = _parse_fast(argv) or _build_parser().parse_args(argv)
         out = args.handler(args)
     except SchemaError as exc:
         out, code = _dumps({"error": str(exc)}), 2

@@ -80,8 +80,8 @@ The public schur, hall_littlewood and expand_in_schur are these kernels
 with validation and LaurentScalar wrapping.  SymPoly * SymPoly is the one
 product taken in the monomial basis: the coefficient of m_gamma in m_a m_b
 is #{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, which
-_orbit_product reads off one orbit and caches per pair (a, b); _bilinear
-reads it as a table with shift 0.
+_orbit_product reads off one orbit, refused past _MAX_ORBIT_ENTRIES, and
+caches per pair (a, b); _bilinear reads it as a table with shift 0.
 
 SymPoly shares its representation and linear arithmetic with
 hecke.HeckeElement and repring.RepElement through the base class
@@ -320,6 +320,12 @@ def _orbit_size(w):
     return math.factorial(len(w)) // math.prod(math.factorial(m) for m in Counter(w).values())
 
 
+# Orbit entries _orbit_product may walk, |O(b)| points of n entries: about 1 us an entry on a 2-core
+# host at every rank from 8 to 50, so about 1 s.  m_(7,...,0)^2 (322,560 entries) is admitted and
+# m_(8,...,0)^2 (3,265,920) refused.
+_MAX_ORBIT_ENTRIES = 1_000_000
+
+
 @lru_cache(maxsize=None)
 def _orbit_product(a, b):
     """The coefficients of m_a m_b as {gamma: c_gamma}, gamma dominant; read only.
@@ -331,12 +337,18 @@ def _orbit_product(a, b):
     #{beta in O(b) : sort(a + beta) = gamma}.  Hence c_gamma =
     |O(a)| N_gamma / |O(gamma)|, exactly, and only one orbit is walked: the
     smaller of the two, since m_a m_b = m_b m_a.  The sizes come from the
-    multiplicities, so the larger orbit is never made.
+    multiplicities, so the larger orbit is never made, and the walk is
+    refused before it starts when it passes _MAX_ORBIT_ENTRIES entries.
     """
-    if _orbit_size(a) < _orbit_size(b):
-        a, b = b, a
+    size_a, size_b = _orbit_size(a), _orbit_size(b)
+    if size_a < size_b:
+        a, b, size_a, size_b = b, a, size_b, size_a
+    if len(b) * size_b > _MAX_ORBIT_ENTRIES:
+        raise ValueError(
+            f"m_{b} has {_count_text(size_b)} orbit points of {len(b)} entries, "
+            f"over the cap of {_MAX_ORBIT_ENTRIES} entries"
+        )
     hits = Counter(tuple(sorted([x + y for x, y in zip(a, beta)], reverse=True)) for beta in _orbit(b))
-    size_a = _orbit_size(a)
     return {g: size_a * m // _orbit_size(g) for g, m in hits.items()}
 
 
@@ -509,10 +521,14 @@ def _check_patterns(mu, patterns=None):
     if patterns is None:
         patterns = _weyl_dimension(mu)
     if patterns > _MAX_PATTERNS:
-        # a count with more digits than str() converts is named by its order of magnitude
-        limit = sys.get_int_max_str_digits()
-        count = f"at least 10^{limit}" if limit and patterns >= 10**limit else patterns
+        count = _count_text(patterns)
         raise ValueError(f"V_{mu} has {count} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
+
+
+def _count_text(count):
+    """A refused count as text: past the digits str() converts, by its order of magnitude."""
+    limit = sys.get_int_max_str_digits()
+    return f"at least 10^{limit}" if limit and count >= 10**limit else str(count)
 
 
 def _on_cores(route, cap):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satkit import checks
-from satkit.cli import _SUITES, main
+from satkit.cli import _SUITES, SchemaError, _build_parser, _parse_fast, main
 from satkit.hecke import HeckeElement, basis, convolve
 from satkit.laurent import parse_scalar
 from satkit.tate import unitary_config, v_binomial
@@ -249,6 +249,14 @@ GOLDEN = [
         """{"error":"--a: key '(1,0)' is given twice"}""",
     ),
     (["dim", "--n", "x", "--mu", "1"], 2, """{"error":"argument --n: invalid int value: 'x'"}"""),
+    # an empty weight entry is refused (it was dropped: this printed 7, the count for (1,1,0)); one
+    # trailing comma is kept, as in payload keys
+    (
+        ["count", "--mu", "1,,1,0", "--p", "2"],
+        2,
+        """{"error":"--mu: expected comma-separated integers, got '1,,1,0'"}""",
+    ),
+    (["dim", "--n", "2", "--mu", "1,0,"], 0, "2"),
     # Gelfand-Tsetlin enumeration is refused past its cap, in the kernel every verb reaches it through;
     # each of these ended in a MemoryError traceback under a 1-GB address-space limit without the cap
     (
@@ -427,7 +435,9 @@ def test_domain_errors_exit_1():
             assert f"V_({nines}, 0) has" in error, args
 
 
-def test_schema_errors_exit_2():
+def test_schema_errors_exit_2(tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"n": 1, "center": [], "sigma": {"matrix": [[1]], "order": 1}, "é": 0}'.encode("utf-8"))
     for args in [
         ["conv", "--n", "2", "--a", '{"(1,0)":1}', "--b", "not json"],
         ["conv", "--n", "2", "--a", '{"(1,0)":1}'],  # missing --b
@@ -443,12 +453,18 @@ def test_schema_errors_exit_2():
         ["inv", "--a", '{"p":2,"basis":[[1,0],[3,1],[1,1]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["inv", "--a", '{"p":2,"basis":[]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}'],
         ["tate-dim", "--config", "/nonexistent.json", "--mu", "1,0"],
+        ["tate-dim", "--config", str(latin), "--mu", "1"],  # exited 1 with Python's codec text
         ["check", "no-such-suite"],
         ["no-such-verb"],
+        ["count", "--mu", "1,,1,0", "--p", "2"],
+        ["dim", "--n", "2", "--mu", ",1,0"],
+        ["dim", "--n", "2", "--mu", "1,0,,"],
     ]:
         out = run(*args)
         assert out.returncode == 2, args
         assert "error" in json.loads(out.stdout)
+        if "--config" in args:
+            assert json.loads(out.stdout)["error"].startswith("--config: cannot read "), args
 
 
 def _main_in_process(argv):
@@ -580,15 +596,17 @@ def test_cost_caps_admit_h_op_15():
 
 
 # In a fresh interpreter: import satkit.cli, then run dim, every other
-# non-check request, and a check suite, recording sys.modules after each.
+# non-check request, a check suite and a malformed request, recording the
+# exit code, stdout and sys.modules after each.
 _MODULES_RUN = """
 import contextlib, io, json, sys
 import satkit.cli
-seen = [["import", sorted(sys.modules)]]
+seen = [["import", 0, "", sorted(sys.modules)]]
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert satkit.cli.main(argv) == 0, argv
-    seen.append([argv[0], sorted(sys.modules)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = satkit.cli.main(argv)
+    seen.append([argv[0], code, out.getvalue(), sorted(sys.modules)])
 print(json.dumps(seen))
 """
 
@@ -596,19 +614,74 @@ print(json.dumps(seen))
 def test_each_verb_imports_only_its_layers(u3_config):
     requests = [["dim", "--n", "2", "--mu", "1,0"]]
     requests += [args for args, _ in EXPECTED] + [["tate-dim", "--config", u3_config, "--mu", "1,1,0"]]
-    requests += [["check", "gl2-paper"]]
+    requests += [["check", "gl2-paper"], ["dim", "--n", "x", "--mu", "1"]]
     argv = [sys.executable, "-c", _MODULES_RUN, json.dumps(requests)]
     run = subprocess.run(argv, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout)
-    assert {m for m in seen[0][1] if m.startswith("satkit")} == {"satkit", "satkit.cli"}
+    assert len(seen) == len(requests) + 1
+    *well_formed, malformed = seen
+    assert [code for _, code, _, _ in well_formed] == [0] * len(well_formed)
+    assert {m for m in seen[0][3] if m.startswith("satkit")} == {"satkit", "satkit.cli"}
     assert seen[1][0] == "dim"
     unwanted = {"__future__", "dataclasses", "inspect", "satkit.checks", "satkit.hecke"}
     unwanted |= {"satkit.plattice", "satkit.tate", "satkit.trace_k"}
-    assert not unwanted & set(seen[1][1])
+    assert not unwanted & set(seen[1][3])
     # every verb but check leaves satkit.checks unloaded; check loads it
-    assert [verb for verb, modules in seen if "satkit.checks" in modules] == ["check"]
-    assert len(seen) == len(requests) + 1
+    assert [verb for verb, _, _, modules in well_formed if "satkit.checks" in modules] == ["check"]
+    # a well-formed request is parsed off the verb table: argparse is never imported
+    for verb, _, _, modules in well_formed:
+        assert not {"argparse", "gettext", "locale"} & set(modules), verb
+    # a malformed one builds argparse, in the same interpreter, for its own refusal text
+    assert malformed[1:3] == [2, """{"error":"argument --n: invalid int value: 'x'"}\n"""]
+    assert "argparse" in malformed[3]
+
+
+# -- the table parse against argparse ----------------------------------------
+# _parse_fast must give exactly argparse's namespace for every argv it
+# accepts, and decline the rest.  The argvs: every pinned request, the fuzz
+# strategy below, and of each its flags reordered, a flag repeated, each flag
+# abbreviated and each written --flag=value.
+
+
+def _variants(argv):
+    """argv with its first flag repeated, each flag cut by one letter, and each written --flag=value."""
+    verb, rest = argv[0], argv[1:]
+    out = [argv + rest[:2]]
+    for i, token in enumerate(rest):
+        if token.startswith("--") and len(token) > 3:
+            out.append([verb] + rest[:i] + [token[:-1]] + rest[i + 1 :])
+        if token.startswith("--") and i + 1 < len(rest):
+            out.append([verb] + rest[:i] + [token + "=" + rest[i + 1]] + rest[i + 2 :])
+    return out
+
+
+def _reordered(argv):
+    """argv with its first flag and value moved last."""
+    return [argv[0]] + argv[3:] + argv[1:3]
+
+
+def _argparse_namespace(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SchemaError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return _build_parser()
+
+
+def test_table_parse_takes_every_well_formed_pinned_request(parser):
+    pinned = [args for args, _ in EXPECTED] + [args for args, _, _ in GOLDEN] + [["check", s] for s in _SUITES]
+    for argv in pinned:
+        fast = _parse_fast(argv)
+        # exactly the requests argparse accepts, with its namespace; the rest are its refusals
+        assert (fast and vars(fast)) == _argparse_namespace(parser, argv), argv
+        assert all(_parse_fast(variant) is None for variant in _variants(argv)), argv
+        if fast and len(argv) > 3:
+            assert vars(_parse_fast(_reordered(argv))) == vars(fast), argv
 
 
 def test_check_parser_lists_every_suite():
@@ -755,3 +828,12 @@ def test_fuzz_every_request_ends_in_one_json_line(argv, u3_config):
     assert code in (0, 1, 2), argv
     assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
     json.loads(text)
+
+
+@given(argv=_argvs())
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+def test_fuzz_table_parse_matches_argparse(argv, parser):
+    for candidate in [argv, _reordered(argv)] + _variants(argv):
+        fast = _parse_fast(candidate)
+        if fast is not None:
+            assert vars(fast) == vars(parser.parse_args(candidate)), candidate

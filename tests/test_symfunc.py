@@ -374,6 +374,26 @@ def test_orbit_product_never_makes_the_larger_orbit():
     assert int(run.stdout) == 12
 
 
+_RANK10_PRODUCT_RUN = """
+from satkit.symfunc import monomial
+
+w = tuple(range(9, -1, -1))
+try:
+    monomial(w) * monomial(w)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_orbit_product_refuses_past_its_cap():
+    # 10! points of 10 entries; without the cap the rank-9 walk took 3 s and 77 MB, and it grows as n!
+    run = subprocess.run([sys.executable, "-c", _RANK10_PRODUCT_RUN], capture_output=True, text=True, timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (
+        "m_(9, 8, 7, 6, 5, 4, 3, 2, 1, 0) has 3628800 orbit points of 10 entries, over the cap of 1000000 entries\n"
+    )
+
+
 def test_sympoly_product_matches_all_pairs_walk():
     third = LaurentScalar({0: Fraction(1, 3)})
     f = hall_littlewood((2, 1, -1)) + third * monomial((1, 1, 0))
