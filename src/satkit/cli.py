@@ -17,6 +17,12 @@ empty or starting with "-", or ``check SUITE``.  Every other command line
 (an unknown verb; a flag missing, repeated, abbreviated or written
 ``--flag=value``; a negative number; -h/--help) goes to argparse, imported
 and built only then, which words the refusal or prints the help.
+
+Integer flags and weight entries are read by int(), but an underscore is
+refused (``--n 1_0``, ``--mu 1_0,0``), as it is in a payload key.  A weight
+whose first entry is negative is written ``--mu=-1,-2``: argparse reads
+``--mu -1,-2`` as a flag with no value and refuses it ("expected one
+argument").
 """
 
 import json
@@ -52,12 +58,22 @@ def _weight_from_key(key, what):
         raise SchemaError(f"{what}: a key entry has more digits than int() accepts") from None
 
 
+def _int(text):
+    """int(text) for an integer flag, refusing the underscores int() reads past ("1_0" is not 10)."""
+    if "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its refusal: "invalid int value: '1_0'"
+
+
 def _weight_from_flag(text, what):
     parts = text.split(",")
     if len(parts) > 1 and not parts[-1].strip():
         parts.pop()  # one trailing comma, as payload keys allow
     try:
-        return tuple(int(p) for p in parts)  # int() refuses an empty entry
+        return tuple(_int(p) for p in parts)  # int() refuses an empty entry
     except ValueError:
         raise SchemaError(f"{what}: expected comma-separated integers, got {text!r}") from None
 
@@ -314,21 +330,21 @@ def _verbs():
     _SUITES, in place of flags.
     """
     return {
-        "satake": (_cmd_satake, {"n": int, "h": str}),
-        "inv-satake": (_cmd_inv_satake, {"n": int, "f": str}),
-        "conv": (_cmd_conv, {"n": int, "a": str, "b": str}),
-        "normalize": (_cmd_normalize, {"n": int, "h": str}),
-        "tensor": (_cmd_tensor, {"n": int, "a": str, "b": str}),
-        "weight-mult": (_cmd_weight_mult, {"n": int, "mu": str, "lam": str}),
-        "dim": (_cmd_dim, {"n": int, "mu": str}),
-        "s-op": (_cmd_s_op, {"n": int, "r": str}),
-        "s-pairing": (_cmd_s_pairing, {"n": int, "mu": str}),
+        "satake": (_cmd_satake, {"n": _int, "h": str}),
+        "inv-satake": (_cmd_inv_satake, {"n": _int, "f": str}),
+        "conv": (_cmd_conv, {"n": _int, "a": str, "b": str}),
+        "normalize": (_cmd_normalize, {"n": _int, "h": str}),
+        "tensor": (_cmd_tensor, {"n": _int, "a": str, "b": str}),
+        "weight-mult": (_cmd_weight_mult, {"n": _int, "mu": str, "lam": str}),
+        "dim": (_cmd_dim, {"n": _int, "mu": str}),
+        "s-op": (_cmd_s_op, {"n": _int, "r": str}),
+        "s-pairing": (_cmd_s_pairing, {"n": _int, "mu": str}),
         "tate-dim": (_cmd_tate_dim, {"config": str, "mu": str}),
-        "h-op": (_cmd_h_op, {"r": int}),
-        "qbinom": (_cmd_qbinom, {"n": int, "m": int}),
+        "h-op": (_cmd_h_op, {"r": _int}),
+        "qbinom": (_cmd_qbinom, {"n": _int, "m": _int}),
         "inv": (_cmd_inv, {"a": str, "b": str}),
-        "count": (_cmd_count, {"mu": str, "p": int}),
-        "oracle": (_cmd_oracle, {"lam": str, "mu": str, "nu": str, "p": int}),
+        "count": (_cmd_count, {"mu": str, "p": _int}),
+        "oracle": (_cmd_oracle, {"lam": str, "mu": str, "nu": str, "p": _int}),
         "check": (_cmd_check, {}),
     }
 

@@ -141,16 +141,19 @@ def convolve(a, b):
     first term, b's terms, then the rest of a's.  The table's lookup checks
     the pattern cap only on the pair it is handed, and an earlier pair's
     entry can be refused inside the route, at a Schur key or product key of
-    its own, so the caps of all terms come first.
+    its own, so the pattern caps of all terms come first, in a loop of their
+    own, unless a and b hold one term each: then the one lookup checks the
+    same two coweights in the same order, and the loop is skipped.
     """
     if not isinstance(a, HeckeElement) or not isinstance(b, HeckeElement):
         raise ValueError("convolve wants two HeckeElements")
     a._check_rank(b)
     for mu in itertools.chain(a.terms, b.terms):
         _check_expansion(mu)
-    terms = list(a.terms)
-    for mu in itertools.chain(terms[:1], b.terms, terms[1:]):
-        _check_patterns(mu)
+    if len(a.terms) != 1 or len(b.terms) != 1:
+        terms = list(a.terms)
+        for mu in itertools.chain(terms[:1], b.terms, terms[1:]):
+            _check_patterns(mu)
     return HeckeElement._from_canonical(a.n, _bilinear(a.terms, b.terms, _structure_constants))
 
 

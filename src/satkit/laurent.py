@@ -28,6 +28,9 @@ from fractions import Fraction
 from math import isqrt
 
 
+_new = object.__new__  # bound once: the trusted constructors run once per term of every result
+
+
 def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
@@ -57,7 +60,7 @@ class LaurentScalar:
     def _from_canonical(cls, coeffs):
         """Trusted constructor: coeffs must already be canonical (int
         exponents, no zero coefficient, no Fraction with denominator 1)."""
-        out = object.__new__(cls)
+        out = _new(cls)
         out.coeffs = coeffs
         return out
 
@@ -67,7 +70,10 @@ class LaurentScalar:
 
     @classmethod
     def one(cls):
-        return cls._from_canonical({0: 1})
+        """The unit, with a dict of its own: a basis element's scalar may be written into by its owner."""
+        out = _new(cls)
+        out.coeffs = {0: 1}
+        return out
 
     @classmethod
     def from_int(cls, c):
@@ -273,7 +279,10 @@ def _times(p, q):
     p is a nonzero coefficient dict.  q is a nonzero int or Fraction, or a
     nonzero coefficient dict: its first term makes a scaled copy of p, and
     only its further terms go through _add_scaled.  A copy has no
-    cancellation to check, and a whole Fraction in it becomes an int.
+    cancellation to check, and a whole Fraction in it becomes an int.  So
+    of two dicts the longer should be p: symfunc._bilinear passes a table
+    entry's coefficient as p and the pair's coefficient, one term for every
+    basis product, as q.
     """
     if type(q) is dict:
         terms = iter(q.items())

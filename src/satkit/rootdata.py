@@ -30,7 +30,7 @@ def check_weight(w):
     if not t:
         raise ValueError("rank-0 weights are not supported")
     for x in t:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
             raise ValueError(f"weight entries must be ints: {w!r}")
     return t
 

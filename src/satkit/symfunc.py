@@ -50,13 +50,21 @@ the monomial basis is met only at the public boundary.  The pieces:
   table(a, b), for a table that gives (entry, shift) as an _on_cores lookup
   does.  Each entry is read once per pair and each of its keys, moved by
   the shift, is written straight into the product: a weight met first gets
-  a new scalar, a scaled copy of the pair's coefficient dict, and only a
-  weight met again is added into (and dropped if it cancels).  SymPoly *
-  SymPoly, repring.tensor and hecke.convolve all run it, on their elements'
-  own {weight: LaurentScalar} terms.  It looks up the first factor's first
-  term with each term of the second, then the rest of the first factor's,
-  so a table's cap meets the first factor's first term, the second's terms
-  and then the rest of the first's, in that order;
+  a new scalar, and only a weight met again is added into (and dropped if
+  it cancels).  The new scalar is the entry's coefficient c times the
+  pair's coefficient c_a c_b; when c is a coefficient dict it is the
+  operand copied, so a one-term c_a c_b costs one pass over c and no
+  further term.  A product of two one-term factors, which every basis
+  product is, has one pair and one entry, whose keys stay distinct under
+  the shift: each key is written once, with no lookup in the product, no
+  adding into and no cancellation, and a unit c_a c_b gives each term a
+  plain copy of c.  SymPoly * SymPoly, repring.tensor and hecke.convolve
+  all run it, on their elements' own {weight: LaurentScalar} terms; every
+  scalar it hands out is new, never an entry's dict.  It looks up the
+  first factor's first term with each term of the second, then the rest
+  of the first factor's, so a table's cap meets the first factor's first
+  term, the second's terms and then the rest of the first's, in that
+  order;
 - _tensor_irreducibles: s_a s_b by Brauer-Klimyk, the table of
   _brauer_klimyk, V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
@@ -102,7 +110,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentScalar, _add_scaled, _add_times, _coerce, _mul_into, _times
+from .laurent import LaurentScalar, _add_times, _coerce, _new, _times
 from .rootdata import _is_dominant, _positive_int, check_weight
 
 
@@ -139,7 +147,7 @@ class Combination:
 
     @classmethod
     def _from_canonical(cls, n, terms):
-        out = object.__new__(cls)
+        out = _new(cls)
         out.n = n
         out.terms = terms
         return out
@@ -429,11 +437,31 @@ def _bilinear(p, q, table):
     {gamma: c} with c a nonzero int or coefficient dict, read only, and each
     of its keys moves by shift(1, ..., 1).  Each key of the entry is moved
     and written straight into the product: a weight met first gets a new
-    scalar, the pair's coefficient dict times c; only a weight met again is
-    added into, and dropped if it cancels.  The pairs are looked up p's first
-    term with each of q's, then the rest of p's.
+    scalar, c times the pair's coefficient cab; only a weight met again is
+    added into, and dropped if it cancels.  A dict c is the operand copied
+    (_times(c, cab)), so a one-term cab costs one pass over c.  With one
+    pair, the keys of its one entry stay distinct under the shift, so each
+    key is written once and nothing is added into; a unit cab gives each
+    term a plain copy of c.  The pairs are looked up p's first term with
+    each of q's, then the rest of p's.
     """
+    new = LaurentScalar._from_canonical
     out = {}
+    if len(p) == 1 == len(q):
+        ((a, ca),) = p.items()
+        ((b, cb),) = q.items()
+        ca, cb = ca.coeffs, cb.coeffs
+        unit = ca == cb == {0: 1}
+        cab = None if unit else _times(ca, cb)
+        entry, shift = table(a, b)
+        for g, c in entry.items():
+            if shift:
+                g = tuple([x + shift for x in g])
+            if type(c) is dict:
+                out[g] = new(dict(c) if unit else _times(c, cab))
+            else:
+                out[g] = new({0: c} if unit else _times(cab, c))
+        return out
     for a, ca in p.items():
         ca = ca.coeffs
         for b, cb in q.items():
@@ -442,10 +470,11 @@ def _bilinear(p, q, table):
             for g, c in entry.items():
                 if shift:
                     g = tuple([x + shift for x in g])
+                copied, by = (c, cab) if type(c) is dict else (cab, c)
                 acc = out.get(g)
                 if acc is None:
-                    out[g] = LaurentScalar._from_canonical(_times(cab, c))
-                elif not _add_times(acc.coeffs, cab, c):
+                    out[g] = new(_times(copied, by))
+                elif not _add_times(acc.coeffs, copied, by):
                     del out[g]
     return out
 

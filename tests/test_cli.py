@@ -249,6 +249,13 @@ GOLDEN = [
         """{"error":"--a: key '(1,0)' is given twice"}""",
     ),
     (["dim", "--n", "x", "--mu", "1"], 2, """{"error":"argument --n: invalid int value: 'x'"}"""),
+    # int() reads past an underscore; a flag refuses it, as a payload key does (the first printed 11,
+    # dim V_(10,0); the second was read as n = 10)
+    (["dim", "--n", "2", "--mu", "1_0,0"], 2, """{"error":"--mu: expected comma-separated integers, got '1_0,0'"}"""),
+    (["dim", "--n", "1_0", "--mu", "1,0"], 2, """{"error":"argument --n: invalid int value: '1_0'"}"""),
+    # a weight whose first entry is negative is refused written as two tokens (argparse reads "-1,-2" as
+    # a flag); written --mu=-1,-2 it is taken (ARGPARSE_ONLY)
+    (["dim", "--n", "2", "--mu", "-1,-2"], 2, """{"error":"argument --mu: expected one argument"}"""),
     # an empty weight entry is refused (it was dropped: this printed 7, the count for (1,1,0)); one
     # trailing comma is kept, as in payload keys
     (
@@ -383,6 +390,18 @@ GOLDEN = [
 def test_golden_stdout(args, code, stdout, config_paths):
     out = run(*[config_paths.get(a, a) for a in args])
     assert (out.returncode, out.stdout, out.stderr) == (code, stdout + "\n", "")
+
+
+# Pinned like GOLDEN, in a form the table parse leaves to argparse (module docstring), so kept out of
+# GOLDEN, every request of which argparse accepts the table parse must take.
+ARGPARSE_ONLY = [(["dim", "--n", "2", "--mu=-1,-2"], 0, "2")]
+
+
+@pytest.mark.parametrize("args,code,stdout", ARGPARSE_ONLY, ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_argparse_only_stdout(args, code, stdout, parser):
+    out = run(*args)
+    assert (out.returncode, out.stdout, out.stderr) == (code, stdout + "\n", "")
+    assert _parse_fast(args) is None and _argparse_namespace(parser, args) is not None
 
 
 def test_oracle_rank_four_window_is_admitted_by_size():

@@ -12,6 +12,7 @@ Each product is also taken as (x + y)(x - y), whose pairs of terms y x and
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,38 @@ def test_rep_results_are_canonical(r, s, c):
     _assert_canonical(tensor(r + s, r - s))
 
 
+# the boxes of the tensor-sweep and hecke-convolve benchmark workloads, (rank, lowest entry, highest entry)
+TENSOR_BOXES = ((2, -4, 4), (3, -2, 2), (4, -1, 1))
+HECKE_BOXES = ((2, 0, 6), (3, 0, 4), (4, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "product,make,boxes",
+    [
+        (tensor, irreducible, TENSOR_BOXES),
+        (convolve, basis, HECKE_BOXES),
+        (SymPoly.__mul__, monomial, TENSOR_BOXES + HECKE_BOXES),
+    ],
+    ids=["tensor", "convolve", "sympoly"],
+)
+def test_one_pair_products_match_the_general_loop(product, make, boxes):
+    # a product of two one-term elements takes _bilinear's one-pair path; adding a term c to the first
+    # factor and taking c's product away again runs the general loop over the same entry.  Over every
+    # pair of the boxes (central shifts included), with a unit and with a polynomial coefficient, and
+    # (x - y)(x + y), whose pairs y x and -x y cancel in the general loop
+    s = LaurentScalar({1: 2, -2: Fraction(-1, 2), 0: 3})
+    for n, lo, hi in boxes:
+        weights = _doms(n, lo, hi)
+        for i, a in enumerate(weights):
+            c = make(weights[i - 1])
+            for b in weights[i:]:
+                x, y = make(a), make(b)
+                for coeff in (1, s):
+                    one = product(x * coeff, y)
+                    assert one == product(x * coeff + c, y) - product(c, y), (a, b, coeff)
+                assert product(x - y, x + y) == product(x, x) - product(y, y), (a, b)
+
+
 def _snapshot(r):
     """A copy of the coefficient dicts of a combination or a {weight: scalar} dict; any other argument as it is."""
     if isinstance(r, Combination):
@@ -126,6 +159,8 @@ def test_products_share_no_dict_with_the_tables():
         (schur, (3, -1)),
         (character, r),
         (trace_of_endomorphism, r, {(2, 1, 0): Fraction(1, 3), (1, 0, -1): 2}),
+        (tensor, irreducible((2, 0)), irreducible((1, 0))),  # one pair, central shift 0
+        (convolve, basis((2, 1, 0)), basis((1, 1, 0))),  # one pair, central shift 0
     ]
     for call, *args in calls:
         before = [_snapshot(x) for x in args]

@@ -8,6 +8,12 @@ A function only a test calls belongs in the tests.
 
 One exact kernel: the modules of the Tate route compute with integers only,
 so none of them imports from fractions.
+
+No write into a scalar the code did not make: the in-place kernels
+_add_scaled, _mul_into and _add_times never take an attribute .coeffs as
+the dict they write into (their first argument), except in symfunc's
+_bilinear, on the scalars it built itself.  A scalar's dict may be a cached
+table entry's or a caller's, so writing into one is left to its owner.
 """
 
 import ast
@@ -85,3 +91,44 @@ def test_integer_modules_import_nothing_from_fractions():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
         assert "fractions" not in imported, module
+
+
+IN_PLACE_KERNELS = {"_add_scaled", "_mul_into", "_add_times"}
+
+
+def _writes_into_coeffs(trees):
+    """module.function (module alone at module level) of each call of an in-place kernel whose first
+    argument is an attribute .coeffs, the function being the innermost one around the call."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and child.args:
+                func, first = child.func, child.args[0]
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in IN_PLACE_KERNELS and isinstance(first, ast.Attribute) and first.attr == "coeffs":
+                    found.append(scope)
+            visit(child, module, scope)
+
+    for module, tree in trees.items():
+        visit(tree, module, module)
+    return found
+
+
+def test_in_place_kernels_write_only_into_scalars_built_here():
+    assert set(_writes_into_coeffs(TREES)) <= {"symfunc._bilinear"}
+
+
+def test_the_gate_sees_a_write_into_coeffs():
+    trees = {
+        "m": ast.parse(
+            "def f(x, y):\n    _add_scaled(x.coeffs, y.coeffs)\n    _mul_into(dict(x.coeffs), y.coeffs, y.coeffs)\n\n"
+            "def g(acc, x):\n    laurent._add_times(acc.coeffs, x, 2)\n\n"
+            "class C:\n    def h(self):\n        return _add_times(self.coeffs, {0: 1}, 3)\n\n"
+            "_add_scaled(X.coeffs, {})\n"
+        )
+    }
+    assert _writes_into_coeffs(trees) == ["m.f", "m.g", "m.h", "m"]
