@@ -18,11 +18,11 @@ empty or starting with "-", or ``check SUITE``.  Every other command line
 ``--flag=value``; a negative number; -h/--help) goes to argparse, imported
 and built only then, which words the refusal or prints the help.
 
-Integer flags and weight entries are read by int(), but an underscore is
-refused (``--n 1_0``, ``--mu 1_0,0``), as it is in a payload key.  A weight
-whose first entry is negative is written ``--mu=-1,-2``: argparse reads
-``--mu -1,-2`` as a flag with no value and refuses it ("expected one
-argument").
+Integer flags and weight entries are read by int(), but an underscore or a
+plus is refused (``--n 1_0``, ``--mu 1_0,0``, ``--n +2``, ``--mu +1,0``), as
+it is in a payload key.  A weight whose first entry is negative is written
+``--mu=-1,-2``: argparse reads ``--mu -1,-2`` as a flag with no value and
+refuses it ("expected one argument").
 """
 
 import json
@@ -59,8 +59,8 @@ def _weight_from_key(key, what):
 
 
 def _int(text):
-    """int(text) for an integer flag, refusing the underscores int() reads past ("1_0" is not 10)."""
-    if "_" in text:
+    """int(text) for an integer flag, refusing what int() reads past and a payload key refuses: "1_0", "+1"."""
+    if "_" in text or "+" in text:
         raise ValueError(text)
     return int(text)
 

@@ -31,21 +31,68 @@ per output term.
 
 convolve multiplies by a table in symfunc._bilinear, the product loop of
 SymPoly's orbit products and RepElement's Brauer-Klimyk products too:
-_structure_constants, the table of _transform_product keyed on cores up to
-duality by symfunc._on_cores (the keying is stated once, in symfunc's
-module docstring).  Each lookup hands over the cached entry of the pair of
-cores, {nu: coefficient dict}, with the summed central shift; the loop
-moves each nu by it as it writes the term into the product, so the entry
-is read once and never copied, and each output term gets its own scalar.
-The Hall-Littlewood entries of _hl_terms are read the same way, moved as
-_apply and _solve read them.  The keying applies to T_lam * T_mu:
-T_(1,...,1) is central and invertible, P_{mu + k(1,...,1)} = (x_1...x_n)^k
-P_mu and <2rho, (1,...,1)> = 0, so a central shift moves every nu and no
-coefficient; and g -> (g^T)^-1 preserves K and sends T_lam to T_lam*, lam* =
--w0 lam, with <2rho, lam*> = <2rho, lam>, so T_lam* * T_mu* is T_lam * T_mu
-with every nu replaced by nu* (Macdonald, Symmetric Functions and Hall
-Polynomials, III.2 and V.2).  A refusal met inside a
-product names a weight of the product of the cores asked for.
+_structure_constants, keyed on cores up to duality by symfunc._on_cores
+(the keying is stated once, in symfunc's module docstring).  Each lookup
+hands over the cached entry of the pair of cores, {nu: coefficient dict},
+with the summed central shift; the loop moves each nu by it as it writes the
+term into the product, so the entry is read once and never copied, and each
+output term gets its own scalar.  The Hall-Littlewood entries of _hl_terms
+are read the same way, moved as _apply and _solve read them.  The keying
+applies to T_lam * T_mu: T_(1,...,1) is central and invertible,
+P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu and <2rho, (1,...,1)> = 0, so a
+central shift moves every nu and no coefficient; and g -> (g^T)^-1
+preserves K and sends T_lam to T_lam*, lam* = -w0 lam, with <2rho, lam*> =
+<2rho, lam>, so T_lam* * T_mu* is T_lam * T_mu with every nu replaced by
+nu* (Macdonald, Symmetric Functions and Hall Polynomials, III.2 and V.2).
+
+The entries rest on the Hall-Littlewood Pieri rules pulled back through the
+transform, with t = v^-2 (Macdonald, III (3.2) and III (5.7')):
+
+- the column rule, P_kappa e_k = sum_lam prod_j [m_j(lam); theta'_j]_t
+  P_lam over the vertical k-strips lam/kappa (theta'_j the strip's boxes in
+  column j, m_j(lam) the rows of lam of length j), with e_k = P_(1^k):
+  T_(1^k) * T_kappa = sum_lam v^(k(n-k) + <2rho,kappa> - <2rho,lam>)
+  prod_j [m_j(lam); theta'_j]_t T_lam, the Gaussian binomials read off
+  laurent's q-Pascal rows;
+- the row rule, P_kappa q_r = sum_lam phi_lam/kappa(t) P_lam over the
+  horizontal r-strips, with q_r = (1 - t) P_(r) and phi the product of
+  1 - t^m_j(lam) over the columns j holding a strip box while column j + 1
+  holds none: T_(r) * T_kappa = sum_lam v^((n-1)r + <2rho,kappa> -
+  <2rho,lam>) phi_lam/kappa(t) / (1 - t) T_lam.
+
+_structure_constants computes the entry of a pair of cores by these rules,
+or, for long two-row products, by the product of two transforms.  When a
+factor, or the dual of one, is zero, one column or one row (its core is
+(0^n), (1^k, 0^(n-k)), (r, 0, ..., 0) or (r, ..., r, 0)), the entry is a
+closed form, read off the table _closed.  Any other pair is
+peeled: for a core kappa with k rows, the column rule gives T_(1^k) *
+T_{kappa - (1^k)} = T_kappa + sum_{nu != kappa} d_nu T_nu, so
+
+    T_kappa * T_mu = T_(1^k) * (T_{kappa - (1^k)} * T_mu) - sum_{nu != kappa} d_nu T_nu * T_mu,
+
+and _peel_against runs this bottom up over every core the peel of kappa
+reaches, in a loop: the products of closed cores and the column products
+are read off _closed, the others are made in turn and dropped with the
+entry.  Of the two factors and their duals, the one whose peel reaches the
+fewest cores is peeled.  The peel is fast at rank >= 4 and with short
+factors, and slow on long two-row factors, whose peels reach a number of
+cores quadratic in their length, each a whole product: the peel of
+(40, 20, 0) in GL_3 reaches 300 cores, of (100, 50, 0) 1,875.  There the
+Schur-basis route is faster: the product of the two transforms, with a
+Brauer-Klimyk product of every pair of Schur terms, pulled back by
+elimination (_schur_product).  So a pair is peeled only when its peel
+reaches at most a quarter as many cores as the Schur route takes
+Brauer-Klimyk products, and else takes the Schur route; then the peel
+holds fewer products than the Schur route would make.  The two routes are
+held to each other in tests/test_hecke.py.
+
+The checks are the Schur route's, in its order, whichever route runs: the
+pattern cap on every Schur key of P_lam and P_mu in descending order, then
+the Hall-Littlewood cap on the product's keys in descending order, lam + mu
+first and before any product is taken.  So every product is refused as the
+Schur route refuses it, by the same weight: a refusal met inside a product
+names a weight of the product of the cores asked for.  Nothing caps the
+total work of an admitted product on either route.
 
 An independent check of all of this against brute-force lattice counting
 lives in plattice.convolution_oracle; the two routes share no code.
@@ -58,16 +105,22 @@ HeckeElement(n=2, T[4,2] + (1+v^2)*T[3,3])
 HeckeElement(n=3, T[3,1,0] + (v^4)*T[2,1,1])
 >>> convolve(basis((2, 2, 0)), basis((1, 0, 0)))  # the dual pair: nu -> (3 - nu_3, 3 - nu_2, 3 - nu_1)
 HeckeElement(n=3, T[3,2,0] + (v^4)*T[2,2,1])
+>>> convolve(basis((1, 1, 0)), basis((2, 1, 0)))  # minuscule: the column rule; [2; 1]_t = 1 + t twice
+HeckeElement(n=3, T[3,2,0] + (1+v^2)*T[3,1,1] + (v^2+v^4)*T[2,2,1])
+>>> convolve(basis((2, 0)), basis((2, 0)))  # one row: the row rule; phi / (1 - t) = 1 - t at (3, 1), 1 + t at (2, 2)
+HeckeElement(n=2, T[4,0] + (-1+v^2)*T[3,1] + (v^2+v^4)*T[2,2])
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
-from .laurent import LaurentScalar
+from .laurent import LaurentScalar, _add_scaled, _gauss_rows, _times
 from .rootdata import _is_dominant, _two_rho_pairing, check_weight
 from .symfunc import (
     Combination,
     SymPoly,
+    _accumulate,
     _apply,
     _bilinear,
     _check_expansion,
@@ -157,21 +210,220 @@ def convolve(a, b):
     return HeckeElement._from_canonical(a.n, _bilinear(a.terms, b.terms, _structure_constants))
 
 
-def _transform_product(lam, mu):
-    """T_lam * T_mu as {nu: coefficient dict}: the Schur-basis product of the two Satake transforms, pulled back.
+def _checked_product(lam, mu):
+    """T_lam * T_mu for cores, as {nu: coefficient dict}: checked as the Schur route checks it, then by the cheaper route.
 
-    Every Schur key of the two transforms is checked against the pattern cap
-    first, in descending order, so a refusal names the largest one over it.
+    Every Schur key of P_lam and P_mu is checked against the pattern cap
+    first, in descending order, so a refusal names the largest one over it;
+    then the Hall-Littlewood cap runs on lam + mu, the largest key of the
+    product, before any product is taken.  A pair with a closed form reads
+    it off _closed; any other is peeled if its peel reaches at most a
+    quarter as many cores as the Schur route takes Brauer-Klimyk products,
+    else taken by the Schur route.  The Hall-Littlewood cap then runs on the
+    product's keys in descending order, as the Schur route's elimination
+    runs it.  An entry of _closed is handed out as it is, not copied.
     """
+    schur = _hl_terms(lam)[0], _hl_terms(mu)[0]
+    for nu in sorted({*schur[0], *schur[1]}, reverse=True):
+        _check_patterns(nu)
+    _check_expansion(tuple([x + y for x, y in zip(lam, mu)]))
+    if _is_closed(lam) or _is_closed(mu):
+        entry = _closed(lam, mu)[0]
+    else:
+        entry = _peel(lam, mu, len(schur[0]) * len(schur[1]) // 4)
+        if entry is None:
+            return _schur_product(lam, mu)
+    for nu in sorted(entry, reverse=True):
+        _check_expansion(nu)
+    return entry
+
+
+_structure_constants = _on_cores(_checked_product, _check_patterns)
+
+
+def _schur_product(lam, mu):
+    """T_lam * T_mu for cores: the Schur-basis product of the two Satake transforms, pulled back by elimination."""
     fa = _apply(_twist({lam: {0: 1}}, 1), _hl_terms)
     fb = _apply(_twist({mu: {0: 1}}, 1), _hl_terms)
-    for nu in sorted({*fa, *fb}, reverse=True):
-        _check_patterns(nu)
     # the product's scalars are new and dropped here, so the elimination may own their dicts
     return _twist(_solve(_coeffs(_bilinear(_scalars(fa), _scalars(fb), _tensor_irreducibles)), _hl_terms), -1)
 
 
-_structure_constants = _on_cores(_transform_product, _check_patterns)
+def _is_closed(kappa):
+    """Whether T_kappa multiplies by a closed form: the core kappa is zero, one column, one row or (r, ..., r, 0), a row's dual."""
+    return kappa[0] <= 1 or not kappa[1] or kappa[-2] == kappa[0]
+
+
+def _closed_entry(lam, mu):
+    """T_lam * T_mu for cores, one of them _is_closed, by the column rule or the row rule."""
+    for a, b in ((lam, mu), (mu, lam)):
+        if a[0] <= 1:
+            return _column_rule(a.count(1), b)
+        if not a[1]:
+            return _row_rule(a[0], b)
+    a, b = (lam, mu) if lam[-2] == lam[0] else (mu, lam)
+    s = a[0] + b[0]
+    return {tuple([s - x for x in reversed(nu)]): c for nu, c in _row_rule(a[0], _dual(b)).items()}
+
+
+# T_lam * T_mu on cores, one of them _is_closed, unchecked: the entries _peel reads.
+_closed = _on_cores(_closed_entry)
+
+
+def _dual(kappa):
+    """The core of kappa*, for a core kappa: (kappa_1 - kappa_n, ..., kappa_1 - kappa_1)."""
+    return tuple([kappa[0] - x for x in reversed(kappa)])
+
+
+def _peel(lam, mu, limit):
+    """T_lam * T_mu for cores, neither _is_closed, by peeling one factor or its dual; None if every peel reaches more than limit cores.
+
+    Of lam, mu and their duals, the factor whose peel reaches the fewest
+    cores is peeled against the other, and the entry of the dual pair is
+    moved back: nu -> (s - nu_n, ..., s - nu_1), s = lam_1 + mu_1.
+    """
+    lam_, mu_ = _dual(lam), _dual(mu)
+    best = None
+    for a, b, dual in ((lam, mu, False), (mu, lam, False), (lam_, mu_, True), (mu_, lam_, True)):
+        cores = _peel_cores(a, limit)
+        if cores is not None:
+            best = cores, b, dual
+            limit = len(cores) - 1
+    if best is None:
+        return None
+    cores, b, dual = best
+    entry = _peel_against(cores, b)
+    if dual:
+        s = lam[0] + mu[0]
+        entry = {tuple([s - x for x in reversed(nu)]): c for nu, c in entry.items()}
+    return entry
+
+
+def _peel_cores(lam, limit):
+    """The cores lam's peel reaches, _is_closed ones left out, each with its k and rest, every core after those it reads.
+
+    None if they are more than limit (None: no limit).  Sorted by size, then
+    lexicographically: rest is smaller, and a vertical k-strip on rest other
+    than kappa's is lex-smaller than kappa, or moved down a size by its
+    central shift.
+    """
+    n = len(lam)
+    reached = {}
+    stack = [lam]
+    while stack:
+        kappa = stack.pop()
+        if kappa in reached or _is_closed(kappa):
+            continue
+        if len(reached) == limit:
+            return None
+        k = n - kappa.count(0)
+        rest = tuple([x - 1 if x else 0 for x in kappa])
+        reached[kappa] = k, rest
+        stack.append(rest)
+        for nu, _ in _vertical_strips(rest, k):
+            if nu != kappa:
+                s = nu[-1]
+                stack.append(tuple([x - s for x in nu]) if s else nu)
+    return sorted(reached.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+def _peel_against(cores, mu):
+    """T_kappa * T_mu for the last of cores, as _peel_cores gives them, bottom up.
+
+    With k the rows of kappa and rest = kappa - (1^k), the column rule gives
+    T_(1^k) * T_rest = T_kappa + sum_{nu != kappa} d_nu T_nu, so T_kappa * T_mu =
+    T_(1^k) * (T_rest * T_mu) - sum_{nu != kappa} d_nu T_nu * T_mu.  Each
+    product on the right is of a core met earlier, read off the products made
+    here, or of a core that _is_closed, read off _closed; the products made
+    here are dropped with the entry.
+    """
+    done = {}
+
+    def product(kappa):
+        entry = done.get(kappa)
+        return entry if entry is not None else _closed(kappa, mu)[0]
+
+    for kappa, (k, rest) in cores:
+        ones = (1,) * k + (0,) * (len(kappa) - k)
+        out = {}
+        for kappa2, c in product(rest).items():
+            entry, s = _closed(ones, kappa2)
+            for nu, x in entry.items():
+                _accumulate(out, tuple([y + s for y in nu]) if s else nu, c, x)  # x, the column rule's coefficient, is the shorter
+        for nu, d in _closed(ones, rest)[0].items():
+            if nu != kappa:
+                s = nu[-1]
+                minus_d = {e: -x for e, x in d.items()}
+                for nu2, x in product(tuple([y - s for y in nu]) if s else nu).items():
+                    _accumulate(out, tuple([y + s for y in nu2]) if s else nu2, x, minus_d)
+        done[kappa] = out
+    return out
+
+
+def _row_rule(r, kappa):
+    """T_(r, 0, ..., 0) * T_kappa as {lam: coefficient dict}, by Macdonald's P_kappa q_r, III (5.7').
+
+    P_kappa q_r = sum_lam phi_lam/kappa(t) P_lam over the horizontal r-strips
+    lam/kappa, with q_r = (1 - t) P_(r) and phi the product of 1 - t^m_j(lam)
+    over the columns j holding a strip box while column j + 1 holds none; the
+    first such factor over 1 - t is [m_j(lam)]_t.  T_lam's coefficient is
+    that times v^((n - 1) r + <2rho, kappa> - <2rho, lam>).
+    """
+    n = len(kappa)
+    out = {}
+    for lam in _horizontal_strips(kappa, r):
+        added = [x - y for x, y in zip(lam, kappa)]
+        e = (n - 1) * r - sum((n - 1 - 2 * i) * a for i, a in enumerate(added))
+        starts = {y for y, a in zip(kappa, added) if a}  # column j + 1 holds a box when a row's boxes start there
+        c = None
+        for j, a in zip(lam, added):
+            if a and j not in starts:
+                m = lam.count(j)
+                c = {e - 2 * b: 1 for b in range(m)} if c is None else _add_scaled(dict(c), c, -1, -2 * m)
+        out[lam] = c
+    return out
+
+
+def _horizontal_strips(kappa, r):
+    """Each lam, at most n rows, with lam/kappa a horizontal r-strip: lam_1 >= kappa_1 >= lam_2 >= ... >= kappa_n."""
+    heads = [((), r)]
+    for i in range(len(kappa) - 1, 0, -1):
+        top = kappa[i - 1] - kappa[i]
+        heads = [((kappa[i] + a,) + tail, left - a) for tail, left in heads for a in range(min(top, left) + 1)]
+    return [(kappa[0] + left,) + tail for tail, left in heads]
+
+
+def _column_rule(k, kappa):
+    """T_(1^k) * T_kappa as {lam: coefficient dict}, by Macdonald's P_kappa e_k, III (3.2).
+
+    P_kappa e_k = sum_lam prod_j [m_j(lam); theta'_j]_t P_lam over the
+    vertical k-strips lam/kappa, theta'_j the strip's boxes in column j; the
+    Gaussian binomials in t = v^-2 are read off the q-Pascal rows.  T_lam's
+    coefficient is that times v^(k(n - k) + <2rho, kappa> - <2rho, lam>).
+    """
+    n = len(kappa)
+    rows = None
+    out = {}
+    for lam, strip in _vertical_strips(kappa, k):
+        c = {k * (n - k) - sum(n - 1 - 2 * i for i in strip): 1}
+        for j, theta in Counter([lam[i] for i in strip]).items():
+            m = lam.count(j)
+            if theta < m:
+                if rows is None:
+                    rows = list(_gauss_rows(n, n))
+                c = _times({-2 * e: x for e, x in rows[m][theta].items()}, c)
+        out[lam] = c
+    return out
+
+
+def _vertical_strips(kappa, k):
+    """Each lam with lam/kappa a vertical k-strip, with the rows holding its boxes."""
+    for strip in itertools.combinations(range(len(kappa)), k):
+        lam = list(kappa)
+        for i in strip:
+            lam[i] += 1
+        if not any(i and lam[i - 1] < lam[i] for i in strip):
+            yield tuple(lam), strip
 
 
 def _twist(terms, sign):

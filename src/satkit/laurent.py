@@ -305,6 +305,22 @@ def _add_times(acc, p, q):
     return _add_scaled(acc, p, q)
 
 
+def _gauss_rows(n, m):
+    """Rows k = 0..n of the q-Pascal triangle, each cut at column m: the package's one Gaussian-binomial kernel.
+
+    Row k lists [k, j] for j = 0..min(k, m) as {exponent: int}, a polynomial
+    in one variable, by [k, j] = [k-1, j-1] + x^j [k-1, j] on ints; only the
+    previous row is kept.  tate reads it with x = v, hecke with x = t = v^-2.
+    """
+    row = [{0: 1}]
+    yield row
+    for k in range(1, n + 1):
+        row = [{0: 1}] + [
+            _add_scaled(dict(row[j - 1]), row[j], 1, j) if j < k else {0: 1} for j in range(1, min(k, m) + 1)
+        ]
+        yield row
+
+
 def _try_coerce(x):
     if isinstance(x, LaurentScalar):
         return x

@@ -23,10 +23,11 @@ the monomial basis is met only at the public boundary.  The pieces:
   weights read off Gelfand-Tsetlin patterns (weight_multiset), and
   _hl_terms(mu), P_mu in the Schur basis; hecke's transforms are these two
   kernels and a twist by v^<2rho,mu>;
-- _on_cores: the one keying of the five tables on the dual-group side
+- _on_cores: the one keying of the six tables on the dual-group side
   (weight multiplicities, the Schur -> monomial table, Brauer-Klimyk
-  products, Hall-Littlewood expansions here, and hecke's structure
-  constants), each a route computing the table on cores.  A core is
+  products and Hall-Littlewood expansions here; hecke's structure
+  constants and the closed-form products its peel reads), each a route
+  computing the table on cores.  A core is
   mu - mu_n(1, ..., 1), last entry 0; since V_{mu + k(1,...,1)} =
   V_mu (x) det^k and P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu, the keys of
   an entry move with the central shift and its coefficients do not.
@@ -40,8 +41,9 @@ the monomial basis is met only at the public boundary.  The pieces:
   off it.  A lookup hands its consumer the cached entry itself, read only,
   with the summed central shift k; the consumer moves each key by
   k(1, ..., 1) as it reads it, so no moved copy of an entry is made.  Each
-  table is built with its cap, _check_expansion for _hl_terms and
-  _check_patterns for the other four, and the lookup checks the cap on
+  table is built with its cap, _check_expansion for _hl_terms, none for
+  hecke's closed forms and _check_patterns for the other four, and the
+  lookup checks the cap on
   each weight it is handed, in order, so a weight is refused under the
   caller's own name before its entry is read or computed; both caps answer
   alike on a weight and its dual (equal Weyl dimensions, equal pair
@@ -69,7 +71,8 @@ the monomial basis is met only at the public boundary.  The pieces:
   _brauer_klimyk, V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
   +-s_{sort(beta) - rho} of _straighten on plain ints; repring.tensor and
-  hecke's structure-constant table both multiply by it in _bilinear;
+  hecke's Schur route for long two-row products both multiply by it in
+  _bilinear;
 - _hl_terms(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
   hard-wired, the table of _hl_expand.  Macdonald's
 
@@ -560,17 +563,17 @@ def _count_text(count):
     return f"at least 10^{limit}" if limit and count >= 10**limit else str(count)
 
 
-def _on_cores(route, cap):
+def _on_cores(route, cap=None):
     """The table of route(*cores) as a lookup on weights: lookup(*weights) -> (entry, shift).
 
     route takes sorted cores mu - mu_n(1, ..., 1) and returns a dict keyed on
-    weights.  The lookup first calls cap on each weight it is handed, in
-    order, so a weight past the table's cap is refused under the caller's
-    own name before its entry is read or computed.  It caches one entry per
-    sorted tuple of cores; of a tuple and its dual tuple, the smaller is
-    computed by route and the other read off it, every key kappa moved to
-    (s - kappa_n, ..., s - kappa_1) with s the sum of the cores' first
-    entries.  If the dual's entry is refused (ValueError), this entry is
+    weights.  The lookup first calls cap, unless None, on each weight it is
+    handed, in order, so a weight past the table's cap is refused under the
+    caller's own name before its entry is read or computed.  It caches one
+    entry per sorted tuple of cores; of a tuple and its dual tuple, the
+    smaller is computed by route and the other read off it, every key kappa
+    moved to (s - kappa_n, ..., s - kappa_1) with s the sum of the cores'
+    first entries.  If the dual's entry is refused (ValueError), this entry is
     computed by route, so that the refusal names a weight of this product.
     The lookup hands over the cached entry itself, read only, with the
     summed central shift k: the table's value at the weights is the entry
@@ -595,7 +598,8 @@ def _on_cores(route, cap):
         cores = []
         shift = 0
         for mu in weights:
-            cap(mu)
+            if cap is not None:
+                cap(mu)
             k = mu[-1]
             cores.append(tuple([x - k for x in mu]) if k else mu)
             shift += k

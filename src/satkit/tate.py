@@ -41,7 +41,7 @@ HOperator(r=1, (1-p-2p^2)*T[p,0] + T[p,1])
 
 import math
 
-from .laurent import LaurentScalar, _add_scaled
+from .laurent import LaurentScalar, _gauss_rows
 from .rootdata import GroupSpec, _in_span, _positive_int, check_weight, is_dominant
 from .symfunc import _check_patterns, _weyl_dimension, weight_multiset
 from .trace_k import SigmaAction
@@ -186,21 +186,6 @@ def _check_row_cost(n, m, what):
     ops = (n + 1) * (m + 1) * (m * (n - m) + 1)
     if ops > _MAX_ROW_OPS:
         raise ValueError(f"{what} needs about {ops} coefficient operations, over the cap of {_MAX_ROW_OPS}")
-
-
-def _gauss_rows(n, m):
-    """Rows k = 0..n of the q-Pascal triangle, each cut at column m.
-
-    Row k lists [k, j]_v for j = 0..min(k, m) as {exponent: int}, by
-    [k, j] = [k-1, j-1] + v^j [k-1, j] on ints; only the previous row is kept.
-    """
-    row = [{0: 1}]
-    yield row
-    for k in range(1, n + 1):
-        row = [{0: 1}] + [
-            _add_scaled(dict(row[j - 1]), row[j], 1, j) if j < k else {0: 1} for j in range(1, min(k, m) + 1)
-        ]
-        yield row
 
 
 def v_binomial(n, m):

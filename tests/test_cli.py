@@ -253,6 +253,9 @@ GOLDEN = [
     # dim V_(10,0); the second was read as n = 10)
     (["dim", "--n", "2", "--mu", "1_0,0"], 2, """{"error":"--mu: expected comma-separated integers, got '1_0,0'"}"""),
     (["dim", "--n", "1_0", "--mu", "1,0"], 2, """{"error":"argument --n: invalid int value: '1_0'"}"""),
+    # int() reads a leading plus too; a flag refuses it, as a payload key does (both printed 2)
+    (["dim", "--n", "2", "--mu", "+1,0"], 2, """{"error":"--mu: expected comma-separated integers, got '+1,0'"}"""),
+    (["dim", "--n", "+2", "--mu", "1,0"], 2, """{"error":"argument --n: invalid int value: '+2'"}"""),
     # a weight whose first entry is negative is refused written as two tokens (argparse reads "-1,-2" as
     # a flag); written --mu=-1,-2 it is taken (ARGPARSE_ONLY)
     (["dim", "--n", "2", "--mu", "-1,-2"], 2, """{"error":"argument --mu: expected one argument"}"""),
@@ -646,6 +649,14 @@ def test_each_verb_imports_only_its_layers(u3_config):
     unwanted = {"__future__", "dataclasses", "inspect", "satkit.checks", "satkit.hecke"}
     unwanted |= {"satkit.plattice", "satkit.tate", "satkit.trace_k"}
     assert not unwanted & set(seen[1][3])
+    # in an interpreter of its own, conv loads the transform side alone: the Pieri route reads its
+    # Gaussian binomials off laurent's q-Pascal rows, which tate reads too
+    conv = ["conv", "--n", "3", "--a", '{"(2,1,0)":1}', "--b", '{"(1,1,0)":1}']
+    run = subprocess.run([sys.executable, "-c", _MODULES_RUN, json.dumps([conv])], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    (_, code, _, modules) = json.loads(run.stdout)[1]
+    assert code == 0 and "satkit.hecke" in modules
+    assert not {"satkit.checks", "satkit.plattice", "satkit.repring", "satkit.tate", "satkit.trace_k"} & set(modules)
     # every verb but check leaves satkit.checks unloaded; check loads it
     assert [verb for verb, _, _, modules in well_formed if "satkit.checks" in modules] == ["check"]
     # a well-formed request is parsed off the verb table: argparse is never imported

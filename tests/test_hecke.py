@@ -13,9 +13,19 @@ from hypothesis import strategies as st
 from test_repring import _character_route
 from test_symfunc import _sympoly_mul_all_pairs
 
+from satkit import hecke
 from satkit.hecke import (
     HeckeElement,
-    _transform_product,
+    _checked_product,
+    _closed,
+    _closed_entry,
+    _column_rule,
+    _is_closed,
+    _peel,
+    _peel_against,
+    _peel_cores,
+    _row_rule,
+    _schur_product,
     basis,
     convolve,
     inverse_satake,
@@ -26,7 +36,7 @@ from satkit.hecke import (
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.repring import irreducible, tensor
 from satkit.rootdata import dominance_leq, dual_weight, is_dominant, two_rho_pairing
-from satkit.symfunc import SymPoly, _add_into, hall_littlewood, monomial
+from satkit.symfunc import SymPoly, _add_into, _hl_terms, hall_littlewood, monomial
 
 
 def _doms(n, hi=2, lo=0):
@@ -181,12 +191,12 @@ def test_convolution_commutes(a, b):
     assert convolve(a, b) == convolve(b, a)
 
 
-def test_structure_constants_commute_before_the_cache():
-    # convolve reads the table on the sorted pair of cores, so the test above compares one
-    # entry with itself; here the product is computed by the transforms in both orders
-    for n, hi in ((3, 2), (4, 1)):
-        for lam, mu in _pairs(_doms(n, hi=hi)):
-            assert _transform_product(lam, mu) == _transform_product(mu, lam), (lam, mu)
+# -- the two routes of the structure constants, held to each other --------
+# _structure_constants reads a closed form (the column rule or the row rule) when a factor
+# or its dual is zero, one column or one row, and otherwise peels a factor column by column
+# or, when the peel would reach too many cores, takes the Schur-basis route: the product of
+# the two Satake transforms by Brauer-Klimyk, pulled back by elimination.  Each route is
+# held here to the Schur route, which shares no code with the Pieri rules.
 
 
 def _core(mu):
@@ -198,14 +208,162 @@ def _dual_pair(pair):
     return tuple(sorted(tuple(mu[0] - x for x in reversed(mu)) for mu in pair))
 
 
+def _core_pairs(n, lo, hi):
+    cores = sorted({_core(mu) for mu in _doms(n, hi=hi, lo=lo)})
+    return _pairs(cores)
+
+
+def _moved(entry, s):
+    return {tuple(s - x for x in reversed(nu)): c for nu, c in entry.items()}
+
+
+def _every_peel(lam, mu):
+    """T_lam * T_mu for cores by the peel of each factor, then of each factor's dual, moved back."""
+    s = lam[0] + mu[0]
+    lam_, mu_ = _dual_pair((lam,))[0], _dual_pair((mu,))[0]
+    return [
+        _peel_against(_peel_cores(lam, None), mu),
+        _peel_against(_peel_cores(mu, None), lam),
+        _moved(_peel_against(_peel_cores(lam_, None), mu_), s),
+        _moved(_peel_against(_peel_cores(mu_, None), lam_), s),
+    ]
+
+
+def _by_the_pieri_rules(lam, mu):
+    """T_lam * T_mu for cores, by the closed form if there is one, else by every peel."""
+    if _is_closed(lam) or _is_closed(mu):
+        return [_closed_entry(lam, mu), _closed_entry(mu, lam)]
+    return _every_peel(lam, mu)
+
+
+def test_pieri_rules_match_schur_route_on_every_pair_of_cores():
+    # the hecke-convolve boxes, GL_5 0..2, GL_6 0..1 and GL_3 -2..2: every closed form in both
+    # orders, every peel of each factor and of each dual, and the checked entry
+    for n, lo, hi in ((2, 0, 6), (3, 0, 4), (4, 0, 2), (5, 0, 2), (6, 0, 1), (3, -2, 2)):
+        for lam, mu in _core_pairs(n, lo, hi):
+            reference = _schur_product(lam, mu)
+            assert _checked_product(lam, mu) == reference, (lam, mu)
+            for entry in _by_the_pieri_rules(lam, mu):
+                assert entry == reference, (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "lam,mu",
+    [
+        ((4, 3, 2, 1, 0), (5, 3, 2, 1, 0)),  # rank 5: peeled
+        ((5, 3, 2, 2, 0), (6, 4, 3, 1, 0)),  # rank 5: peeled
+        ((12, 4, 0), (30, 15, 0)),  # peeled, the short factor
+        ((20, 10, 0), (20, 10, 0)),  # a two-row product the Schur route takes, peeled here
+        ((60, 0, 0), (50, 20, 0)),  # a one-row factor
+        ((20, 18, 0), (20, 18, 0)),  # (r, r, 0)^2 ... peeled as its dual (20, 2, 0)^2
+        ((400, 0), (400, 0)),  # GL_2: both one-row
+    ],
+)
+def test_pieri_rules_match_schur_route_on_large_shapes(lam, mu):
+    reference = _schur_product(lam, mu)
+    if _is_closed(lam) or _is_closed(mu):
+        assert _closed_entry(lam, mu) == reference
+    else:
+        assert _peel(lam, mu, None) == reference
+
+
+def test_long_two_row_products_take_the_schur_route():
+    # the peel of (a, b, 0) reaches a number of cores quadratic in a, while the Schur route takes
+    # at most 8 x 8 Brauer-Klimyk products at rank 3; the peel is taken while it reaches at most
+    # a quarter as many cores
+    assert [len(_peel_cores(lam, None)) for lam in ((20, 10, 0), (40, 20, 0), (100, 50, 0))] == [75, 300, 1875]
+    assert (len(_hl_terms((40, 20, 0))[0]), len(_hl_terms((12, 4, 0))[0])) == (7, 7)
+    assert _peel((40, 20, 0), (40, 20, 0), 49 // 4) is None
+    assert _peel((20, 18, 0), (20, 18, 0), 36 // 4) is not None  # its dual's peel reaches 3 cores
+    assert _peel((12, 4, 0), (30, 15, 0), 49 // 4) is not None  # (12, 4, 0)'s reaches 12
+
+
+def _closed_form_cores(n):
+    return sorted({_core(mu) for mu in _doms(n, hi=2 if n < 5 else 1)})
+
+
+def test_closed_forms_match_schur_route_at_ranks_1_to_6():
+    # the zero core, T_(1^m) by the column rule, T_(r) by the row rule and T_(r, ..., r, 0) by
+    # the row rule on the dual pair, each held to the reference
+    for n in range(1, 7):
+        zero = (0,) * n
+        for kappa in _closed_form_cores(n):
+            assert _closed_entry(zero, kappa) == {kappa: {0: 1}} == _schur_product(zero, kappa), kappa
+            for m in range(1, n):
+                ones = (1,) * m + (0,) * (n - m)
+                assert _column_rule(m, kappa) == _schur_product(ones, kappa), (ones, kappa)
+            for r in range(1, 4) if n > 1 else ():
+                row = (r,) + (0,) * (n - 1)
+                assert _row_rule(r, kappa) == _schur_product(row, kappa), (row, kappa)
+                dual_row = (r,) * (n - 1) + (0,)
+                assert _closed_entry(dual_row, kappa) == _schur_product(dual_row, kappa), (dual_row, kappa)
+
+
+def test_structure_constants_commute_before_the_cache():
+    # convolve reads the table on the sorted pair of cores, so test_convolution_commutes compares
+    # one entry with itself; here each closed form is taken in both orders and each factor peeled
+    for n, hi in ((3, 3), (4, 2)):
+        for lam, mu in _core_pairs(n, 0, hi):
+            entries = _by_the_pieri_rules(lam, mu)
+            assert entries[0] == entries[1], (lam, mu)
+
+
 def test_structure_constants_agree_with_their_duals_before_the_cache():
-    # the table reads one entry of each dual orbit off the other; here both members are
-    # computed by the transforms, and the dual's is moved: nu -> (s - nu_n, ..., s - nu_1)
-    for n, hi in ((3, 2), (4, 1)):
-        for pair in _pairs(sorted({_core(mu) for mu in _doms(n, hi=hi)})):
-            s = pair[0][0] + pair[1][0]
-            dual = _transform_product(*_dual_pair(pair))
-            assert {tuple(s - x for x in reversed(nu)): c for nu, c in dual.items()} == _transform_product(*pair), pair
+    # the table reads one entry of each dual orbit off the other; here the peel of each factor is
+    # held to the peel of its dual, moved: nu -> (s - nu_n, ..., s - nu_1)
+    for n, hi in ((3, 3), (4, 2)):
+        for lam, mu in _core_pairs(n, 0, hi):
+            if not (_is_closed(lam) or _is_closed(mu)):
+                entries = _every_peel(lam, mu)
+                assert entries[0] == entries[2] and entries[1] == entries[3], (lam, mu)
+
+
+_DEEP_PEEL_RUN = """
+import sys
+from satkit import hecke
+
+sys.setrecursionlimit(40)
+print(sorted((nu, sorted(c.items())) for nu, c in hecke._peel((24, 12, 0), (24, 12, 0), None).items()))
+"""
+
+
+def test_peeling_spends_no_python_frame_per_column():
+    # the peel of (24, 12, 0) reaches 108 cores, made in a loop: no Python frame per core
+    run = subprocess.run([sys.executable, "-c", _DEEP_PEEL_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    reference = _schur_product((24, 12, 0), (24, 12, 0))
+    assert run.stdout == f"{sorted((nu, sorted(c.items())) for nu, c in reference.items())}\n"
+
+
+def test_structure_constant_entries_are_not_copied():
+    # _structure_constants hands out the closed-form table's entry itself
+    for pair in _core_pairs(3, 0, 2):
+        if pair <= _dual_pair(pair) and any(map(_is_closed, pair)):  # a dual orbit's other member is a moved copy
+            assert hecke._structure_constants(*pair)[0] is _closed(*pair)[0], pair
+
+
+_RANK7_REFUSAL_RUN = """
+from satkit import hecke
+
+before = hecke._closed.cache_info().currsize, hecke._structure_constants.cache_info().currsize
+try:
+    hecke.convolve(hecke.basis(LAM), hecke.basis(MU))
+except ValueError as refusal:
+    print(refusal)
+print(before == (hecke._closed.cache_info().currsize, hecke._structure_constants.cache_info().currsize))
+"""
+
+
+@pytest.mark.parametrize("mu", [(1, 0, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0)])
+def test_refusal_of_the_largest_key_comes_before_any_product(mu):
+    # each factor passes the Hall-Littlewood cap and lam + mu, the product's largest key, does
+    # not: the refusal names it before a closed form is read or a peel begins, and caches nothing
+    lam = (4, 4, 3, 2, 1, 0, 0)
+    top = tuple(x + y for x, y in zip(lam, mu))
+    code = _RANK7_REFUSAL_RUN.replace("LAM", repr(lam)).replace("MU", repr(mu))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"P_{top} expands to 2^20 terms of 7 entries, over the cap of 4194304 entries\nTrue\n"
 
 
 @given(st.data())
@@ -261,7 +419,7 @@ def counted(module, table, name, cap):
         if loaded_name.partition(".")[0] == "satkit" and hasattr(loaded, table):
             setattr(loaded, table, lookup)
 tables = (
-    (hecke, "_structure_constants", "_transform_product", symfunc._check_patterns),
+    (hecke, "_structure_constants", "_checked_product", symfunc._check_patterns),
     (symfunc, "_hl_terms", "_hl_expand", symfunc._check_expansion),
     (symfunc, "_tensor_irreducibles", "_brauer_klimyk", symfunc._check_patterns),
     (symfunc, "_pattern_weights", "_gelfand_tsetlin", symfunc._check_patterns),
@@ -295,16 +453,16 @@ def _orbits(boxes):
 
 def test_table_computes_each_pair_of_cores_once():
     # op counts, machine-independent: the 1,156 products look up 203 pairs of cores, and 128
-    # entries are computed, one per orbit under duality, the rest read off their duals' (60
-    # Hall-Littlewood expansions and 128 Brauer-Klimyk products); the Satake route run on every
-    # pair took 326 and 1,386, and the table keyed on pairs of cores alone 93 and 203
+    # entries are computed, one per orbit under duality, the rest read off their duals'; each
+    # computed entry reads the Hall-Littlewood expansions of its two cores for the pattern cap
+    # (23 expansions) and multiplies by the Pieri rules, with no Brauer-Klimyk product and no
+    # Gelfand-Tsetlin pattern
     boxes = ((2, 0, 6), (3, 0, 4), (4, 0, 2))
     pairs, cores, orbits = _orbits(boxes)
     assert (len(pairs), len(cores), len(orbits)) == (1156, 203, 128)
     got = _counted_run(boxes, "hecke.convolve(hecke.basis(a), hecke.basis(b))")
-    assert got[:5] == (len(cores), 183, len(orbits), 60, 128)
-    # the pattern table: 32 cores looked up, 23 enumerated (without duality, all 32)
-    assert got[5:] == (32, 23)
+    assert got[:5] == (len(cores), 0, len(orbits), 23, 0)
+    assert got[5:] == (0, 0)
 
 
 def test_tensor_computes_each_dual_orbit_once():
