@@ -129,7 +129,15 @@ def _element_terms(text, n, what):
 
 def _bounded_fraction(entry):
     """Fraction(entry), or ValueError when its numerator or denominator has more digits than
-    int() accepts from a string; an exponent ("1e99999") is checked before Fraction expands it."""
+    int() accepts from a string; an exponent ("1e99999") is checked before Fraction expands it.
+    An integer, or text that int() reads (Fraction reads it to the same value), is returned as an
+    int, so fractions is imported only for a rational entry."""
+    if isinstance(entry, int):
+        return entry
+    try:
+        return int(entry)
+    except ValueError:
+        pass
     from fractions import Fraction
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     if isinstance(entry, str):

@@ -113,9 +113,8 @@ HeckeElement(n=2, T[4,0] + (-1+v^2)*T[3,1] + (v^2+v^4)*T[2,2])
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 
-from .laurent import LaurentScalar, _add_scaled, _gauss_rows, _times
+from .laurent import LaurentScalar, _add_scaled, _gauss_rows, _rational, _times
 from .rootdata import _is_dominant, _two_rho_pairing, check_weight
 from .symfunc import (
     Combination,
@@ -436,14 +435,15 @@ def _twist(terms, sign):
 
 
 def specialize_v(x, q_value):
-    """Substitute v = sqrt(q_value), exactly.
+    """Substitute v = sqrt(q_value), exactly, for an int or Fraction q_value.
 
     LaurentScalar -> Fraction or QuadExt; HeckeElement / SymPoly -> dict
     mapping each support weight to the specialized coefficient.
     """
-    q = Fraction(q_value)
+    if not _rational(q_value):
+        raise ValueError(f"q must be an int or a Fraction, got {q_value!r}")
     if isinstance(x, LaurentScalar):
-        return x.specialize(q)
+        return x.specialize(q_value)
     if isinstance(x, (HeckeElement, SymPoly)):
-        return {w: c.specialize(q) for w, c in sorted(x.terms.items())}
+        return {w: c.specialize(q_value) for w, c in sorted(x.terms.items())}
     raise ValueError(f"cannot specialize {x!r}")

@@ -6,13 +6,18 @@ tolerated so that rational eigenvalue data can flow through linear maps, and
 are normalized back to int whenever the denominator is 1.  Zero coefficients
 are never stored.
 
+The fractions module (which loads decimal and numbers, about 2 ms) is
+imported only where a rational is first met: by _rational on a value that
+is not an int, by specialize, and by parse_scalar on a term "a/b".  A
+computation on int coefficients never loads it.
+
 Two substitutions recur throughout the package and get dedicated methods:
 
-- specialize(q): v -> sqrt(q) for a positive rational q.  The result is an
-  exact Fraction when only even powers occur or sqrt(q) is rational, and an
-  exact element a + b*sqrt(q) of the quadratic extension otherwise.
+- specialize(q): v -> sqrt(q) for a positive int or Fraction q.  The result
+  is an exact Fraction when only even powers occur or sqrt(q) is rational,
+  and an exact element a + b*sqrt(q) of the quadratic extension otherwise.
 - substitute_t(t): reads the scalar as a polynomial in t = v^-2 (demanding
-  even, nonpositive exponents) and evaluates at a rational t.
+  even, nonpositive exponents) and evaluates at an int or Fraction t.
 
 Canonical strings list terms by ascending exponent ("1-v^2+3v^4", "v^-1+v")
 and parse back exactly; parse(to_string(x)) == x always.
@@ -24,7 +29,6 @@ Fraction(4, 1)
 """
 
 import re
-from fractions import Fraction
 from math import isqrt
 
 
@@ -32,9 +36,17 @@ _new = object.__new__  # bound once: the trusted constructors run once per term 
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and c.denominator == 1:
         return int(c)
     return c
+
+
+def _rational(x):
+    """True for an int that is not a bool, or a Fraction; fractions is imported only when x is not an int."""
+    if isinstance(x, int):
+        return not isinstance(x, bool)
+    from fractions import Fraction
+    return isinstance(x, Fraction)
 
 
 class LaurentScalar:
@@ -45,7 +57,7 @@ class LaurentScalar:
         for k, c in (coeffs or {}).items():
             if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError(f"exponent must be int, got {k!r}")
-            if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+            if not _rational(c):
                 raise ValueError(f"coefficient must be int or Fraction, got {c!r}")
             c = _norm_coeff(c)
             if c != 0:
@@ -168,11 +180,14 @@ class LaurentScalar:
     # -- substitutions --------------------------------------------------
 
     def specialize(self, q_value):
-        """Evaluate at v = sqrt(q_value) for a positive rational q_value.
+        """Evaluate at v = sqrt(q_value) for a positive int or Fraction q_value.
 
         Returns a Fraction when the value is rational, otherwise a QuadExt
         a + b*sqrt(q) with exact rational a, b.
         """
+        if not _rational(q_value):
+            raise ValueError(f"q must be an int or a Fraction, got {q_value!r}")
+        from fractions import Fraction
         q = Fraction(q_value)
         if q <= 0:
             raise ValueError(f"q must be a positive rational, got {q_value!r}")
@@ -188,17 +203,19 @@ class LaurentScalar:
         return QuadExt(even, odd, q) if root is None else even + odd * root
 
     def substitute_t(self, t_value):
-        """Evaluate as a polynomial in t = v^-2 at a rational t_value.
+        """Evaluate as a polynomial in t = v^-2 at an int or Fraction t_value.
 
         Only meaningful for scalars supported on even nonpositive exponents
         (Hall-Littlewood coefficients live there); anything else raises.
+        The value is an int when it is whole, else a Fraction.
         """
-        t = Fraction(t_value)
-        total = Fraction(0)
+        if not _rational(t_value):
+            raise ValueError(f"t must be an int or a Fraction, got {t_value!r}")
+        total = 0
         for e, c in self.coeffs.items():
             if e > 0 or e % 2 != 0:
                 raise ValueError(f"not a polynomial in v^-2: {self}")
-            total += Fraction(c) * t ** (-e // 2)
+            total += c * t_value ** (-e // 2)
         return _norm_coeff(total)
 
     # -- printing -------------------------------------------------------
@@ -324,7 +341,7 @@ def _gauss_rows(n, m):
 def _try_coerce(x):
     if isinstance(x, LaurentScalar):
         return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+    if _rational(x):
         return LaurentScalar({0: x})
     return None
 
@@ -338,6 +355,7 @@ def _coerce(x):
 
 def _exact_sqrt(q):
     """sqrt of a positive Fraction if rational, else None."""
+    from fractions import Fraction
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
@@ -393,6 +411,7 @@ def parse_scalar(s, var="v"):
             num, den = map(int, raw.split("/"))
             if den == 0:
                 raise ValueError(f"zero denominator in term {term!r} of {s!r}")
+            from fractions import Fraction
             mag = Fraction(num, den)
         else:
             mag = int(raw)

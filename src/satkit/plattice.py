@@ -133,7 +133,6 @@ share no code, which is what makes the agreement a real check.
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .rootdata import _det_int, check_weight, is_dominant
@@ -158,11 +157,36 @@ def _check_p(p):
     return p
 
 
-def _fraction(x):
-    """A matrix entry as a Fraction; like a LaurentScalar coefficient, it must be an int (not a bool) or a Fraction."""
+def _entry(x):
+    """A matrix entry, which like a LaurentScalar coefficient must be an int (not a bool) or a Fraction.
+
+    An int is kept as it is: it has a numerator and a denominator too, so
+    fractions is imported only for an entry that is not an int.
+    """
+    if type(x) is int:
+        return x
+    from fractions import Fraction
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError(f"matrix entries must be ints or Fractions: {x!r}")
     return Fraction(x)
+
+
+def _entry_from_json(x):
+    """A matrix entry as to_json writes it, text "p" or "p/q" read by int() on each side; what is not text is the constructor's to check.
+
+    Only that is read, so no exponent ("1e-99999") is expanded, and int()
+    bounds the digits.
+    """
+    if not isinstance(x, str):
+        return x
+    num, slash, den = x.partition("/")
+    if not slash:
+        return int(num)
+    num, den = int(num), int(den)
+    if not den:
+        raise ValueError(f"zero denominator in {x!r}")
+    from fractions import Fraction
+    return Fraction(num, den)
 
 
 class PLattice:
@@ -172,7 +196,7 @@ class PLattice:
 
     def __init__(self, p, basis):
         p = _check_p(p)
-        rows = tuple(tuple(_fraction(x) for x in row) for row in basis)
+        rows = tuple(tuple(_entry(x) for x in row) for row in basis)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -215,6 +239,7 @@ class PLattice:
     @property
     def basis(self):
         """The basis matrix p^-e A as Fraction rows."""
+        from fractions import Fraction
         den = self.p**self.e
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.a)
 
@@ -225,6 +250,7 @@ class PLattice:
     @classmethod
     def from_coweight(cls, mu, p):
         """The lattice mu(p) L0: diagonal basis p^{mu_i}."""
+        from fractions import Fraction
         mu = check_weight(mu)
         return cls(
             p,
@@ -254,8 +280,7 @@ class PLattice:
 
     @classmethod
     def from_json(cls, data):
-        # to_json writes each entry as text; any other entry is the constructor's to check
-        return cls(data["p"], [[Fraction(x) if isinstance(x, str) else x for x in row] for row in data["basis"]])
+        return cls(data["p"], [[_entry_from_json(x) for x in row] for row in data["basis"]])
 
     def __repr__(self):
         rows = "; ".join(",".join(str(x) for x in row) for row in self.basis)
@@ -323,7 +348,7 @@ def smith_invariants(mat, p):
     (2, 0)
     """
     p = _check_p(p)
-    rows = [[_fraction(x) for x in row] for row in mat]
+    rows = [[_entry(x) for x in row] for row in mat]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("smith_invariants wants a square matrix")
     d = math.lcm(*(x.denominator for row in rows for x in row))

@@ -110,10 +110,9 @@ import itertools
 import math
 import sys
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentScalar, _add_times, _coerce, _new, _times
+from .laurent import LaurentScalar, _add_times, _coerce, _new, _rational, _times
 from .rootdata import _is_dominant, _positive_int, check_weight
 
 
@@ -221,7 +220,7 @@ class Combination:
         terms = {}
         for entry in data["terms"]:
             w = tuple(entry[cls._key])
-            coeff = LaurentScalar({int(e): Fraction(c) if isinstance(c, str) else c for e, c in entry["coeff"].items()})
+            coeff = LaurentScalar({int(e): _coeff_from_json(c) for e, c in entry["coeff"].items()})
             terms[w] = terms.get(w, LaurentScalar.zero()) + coeff
         return cls(data["n"], terms)
 
@@ -235,6 +234,24 @@ class Combination:
             mono = f"{self._symbol}[{','.join(map(str, w))}]"
             bits.append(mono if c.is_one() else f"({c.to_string()})*{mono}")
         return f"{name}(n={self.n}, {' + '.join(bits)})"
+
+
+def _coeff_from_json(c):
+    """A coefficient as to_json writes it, text "p" or "p/q" read by int() on each side; what is not text is the constructor's to check.
+
+    Only that is read, so no exponent ("1e-99999") is expanded, and int()
+    bounds the digits.
+    """
+    if not isinstance(c, str):
+        return c
+    num, slash, den = c.partition("/")
+    if not slash:
+        return int(num)
+    num, den = int(num), int(den)
+    if not den:
+        raise ValueError(f"zero denominator in {c!r}")
+    from fractions import Fraction
+    return Fraction(num, den)
 
 
 _MINUS_ONE = LaurentScalar.from_int(-1)
@@ -287,12 +304,14 @@ class SymPoly(Combination):
         """Evaluate every coefficient as a polynomial in t = v^-2.
 
         Only legal when all coefficients live in Z[v^-2] (Hall-Littlewood
-        expansions do); returns a SymPoly with constant coefficients.
+        expansions do); t_value is an int or a Fraction.  Returns a SymPoly
+        with constant coefficients.
         """
-        t = Fraction(t_value)
+        if not _rational(t_value):
+            raise ValueError(f"t must be an int or a Fraction, got {t_value!r}")
         out = {}
         for w, c in self.terms.items():
-            val = c.substitute_t(t)
+            val = c.substitute_t(t_value)
             if val != 0:
                 out[w] = _coerce(val)
         return SymPoly._from_canonical(self.n, out)

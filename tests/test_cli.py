@@ -649,14 +649,25 @@ def test_each_verb_imports_only_its_layers(u3_config):
     unwanted = {"__future__", "dataclasses", "inspect", "satkit.checks", "satkit.hecke"}
     unwanted |= {"satkit.plattice", "satkit.tate", "satkit.trace_k"}
     assert not unwanted & set(seen[1][3])
+    # fractions (with the decimal and numbers it loads) is imported where a rational is first met:
+    # no request whose payload holds only integers loads it, up to check, which does
+    rational = {"fractions", "decimal", "numbers"}
+    assert well_formed[-1][0] == "check" and rational <= set(well_formed[-1][3])
+    for verb, _, _, modules in well_formed[:-1]:
+        assert not rational & set(modules), verb
     # in an interpreter of its own, conv loads the transform side alone: the Pieri route reads its
-    # Gaussian binomials off laurent's q-Pascal rows, which tate reads too
+    # Gaussian binomials off laurent's q-Pascal rows, which tate reads too; then an inv request
+    # with a rational entry loads fractions
     conv = ["conv", "--n", "3", "--a", '{"(2,1,0)":1}', "--b", '{"(1,1,0)":1}']
-    run = subprocess.run([sys.executable, "-c", _MODULES_RUN, json.dumps([conv])], capture_output=True, text=True)
+    half = ["inv", "--a", '{"p":2,"basis":[["1/2","0"],["0","1"]]}', "--b", '{"p":2,"basis":[[1,0],[0,1]]}']
+    argv = [sys.executable, "-c", _MODULES_RUN, json.dumps([conv, half])]
+    run = subprocess.run(argv, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    (_, code, _, modules) = json.loads(run.stdout)[1]
+    (_, code, _, modules), (_, half_code, half_out, half_modules) = json.loads(run.stdout)[1:]
     assert code == 0 and "satkit.hecke" in modules
     assert not {"satkit.checks", "satkit.plattice", "satkit.repring", "satkit.tate", "satkit.trace_k"} & set(modules)
+    assert not rational & set(modules)
+    assert (half_code, half_out) == (0, "[1,0]\n") and rational <= set(half_modules)
     # every verb but check leaves satkit.checks unloaded; check loads it
     assert [verb for verb, _, _, modules in well_formed if "satkit.checks" in modules] == ["check"]
     # a well-formed request is parsed off the verb table: argparse is never imported

@@ -556,6 +556,16 @@ def test_specialize_v():
     assert specialize_v(parse_scalar("1+v^2"), 2) == Fraction(3)
     h = basis((2, 0)) + parse_scalar("1+v^2") * basis((1, 1))
     assert specialize_v(h, 2) == {(2, 0): Fraction(1), (1, 1): Fraction(3)}
+    assert specialize_v(h, Fraction(2)) == specialize_v(h, 2)
+
+
+def test_specialize_v_takes_only_ints_and_fractions():
+    # a float is inexact, a bool is not a number here and text is not parsed: each is refused, also
+    # with an element that has no coefficient to specialize
+    for x in [parse_scalar("1+v^2"), basis((1, 0)), HeckeElement(2, {}), SymPoly(2, {})]:
+        for bad in [0.1, 4.0, True, "4"]:
+            with pytest.raises(ValueError, match=r"^q must be an int or a Fraction, got "):
+                specialize_v(x, bad)
 
 
 def test_element_validation():

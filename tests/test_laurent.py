@@ -128,6 +128,22 @@ def test_specialize_nonsquare_q_lands_in_quadratic_extension():
     assert got == QuadExt(Fraction(1), Fraction(1), Fraction(2))
 
 
+def test_substitutions_take_only_ints_and_fractions():
+    # a float is inexact (0.1 is not 1/10), a bool is not a number here and text is parse_scalar's
+    # to read: each is refused, also by the zero scalar, which reads no coefficient
+    for x in [parse_scalar("-v^-2+1"), LaurentScalar.zero()]:
+        for bad in [0.1, 2.0, True, False, "3", None]:
+            with pytest.raises(ValueError, match=r"^q must be an int or a Fraction, got "):
+                x.specialize(bad)
+            with pytest.raises(ValueError, match=r"^t must be an int or a Fraction, got "):
+                x.substitute_t(bad)
+    # an int and the equal Fraction give one value; a whole value is an int
+    assert parse_scalar("1+v^2").specialize(3) == parse_scalar("1+v^2").specialize(Fraction(3)) == Fraction(4)
+    got = parse_scalar("-v^-2+1").substitute_t(3)
+    assert got == -2 and type(got) is int
+    assert parse_scalar("v^-4").substitute_t(Fraction(1, 2)) == Fraction(1, 4)
+
+
 def test_negate_variable():
     a = parse_scalar("1+v+v^2")
     assert a.negate_variable() == parse_scalar("1-v+v^2")

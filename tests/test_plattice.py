@@ -9,9 +9,11 @@ or duplicated lattice would show up immediately.
 import ast
 import inspect
 import itertools
+import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -1023,3 +1025,16 @@ def test_json_round_trip():
     data = lat.to_json()
     assert data["basis"] == [["1/2", "1"], ["0", "4"]]
     assert PLattice.from_json(data) == lat
+    for lat in [PLattice.from_coweight((2, -1, 0), 3), PLattice.standard(2, 7), PLattice(2, ((Fraction(-3, 8), 5), (1, 0)))]:
+        assert PLattice.from_json(json.loads(json.dumps(lat.to_json()))) == lat
+
+
+def test_from_json_reads_only_what_to_json_writes():
+    # an entry is an int, or text int() reads on each side of at most one "/"; an exponent or a
+    # decimal point is refused at once, where reading it by Fraction would take seconds
+    for text in ["1e-99999", "1e-999999", "0.5", "1/2/3", "1/2.0", "1/0"]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            PLattice.from_json({"p": 2, "basis": [[text]]})
+        assert time.perf_counter() - start < 1, text
+    assert PLattice.from_json({"p": 2, "basis": [["-1/4", 3], [0, "2"]]}) == PLattice(2, ((Fraction(-1, 4), 3), (0, 2)))

@@ -9,6 +9,11 @@ A function only a test calls belongs in the tests.
 One exact kernel: the modules of the Tate route compute with integers only,
 so none of them imports from fractions.
 
+fractions only where a rational is met: no module but checks imports
+fractions when it loads (an import inside a function is allowed), so a
+computation on integers never loads it, nor the decimal and numbers it
+loads.
+
 No write into a scalar the code did not make: the in-place kernels
 _add_scaled, _mul_into and _add_times never take an attribute .coeffs as
 the dict they write into (their first argument), except in symfunc's
@@ -91,6 +96,36 @@ def test_integer_modules_import_nothing_from_fractions():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
         assert "fractions" not in imported, module
+
+
+def _imports_at_load(tree):
+    """The modules imported by statements that run when the module loads: every import outside a function."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.ImportFrom):
+                found.add(child.module)
+            elif isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_only_checks_imports_fractions_when_it_loads():
+    assert {module for module, tree in TREES.items() if "fractions" in _imports_at_load(tree)} <= {"checks"}
+
+
+def test_the_gate_sees_an_import_at_load():
+    tree = ast.parse(
+        "import os\nif X:\n    from fractions import Fraction\n\nclass C:\n    import numbers\n\n"
+        "def f():\n    import decimal\n\nclass D:\n    def g(self):\n        from json import dumps\n"
+    )
+    assert _imports_at_load(tree) == {"os", "fractions", "numbers"}
 
 
 IN_PLACE_KERNELS = {"_add_scaled", "_mul_into", "_add_times"}

@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -525,6 +526,25 @@ def test_substitute_t_on_sympoly():
     f = hall_littlewood((2, 0))
     assert f.substitute_t(Fraction(0)) == schur((2, 0))
     assert f.substitute_t(Fraction(1)) == monomial((2, 0))
+    assert f.substitute_t(0) == schur((2, 0))
+    # a float, a bool or text is refused, also by the zero SymPoly, which has no coefficient to read
+    for g in [f, SymPoly(2, {})]:
+        for bad in [0.0, True, "0"]:
+            with pytest.raises(ValueError, match=r"^t must be an int or a Fraction, got "):
+                g.substitute_t(bad)
+
+
+def test_from_json_reads_only_what_to_json_writes():
+    # a coefficient is an int, or text int() reads on each side of at most one "/"; an exponent or
+    # a decimal point is refused at once, where reading it by Fraction would take seconds
+    for text in ["1e-99999", "1e-9999999", "0.5", "1/2/3", "1/2.0", "1/0"]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            SymPoly.from_json({"n": 1, "terms": [{"weight": [0], "coeff": {"0": text}}]})
+        assert time.perf_counter() - start < 1, text
+    data = {"n": 2, "terms": [{"weight": [1, 0], "coeff": {"-2": "-3/4", "0": "5", "1": 7}}]}
+    assert SymPoly.from_json(data) == SymPoly(2, {(1, 0): LaurentScalar({-2: Fraction(-3, 4), 0: 5, 1: 7})})
+    assert SymPoly.from_json(data).to_json() == {"n": 2, "terms": [{"weight": [1, 0], "coeff": {"-2": "-3/4", "0": 5, "1": 7}}]}
 
 
 def test_central_shift_on_monomials():
