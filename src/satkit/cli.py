@@ -184,7 +184,7 @@ def _weight_key(w):
 
 
 def _format_element(el):
-    return _dumps({_weight_key(w): el.terms[w].to_string() for w in el.support()})
+    return _dumps({_weight_key(w): el.coefficient(w).to_string() for w in el.support()})
 
 
 # -- verb handlers -------------------------------------------------------

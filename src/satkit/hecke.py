@@ -26,8 +26,8 @@ table symfunc._dominant_weights; inverse_satake is _solve by the same two
 tables in the other order, then _twist(-1).  The product of two transforms
 is symfunc._bilinear by the Brauer-Klimyk table
 symfunc._tensor_irreducibles, as in repring.tensor.  The monomial basis is
-met only at the boundary, and each public function builds one LaurentScalar
-per output term.
+met only at the boundary, and each public function hands its dicts straight
+to the element it returns, building no LaurentScalar.
 
 convolve multiplies by a table in symfunc._bilinear, the product loop of
 SymPoly's orbit products and RepElement's Brauer-Klimyk products too:
@@ -36,9 +36,9 @@ _structure_constants, keyed on cores up to duality by symfunc._on_cores
 hands over the cached entry of the pair of cores, {nu: coefficient dict},
 with the summed central shift; the loop moves each nu by it as it writes the
 term into the product, so the entry is read once and never copied, and each
-output term gets its own scalar.  The Hall-Littlewood entries of _hl_terms
-are read the same way, moved as _apply and _solve read them.  The keying
-applies to T_lam * T_mu: T_(1,...,1) is central and invertible,
+output term gets its own coefficient dict.  The Hall-Littlewood entries of
+_hl_terms are read the same way, moved as _apply and _solve read them.  The
+keying applies to T_lam * T_mu: T_(1,...,1) is central and invertible,
 P_{mu + k(1,...,1)} = (x_1...x_n)^k P_mu and <2rho, (1,...,1)> = 0, so a
 central shift moves every nu and no coefficient; and g -> (g^T)^-1
 preserves K and sends T_lam to T_lam*, lam* = -w0 lam, with <2rho, lam*> =
@@ -124,11 +124,9 @@ from .symfunc import (
     _bilinear,
     _check_expansion,
     _check_patterns,
-    _coeffs,
     _dominant_weights,
     _hl_terms,
     _on_cores,
-    _scalars,
     _solve,
     _tensor_irreducibles,
 )
@@ -150,23 +148,23 @@ def basis(mu):
     mu = check_weight(mu)
     if not _is_dominant(mu):
         raise ValueError(f"basis coweight must be dominant: {mu}")
-    return HeckeElement._from_canonical(len(mu), {mu: LaurentScalar.one()})
+    return HeckeElement._from_canonical(len(mu), {mu: {0: 1}})
 
 
 def satake(h):
     """The Satake transform into symmetric Laurent polynomials."""
     if not isinstance(h, HeckeElement):
         raise ValueError("satake wants a HeckeElement")
-    in_schur = _apply(_twist(_coeffs(h.terms), 1), _hl_terms)
-    return SymPoly._from_canonical(h.n, _scalars(_apply(in_schur, _dominant_weights)))
+    in_schur = _apply(_twist(h._terms, 1), _hl_terms)
+    return SymPoly._from_canonical(h.n, _apply(in_schur, _dominant_weights))
 
 
 def normalized_satake(h):
     """The transform without the v^<2rho,mu> twist: T_mu -> P_mu(x; v^-2)."""
     if not isinstance(h, HeckeElement):
         raise ValueError("normalized_satake wants a HeckeElement")
-    in_schur = _apply(_coeffs(h.terms), _hl_terms)
-    return SymPoly._from_canonical(h.n, _scalars(_apply(in_schur, _dominant_weights)))
+    in_schur = _apply(h._terms, _hl_terms)
+    return SymPoly._from_canonical(h.n, _apply(in_schur, _dominant_weights))
 
 
 def inverse_satake(f):
@@ -178,8 +176,8 @@ def inverse_satake(f):
     """
     if not isinstance(f, SymPoly):
         raise ValueError("inverse_satake wants a SymPoly")
-    in_schur = _solve({w: dict(c.coeffs) for w, c in f.terms.items()}, _dominant_weights)
-    return HeckeElement._from_canonical(f.n, _scalars(_twist(_solve(in_schur, _hl_terms), -1)))
+    in_schur = _solve({w: dict(c) for w, c in f._terms.items()}, _dominant_weights)
+    return HeckeElement._from_canonical(f.n, _twist(_solve(in_schur, _hl_terms), -1))
 
 
 def convolve(a, b):
@@ -200,13 +198,13 @@ def convolve(a, b):
     if not isinstance(a, HeckeElement) or not isinstance(b, HeckeElement):
         raise ValueError("convolve wants two HeckeElements")
     a._check_rank(b)
-    for mu in itertools.chain(a.terms, b.terms):
+    for mu in itertools.chain(a._terms, b._terms):
         _check_expansion(mu)
-    if len(a.terms) != 1 or len(b.terms) != 1:
-        terms = list(a.terms)
-        for mu in itertools.chain(terms[:1], b.terms, terms[1:]):
+    if len(a._terms) != 1 or len(b._terms) != 1:
+        terms = list(a._terms)
+        for mu in itertools.chain(terms[:1], b._terms, terms[1:]):
             _check_patterns(mu)
-    return HeckeElement._from_canonical(a.n, _bilinear(a.terms, b.terms, _structure_constants))
+    return HeckeElement._from_canonical(a.n, _bilinear(a._terms, b._terms, _structure_constants))
 
 
 def _checked_product(lam, mu):
@@ -244,8 +242,8 @@ def _schur_product(lam, mu):
     """T_lam * T_mu for cores: the Schur-basis product of the two Satake transforms, pulled back by elimination."""
     fa = _apply(_twist({lam: {0: 1}}, 1), _hl_terms)
     fb = _apply(_twist({mu: {0: 1}}, 1), _hl_terms)
-    # the product's scalars are new and dropped here, so the elimination may own their dicts
-    return _twist(_solve(_coeffs(_bilinear(_scalars(fa), _scalars(fb), _tensor_irreducibles)), _hl_terms), -1)
+    # the product's dicts are new and dropped here, so the elimination may own them
+    return _twist(_solve(_bilinear(fa, fb, _tensor_irreducibles), _hl_terms), -1)
 
 
 def _is_closed(kappa):

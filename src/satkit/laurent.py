@@ -7,8 +7,9 @@ are normalized back to int whenever the denominator is 1.  Zero coefficients
 are never stored.
 
 The fractions module (which loads decimal and numbers, about 2 ms) is
-imported only where a rational is first met: by _rational on a value that
-is not an int, by specialize, and by parse_scalar on a term "a/b".  A
+imported only where a rational is first made: by specialize and by
+parse_scalar on a term "a/b".  _rational looks the Fraction class up among
+the loaded modules, since no Fraction exists before fractions is loaded.  A
 computation on int coefficients never loads it.
 
 Two substitutions recur throughout the package and get dedicated methods:
@@ -29,10 +30,11 @@ Fraction(4, 1)
 """
 
 import re
+import sys
 from math import isqrt
 
 
-_new = object.__new__  # bound once: the trusted constructors run once per term of every result
+_new = object.__new__  # bound once: the trusted constructors run once per result
 
 
 def _norm_coeff(c):
@@ -42,11 +44,11 @@ def _norm_coeff(c):
 
 
 def _rational(x):
-    """True for an int that is not a bool, or a Fraction; fractions is imported only when x is not an int."""
+    """True for an int that is not a bool, or a Fraction; imports nothing, as a Fraction needs fractions loaded."""
     if isinstance(x, int):
         return not isinstance(x, bool)
-    from fractions import Fraction
-    return isinstance(x, Fraction)
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 class LaurentScalar:
@@ -82,10 +84,7 @@ class LaurentScalar:
 
     @classmethod
     def one(cls):
-        """The unit, with a dict of its own: a basis element's scalar may be written into by its owner."""
-        out = _new(cls)
-        out.coeffs = {0: 1}
-        return out
+        return cls._from_canonical({0: 1})
 
     @classmethod
     def from_int(cls, c):
@@ -211,35 +210,45 @@ class LaurentScalar:
         """
         if not _rational(t_value):
             raise ValueError(f"t must be an int or a Fraction, got {t_value!r}")
-        total = 0
-        for e, c in self.coeffs.items():
-            if e > 0 or e % 2 != 0:
-                raise ValueError(f"not a polynomial in v^-2: {self}")
-            total += c * t_value ** (-e // 2)
-        return _norm_coeff(total)
+        return _substitute_t(self.coeffs, t_value)
 
     # -- printing -------------------------------------------------------
 
     def to_string(self, var="v"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            mag = -c if (c < 0) else c
-            if e == 0:
-                body = str(mag)
-            else:
-                vp = var if e == 1 else f"{var}^{e}"
-                body = vp if mag == 1 else f"{mag}{vp}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+{body}" if c > 0 else f"-{body}")
-        return "".join(parts)
+        return _to_string(self.coeffs, var)
 
     def __repr__(self):
         return f"LaurentScalar({self.to_string()!r})"
+
+
+def _to_string(p, var="v"):
+    """The canonical string of a coefficient dict: terms by ascending exponent, "0" for {}."""
+    if not p:
+        return "0"
+    parts = []
+    for e in sorted(p):
+        c = p[e]
+        mag = -c if (c < 0) else c
+        if e == 0:
+            body = str(mag)
+        else:
+            vp = var if e == 1 else f"{var}^{e}"
+            body = vp if mag == 1 else f"{mag}{vp}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+{body}" if c > 0 else f"-{body}")
+    return "".join(parts)
+
+
+def _substitute_t(p, t_value):
+    """A coefficient dict read as a polynomial in t = v^-2, at a checked int or Fraction t_value; an int when whole."""
+    total = 0
+    for e, c in p.items():
+        if e > 0 or e % 2 != 0:
+            raise ValueError(f"not a polynomial in v^-2: LaurentScalar({_to_string(p)!r})")
+        total += c * t_value ** (-e // 2)
+    return _norm_coeff(total)
 
 
 class QuadExt:

@@ -1,7 +1,7 @@
 """The representation ring of GL_n with Laurent coefficients.
 
 A RepElement is a finite Z[v, v^-1]-combination of irreducibles [V_mu],
-stored as {dominant highest weight: LaurentScalar}.  The v-grading tracks
+stored as {dominant highest weight: coefficient dict}.  The v-grading tracks
 twist bookkeeping and is inert under all operations here except that tensor
 products multiply coefficients.
 
@@ -21,18 +21,15 @@ symfunc._weyl_dimension, which also counts the Gelfand-Tsetlin patterns
 that symfunc refuses to enumerate past its cap of 500,000.
 """
 
-from .laurent import LaurentScalar
 from .rootdata import check_weight, dual_weight
 from .symfunc import (
     Combination,
     SymPoly,
     _apply,
     _bilinear,
-    _coeffs,
     _dominant_weights,
     _highest_weight,
     _pattern_weights,
-    _scalars,
     _tensor_irreducibles,
     _weyl_dimension,
 )
@@ -48,14 +45,14 @@ class RepElement(Combination):
 
 def irreducible(mu):
     mu = _highest_weight(mu)
-    return RepElement._from_canonical(len(mu), {mu: LaurentScalar.one()})
+    return RepElement._from_canonical(len(mu), {mu: {0: 1}})
 
 
 def character(r):
     """The character as a SymPoly: sum of coeff * s_mu."""
     if not isinstance(r, RepElement):
         raise ValueError("character wants a RepElement")
-    return SymPoly._from_canonical(r.n, _scalars(_apply(_coeffs(r.terms), _dominant_weights)))
+    return SymPoly._from_canonical(r.n, _apply(r._terms, _dominant_weights))
 
 
 def dimension(mu):
@@ -83,11 +80,11 @@ def tensor(r1, r2):
     if not isinstance(r1, RepElement) or not isinstance(r2, RepElement):
         raise ValueError("tensor wants two RepElements")
     r1._check_rank(r2)
-    return RepElement._from_canonical(r1.n, _bilinear(r1.terms, r2.terms, _tensor_irreducibles))
+    return RepElement._from_canonical(r1.n, _bilinear(r1._terms, r2._terms, _tensor_irreducibles))
 
 
 def dual(r):
     """The dual: highest weights reverse-negate, coefficients untouched."""
     if not isinstance(r, RepElement):
         raise ValueError("dual wants a RepElement")
-    return RepElement._from_canonical(r.n, {dual_weight(w): c for w, c in r.terms.items()})
+    return RepElement._from_canonical(r.n, {dual_weight(w): dict(c) for w, c in r._terms.items()})

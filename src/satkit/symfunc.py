@@ -1,14 +1,15 @@
 """Symmetric Laurent polynomials in n variables, exactly.
 
 A SymPoly is stored in the monomial-symmetric basis: a map from dominant
-weights mu to LaurentScalar coefficients, where m_mu is the orbit sum
-sum_{alpha in S_n.mu} x^alpha.  Negative exponents are allowed everywhere
-(these are characters of GL_n, not of SL_n), via the central twist
-f -> (x_1...x_n)^k f which shifts every weight by k(1,...,1).
+weights mu to coefficient dicts {v-exponent: coeff}, where m_mu is the
+orbit sum sum_{alpha in S_n.mu} x^alpha.  Negative exponents are allowed
+everywhere (these are characters of GL_n, not of SL_n), via the central
+twist f -> (x_1...x_n)^k f which shifts every weight by k(1,...,1).
 
 Inside the package the transform side works in the Schur basis, on term
-dicts {weight: {v-exponent: coeff}} (laurent's coefficient-dict kernels);
-the monomial basis is met only at the public boundary.  The pieces:
+dicts {weight: {v-exponent: coeff}} (laurent's coefficient-dict kernels),
+the form every element stores; the monomial basis is met only at the public
+boundary.  The pieces:
 
 - _apply and _solve: the two kernels of every change of basis, for a table
   that gives (entry, shift) as an _on_cores lookup does, each entry read
@@ -42,31 +43,32 @@ the monomial basis is met only at the public boundary.  The pieces:
   with the summed central shift k; the consumer moves each key by
   k(1, ..., 1) as it reads it, so no moved copy of an entry is made.  Each
   table is built with its cap, _check_expansion for _hl_terms, none for
-  hecke's closed forms and _check_patterns for the other four, and the
-  lookup checks the cap on
-  each weight it is handed, in order, so a weight is refused under the
-  caller's own name before its entry is read or computed; both caps answer
-  alike on a weight and its dual (equal Weyl dimensions, equal pair
-  counts);
+  hecke's closed forms and _check_patterns for the other four.  A lookup
+  whose tuple of cores has no entry yet checks the cap on each weight it is
+  handed, in order, so a weight is refused under the caller's own name
+  before its entry is computed; a lookup that finds its entry checks
+  nothing.  Both caps depend only on the core and answer alike on a weight
+  and its dual (equal Weyl dimensions, equal pair counts), and a refusal
+  caches nothing, so a cached entry proves that its weights pass;
 - _bilinear: the one product loop, sum over pairs of terms of c_a c_b
   table(a, b), for a table that gives (entry, shift) as an _on_cores lookup
   does.  Each entry is read once per pair and each of its keys, moved by
   the shift, is written straight into the product: a weight met first gets
-  a new scalar, and only a weight met again is added into (and dropped if
-  it cancels).  The new scalar is the entry's coefficient c times the
-  pair's coefficient c_a c_b; when c is a coefficient dict it is the
+  a new coefficient dict, and only a weight met again is added into (and
+  dropped if it cancels).  The new dict is the entry's coefficient c times
+  the pair's coefficient c_a c_b; when c is a coefficient dict it is the
   operand copied, so a one-term c_a c_b costs one pass over c and no
   further term.  A product of two one-term factors, which every basis
   product is, has one pair and one entry, whose keys stay distinct under
   the shift: each key is written once, with no lookup in the product, no
   adding into and no cancellation, and a unit c_a c_b gives each term a
   plain copy of c.  SymPoly * SymPoly, repring.tensor and hecke.convolve
-  all run it, on their elements' own {weight: LaurentScalar} terms; every
-  scalar it hands out is new, never an entry's dict.  It looks up the
-  first factor's first term with each term of the second, then the rest
-  of the first factor's, so a table's cap meets the first factor's first
-  term, the second's terms and then the rest of the first's, in that
-  order;
+  all run it, on their elements' own {weight: coefficient dict} terms, and
+  build no LaurentScalar; every dict it hands out is new, never an entry's.
+  It looks up the first factor's first term with each term of the second,
+  then the rest of the first factor's, so a table's cap meets the first
+  factor's first term, the second's terms and then the rest of the
+  first's, in that order;
 - _tensor_irreducibles: s_a s_b by Brauer-Klimyk, the table of
   _brauer_klimyk, V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
@@ -87,8 +89,9 @@ the monomial basis is met only at the public boundary.  The pieces:
   alternant of f.  Each monomial x^beta of f straightens to +-s or 0, all on
   ints.
 
-The public schur, hall_littlewood and expand_in_schur are these kernels
-with validation and LaurentScalar wrapping.  SymPoly * SymPoly is the one
+The public schur and hall_littlewood are these kernels with validation,
+their results handed straight to a SymPoly; expand_in_schur wraps its
+result's dicts in LaurentScalars.  SymPoly * SymPoly is the one
 product taken in the monomial basis: the coefficient of m_gamma in m_a m_b
 is #{(alpha, beta) in orbit(a) x orbit(b) : alpha + beta = gamma}, which
 _orbit_product reads off one orbit, refused past _MAX_ORBIT_ENTRIES, and
@@ -97,8 +100,9 @@ caches per pair (a, b); _bilinear reads it as a table with shift 0.
 SymPoly shares its representation and linear arithmetic with
 hecke.HeckeElement and repring.RepElement through the base class
 Combination: the constructor validates its input, and results computed here
-are built by the trusted Combination._from_canonical and accumulated in
-place by _add_into (terms += c * other), which drops cancelled terms.
+are built by the trusted Combination._from_canonical; sums are accumulated
+by _add_into (terms += c * other), which writes new dicts and drops
+cancelled terms.
 
 >>> hall_littlewood((2, 0))
 SymPoly(n=2, m[2,0] + (-v^-2+1)*m[1,1])
@@ -109,10 +113,10 @@ True
 import itertools
 import math
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .laurent import LaurentScalar, _add_times, _coerce, _new, _rational, _times
+from .laurent import LaurentScalar, _add_times, _coerce, _new, _rational, _substitute_t, _times, _to_string
 from .rootdata import _is_dominant, _positive_int, check_weight
 
 
@@ -120,17 +124,23 @@ class Combination:
     """A finite Z[v, v^-1]-combination of dominant weights of one rank n.
 
     The common shape of SymPoly (monomial basis m_mu), hecke.HeckeElement
-    (double-coset basis T_mu) and repring.RepElement (irreducibles V_mu):
-    terms maps dominant weights to nonzero LaurentScalars.  A subclass names
-    its JSON key and print symbol and words its own error messages.
+    (double-coset basis T_mu) and repring.RepElement (irreducibles V_mu).  A
+    subclass names its JSON key and print symbol and words its own error
+    messages.
 
+    The private _terms maps dominant weights to nonzero coefficient dicts
+    {v-exponent: coeff}, the form every kernel here reads and writes, each
+    dict the element's own and never written into once the element is built.
+    LaurentScalars are met only at the public boundary: the constructor
+    coerces its coefficients through them, and coefficient(mu) and terms, a
+    new {weight: LaurentScalar} dict on each access, build them.
     The public constructor validates every key and coefficient.  Results
     computed inside the package are built by _from_canonical, which trusts
-    its dict: dominant int-tuple keys of rank n, nonzero LaurentScalar
-    values, owned by the new element alone.
+    its dict: dominant int-tuple keys of rank n, nonzero canonical
+    coefficient dicts, owned by the new element alone.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms")
     _key = _symbol = _bad_rank = _bad_key = None  # set by each subclass
     _bad_n = "rank"  # the noun of n in its refusal
     _mismatch = "rank mismatch: {} vs {}"
@@ -138,35 +148,48 @@ class Combination:
     def __init__(self, n, terms=None):
         _positive_int(n, self._bad_n)
         self.n = n
-        self.terms = {}
+        self._terms = {}
         for w, c in (terms or {}).items():
-            w = check_weight(w)
-            if len(w) != n:
-                raise ValueError(self._bad_rank.format(w, len(w), n))
+            w = self._checked_key(w)
             if not _is_dominant(w):
                 raise ValueError(self._bad_key.format(w))
-            _add_into(self.terms, {w: _coerce(c)})
+            c = _coerce(c).coeffs
+            if c:
+                _add_into(self._terms, {w: c})
 
     @classmethod
     def _from_canonical(cls, n, terms):
         out = _new(cls)
         out.n = n
-        out.terms = terms
+        out._terms = terms
         return out
 
     @classmethod
     def zero(cls, n):
         return cls(n, {})
 
+    @property
+    def terms(self):
+        """{weight: LaurentScalar}, a new dict built on each access, so adding to it or clearing it changes nothing here."""
+        new = LaurentScalar._from_canonical
+        return {w: new(c) for w, c in self._terms.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self._terms
+
+    def _checked_key(self, mu):
+        """mu as a checked weight tuple, refused unless it has rank n."""
+        w = check_weight(mu)
+        if len(w) != self.n:
+            raise ValueError(self._bad_rank.format(w, len(w), self.n))
+        return w
 
     def coefficient(self, mu):
-        return self.terms.get(check_weight(mu), LaurentScalar.zero())
+        return LaurentScalar._from_canonical(self._terms.get(self._checked_key(mu), {}))
 
     def support(self):
         """Dominant keys, descending (leading term first)."""
-        return sorted(self.terms, reverse=True)
+        return sorted(self._terms, reverse=True)
 
     def _check_rank(self, other):
         if self.n != other.n:
@@ -177,30 +200,31 @@ class Combination:
         if type(other) is not type(self):
             return NotImplemented
         self._check_rank(other)
-        return self._from_canonical(self.n, _add_into(dict(self.terms), other.terms, c))
+        return self._from_canonical(self.n, _add_into(dict(self._terms), other._terms, c))
 
     def __add__(self, other):
-        return self._combine(other, None)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, _MINUS_ONE)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._from_canonical(self.n, {w: -c for w, c in self.terms.items()})
+        return self._from_canonical(self.n, {w: {k: -x for k, x in c.items()} for w, c in self._terms.items()})
 
     def __mul__(self, other):
         """Multiplication by a scalar."""
-        return self._from_canonical(self.n, _add_into({}, self.terms, _coerce(other)))
+        c = _coerce(other).coeffs
+        return self._from_canonical(self.n, {w: _times(x, c) for w, x in self._terms.items()} if c else {})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset((w, frozenset(c.items())) for w, c in self._terms.items())))
 
     def to_json(self):
         """{"n": n, "terms": [...]} for json.dumps: an int coefficient as itself, a Fraction as its text "p/q"."""
@@ -209,7 +233,7 @@ class Combination:
             "terms": [
                 {
                     self._key: list(w),
-                    "coeff": {str(e): c if type(c) is int else str(c) for e, c in sorted(self.terms[w].coeffs.items())},
+                    "coeff": {str(e): c if type(c) is int else str(c) for e, c in sorted(self._terms[w].items())},
                 }
                 for w in self.support()
             ],
@@ -226,13 +250,13 @@ class Combination:
 
     def __repr__(self):
         name = type(self).__name__
-        if not self.terms:
+        if not self._terms:
             return f"{name}(n={self.n}, 0)"
         bits = []
         for w in self.support():
-            c = self.terms[w]
+            c = self._terms[w]
             mono = f"{self._symbol}[{','.join(map(str, w))}]"
-            bits.append(mono if c.is_one() else f"({c.to_string()})*{mono}")
+            bits.append(mono if c == _ONE else f"({_to_string(c)})*{mono}")
         return f"{name}(n={self.n}, {' + '.join(bits)})"
 
 
@@ -254,31 +278,26 @@ def _coeff_from_json(c):
     return Fraction(num, den)
 
 
-_MINUS_ONE = LaurentScalar.from_int(-1)
+_ONE = {0: 1}  # the unit's coefficient dict: only read, never stored in an element
 
 
-def _add_into(terms, other, c=None):
-    """terms += c * other on {weight: scalar} dicts, in place; returns terms.
+def _add_into(terms, other, c=1):
+    """terms += c * other on {weight: coefficient dict} term dicts, in place; returns terms.
 
-    c is a LaurentScalar, or None for 1; other's values are LaurentScalars,
-    or nonzero ints when c is given.  A coefficient that cancels is removed.
+    c is a nonzero int or coefficient dict.  Only terms is written, never a
+    coefficient dict of either: each weight of other gets a new dict, and a
+    coefficient that cancels is removed.
     """
-    if c is not None and c.is_zero():
-        return terms
     for w, x in other.items():
-        if c is not None:
-            x = c * x
-        if x.is_zero():
-            continue
-        old = terms.get(w)
-        if old is None:
-            terms[w] = x
+        acc = terms.get(w)
+        if acc is None:
+            terms[w] = _times(x, c)
         else:
-            x = old + x
-            if x.is_zero():
-                del terms[w]
+            acc = _add_times(dict(acc), x, c)
+            if acc:
+                terms[w] = acc
             else:
-                terms[w] = x
+                del terms[w]
     return terms
 
 
@@ -298,7 +317,7 @@ class SymPoly(Combination):
         if not isinstance(other, SymPoly):
             return super().__mul__(other)
         self._check_rank(other)
-        return SymPoly._from_canonical(self.n, _bilinear(self.terms, other.terms, _orbit_entry))
+        return SymPoly._from_canonical(self.n, _bilinear(self._terms, other._terms, _orbit_entry))
 
     def substitute_t(self, t_value):
         """Evaluate every coefficient as a polynomial in t = v^-2.
@@ -310,10 +329,10 @@ class SymPoly(Combination):
         if not _rational(t_value):
             raise ValueError(f"t must be an int or a Fraction, got {t_value!r}")
         out = {}
-        for w, c in self.terms.items():
-            val = c.substitute_t(t_value)
+        for w, c in self._terms.items():
+            val = _substitute_t(c, t_value)
             if val != 0:
-                out[w] = _coerce(val)
+                out[w] = {0: val}
         return SymPoly._from_canonical(self.n, out)
 
     def central_shift(self, k):
@@ -321,7 +340,7 @@ class SymPoly(Combination):
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError("central shift must be an int")
         return SymPoly._from_canonical(
-            self.n, {tuple(x + k for x in w): c for w, c in self.terms.items()}
+            self.n, {tuple(x + k for x in w): dict(c) for w, c in self._terms.items()}
         )
 
 
@@ -387,16 +406,6 @@ def _orbit_entry(a, b):
     return _orbit_product(a, b), 0
 
 
-def _coeffs(terms):
-    """{weight: LaurentScalar} -> {weight: coefficient dict}, sharing the dicts (read only)."""
-    return {w: c.coeffs for w, c in terms.items()}
-
-
-def _scalars(raw):
-    """{weight: coefficient dict} -> {weight: LaurentScalar}; the dicts pass to the scalars."""
-    return {w: LaurentScalar._from_canonical(c) for w, c in raw.items()}
-
-
 def _accumulate(out, w, c, m):
     """out[w] += c * m on a {weight: coefficient dict} term dict, in place.
 
@@ -450,16 +459,16 @@ def _solve(rest, table):
 
 
 def _bilinear(p, q, table):
-    """sum over pairs of terms of c_a c_b table(a, b), as a new {weight: LaurentScalar} term dict.
+    """sum over pairs of terms of c_a c_b table(a, b), as a new {weight: coefficient dict} term dict.
 
     The package's one product loop: SymPoly * SymPoly, repring.tensor and
-    hecke.convolve all run it.  p and q are {weight: LaurentScalar} term
+    hecke.convolve all run it.  p and q are {weight: coefficient dict} term
     dicts, only read.  table(a, b) gives (entry, shift) as an _on_cores
     lookup does: entry is the product of the basis elements of the cores,
     {gamma: c} with c a nonzero int or coefficient dict, read only, and each
     of its keys moves by shift(1, ..., 1).  Each key of the entry is moved
     and written straight into the product: a weight met first gets a new
-    scalar, c times the pair's coefficient cab; only a weight met again is
+    dict, c times the pair's coefficient cab; only a weight met again is
     added into, and dropped if it cancels.  A dict c is the operand copied
     (_times(c, cab)), so a one-term cab costs one pass over c.  With one
     pair, the keys of its one entry stay distinct under the shift, so each
@@ -467,27 +476,24 @@ def _bilinear(p, q, table):
     term a plain copy of c.  The pairs are looked up p's first term with
     each of q's, then the rest of p's.
     """
-    new = LaurentScalar._from_canonical
     out = {}
     if len(p) == 1 == len(q):
         ((a, ca),) = p.items()
         ((b, cb),) = q.items()
-        ca, cb = ca.coeffs, cb.coeffs
-        unit = ca == cb == {0: 1}
+        unit = ca == cb == _ONE
         cab = None if unit else _times(ca, cb)
         entry, shift = table(a, b)
         for g, c in entry.items():
             if shift:
                 g = tuple([x + shift for x in g])
             if type(c) is dict:
-                out[g] = new(dict(c) if unit else _times(c, cab))
+                out[g] = dict(c) if unit else _times(c, cab)
             else:
-                out[g] = new({0: c} if unit else _times(cab, c))
+                out[g] = {0: c} if unit else _times(cab, c)
         return out
     for a, ca in p.items():
-        ca = ca.coeffs
         for b, cb in q.items():
-            cab = _times(ca, cb.coeffs)
+            cab = _times(ca, cb)
             entry, shift = table(a, b)
             for g, c in entry.items():
                 if shift:
@@ -495,8 +501,8 @@ def _bilinear(p, q, table):
                 copied, by = (c, cab) if type(c) is dict else (cab, c)
                 acc = out.get(g)
                 if acc is None:
-                    out[g] = new(_times(copied, by))
-                elif not _add_times(acc.coeffs, copied, by):
+                    out[g] = _times(copied, by)
+                elif not _add_times(acc, copied, by):
                     del out[g]
     return out
 
@@ -505,7 +511,7 @@ def monomial(mu):
     mu = check_weight(mu)
     if not _is_dominant(mu):
         raise ValueError(f"monomial wants a dominant weight: {mu}")
-    return SymPoly._from_canonical(len(mu), {mu: LaurentScalar.one()})
+    return SymPoly._from_canonical(len(mu), {mu: {0: 1}})
 
 
 # -- Schur via Gelfand-Tsetlin patterns --------------------------------
@@ -582,26 +588,40 @@ def _count_text(count):
     return f"at least 10^{limit}" if limit and count >= 10**limit else str(count)
 
 
+_TableInfo = namedtuple("_TableInfo", "misses currsize")
+
+
 def _on_cores(route, cap=None):
     """The table of route(*cores) as a lookup on weights: lookup(*weights) -> (entry, shift).
 
     route takes sorted cores mu - mu_n(1, ..., 1) and returns a dict keyed on
-    weights.  The lookup first calls cap, unless None, on each weight it is
-    handed, in order, so a weight past the table's cap is refused under the
-    caller's own name before its entry is read or computed.  It caches one
-    entry per sorted tuple of cores; of a tuple and its dual tuple, the
-    smaller is computed by route and the other read off it, every key kappa
-    moved to (s - kappa_n, ..., s - kappa_1) with s the sum of the cores'
-    first entries.  If the dual's entry is refused (ValueError), this entry is
-    computed by route, so that the refusal names a weight of this product.
-    The lookup hands over the cached entry itself, read only, with the
-    summed central shift k: the table's value at the weights is the entry
-    with every key moved by k(1, ..., 1), and each consumer moves the keys
-    as it reads them.  The cache's cache_info is the lookup's.
+    weights.  The table is a plain dict holding one entry per sorted tuple of
+    cores; a lookup computes the sorted cores and probes it.  Only on a miss
+    does it call cap, unless None, on each weight it is handed, in order, so
+    a weight past the table's cap is refused under the caller's own name
+    before its entry is computed.  A hit needs no cap: both caps depend only
+    on the core and answer alike on duals, and a refusal caches nothing, so
+    a cached entry proves that its weights pass.  Of a tuple and its dual
+    tuple, the smaller is computed by route and the other read off it, every
+    key kappa moved to (s - kappa_n, ..., s - kappa_1) with s the sum of the
+    cores' first entries.  If the dual's entry is refused (ValueError), this
+    entry is computed by route, so that the refusal names a weight of this
+    product.  The lookup hands over the cached entry itself, read only, with
+    the summed central shift k: the table's value at the weights is the
+    entry with every key moved by k(1, ..., 1), and each consumer moves the
+    keys as it reads them.  lookup.cache_info() gives the table's misses,
+    the tuples of cores it computed or tried to (refusals and duals
+    included), and its currsize, the entries it holds.
     """
+    entries = {}
+    misses = 0
 
-    @lru_cache(maxsize=None)
     def table(cores):
+        nonlocal misses
+        entry = entries.get(cores)
+        if entry is not None:
+            return entry
+        misses += 1
         duals = tuple(sorted(tuple([mu[0] - x for x in reversed(mu)]) for mu in cores))
         if duals < cores:
             try:
@@ -610,21 +630,28 @@ def _on_cores(route, cap=None):
                 pass
             else:
                 s = sum(mu[0] for mu in cores)
-                return {tuple([s - x for x in reversed(kappa)]): c for kappa, c in entry.items()}
-        return route(*cores)
+                entry = entries[cores] = {tuple([s - x for x in reversed(kappa)]): c for kappa, c in entry.items()}
+                return entry
+        entry = entries[cores] = route(*cores)
+        return entry
 
     def lookup(*weights):
         cores = []
         shift = 0
         for mu in weights:
-            if cap is not None:
-                cap(mu)
             k = mu[-1]
             cores.append(tuple([x - k for x in mu]) if k else mu)
             shift += k
-        return table(tuple(sorted(cores))), shift
+        cores = tuple(sorted(cores))
+        entry = entries.get(cores)
+        if entry is None:
+            if cap is not None:
+                for mu in weights:
+                    cap(mu)
+            entry = table(cores)
+        return entry, shift
 
-    lookup.cache_info = table.cache_info
+    lookup.cache_info = lambda: _TableInfo(misses, len(entries))
     return lookup
 
 
@@ -662,7 +689,7 @@ _dominant_weights = _on_cores(_dominant_entry, _check_patterns)
 def schur(mu):
     """The Schur polynomial s_mu as a SymPoly (irreducible GL_n character)."""
     mu = _highest_weight(mu)
-    return SymPoly._from_canonical(len(mu), _scalars(_apply({mu: {0: 1}}, _dominant_weights)))
+    return SymPoly._from_canonical(len(mu), _apply({mu: _ONE}, _dominant_weights))
 
 
 def expand_in_schur(f):
@@ -673,7 +700,8 @@ def expand_in_schur(f):
     """
     if not isinstance(f, SymPoly):
         raise ValueError("expand_in_schur wants a SymPoly")
-    return _scalars(_solve({w: dict(c.coeffs) for w, c in f.terms.items()}, _dominant_weights))
+    new = LaurentScalar._from_canonical
+    return {w: new(c) for w, c in _solve({w: dict(c) for w, c in f._terms.items()}, _dominant_weights).items()}
 
 
 # -- Weyl straightening: Brauer-Klimyk and Hall-Littlewood --------------
@@ -782,4 +810,4 @@ def hall_littlewood(mu):
     is strictly dominance-smaller, with coefficients in Z[v^-2].
     """
     mu = _highest_weight(mu)
-    return SymPoly._from_canonical(len(mu), _scalars(_apply(_apply({mu: {0: 1}}, _hl_terms), _dominant_weights)))
+    return SymPoly._from_canonical(len(mu), _apply(_apply({mu: _ONE}, _hl_terms), _dominant_weights))

@@ -18,10 +18,10 @@ the identity) and by the Tate weight-space machinery: an integer matrix of
 finite order m with sigma^m = 1 enforced at construction.
 """
 
-from .laurent import LaurentScalar, _coerce
+from .laurent import LaurentScalar, _coerce, _times
 from .repring import RepElement, character, dimension
 from .rootdata import _det_int, _mat_identity, _mat_mul, _positive_int, check_weight
-from .symfunc import SymPoly, _apply, _dominant_weights, _scalars
+from .symfunc import SymPoly, _apply, _dominant_weights
 
 # order * n^3 entry products: the most the order check takes, and more than the determinant's
 # n^3 / 3; refused before either runs (up to it, 1-2 s on a 2-core host)
@@ -175,8 +175,10 @@ def trace_of_endomorphism(r, scalars):
         raise ValueError("trace_of_endomorphism wants a RepElement")
     table = {check_weight(w): _coerce(c) for w, c in scalars.items()}
     in_schur = {}
-    for w, mult in r.terms.items():
+    for w, mult in r._terms.items():
         if w not in table:
             raise ValueError(f"no scalar given for constituent {w}")
-        in_schur[w] = (mult * table[w]).coeffs
-    return SymPoly._from_canonical(r.n, _scalars(_apply(in_schur, _dominant_weights)))
+        c = table[w].coeffs
+        if c:  # a zero scalar drops the constituent
+            in_schur[w] = _times(mult, c)
+    return SymPoly._from_canonical(r.n, _apply(in_schur, _dominant_weights))

@@ -10,6 +10,8 @@ Each product is also taken as (x + y)(x - y), whose pairs of terms y x and
 """
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satkit.hecke import HeckeElement, basis, convolve, inverse_satake, normalized_satake, satake
-from satkit.laurent import LaurentScalar
+from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.repring import RepElement, character, irreducible, tensor
 from satkit.rootdata import is_dominant
 from satkit.symfunc import Combination, SymPoly, expand_in_schur, hall_littlewood, monomial, schur
@@ -187,3 +189,91 @@ def test_validation_at_the_boundary():
     assert HeckeElement(2, {(1, 0): LaurentScalar({0: 2, 1: 0})}).terms[(1, 0)].coeffs == {0: 2}
     # whole Fractions become ints
     assert type(RepElement(2, {(1, 0): Fraction(4, 2)}).terms[(1, 0)].coeffs[0]) is int
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (monomial, "weight (1, 0, 0) has rank 3, expected 2"),
+        (basis, "coweight (1, 0, 0) has rank 3, expected 2"),
+        (irreducible, "highest weight (1, 0, 0) has rank 3, expected 2"),
+    ],
+    ids=["sympoly", "hecke", "rep"],
+)
+def test_coefficient_refuses_a_weight_of_another_rank(make, text):
+    x = make((1, 0))
+    assert x.coefficient((1, 0)) == 1 and x.coefficient((0, 0)).is_zero()
+    with pytest.raises(ValueError) as refused:
+        x.coefficient((1, 0, 0))
+    assert str(refused.value) == text
+    with pytest.raises(ValueError, match=r"\(1,\) has rank 1, expected 2$"):
+        x.coefficient((1,))
+
+
+def test_terms_is_a_new_dict_on_each_access():
+    # terms keeps its public meaning, {weight: LaurentScalar}, built from the stored coefficient
+    # dicts: a dict of its own each time, so clearing or filling it changes nothing
+    x = basis((2, 0)) + parse_scalar("1+v^2") * basis((1, 1))
+    assert x.terms == {(2, 0): LaurentScalar.one(), (1, 1): parse_scalar("1+v^2")}
+    assert x.terms is not x.terms
+    x.terms.clear()
+    x.terms[(0, 0)] = LaurentScalar.one()
+    assert x == convolve(basis((1, 0)), basis((1, 0)))
+    assert x.coefficient((1, 1)) == parse_scalar("1+v^2")
+
+
+def test_equal_elements_hash_equal():
+    # built separately, by different routes, with Fractions that are whole or not
+    pairs = [
+        (convolve(basis((1, 0)), basis((1, 0))), basis((2, 0)) + parse_scalar("1+v^2") * basis((1, 1))),
+        (RepElement(2, {(1, 0): Fraction(4, 2)}), irreducible((1, 0)) * 2),
+        (monomial((1, 0)) * Fraction(1, 3), SymPoly(2, {(1, 0): LaurentScalar({0: Fraction(2, 6)})})),
+        (tensor(irreducible((1, 0)), irreducible((0, -1))), irreducible((1, -1)) + irreducible((0, 0))),
+        (HeckeElement.zero(3), basis((1, 0, 0)) - basis((1, 0, 0))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+        assert len({a, b}) == 1
+    assert basis((1, 0)) != basis((1, 0)) * 2 and basis((1, 0)) != HeckeElement.zero(2)
+
+
+# In a fresh interpreter: every unordered pair of the tensor-sweep and hecke-convolve boxes
+# multiplied, counting the LaurentScalars made (by the constructor, _from_canonical or one);
+# prints the count after the products, then after reading one coefficient.
+_SCALARS_MADE_RUN = """
+import itertools
+from satkit import hecke, repring
+from satkit.laurent import LaurentScalar
+
+made = [0]
+def counted(method):
+    def call(*args, **kwargs):
+        made[0] += 1
+        return method(*args, **kwargs)
+    return call
+LaurentScalar.__init__ = counted(LaurentScalar.__init__)
+for name in ("_from_canonical", "one"):
+    setattr(LaurentScalar, name, classmethod(counted(getattr(LaurentScalar, name).__func__)))
+
+def pairs(n, lo, hi):
+    box = [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
+    return [(a, b) for i, a in enumerate(box) for b in box[i:]]
+
+for box in ((2, -4, 4), (3, -2, 2), (4, -1, 1)):
+    for a, b in pairs(*box):
+        last = repring.tensor(repring.irreducible(a), repring.irreducible(b))
+for box in ((2, 0, 6), (3, 0, 4), (4, 0, 2)):
+    for a, b in pairs(*box):
+        last = hecke.convolve(hecke.basis(a), hecke.basis(b))
+print(made[0])
+last.coefficient(last.support()[0])
+print(made[0])
+"""
+
+
+def test_basis_products_build_no_scalar():
+    # elements store coefficient dicts, so a product of basis elements makes no LaurentScalar;
+    # one is made where a coefficient is read at the public boundary
+    run = subprocess.run([sys.executable, "-c", _SCALARS_MADE_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "1"]

@@ -36,7 +36,7 @@ from satkit.hecke import (
 from satkit.laurent import LaurentScalar, parse_scalar
 from satkit.repring import irreducible, tensor
 from satkit.rootdata import dominance_leq, dual_weight, is_dominant, two_rho_pairing
-from satkit.symfunc import SymPoly, _add_into, _hl_terms, hall_littlewood, monomial
+from satkit.symfunc import SymPoly, _hl_terms, hall_littlewood, monomial
 
 
 def _doms(n, hi=2, lo=0):
@@ -61,6 +61,16 @@ def _elements(n):
 # product that walks every pair of orbit points.  It now runs them on integer
 # coefficient dicts in the Schur basis, multiplying by Brauer-Klimyk; the two
 # must agree exactly.
+
+
+def _add_into(terms, other, c):
+    """terms += c * other on {weight: LaurentScalar} dicts, in place; a coefficient that cancels is removed."""
+    for w, x in other.items():
+        total = terms.get(w, LaurentScalar.zero()) + c * x
+        if total.is_zero():
+            terms.pop(w, None)
+        else:
+            terms[w] = total
 
 
 def _satake_scalars(h):

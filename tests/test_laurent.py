@@ -1,5 +1,7 @@
 """Exact Laurent-scalar arithmetic, string canon, and specializations."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,3 +207,22 @@ def test_comparison_with_bools_and_fractions():
     assert LaurentScalar({0: Fraction(1, 2)}) == Fraction(1, 2)
     assert Fraction(1, 2) == LaurentScalar({0: Fraction(1, 2)})
     assert LaurentScalar({1: Fraction(1, 2)}) != Fraction(1, 2)
+
+
+# In a fresh interpreter: comparing a scalar with a value that is not one, and multiplying an
+# element by a scalar from the left (the scalar's __mul__ declines first), on integers only.
+_NO_FRACTIONS_RUN = """
+import sys
+from satkit import hecke
+from satkit.laurent import LaurentScalar, parse_scalar
+print(LaurentScalar.from_int(1) == None)
+print(parse_scalar("2+v") * hecke.basis((1, 0)))
+print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+"""
+
+
+def test_a_value_that_is_not_an_int_loads_no_fractions():
+    # no Fraction exists before fractions is loaded, so telling one apart imports nothing
+    run = subprocess.run([sys.executable, "-c", _NO_FRACTIONS_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\nHeckeElement(n=2, (2+v)*T[1,0])\n[]\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satkit import symfunc
+from satkit import repring, symfunc
 from satkit.laurent import LaurentScalar
 from satkit.repring import (
     RepElement,
@@ -58,8 +58,10 @@ def test_weight_multiplicity_kostka_values():
 
 
 def test_weight_multiplicity_refuses_past_the_pattern_cap(monkeypatch):
-    # the estimate is dim V_mu, the number of Gelfand-Tsetlin patterns; the cap itself is admitted
+    # the estimate is dim V_mu, the number of Gelfand-Tsetlin patterns; the cap itself is admitted.
+    # A table checks the cap only on a miss, so the lowered cap is met by a table with no entries
     monkeypatch.setattr(symfunc, "_MAX_PATTERNS", dimension((2, 1, 0)))
+    monkeypatch.setattr(repring, "_pattern_weights", symfunc._on_cores(symfunc._gelfand_tsetlin, symfunc._check_patterns))
     assert weight_multiplicity((2, 1, 0), (1, 1, 1)) == 2
     with pytest.raises(ValueError, match=r"^V_\(3, 1, 0\) has 15 Gelfand-Tsetlin patterns, over the cap of 8$"):
         weight_multiplicity((3, 1, 0), (2, 1, 1))

@@ -14,11 +14,11 @@ fractions when it loads (an import inside a function is allowed), so a
 computation on integers never loads it, nor the decimal and numbers it
 loads.
 
-No write into a scalar the code did not make: the in-place kernels
-_add_scaled, _mul_into and _add_times never take an attribute .coeffs as
-the dict they write into (their first argument), except in symfunc's
-_bilinear, on the scalars it built itself.  A scalar's dict may be a cached
-table entry's or a caller's, so writing into one is left to its owner.
+No write into a scalar: the in-place kernels _add_scaled, _mul_into and
+_add_times never take an attribute .coeffs as the dict they write into
+(their first argument).  The kernels write only into the coefficient dicts
+they build; a scalar's dict may be a cached table entry's, a caller's or an
+element's, so it is never written into.
 """
 
 import ast
@@ -154,7 +154,7 @@ def _writes_into_coeffs(trees):
 
 
 def test_in_place_kernels_write_only_into_scalars_built_here():
-    assert set(_writes_into_coeffs(TREES)) <= {"symfunc._bilinear"}
+    assert _writes_into_coeffs(TREES) == []
 
 
 def test_the_gate_sees_a_write_into_coeffs():

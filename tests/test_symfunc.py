@@ -27,9 +27,10 @@ from fractions import Fraction
 import pytest
 from test_laurent import exact_div
 
+from satkit import hecke, symfunc
 from satkit.laurent import LaurentScalar, parse_scalar
+from satkit.repring import irreducible, tensor
 from satkit.rootdata import is_dominant
-from satkit import symfunc
 from satkit.symfunc import (
     SymPoly,
     _orbit_product,
@@ -564,3 +565,73 @@ def test_gelfand_tsetlin_enumeration_is_capped_in_the_kernel():
             call(mu)
     assert symfunc._weyl_dimension((998, 0, 0)) == 499500 <= symfunc._MAX_PATTERNS
     assert symfunc._weyl_dimension((2, 1, 0)) == sum(m for _, m in weight_multiset((2, 1, 0)))
+
+
+# In a fresh interpreter: the Brauer-Klimyk and pattern tables rebuilt by symfunc._on_cores on a
+# counted pattern cap, each lookup wrapped to count the lookups that missed (its table's misses
+# moved), and bound in every loaded satkit module that holds the name.  Every unordered pair of
+# the tensor-sweep boxes is tensored twice; prints the lookups, the lookups that missed and the
+# cap's calls on the first sweep, then the lookups and the cap's calls on the second.
+_CAP_CALLS_RUN = """
+import itertools
+import sys
+from collections import Counter
+from satkit import repring, symfunc
+
+capped = [0]
+def cap(mu):
+    capped[0] += 1
+    return symfunc._check_patterns(mu)
+looked, missed = Counter(), Counter()
+def counted(name, route):
+    table = symfunc._on_cores(route, cap)
+    def lookup(*weights):
+        before = table.cache_info().misses
+        out = table(*weights)
+        looked[name] += 1
+        missed[name] += table.cache_info().misses > before
+        return out
+    for loaded_name, loaded in list(sys.modules.items()):
+        if loaded_name.partition(".")[0] == "satkit" and hasattr(loaded, name):
+            setattr(loaded, name, lookup)
+counted("_tensor_irreducibles", symfunc._brauer_klimyk)
+counted("_pattern_weights", symfunc._gelfand_tsetlin)
+
+pairs = []
+for n, lo, hi in ((2, -4, 4), (3, -2, 2), (4, -1, 1)):
+    box = [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
+    pairs += [(a, b) for i, a in enumerate(box) for b in box[i:]]
+for sweep in range(2):
+    for a, b in pairs:
+        repring.tensor(repring.irreducible(a), repring.irreducible(b))
+    print(sum(looked.values()), missed["_tensor_irreducibles"], missed["_pattern_weights"], capped[0])
+    looked.clear(), missed.clear()
+    capped[0] = 0
+"""
+
+
+def test_a_table_hit_calls_no_cap():
+    # the cap runs on each weight of a lookup that misses (two per Brauer-Klimyk lookup, one per
+    # pattern lookup) and never on a hit: a cached entry proves its weights pass
+    run = subprocess.run([sys.executable, "-c", _CAP_CALLS_RUN], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    first, second = [tuple(map(int, line.split())) for line in run.stdout.splitlines()]
+    lookups, bk_missed, pattern_missed, capped = first
+    assert capped == 2 * bk_missed + pattern_missed
+    assert first == (1785 + 145, 146, 34, 326)  # 145 pattern lookups, one per Brauer-Klimyk entry computed
+    assert second == (1785, 0, 0, 0)
+
+
+def test_a_refusal_caches_nothing():
+    # refused at the cap of the lookup, and inside hecke's structure-constant route: the same
+    # weight is refused again with the same text
+    calls = [
+        (lambda: tensor(irreducible((1000, 0, 0)), irreducible((1, 0, 0))), "V_(1000, 0, 0) has 501501"),
+        (lambda: hecke.convolve(hecke.basis((998, 0, 0)), hecke.basis((0, 0, 0))), "V_(997, 1, 0) has 996003"),
+        (lambda: weight_multiset((1001, 1, 0)), "V_(1001, 1, 0) has 1004003"),
+    ]
+    for call, refused_text in calls:
+        for _ in range(2):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == f"{refused_text} Gelfand-Tsetlin patterns, over the cap of 500000"

@@ -190,6 +190,15 @@ def test_trace_weights_constituents():
     assert trace_of_endomorphism(r, scalars) == 5 * schur((2, 0))
 
 
+def test_trace_by_zero_drops_the_constituent():
+    # V_(1,0)'s character shares no monomial with V_(2,0)'s, so a zero scalar on it must leave no term
+    r = irreducible((1, 0)) + irreducible((2, 0))
+    got = trace_of_endomorphism(r, {(1, 0): 0, (2, 0): 1})
+    assert got == schur((2, 0))
+    assert repr(got) == "SymPoly(n=2, m[2,0] + m[1,1])"
+    assert trace_of_endomorphism(irreducible((1, 0)), {(1, 0): 0}).is_zero()
+
+
 def test_trace_requires_every_constituent():
     r = irreducible((2, 0)) + irreducible((1, 1))
     with pytest.raises(ValueError):
