@@ -91,8 +91,16 @@ pattern cap on every Schur key of P_lam and P_mu in descending order, then
 the Hall-Littlewood cap on the product's keys in descending order, lam + mu
 first and before any product is taken.  So every product is refused as the
 Schur route refuses it, by the same weight: a refusal met inside a product
-names a weight of the product of the cores asked for.  Nothing caps the
-total work of an admitted product on either route.
+names a weight of the product of the cores asked for.  A check is skipped
+only where the cores prove that it passes, each proof read off the live cap
+when it is made: every Schur key nu of P_kappa is dominance-below the core
+kappa, so 0 <= nu_n <= nu_1 <= kappa_1 and dim V_nu is at most
+symfunc._pattern_bound(kappa_1, n), which skips the Schur keys when it is
+within the pattern cap (kappa_1 <= 98 at rank 3, <= 11 at rank 4);
+and every weight of rank n passes the Hall-Littlewood cap when
+n 2^(n(n-1)/2) entries do (every rank <= 6), which skips the product's
+keys.  Past either proof the checks run as stated.  Nothing caps the total
+work of an admitted product on either route.
 
 An independent check of all of this against brute-force lattice counting
 lives in plattice.convolution_oracle; the two routes share no code.
@@ -125,8 +133,10 @@ from .symfunc import (
     _check_expansion,
     _check_patterns,
     _dominant_weights,
+    _expansions_proved,
     _hl_terms,
     _on_cores,
+    _patterns_proved,
     _solve,
     _tensor_irreducibles,
 )
@@ -186,20 +196,22 @@ def convolve(a, b):
     T_lam * T_mu is the table's product of the cores with every coweight
     moved by (lam_n + mu_n)(1, ..., 1).  Before any entry is read, every
     coweight is checked under its own name in the order the transform route
-    meets it: the Hall-Littlewood cap on a's terms, then b's; the
-    Gelfand-Tsetlin cap in the order _bilinear looks the pairs up, a's
-    first term, b's terms, then the rest of a's.  The table's lookup checks
-    the pattern cap only on the pair it is handed, and an earlier pair's
-    entry can be refused inside the route, at a Schur key or product key of
-    its own, so the pattern caps of all terms come first, in a loop of their
-    own, unless a and b hold one term each: then the one lookup checks the
-    same two coweights in the same order, and the loop is skipped.
+    meets it: the Hall-Littlewood cap on a's terms, then b's, unless the
+    rank alone proves that every weight passes it; the Gelfand-Tsetlin cap
+    in the order _bilinear looks the pairs up, a's first term, b's terms,
+    then the rest of a's.  The table's lookup checks the pattern cap only on
+    the pair it is handed, and an earlier pair's entry can be refused inside
+    the route, at a Schur key or product key of its own, so the pattern caps
+    of all terms come first, in a loop of their own, unless a and b hold one
+    term each: then the one lookup checks the same two coweights in the same
+    order, and the loop is skipped.
     """
     if not isinstance(a, HeckeElement) or not isinstance(b, HeckeElement):
         raise ValueError("convolve wants two HeckeElements")
     a._check_rank(b)
-    for mu in itertools.chain(a._terms, b._terms):
-        _check_expansion(mu)
+    if not _expansions_proved(a.n):
+        for mu in itertools.chain(a._terms, b._terms):
+            _check_expansion(mu)
     if len(a._terms) != 1 or len(b._terms) != 1:
         terms = list(a._terms)
         for mu in itertools.chain(terms[:1], b._terms, terms[1:]):
@@ -211,27 +223,36 @@ def _checked_product(lam, mu):
     """T_lam * T_mu for cores, as {nu: coefficient dict}: checked as the Schur route checks it, then by the cheaper route.
 
     Every Schur key of P_lam and P_mu is checked against the pattern cap
-    first, in descending order, so a refusal names the largest one over it;
-    then the Hall-Littlewood cap runs on lam + mu, the largest key of the
-    product, before any product is taken.  A pair with a closed form reads
-    it off _closed; any other is peeled if its peel reaches at most a
-    quarter as many cores as the Schur route takes Brauer-Klimyk products,
-    else taken by the Schur route.  The Hall-Littlewood cap then runs on the
-    product's keys in descending order, as the Schur route's elimination
-    runs it.  An entry of _closed is handed out as it is, not copied.
+    first, in descending order, so a refusal names the largest one over it,
+    unless _patterns_proved(max(lam_1, mu_1), n) shows that none is over
+    it: then neither expansion is read for the check.  Then the
+    Hall-Littlewood cap runs on lam + mu, the largest key of the product,
+    before any product is taken.  A pair with a closed form reads it off
+    _closed; any other is peeled if its peel reaches at most a quarter as
+    many cores as the Schur route takes Brauer-Klimyk products, the sizes of
+    the two expansions, else taken by the Schur route.  The Hall-Littlewood
+    cap then runs on the product's keys in descending order, as the Schur
+    route's elimination runs it.  Both Hall-Littlewood checks are skipped
+    at a rank that _expansions_proved.  An entry of _closed is handed out
+    as it is, not copied.
     """
-    schur = _hl_terms(lam)[0], _hl_terms(mu)[0]
-    for nu in sorted({*schur[0], *schur[1]}, reverse=True):
-        _check_patterns(nu)
-    _check_expansion(tuple([x + y for x, y in zip(lam, mu)]))
+    n = len(lam)
+    if not _patterns_proved(max(lam[0], mu[0]), n):
+        schur = _hl_terms(lam)[0], _hl_terms(mu)[0]
+        for nu in sorted({*schur[0], *schur[1]}, reverse=True):
+            _check_patterns(nu)
+    expansions = _expansions_proved(n)
+    if not expansions:
+        _check_expansion(tuple([x + y for x, y in zip(lam, mu)]))
     if _is_closed(lam) or _is_closed(mu):
         entry = _closed(lam, mu)[0]
     else:
-        entry = _peel(lam, mu, len(schur[0]) * len(schur[1]) // 4)
+        entry = _peel(lam, mu, len(_hl_terms(lam)[0]) * len(_hl_terms(mu)[0]) // 4)
         if entry is None:
             return _schur_product(lam, mu)
-    for nu in sorted(entry, reverse=True):
-        _check_expansion(nu)
+    if not expansions:
+        for nu in sorted(entry, reverse=True):
+            _check_expansion(nu)
     return entry
 
 

@@ -49,7 +49,12 @@ boundary.  The pieces:
   before its entry is computed; a lookup that finds its entry checks
   nothing.  Both caps depend only on the core and answer alike on a weight
   and its dual (equal Weyl dimensions, equal pair counts), and a refusal
-  caches nothing, so a cached entry proves that its weights pass;
+  caches nothing, so a cached entry proves that its weights pass.  Two
+  proofs, each read off the live cap, let a caller skip a check that cannot
+  refuse: _patterns_proved(top, n), that the pattern cap passes every nu of
+  rank n with 0 <= nu_n <= nu_1 <= top, by the bound _pattern_bound on
+  Weyl's formula; and _expansions_proved(n), that the Hall-Littlewood cap
+  passes every weight of rank n;
 - _bilinear: the one product loop, sum over pairs of terms of c_a c_b
   table(a, b), for a table that gives (entry, shift) as an _on_cores lookup
   does.  Each entry is read once per pair and each of its keys, moved by
@@ -582,6 +587,24 @@ def _check_patterns(mu, patterns=None):
         raise ValueError(f"V_{mu} has {count} Gelfand-Tsetlin patterns, over the cap of {_MAX_PATTERNS}")
 
 
+def _pattern_bound(top, n):
+    """prod_{k=1}^{n-1} C(top + k, k): a bound on dim V_nu over every nu of rank n with 0 <= nu_n <= nu_1 <= top.
+
+    Each factor (nu_i - nu_j + j - i) / (j - i) of Weyl's formula is at most
+    (top + j - i) / (j - i), and the product of these over i < j is the
+    product of the binomials.  The Schur keys of P_kappa for a core kappa
+    are dominance-below kappa, so 0 <= nu_n <= nu_1 <= kappa_1 bounds them
+    all; dim V_kappa does not, since a key can pass it: (7, 1, 0) of
+    (8, 0, 0), 63 against 45.
+    """
+    return math.prod(math.comb(top + k, k) for k in range(1, n))
+
+
+def _patterns_proved(top, n):
+    """Whether _pattern_bound proves that _check_patterns passes every nu of rank n with 0 <= nu_n <= nu_1 <= top."""
+    return _pattern_bound(top, n) <= _MAX_PATTERNS
+
+
 def _count_text(count):
     """A refused count as text: past the digits str() converts, by its order of magnitude."""
     limit = sys.get_int_max_str_digits()
@@ -756,13 +779,22 @@ _tensor_irreducibles = _on_cores(_brauer_klimyk, _check_patterns)
 _MAX_HL_ENTRIES = 1 << 22
 
 
+def _expansions_proved(n):
+    """Whether _check_expansion passes every weight of rank n: every rank <= 6 under the cap as set.
+
+    Even with all entries distinct, P_mu expands to 2^(n(n-1)/2) terms of n
+    entries, and the check refuses none of rank n when those are within
+    _MAX_HL_ENTRIES.
+    """
+    return n << min(n * (n - 1) // 2, 64) <= _MAX_HL_ENTRIES
+
+
 def _check_expansion(mu):
     """Refuse P_mu when its expansion, 2^pairs terms of n entries, passes _MAX_HL_ENTRIES entries."""
     n = len(mu)
-    pairs = n * (n - 1) // 2
-    if n << min(pairs, 64) <= _MAX_HL_ENTRIES:  # even with all entries distinct: every rank <= 6
+    if _expansions_proved(n):
         return
-    pairs -= sum(m * (m - 1) // 2 for m in Counter(mu).values())
+    pairs = n * (n - 1) // 2 - sum(m * (m - 1) // 2 for m in Counter(mu).values())
     if n << min(pairs, 64) > _MAX_HL_ENTRIES:
         raise ValueError(f"P_{mu} expands to 2^{pairs} terms of {n} entries, over the cap of {_MAX_HL_ENTRIES} entries")
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_repring import _character_route
 from test_symfunc import _sympoly_mul_all_pairs
 
-from satkit import hecke
+from satkit import hecke, symfunc
 from satkit.hecke import (
     HeckeElement,
     _checked_product,
@@ -463,15 +463,16 @@ def _orbits(boxes):
 
 def test_table_computes_each_pair_of_cores_once():
     # op counts, machine-independent: the 1,156 products look up 203 pairs of cores, and 128
-    # entries are computed, one per orbit under duality, the rest read off their duals'; each
-    # computed entry reads the Hall-Littlewood expansions of its two cores for the pattern cap
-    # (23 expansions) and multiplies by the Pieri rules, with no Brauer-Klimyk product and no
-    # Gelfand-Tsetlin pattern
+    # entries are computed, one per orbit under duality, the rest read off their duals'; every
+    # core of the boxes has the pattern cap proved by its first entry, so no Schur key is checked,
+    # and only the entries peeled read the Hall-Littlewood expansions of their cores, for the
+    # quarter rule (7 expansions); each entry is multiplied out by the Pieri rules, with no
+    # Brauer-Klimyk product and no Gelfand-Tsetlin pattern
     boxes = ((2, 0, 6), (3, 0, 4), (4, 0, 2))
     pairs, cores, orbits = _orbits(boxes)
     assert (len(pairs), len(cores), len(orbits)) == (1156, 203, 128)
     got = _counted_run(boxes, "hecke.convolve(hecke.basis(a), hecke.basis(b))")
-    assert got[:5] == (len(cores), 0, len(orbits), 23, 0)
+    assert got[:5] == (len(cores), 0, len(orbits), 7, 0)
     assert got[5:] == (0, 0)
 
 
@@ -521,6 +522,98 @@ def test_refusals_inside_the_table_name_a_weight_of_the_product():
     for mu, refused in (((998, 998, 0), "(998, 997, 1)"), ((998, 0, 0), "(997, 1, 0)")):
         with pytest.raises(ValueError, match=rf"^V_{re.escape(refused)} has 996003 Gelfand-Tsetlin patterns"):
             convolve(basis(mu), basis((0, 0, 0)))
+
+
+def _replayed_product(lam, mu):
+    """T_lam * T_mu for cores with every check of the Schur route replayed, whatever the cores: the
+    table's route before the pattern cap was proved from the cores, kept as the oracle of its refusals."""
+    schur = hecke._hl_terms(lam)[0], hecke._hl_terms(mu)[0]
+    for nu in sorted({*schur[0], *schur[1]}, reverse=True):
+        symfunc._check_patterns(nu)
+    symfunc._check_expansion(tuple([x + y for x, y in zip(lam, mu)]))
+    if _is_closed(lam) or _is_closed(mu):
+        entry = hecke._closed(lam, mu)[0]
+    else:
+        entry = _peel(lam, mu, len(schur[0]) * len(schur[1]) // 4)
+        if entry is None:
+            return _schur_product(lam, mu)
+    for nu in sorted(entry, reverse=True):
+        symfunc._check_expansion(nu)
+    return entry
+
+
+def _replayed_convolve(a, b):
+    """convolve with the Hall-Littlewood cap replayed on every term first, whatever the rank."""
+    for mu in itertools.chain(a._terms, b._terms):
+        symfunc._check_expansion(mu)
+    return convolve(a, b)
+
+
+def _outcomes(monkeypatch, route, product, pairs):
+    """product on each pair of basis elements, with every table rebuilt empty and the structure
+    constants computed by route: the product, or the text of its refusal.  A table holds only entries
+    that passed the caps in force when they were made, so each cap gets tables of its own."""
+    tables = (
+        ("_hl_terms", symfunc._hl_expand, symfunc._check_expansion),
+        ("_pattern_weights", symfunc._gelfand_tsetlin, symfunc._check_patterns),
+        ("_dominant_weights", symfunc._dominant_entry, symfunc._check_patterns),
+        ("_tensor_irreducibles", symfunc._brauer_klimyk, symfunc._check_patterns),
+    )
+    for name, entry_route, cap in tables:
+        table = symfunc._on_cores(entry_route, cap)
+        for module in (symfunc, hecke):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, table)
+    monkeypatch.setattr(hecke, "_closed", symfunc._on_cores(_closed_entry))
+    monkeypatch.setattr(hecke, "_structure_constants", symfunc._on_cores(route, symfunc._check_patterns))
+    out = []
+    for lam, mu in pairs:
+        try:
+            out.append(product(basis(lam), basis(mu)))
+        except ValueError as refusal:
+            out.append(str(refusal))
+    return out
+
+
+_REPLAYED_PAIRS = [p for n, lo, hi in ((2, 0, 6), (3, 0, 4), (4, 0, 2)) for p in _pairs(_doms(n, hi=hi, lo=lo))] + [
+    ((2, 1, 1, 0, 0), (2, 2, 1, 0, 0)),
+    ((3, 1, 0, 0, 0), (2, 1, 1, 1, 0)),
+    ((3, 2, 1, 0, 0), (3, 2, 1, 0, 0)),
+    ((1, 1, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0)),
+    ((2, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+    ((4, 4, 3, 2, 1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+    ((4, 4, 3, 2, 1, 0, 0), (2, 1, 0, 0, 0, 0, 0)),
+    ((5, 4, 3, 2, 1, 0), (1, 0, 0, 0, 0, 0)),
+    ((6, 5, 4, 3, 2, 1, 0), (0, 0, 0, 0, 0, 0, 0)),
+    ((998, 0, 0), (0, 0, 0)),
+    ((998, 998, 0), (0, 0, 0)),
+    ((29, 18, 16, 0), (0, 0, 0, 0)),
+]
+
+
+_REPLAYED_CAPS = [(cap, None) for cap in (1, 3, 8, 20, 45, 100, 180, 3000, 30000)] + [
+    (None, None),
+    (45, 1 << 8),
+    (45, 6 << 14),
+    (None, 6 << 15),
+]
+
+
+@pytest.mark.parametrize("patterns,entries", _REPLAYED_CAPS)
+def test_refusals_match_the_replayed_checks(monkeypatch, patterns, entries):
+    # the checks are skipped only where the cores prove that they pass: at each pair of caps, the
+    # pattern cap and the Hall-Littlewood cap (None: as set), most of them under the bound of some
+    # pairs, each product is the replayed route's or is refused with its text; at the caps as set,
+    # the pinned refusals of (998, 0, 0), (998, 998, 0), (29, 18, 16, 0) and the rank-7 rows are
+    # among them
+    if patterns is not None:
+        monkeypatch.setattr(symfunc, "_MAX_PATTERNS", patterns)
+    if entries is not None:
+        monkeypatch.setattr(symfunc, "_MAX_HL_ENTRIES", entries)
+    got = _outcomes(monkeypatch, _checked_product, convolve, _REPLAYED_PAIRS)
+    replayed = _outcomes(monkeypatch, _replayed_product, _replayed_convolve, _REPLAYED_PAIRS)
+    assert [pair for pair, x, y in zip(_REPLAYED_PAIRS, got, replayed) if x != y] == []
+    assert any(isinstance(x, HeckeElement) for x in got) and any(isinstance(x, str) for x in got)
 
 
 @given(_elements(2), _elements(2), _elements(2))

@@ -19,6 +19,10 @@ _add_times never take an attribute .coeffs as the dict they write into
 (their first argument).  The kernels write only into the coefficient dicts
 they build; a scalar's dict may be a cached table entry's, a caller's or an
 element's, so it is never written into.
+
+Caps read where they live: no module binds a _MAX_* cap by from ... import,
+so a cap monkeypatched in its own module reaches every check and every
+bound that reads it.
 """
 
 import ast
@@ -167,3 +171,31 @@ def test_the_gate_sees_a_write_into_coeffs():
         )
     }
     assert _writes_into_coeffs(trees) == ["m.f", "m.g", "m.h", "m"]
+
+
+def _imported_caps(trees):
+    """module.name of each _MAX_* cap a from-import binds, at any depth."""
+    return [
+        f"{module}.{alias.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_MAX_")
+    ]
+
+
+def test_no_module_imports_a_cap_by_name():
+    assert _imported_caps(TREES) == []
+
+
+def test_the_gate_sees_a_cap_imported_by_name():
+    # a read through the module binds no copy; an import inside a function or under another name does
+    trees = {
+        "a": ast.parse(
+            "from .symfunc import _MAX_PATTERNS, _check_patterns\n\n"
+            "def f():\n    from .plattice import _MAX_WINDOW as window\n    return window\n"
+        ),
+        "b": ast.parse("from . import symfunc\n\ncap = symfunc._MAX_PATTERNS\n"),
+    }
+    assert _imported_caps(trees) == ["a._MAX_PATTERNS", "a._MAX_WINDOW"]

@@ -567,6 +567,39 @@ def test_gelfand_tsetlin_enumeration_is_capped_in_the_kernel():
     assert symfunc._weyl_dimension((2, 1, 0)) == sum(m for _, m in weight_multiset((2, 1, 0)))
 
 
+def test_pattern_bound_covers_every_schur_key_of_a_core():
+    # the Schur keys nu of P_kappa are dominance-below the core kappa, so 0 <= nu_n <= nu_1 <= kappa_1
+    # and Weyl's formula gives dim V_nu <= _pattern_bound(kappa_1, n); it is attained by kappa itself
+    # on every GL_2 core and on the zero core of each rank.  dim V_kappa is no such bound: 47 keys
+    # pass it, 43 of them in GL_2-GL_6, (7, 1, 0) of (8, 0, 0) among them, 63 against 45
+    above, attained = Counter(), []
+    for n, hi in ((2, 12), (3, 8), (4, 5), (5, 4), (6, 3), (7, 2)):
+        cores = [w for w in itertools.product(range(hi, -1, -1), repeat=n) if is_dominant(w) and not w[-1]]
+        for kappa in cores:
+            bound = symfunc._pattern_bound(kappa[0], n)
+            for nu in symfunc._hl_terms(kappa)[0]:
+                dimension = symfunc._weyl_dimension(nu)
+                assert dimension <= bound, (kappa, nu)
+                if dimension == bound:
+                    attained.append((kappa, nu))
+                above[n] += dimension > symfunc._weyl_dimension(kappa)
+    assert attained == [((a, 0), (a, 0)) for a in range(12, -1, -1)] + [((0,) * n, (0,) * n) for n in range(3, 8)]
+    assert +above == {3: 10, 4: 11, 5: 16, 6: 6, 7: 4}
+    assert (7, 1, 0) in symfunc._hl_terms((8, 0, 0))[0]
+    assert (symfunc._weyl_dimension((7, 1, 0)), symfunc._weyl_dimension((8, 0, 0))) == (63, 45)
+    assert symfunc._pattern_bound(8, 3) == 9 * 45
+
+
+def test_the_caps_are_proved_from_the_live_caps(monkeypatch):
+    # the bounds read the caps when they are asked, so a cap monkeypatched in symfunc reaches them
+    assert symfunc._patterns_proved(4, 4) and not symfunc._patterns_proved(5, 7)
+    assert [n for n in range(1, 9) if symfunc._expansions_proved(n)] == [1, 2, 3, 4, 5, 6]
+    monkeypatch.setattr(symfunc, "_MAX_PATTERNS", symfunc._pattern_bound(4, 4) - 1)
+    monkeypatch.setattr(symfunc, "_MAX_HL_ENTRIES", 5 << 10)
+    assert not symfunc._patterns_proved(4, 4) and symfunc._patterns_proved(3, 4)
+    assert [n for n in range(1, 9) if symfunc._expansions_proved(n)] == [1, 2, 3, 4, 5]
+
+
 # In a fresh interpreter: the Brauer-Klimyk and pattern tables rebuilt by symfunc._on_cores on a
 # counted pattern cap, each lookup wrapped to count the lookups that missed (its table's misses
 # moved), and bound in every loaded satkit module that holds the name.  Every unordered pair of
