@@ -62,7 +62,8 @@ one at a time by exact forward substitution.  Entry k < i of row i of X is
 offsets h_ik, ..., h_i,i-1: so the offsets are solved from the last column
 back, each from the congruence h_ik X_kk = -s_k mod p^{a_i} (no solution,
 or an arithmetic progression), and only rows with an integral X are ever
-made; each row's solutions are sorted, so the walk is row-major
+made.  The prefixes of rows grow a row at a time, each new row's solutions
+sorted and appended in the prefixes' order, so the walk is row-major
 lexicographic in the offsets.  Each lattice in the window appears exactly
 once (this is the classical normal form for subgroups of (Z/p^d)^n; the
 counts 15 and 129 are frozen in the tests).  The window p^hi L0 <= L <=
@@ -78,13 +79,15 @@ elimination.  For L = p^lo H, inv(L0, L) = inv(L0, H) + lo and inv(L, T) =
 inv(H, T) - lo.  enumerate_between makes a PLattice of each shape;
 schubert_count sums the sizes of a cell's groups.
 
-A window is refused before any enumeration when it holds more than
-_MAX_LATTICES lattices, counted by summing the Poincare-formula cell sizes
-p^<2rho,mu> W(1/p) / W_mu(1/p) over its dominant mu (W the Poincare
-polynomial of S_n, W_mu that of mu's stabilizer; Macdonald, SFHP, Ch. V).
-Rank needs no cap of its own below 18, past which every window wider than
-L0 alone is over the budget anyway; enumerate_between keeps rank <= 3 and
-the budget too.
+Each window the budget admits has one table of its cell sizes, {mu :
+p^<2rho,mu> W(1/p) / W_mu(1/p)} over its dominant mu (W the Poincare
+polynomial of S_n, W_mu that of mu's stabilizer; Macdonald, SFHP, Ch. V),
+per (p, n, depth) (_cell_sizes).  The window is refused before any
+enumeration when the table sums to more than _MAX_LATTICES lattices; the
+refusal is raised, so a refused window keeps no table.  The oracle reads
+the sizes of its two cells off that table.  Rank needs no cap of its own
+below 18, past which every window wider than L0 alone is over the budget
+anyway; enumerate_between keeps rank <= 3 and the budget too.
 
 The point of the module is convolution_oracle(lam, mu, nu, p):
 
@@ -104,7 +107,9 @@ M of lam's cell passes that count exactly when w0 M is counted here.
 lam's window is checked against the caps first, so every refusal is lam's;
 mu*'s cell is walked when it is strictly smaller (by the Poincare formula,
 |mu*'s cell| = |mu's|) and its window no deeper than lam's, so a central or
-wide mu never brings in a larger window, and lam's cell otherwise.
+wide mu never brings in a larger window, and lam's cell otherwise.  Both
+sizes are read off the table of lam's window, which holds mu's cell too,
+shifted, whenever mu*'s window is no deeper.
 
 The count needs no elimination per lattice.  The sum v_1 + ... + v_k of
 the k least valuations of an integer matrix M is delta_k, the least
@@ -134,6 +139,7 @@ share no code, which is what makes the agreement a real check.
 import itertools
 import math
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .rootdata import _det_int, check_weight, is_dominant
 
@@ -180,9 +186,12 @@ def _entry_from_json(x):
     if not isinstance(x, str):
         return x
     num, slash, den = x.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f'basis entry {x!r} is not of the form "p" or "p/q" that to_json writes') from None
     if not slash:
-        return int(num)
-    num, den = int(num), int(den)
+        return num
     if not den:
         raise ValueError(f"zero denominator in {x!r}")
     from fractions import Fraction
@@ -280,6 +289,11 @@ class PLattice:
 
     @classmethod
     def from_json(cls, data):
+        """The lattice of a to_json dict; each text entry must be "p" or "p/q" as to_json writes it.
+
+        The CLI's inv verb reads a basis by a deliberately wider rule, which
+        also admits decimals and exponents within int()'s digit limit.
+        """
         return cls(data["p"], [[_entry_from_json(x) for x in row] for row in data["basis"]])
 
     def __repr__(self):
@@ -388,41 +402,39 @@ def _hnf_rows(p, depth, diag):
     """The shapes H of the depth window with diagonal p^diag, each with X = p^depth H^-1.
 
     Pairs (H, X) of integer matrices as row tuples, row-major lexicographic
-    in the off-diagonal entries of H.  Alongside each prefix of rows of H it
-    keeps the rows of X; each new row's offsets are solved from the last
-    column back so that its row of X is integral, and sorted.
+    in the off-diagonal entries of H.  The prefixes of rows of H, each with
+    its rows of X, grow a row at a time and in order; each new row's offsets
+    are solved from the last column back so that its row of X is integral,
+    and sorted.
     """
     n = len(diag)
-    found = []
-
-    def extend(hs, xs):
-        i = len(hs)
-        if i == n:
-            found.append((tuple(hs), tuple(xs)))
-            return
-        d = p ** diag[i]
-        # (offsets off_k.., X row entries x_k.., the sums s_0..s_{k-1} so far)
-        partial = [((), (), [0] * i)]
-        for k in range(i - 1, -1, -1):
-            xk = xs[k]
-            # off_k X_kk = -s_k mod d: none, or every m-th residue from the least
-            g = math.gcd(xk[k], d)
-            m = d // g
-            solved = []
-            for off, x, sums in partial:
-                s = sums[k]
-                if s % g == 0:
-                    for o in range((-s // g) % m, d, m):
-                        solved.append(
-                            ((o,) + off, (-(s + o * xk[k]) // d,) + x, [t + o * y for t, y in zip(sums[:k], xk)])
-                        )
-            partial = solved
+    shapes = [((), ())]
+    for i, a in enumerate(diag):
+        d = p**a
         zeros = (0,) * (n - i - 1)
-        for off, x, _ in sorted(partial):
-            extend(hs + [off + (d,) + zeros], xs + [x + (p ** (depth - diag[i]),) + zeros])
-
-    extend([], [])
-    return found
+        h_tail, x_tail = (d,) + zeros, (p ** (depth - a),) + zeros
+        grown = []
+        for hs, xs in shapes:
+            # (offsets off_k.., X row entries x_k..), solved for columns k.. of the new row
+            partial = [((), ())]
+            for k in range(i - 1, -1, -1):
+                xkk = xs[k][k]
+                below = [xs[j][k] for j in range(k + 1, i)]
+                # off_k X_kk = -s mod d, s = sum_{k < j < i} off_j X_jk over the entries below X_kk:
+                # none, or every m-th residue from the least
+                g = math.gcd(xkk, d)
+                m = d // g
+                solved = []
+                for off, x in partial:
+                    s = sum(map(mul, off, below))
+                    if s % g == 0:
+                        for o in range((-s // g) % m, d, m):
+                            solved.append(((o,) + off, (-(s + o * xkk) // d,) + x))
+                partial = solved
+            partial.sort()
+            grown += [(hs + (off + h_tail,), xs + (x + x_tail,)) for off, x in partial]
+        shapes = grown
+    return shapes
 
 
 @lru_cache(maxsize=None)
@@ -476,43 +488,45 @@ def enumerate_between(p, n, nn):
     if not isinstance(nn, int) or isinstance(nn, bool) or not 0 <= nn <= _MAX_WINDOW:
         raise ValueError(f"window must be 0..{_MAX_WINDOW}, got {nn!r}")
     # every window of rank <= 3 at p = 2, 3 is under the budget; at p = 5, 7 the depth-4 ones are not
-    _check_window(p, n, 2 * nn)
+    _cell_sizes(p, n, 2 * nn)
     return [PLattice._trusted(p, h, nn) for h in _window(p, n, 2 * nn)]
 
 
-def _cell_size(p, mu):
-    """|K mu(p) K / K| = p^<2rho,mu> W(1/p) / W_mu(1/p) for a dominant mu (Macdonald, SFHP, Ch. V).
+def _poincare_sizes(p, n, depth):
+    """{mu: |K mu(p) K / K|} over the dominant mu in 0..depth, the cells of the depth window of rank n.
 
+    |K mu(p) K / K| = p^<2rho,mu> W(1/p) / W_mu(1/p) (Macdonald, SFHP, Ch. V).
     In integers: p^(<2rho,mu> - #{i<j : mu_i > mu_j}) W(p) / W_mu(p), with
-    W(p) = prod_{i<=n} (p^i - 1)/(p - 1) the Poincare polynomial of S_n at p.
+    W(p) = prod_{i<=n} (p^i - 1)/(p - 1) the Poincare polynomial of S_n at p
+    and W_mu(p) the product of those of the blocks of equal entries of mu.
+    A cell's size is unchanged by adding a constant to mu.
     """
-
-    def poincare(m):
-        out = 1
-        for i in range(1, m + 1):
-            out *= (p**i - 1) // (p - 1)
-        return out
-
-    gaps = sum(a - b - 1 for i, a in enumerate(mu) for b in mu[i + 1 :] if a > b)
-    stabilizer = math.prod(poincare(len(list(block))) for _, block in itertools.groupby(mu))
-    return p**gaps * poincare(len(mu)) // stabilizer
+    w = [1]
+    for i in range(1, n + 1):
+        w.append(w[-1] * ((p**i - 1) // (p - 1)))
+    sizes = {}
+    for mu in itertools.combinations_with_replacement(range(depth, -1, -1), n):
+        gaps = sum(a - b - 1 for i, a in enumerate(mu) for b in mu[i + 1 :] if a > b)
+        stabilizer = math.prod(w[len(list(block))] for _, block in itertools.groupby(mu))
+        sizes[mu] = p**gaps * w[n] // stabilizer
+    return sizes
 
 
 @lru_cache(maxsize=None)
-def _window_lattices(p, n, depth):
-    """The number of lattices in the depth window of rank n: its cells' sizes, dominant mu in 0..depth."""
-    return sum(_cell_size(p, mu) for mu in itertools.combinations_with_replacement(range(depth, -1, -1), n))
+def _cell_sizes(p, n, depth):
+    """The depth window's table {mu: |mu's cell|}, refused before any enumeration past _MAX_LATTICES lattices.
 
-
-def _check_window(p, n, depth):
-    """Refuse, before any enumeration, a window of more than _MAX_LATTICES lattices."""
+    A refusal is raised, so a window the budget refuses keeps no table.
+    """
     if n > _MAX_LATTICE_RANK:
         raise ValueError(f"rank must be <= {_MAX_LATTICE_RANK}, got {n}")
-    size = _window_lattices(p, n, depth)
+    sizes = _poincare_sizes(p, n, depth)
+    size = sum(sizes.values())
     if size > _MAX_LATTICES:
         raise ValueError(
             f"the depth-{depth} window of rank {n} at p = {p} has {size} lattices, over the cap of {_MAX_LATTICES}"
         )
+    return sizes
 
 
 def _window_for(mu, p):
@@ -521,7 +535,7 @@ def _window_for(mu, p):
     hi = max(0, max(mu))
     if hi - lo > 2 * _MAX_WINDOW:
         raise ValueError(f"coweight {mu} exceeds the enumeration window")
-    _check_window(p, len(mu), hi - lo)
+    _cell_sizes(p, len(mu), hi - lo)
     return lo, hi
 
 
@@ -545,15 +559,20 @@ def _oracle_cell(lam, mu, nu, p):
     """The arguments (lam, mu, nu, p, lo, depth) of _oracle_count, which walks their mu*'s cell.
 
     lam's window is checked against the caps first.  mu*'s cell, mu* =
-    (-mu_n, ..., -mu_1), is taken when it is strictly smaller and its window
-    no deeper: |mu*'s cell| = |mu's|, as <2rho, mu*> = <2rho, mu> and the
-    stabilizers match.  Otherwise lam's cell is taken, in its own window, as
-    mu*'s cell of the starred triple (mu*, lam*, nu*).
+    (-mu_n, ..., -mu_1), is taken when its window is no deeper and it is
+    strictly smaller: |mu*'s cell| = |mu's|, as <2rho, mu*> = <2rho, mu> and
+    the stabilizers match.  Both sizes are read off the cell-size table of
+    lam's window, at lam - lo and at mu's core mu - mu_n, since a size is
+    unchanged by a shift and the core spans mu_1 - mu_n, which is at most
+    the depth of mu*'s window.  Otherwise lam's cell is taken, in its own
+    window, as mu*'s cell of the starred triple (mu*, lam*, nu*).
     """
     lo, hi = _window_for(lam, p)
     dlo, dhi = min(0, -mu[0]), max(0, -mu[-1])
-    if dhi - dlo <= hi - lo and _cell_size(p, mu) < _cell_size(p, lam):
-        return lam, mu, nu, p, dlo, dhi - dlo
+    if dhi - dlo <= hi - lo:
+        sizes = _cell_sizes(p, len(lam), hi - lo)
+        if sizes[tuple(x - mu[-1] for x in mu)] < sizes[tuple(x - lo for x in lam)]:
+            return lam, mu, nu, p, dlo, dhi - dlo
     star = (tuple(-x for x in reversed(w)) for w in (mu, lam, nu))
     return (*star, p, lo, hi - lo)
 
@@ -575,7 +594,7 @@ def _oracle_count(lam, mu, nu, p, lo, depth):
         return 0
     passing = []
     for r, c, shapes in _cells(p, n, depth).get(cell, ()):
-        if min(a + b for a, b in zip(r, s)) == want[0] and depth - min(a - b for a, b in zip(c, s)) == want[-1]:
+        if min(map(add, r, s)) == want[0] and depth - min(map(sub, c, s)) == want[-1]:
             passing += shapes
     if n <= _KEY_RANK:
         return len(passing)

@@ -11,6 +11,7 @@ import inspect
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -538,7 +539,11 @@ def _hnf_rows_by_filtering(p, depth, diag):
 
 
 @pytest.mark.parametrize(
-    "p, n, depth", [(p, n, d) for p in (2, 3) for n in (1, 2, 3) for d in (0, 1, 2)] + [(2, 4, 2)]
+    "p, n, depth",
+    [(p, n, d) for p in (2, 3) for n in (1, 2, 3) for d in (0, 1, 2)]
+    + [(2, 4, 2)]
+    + [(p, n, d) for p in (5, 7) for n in (1, 2, 3) for d in (0, 1)]
+    + [(3, 4, 1)],
 )
 def test_solved_window_rows_match_filtered_ones(p, n, depth):
     # the same shapes and inverses, in the same order, row by row and for the whole window
@@ -621,6 +626,11 @@ def test_group_keys_match_fraction_route(p, n, depth):
     assert sorted(flat) == sorted(window) and len(set(flat)) == len(flat)
 
 
+def _window_lattices(p, n, depth):
+    """The number of lattices in the depth window of rank n, as the budget counts it: the sum of its cell sizes."""
+    return sum(plattice._poincare_sizes(p, n, depth).values())
+
+
 def _cells_against_elimination(depths):
     """Hold each shape's cell in _cells to its elimination, over the windows of rank <= 3 under the budget.
 
@@ -629,7 +639,7 @@ def _cells_against_elimination(depths):
     """
     shapes = 0
     for p, n, depth in itertools.product((2, 3, 5, 7), (1, 2, 3), depths):
-        if plattice._window_lattices(p, n, depth) > plattice._MAX_LATTICES:
+        if _window_lattices(p, n, depth) > plattice._MAX_LATTICES:
             continue
         classified = 0
         for cell, split in _cells(p, n, depth).items():
@@ -674,6 +684,27 @@ def test_smaller_cell_route_matches_lam_cell_route(n, top, p):
                 assert by_dual == by_lam, (lam, mu, nu)
                 assert convolution_oracle(lam, mu, nu, p) == by_lam, (lam, mu, nu)
     assert sides[True] > 0 and sides[False] > 0
+
+
+@pytest.mark.parametrize("n, top, p", [(2, 3, p) for p in (2, 3, 5, 7)] + [(3, 2, p) for p in (2, 3)])
+def test_oracle_walks_mu_stars_cell_exactly_when_smaller_and_no_deeper(n, top, p):
+    # the side is read off the Poincare formula and the two windows, not off what _oracle_cell returns:
+    # mu*'s cell when its window is no deeper than lam's and |mu's cell| < |lam's cell|, else lam's
+    box = _dominant_box(n, 0, top)
+    seen = Counter()
+    for lam in box:
+        lo, hi = plattice._window_for(lam, p)
+        for mu in box:
+            slo, shi = plattice._window_for(tuple(-x for x in reversed(mu)), p)
+            nu = tuple(a + b for a, b in zip(lam, mu))
+            deeper = shi - slo > hi - lo
+            size_mu, size_lam = _cell_size_formula(mu, p), _cell_size_formula(lam, p)
+            dual = not deeper and size_mu < size_lam
+            seen["deeper" if deeper else "smaller" if dual else "tie" if size_mu == size_lam else "larger"] += 1
+            star = tuple(tuple(-x for x in reversed(w)) for w in (mu, lam, nu))
+            want = (lam, mu, nu, p, slo, shi - slo) if dual else (*star, p, lo, hi - lo)
+            assert plattice._oracle_cell(lam, mu, nu, p) == want, (lam, mu)
+    assert all(seen[case] > 0 for case in ("deeper", "smaller", "tie", "larger")), seen
 
 
 _ORACLE_WORK_RUN = """
@@ -953,10 +984,10 @@ def test_gl3_structure_constants_match_convolve_as_polynomials():
 def test_window_sizes_match_enumeration():
     # the cap's estimate, the Poincare-formula sum over the window's cells, is exact
     for p, n, depth in [(2, 2, 2), (2, 3, 2), (3, 3, 2), (2, 3, 4), (3, 2, 4), (2, 4, 2), (3, 4, 1), (2, 5, 1)]:
-        assert plattice._window_lattices(p, n, depth) == len(_window(p, n, depth)), (p, n, depth)
-    assert plattice._window_lattices(3, 3, 4) == 67969  # the largest window of rank <= 3
-    assert plattice._window_lattices(3, 4, 2) == 24033
-    assert plattice._window_lattices(2, 5, 2) == 55989
+        assert _window_lattices(p, n, depth) == len(_window(p, n, depth)), (p, n, depth)
+    assert _window_lattices(3, 3, 4) == 67969  # the largest window of rank <= 3
+    assert _window_lattices(3, 4, 2) == 24033
+    assert _window_lattices(2, 5, 2) == 55989
 
 
 def _width_cells(n, width, p):
@@ -985,12 +1016,18 @@ def test_schubert_counts_match_poincare_polynomial_formula_largest_windows():
         assert schubert_count(mu, p) == _cell_size_formula(mu, p), (mu, p)
 
 
+def _cache_sizes():
+    return _window.cache_info().currsize, _cells.cache_info().currsize, plattice._cell_sizes.cache_info().currsize
+
+
 def test_lattice_budget_refuses_before_enumeration():
-    before = _window.cache_info().currsize, _cells.cache_info().currsize
+    # a refused window is neither enumerated nor classified, and keeps no table of cell sizes
+    before = _cache_sizes()
     with pytest.raises(ValueError, match=r"^the depth-2 window of rank 5 at p = 3 has 3622259 lattices, over the cap of 70000$"):
         convolution_oracle((2, 2, 0, 0, 0), (1, 0, 0, 0, 0), (3, 2, 0, 0, 0), 3)
     with pytest.raises(ValueError, match=r"^the depth-4 window of rank 4 at p = 2 has 821335 lattices"):
         schubert_count((4, 0, 0, 0), 2)
+    assert _cache_sizes() == before
     with pytest.raises(ValueError, match=r"^the depth-1 window of rank 12 at p = 3 has 452436459318538048 lattices"):
         schubert_count((1,) + (0,) * 11, 3)
     with pytest.raises(ValueError, match=r"^rank must be <= 17, got 18$"):
@@ -1001,7 +1038,7 @@ def test_lattice_budget_refuses_before_enumeration():
         enumerate_between(5, 3, 2)
     with pytest.raises(ValueError, match=r"^the depth-4 window of rank 3 at p = 7 has 37603817 lattices"):
         enumerate_between(7, 3, 2)
-    assert (_window.cache_info().currsize, _cells.cache_info().currsize) == before
+    assert _cache_sizes() == before
     assert schubert_count((0,) * 17, 2) == 1
     assert convolution_oracle((0,) * 17, (2,) * 17, (2,) * 17, 3) == 1
     assert schubert_count((1,) + (0,) * 5, 2) == 2**6 - 1  # the lines of F_2^6, in a window of 2825
@@ -1034,7 +1071,8 @@ def test_from_json_reads_only_what_to_json_writes():
     # decimal point is refused at once, where reading it by Fraction would take seconds
     for text in ["1e-99999", "1e-999999", "0.5", "1/2/3", "1/2.0", "1/0"]:
         start = time.perf_counter()
-        with pytest.raises(ValueError):
+        refusal = "zero denominator in '1/0'" if text == "1/0" else f'basis entry {text!r} is not of the form "p" or "p/q"'
+        with pytest.raises(ValueError, match="^" + re.escape(refusal)):
             PLattice.from_json({"p": 2, "basis": [[text]]})
         assert time.perf_counter() - start < 1, text
     assert PLattice.from_json({"p": 2, "basis": [["-1/4", 3], [0, "2"]]}) == PLattice(2, ((Fraction(-1, 4), 3), (0, 2)))
