@@ -123,7 +123,7 @@ import itertools
 from collections import Counter
 
 from .laurent import LaurentScalar, _add_scaled, _gauss_rows, _rational, _times
-from .rootdata import _is_dominant, _two_rho_pairing, check_weight
+from .rootdata import _dominant_weight, _two_rho_pairing
 from .symfunc import (
     Combination,
     SymPoly,
@@ -155,9 +155,7 @@ class HeckeElement(Combination):
 
 
 def basis(mu):
-    mu = check_weight(mu)
-    if not _is_dominant(mu):
-        raise ValueError(f"basis coweight must be dominant: {mu}")
+    mu = _dominant_weight(mu, "basis coweight must be dominant: {}")
     return HeckeElement._from_canonical(len(mu), {mu: {0: 1}})
 
 

@@ -499,15 +499,23 @@ def _poincare_sizes(p, n, depth):
     In integers: p^(<2rho,mu> - #{i<j : mu_i > mu_j}) W(p) / W_mu(p), with
     W(p) = prod_{i<=n} (p^i - 1)/(p - 1) the Poincare polynomial of S_n at p
     and W_mu(p) the product of those of the blocks of equal entries of mu.
-    A cell's size is unchanged by adding a constant to mu.
+    A cell's size is unchanged by adding a constant to mu.  Both exponent
+    and stabiliser are read off mu's multiplicities, one block of equal
+    entries at a time: a block of m entries v adds m (s - a(v + 1)) to the
+    exponent, with a entries summing to s above it.
     """
     w = [1]
     for i in range(1, n + 1):
         w.append(w[-1] * ((p**i - 1) // (p - 1)))
     sizes = {}
     for mu in itertools.combinations_with_replacement(range(depth, -1, -1), n):
-        gaps = sum(a - b - 1 for i, a in enumerate(mu) for b in mu[i + 1 :] if a > b)
-        stabilizer = math.prod(w[len(list(block))] for _, block in itertools.groupby(mu))
+        gaps, stabilizer, above, total = 0, 1, 0, 0
+        for v, block in itertools.groupby(mu):
+            m = len(tuple(block))
+            gaps += m * (total - above * (v + 1))
+            stabilizer *= w[m]
+            above += m
+            total += m * v
         sizes[mu] = p**gaps * w[n] // stabilizer
     return sizes
 

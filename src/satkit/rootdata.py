@@ -26,12 +26,40 @@ integer arithmetic; plattice's valuation elimination over Z_(p) is its own.
 
 def check_weight(w):
     """Validate a weight and return it as a tuple of ints."""
-    t = tuple(w)
+    return _checked_entries(tuple(w), w)
+
+
+def _checked_entries(t, w):
+    """t = tuple(w), refused unless it is nonempty and its entries are ints, not bools; the refusal shows w."""
     if not t:
         raise ValueError("rank-0 weights are not supported")
     for x in t:
         if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
             raise ValueError(f"weight entries must be ints: {w!r}")
+    return t
+
+
+def _dominant_weight(w, refusal):
+    """check_weight(w), refused with refusal.format(weight) unless it is dominant.
+
+    The public boundary of every basis element and irreducible.  One pass
+    over tuple(w) admits a weight whose entries are exact ints in weakly
+    decreasing order; anything else takes check_weight's checks and then
+    _is_dominant, so every refusal is worded as theirs, and w is iterated
+    only once.
+    """
+    t = tuple(w)
+    if t:
+        prev = t[0]
+        for x in t:
+            if type(x) is not int or x > prev:
+                break
+            prev = x
+        else:
+            return t
+    t = _checked_entries(t, w)
+    if not _is_dominant(t):
+        raise ValueError(refusal.format(t))
     return t
 
 
@@ -55,7 +83,8 @@ def is_dominant(w):
 def _is_dominant(w):
     """is_dominant for a weight already checked: a tuple of ints.
 
-    A plain loop: every basis element and every irreducible is checked here.
+    A plain loop: every key of a constructed Combination and every weight of
+    a pattern entry that symfunc keeps as dominant is checked here.
     """
     prev = w[0] if w else 0
     for x in w:

@@ -39,17 +39,18 @@ boundary.  The pieces:
   s the sum of the cores' first entries, and no coefficient changed.  The
   helper caches the entry of each sorted tuple of cores, computes the
   smaller of a tuple and its dual tuple by the route and reads the other
-  off it.  A lookup hands its consumer the cached entry itself, read only,
-  with the summed central shift k; the consumer moves each key by
-  k(1, ..., 1) as it reads it, so no moved copy of an entry is made.  Each
-  table is built with its cap, _check_expansion for _hl_terms, none for
-  hecke's closed forms and _check_patterns for the other four.  A lookup
-  whose tuple of cores has no entry yet checks the cap on each weight it is
-  handed, in order, so a weight is refused under the caller's own name
-  before its entry is computed; a lookup that finds its entry checks
-  nothing.  Both caps depend only on the core and answer alike on a weight
-  and its dual (equal Weyl dimensions, equal pair counts), and a refusal
-  caches nothing, so a cached entry proves that its weights pass.  Two
+  off it.  Every table is looked up on one weight or two, and a lookup
+  orders two cores with one comparison.  A lookup hands its consumer the
+  cached entry itself, read only, with the summed central shift k; the
+  consumer moves each key by k(1, ..., 1) as it reads it, so no moved copy
+  of an entry is made.  Each table is built with its cap, _check_expansion
+  for _hl_terms, none for hecke's closed forms and _check_patterns for the
+  other four.  A lookup whose tuple of cores has no entry yet checks the cap
+  on its first weight and then its second, so a weight is refused under the
+  caller's own name before its entry is computed; a lookup that finds its
+  entry checks nothing.  Both caps depend only on the core and answer alike
+  on a weight and its dual (equal Weyl dimensions, equal pair counts), and a
+  refusal caches nothing, so a cached entry proves that its weights pass.  Two
   proofs, each read off the live cap, let a caller skip a check that cannot
   refuse: _patterns_proved(top, n), that the pattern cap passes every nu of
   rank n with 0 <= nu_n <= nu_1 <= top, by the bound _pattern_bound on
@@ -77,9 +78,10 @@ boundary.  The pieces:
 - _tensor_irreducibles: s_a s_b by Brauer-Klimyk, the table of
   _brauer_klimyk, V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
-  +-s_{sort(beta) - rho} of _straighten on plain ints; repring.tensor and
-  hecke's Schur route for long two-row products both multiply by it in
-  _bilinear;
+  +-s_{sort(beta) - rho} done inside its loop on plain ints: the sign and
+  the distinctness of beta are read off its pairs and only a beta with
+  distinct entries is sorted; repring.tensor and hecke's Schur route for
+  long two-row products both multiply by it in _bilinear;
 - _hl_terms(mu): P_mu(x; t) = sum_lam K_lam,mu(t) s_lam with t = v^-2
   hard-wired, the table of _hl_expand.  Macdonald's
 
@@ -120,9 +122,10 @@ import math
 import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import add, sub
 
 from .laurent import LaurentScalar, _add_times, _coerce, _new, _rational, _substitute_t, _times, _to_string
-from .rootdata import _is_dominant, _positive_int, check_weight
+from .rootdata import _dominant_weight, _is_dominant, _positive_int, check_weight
 
 
 class Combination:
@@ -513,9 +516,7 @@ def _bilinear(p, q, table):
 
 
 def monomial(mu):
-    mu = check_weight(mu)
-    if not _is_dominant(mu):
-        raise ValueError(f"monomial wants a dominant weight: {mu}")
+    mu = _dominant_weight(mu, "monomial wants a dominant weight: {}")
     return SymPoly._from_canonical(len(mu), {mu: {0: 1}})
 
 
@@ -615,26 +616,27 @@ _TableInfo = namedtuple("_TableInfo", "misses currsize")
 
 
 def _on_cores(route, cap=None):
-    """The table of route(*cores) as a lookup on weights: lookup(*weights) -> (entry, shift).
+    """The table of route(*cores) as a lookup on weights: lookup(mu) or lookup(mu, nu) -> (entry, shift).
 
     route takes sorted cores mu - mu_n(1, ..., 1) and returns a dict keyed on
     weights.  The table is a plain dict holding one entry per sorted tuple of
-    cores; a lookup computes the sorted cores and probes it.  Only on a miss
-    does it call cap, unless None, on each weight it is handed, in order, so
-    a weight past the table's cap is refused under the caller's own name
-    before its entry is computed.  A hit needs no cap: both caps depend only
-    on the core and answer alike on duals, and a refusal caches nothing, so
-    a cached entry proves that its weights pass.  Of a tuple and its dual
-    tuple, the smaller is computed by route and the other read off it, every
-    key kappa moved to (s - kappa_n, ..., s - kappa_1) with s the sum of the
-    cores' first entries.  If the dual's entry is refused (ValueError), this
-    entry is computed by route, so that the refusal names a weight of this
-    product.  The lookup hands over the cached entry itself, read only, with
-    the summed central shift k: the table's value at the weights is the
-    entry with every key moved by k(1, ..., 1), and each consumer moves the
-    keys as it reads them.  lookup.cache_info() gives the table's misses,
-    the tuples of cores it computed or tried to (refusals and duals
-    included), and its currsize, the entries it holds.
+    cores; a lookup makes the core of each weight, orders two cores with one
+    comparison and probes it.  Only on a miss does it call cap, unless None,
+    on mu and then on nu, so a weight past the table's cap is refused under
+    the caller's own name before its entry is computed.  A hit needs no cap:
+    both caps depend only on the core and answer alike on duals, and a
+    refusal caches nothing, so a cached entry proves that its weights pass.
+    Of a tuple and its dual tuple, the smaller is computed by route and the
+    other read off it, every key kappa moved to (s - kappa_n, ..., s -
+    kappa_1) with s the sum of the cores' first entries.  If the dual's
+    entry is refused (ValueError), this entry is computed by route, so that
+    the refusal names a weight of this product.  The lookup hands over the
+    cached entry itself, read only, with the summed central shift k: the
+    table's value at the weights is the entry with every key moved by k(1,
+    ..., 1), and each consumer moves the keys as it reads them.
+    lookup.cache_info() gives the table's misses, the tuples of cores it
+    computed or tried to (refusals and duals included), and its currsize,
+    the entries it holds.
     """
     entries = {}
     misses = 0
@@ -658,19 +660,22 @@ def _on_cores(route, cap=None):
         entry = entries[cores] = route(*cores)
         return entry
 
-    def lookup(*weights):
-        cores = []
-        shift = 0
-        for mu in weights:
-            k = mu[-1]
-            cores.append(tuple([x - k for x in mu]) if k else mu)
+    def lookup(mu, nu=None):
+        shift = mu[-1]
+        core = tuple([x - shift for x in mu]) if shift else mu
+        if nu is None:
+            cores = (core,)
+        else:
+            k = nu[-1]
+            other = tuple([x - k for x in nu]) if k else nu
+            cores = (core, other) if core <= other else (other, core)
             shift += k
-        cores = tuple(sorted(cores))
         entry = entries.get(cores)
         if entry is None:
             if cap is not None:
-                for mu in weights:
-                    cap(mu)
+                cap(mu)
+                if nu is not None:
+                    cap(nu)
             entry = table(cores)
         return entry, shift
 
@@ -684,10 +689,7 @@ _pattern_weights = _on_cores(_gelfand_tsetlin, _check_patterns)
 
 def _highest_weight(mu):
     """mu as a checked weight tuple, or ValueError unless it is dominant."""
-    mu = check_weight(mu)
-    if not _is_dominant(mu):
-        raise ValueError(f"highest weight must be dominant: {mu}")
-    return mu
+    return _dominant_weight(mu, "highest weight must be dominant: {}")
 
 
 def weight_multiset(mu):
@@ -753,7 +755,12 @@ def _brauer_klimyk(a, b):
     """V_a (x) V_b as {highest weight: nonzero int}, by Brauer-Klimyk on the weights of the smaller factor.
 
     Only the factor of smaller dimension has its Gelfand-Tsetlin patterns
-    enumerated; of the other, only the highest weight is used.
+    enumerated; of the other, only the highest weight is used.  Each weight
+    w of multiplicity m is straightened in the loop, as _straighten would:
+    beta = a + rho + w is made once, as a list; one pass over its pairs
+    flips m's sign at each inversion and drops beta at the first two equal
+    entries; only a beta with distinct entries is sorted, in place, and
+    contributes m to V_{sort(beta) - rho}.
     """
     if _weyl_dimension(a) < _weyl_dimension(b):
         a, b = b, a
@@ -762,10 +769,20 @@ def _brauer_klimyk(a, b):
     top = [x + r + shift for x, r in zip(a, rho)]
     out = {}
     for w, m in weights.items():
-        sign, beta = _straighten(tuple([x + y for x, y in zip(top, w)]))
-        if sign:
-            lam = tuple([x - r for x, r in zip(beta, rho)])
-            out[lam] = out.get(lam, 0) + sign * m
+        beta = list(map(add, top, w))
+        for i, x in enumerate(beta, 1):
+            for y in beta[i:]:
+                if x <= y:
+                    if x == y:
+                        break
+                    m = -m
+            else:
+                continue
+            break  # two equal entries: a_beta = 0
+        else:
+            beta.sort(reverse=True)
+            lam = tuple(map(sub, beta, rho))
+            out[lam] = out.get(lam, 0) + m
     return {lam: c for lam, c in out.items() if c}
 
 

@@ -1016,6 +1016,42 @@ def test_schubert_counts_match_poincare_polynomial_formula_largest_windows():
         assert schubert_count(mu, p) == _cell_size_formula(mu, p), (mu, p)
 
 
+def _poincare_sizes_by_pairs(p, n, depth):
+    """The library's former cell-size table: the exponent summed over every pair of entries of mu, O(n^2) per cell."""
+    w = [1]
+    for i in range(1, n + 1):
+        w.append(w[-1] * ((p**i - 1) // (p - 1)))
+    sizes = {}
+    for mu in itertools.combinations_with_replacement(range(depth, -1, -1), n):
+        gaps = sum(a - b - 1 for i, a in enumerate(mu) for b in mu[i + 1 :] if a > b)
+        stabilizer = 1
+        for _, block in itertools.groupby(mu):
+            stabilizer *= w[len(list(block))]
+        sizes[mu] = p**gaps * w[n] // stabilizer
+    return sizes
+
+
+def test_cell_sizes_are_read_off_multiplicities():
+    # the table read off mu's blocks of equal entries equals Macdonald's formula at every cell of
+    # rank <= 6 and depth <= 4, and the former pair sum, in the same order, up to rank 17
+    for p in (2, 3, 5, 7):
+        for n in range(1, 7):
+            for depth in range(5):
+                sizes = plattice._poincare_sizes(p, n, depth)
+                assert sizes == {mu: _cell_size_formula(mu, p) for mu in sizes}, (p, n, depth)
+        for n, depth in [(n, d) for n in range(7, 18) for d in (0, 1, 2)] + [(12, 4), (17, 3)]:
+            sizes = plattice._poincare_sizes(p, n, depth)
+            assert list(sizes.items()) == list(_poincare_sizes_by_pairs(p, n, depth).items()), (p, n, depth)
+    # a refused window is refused with the former count, and again after it
+    size = sum(_poincare_sizes_by_pairs(2, 17, 4).values())
+    before = _cache_sizes()
+    for _ in range(2):
+        with pytest.raises(ValueError) as refused:
+            schubert_count((4,) + (0,) * 16, 2)
+        assert str(refused.value) == f"the depth-4 window of rank 17 at p = 2 has {size} lattices, over the cap of 70000"
+    assert _cache_sizes() == before
+
+
 def _cache_sizes():
     return _window.cache_info().currsize, _cells.cache_info().currsize, plattice._cell_sizes.cache_info().currsize
 

@@ -1,7 +1,10 @@
 """Weights, dominance order, and integer-span membership."""
 
+import enum
 import itertools
+import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -12,6 +15,7 @@ from test_symfunc import _det as leibniz_det
 from satkit.rootdata import (
     GroupSpec,
     _bareiss,
+    _is_dominant,
     _det_int,
     _mat_identity,
     _mat_mul,
@@ -274,3 +278,86 @@ def test_in_integer_span_sees_rational_but_not_integer_combinations():
     assert not in_integer_span((1, 1), ((2, 0), (0, 2)))
     assert fraction_in_integer_span((1, 1), ((2, 0), (0, 2))) is False
     assert in_integer_span((2, -4), ((2, 0), (0, 2)))
+
+
+# -- the dominance check at the public boundary ---------------------------
+
+
+class _Entry(enum.IntEnum):
+    TWO = 2
+
+
+class _OnceIterable:
+    """An iterable that counts its passes."""
+
+    def __init__(self, entries):
+        self.entries, self.passes = entries, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.entries)
+
+
+def _outcome(call):
+    try:
+        return "admitted", call()
+    except ValueError as refusal:
+        return "refused", re.sub(r" at 0x[0-9a-f]+", "", str(refusal))
+
+
+def test_boundary_refuses_and_admits_as_check_weight_then_is_dominant():
+    # each public entry point with its own dominance refusal, against check_weight and then
+    # _is_dominant on the same argument: the same refusal text, or the same result on the checked
+    # tuple; a generator stands for an argument that can be iterated only once
+    from satkit import hecke, repring, symfunc
+
+    entry_points = [
+        (repring.irreducible, "highest weight must be dominant: {}"),
+        (hecke.basis, "basis coweight must be dominant: {}"),
+        (symfunc.monomial, "monomial wants a dominant weight: {}"),
+        (symfunc.schur, "highest weight must be dominant: {}"),
+        (symfunc.hall_littlewood, "highest weight must be dominant: {}"),
+        (repring.dimension, "highest weight must be dominant: {}"),
+        (symfunc.weight_multiset, "highest weight must be dominant: {}"),
+    ]
+    big = 10**19 + 7  # 20 digits
+    arguments = [
+        lambda: [2, 1, 0],
+        lambda: (2, 1, 0),
+        lambda: (3, 3, -1),
+        lambda: [0, 1],
+        lambda: (x for x in (2, 0, -1)),
+        lambda: (x for x in (0, 2)),
+        lambda: (True, False),
+        lambda: (1, False),
+        lambda: (_Entry.TWO, 1, 0),
+        lambda: (1, _Entry.TWO),
+        lambda: (2.0, 1),
+        lambda: (2, 1.5),
+        lambda: "21",
+        lambda: ("2", "1"),
+        lambda: (),
+        lambda: [],
+        lambda: (big, 0),
+        lambda: (0, big),
+        lambda: (big, big - 1, -big),
+    ]
+    seen = Counter()
+    for call, refusal in entry_points:
+        for make in arguments:
+
+            def reference():
+                w = make()
+                t = check_weight(w)
+                if not _is_dominant(t):
+                    raise ValueError(refusal.format(t))
+                return call(tuple(map(int, t)))
+
+            got, expected = _outcome(lambda: call(make())), _outcome(reference)
+            assert got == expected, (call.__name__, make())
+            seen[got[0]] += 1
+            once = _OnceIterable(tuple(make()))
+            assert _outcome(lambda: call(once))[0] == got[0] and once.passes == 1, (call.__name__, make())
+    assert seen == {"admitted": 43, "refused": 90}  # 7 dominant arguments at 7 entry points, 6 calls past the pattern cap
+    admitted = repring.irreducible(_Entry.TWO for _ in range(1))
+    assert admitted == repring.irreducible((2,)) and type(admitted.support()[0][0]) is _Entry

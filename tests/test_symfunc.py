@@ -18,6 +18,7 @@ SATKIT_SLOW_ORACLE=1 set.
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -668,3 +669,103 @@ def test_a_refusal_caches_nothing():
             with pytest.raises(ValueError) as refused:
                 call()
             assert str(refused.value) == f"{refused_text} Gelfand-Tsetlin patterns, over the cap of 500000"
+
+
+# -- Brauer-Klimyk against the former straightening route -----------------
+
+
+def _brauer_klimyk_by_straighten(a, b):
+    """The library's former Brauer-Klimyk kernel: each beta = a + rho + w made a tuple and straightened by _straighten."""
+    if symfunc._weyl_dimension(a) < symfunc._weyl_dimension(b):
+        a, b = b, a
+    weights, shift = symfunc._pattern_weights(b)
+    rho = range(len(a) - 1, -1, -1)
+    top = [x + r + shift for x, r in zip(a, rho)]
+    out = {}
+    for w, m in weights.items():
+        sign, beta = symfunc._straighten(tuple([x + y for x, y in zip(top, w)]))
+        if sign:
+            lam = tuple([x - r for x, r in zip(beta, rho)])
+            out[lam] = out.get(lam, 0) + sign * m
+    return {lam: c for lam, c in out.items() if c}
+
+
+def test_brauer_klimyk_matches_straighten_route():
+    # every ordered pair of each box, then a seeded sample with entries up to 12; the new kernel
+    # straightens in its loop, so the one reference is the former tuple-and-_straighten kernel
+    pairs = [
+        (a, b)
+        for n, hi in ((2, 8), (3, 4), (4, 2), (5, 2), (6, 1))
+        for a in _dominants(0, hi, n)
+        for b in _dominants(0, hi, n)
+    ]
+    assert len(pairs) == 45**2 + 35**2 + 15**2 + 21**2 + 7**2
+    rng = random.Random(12)
+    for n in (2, 3, 4):
+        box = list(_dominants(0, 12, n))
+        pairs += [(rng.choice(box), rng.choice(box)) for _ in range(40)]
+    assert max(max(a + b) for a, b in pairs) == 12
+    for a, b in pairs:
+        entry, expected = symfunc._brauer_klimyk(a, b), _brauer_klimyk_by_straighten(a, b)
+        assert list(entry.items()) == list(expected.items()), (a, b)
+
+
+# -- the lookup of _on_cores: one weight or two ----------------------------
+
+
+def _core(mu):
+    return tuple(x - mu[-1] for x in mu)
+
+
+def test_lookup_matches_sorted_cores_route():
+    # (entry, shift) for one weight and for two in both orders, with central shifts, equals the
+    # kernel on the sorted tuple of cores and the summed shift; the route is called on sorted
+    # tuples of cores only, the smaller of each and its dual tuple, once each
+    def kernel(*cores):
+        return symfunc._brauer_klimyk(*cores) if len(cores) == 2 else symfunc._gelfand_tsetlin(*cores)
+
+    called = []
+
+    def route(*cores):
+        called.append(cores)
+        return kernel(*cores)
+
+    table = symfunc._on_cores(route, symfunc._check_patterns)
+    weights = _dominants(-2, 2, 3)
+    met = set()
+    for mu in weights:
+        cores = (_core(mu),)
+        met.add(cores)
+        assert table(mu) == (kernel(*cores), mu[-1]), mu
+        for nu in weights:
+            cores = tuple(sorted((_core(mu), _core(nu))))
+            met.add(cores)
+            assert table(mu, nu) == (kernel(*cores), mu[-1] + nu[-1]), (mu, nu)
+    duals = {cores: tuple(sorted(map(_dual_core, cores))) for cores in met}
+    keys = met | {d for cores, d in duals.items() if d < cores}  # a tuple reads its smaller dual's entry
+    assert sorted(called) == sorted({min(cores, d) for cores, d in duals.items()})
+    assert table.cache_info() == (len(keys), len(keys))
+
+
+def test_lookup_caps_the_first_weight_first_and_a_hit_not_at_all():
+    capped = []
+
+    def cap(mu):
+        capped.append(mu)
+        symfunc._check_patterns(mu)
+
+    table = symfunc._on_cores(symfunc._brauer_klimyk, cap)
+    big, bigger = (1000, 0, 0), (1006, 5, 5)  # 501,501 and 502,503 patterns, both over the cap
+    for first, second in ((big, bigger), (bigger, big)):
+        with pytest.raises(ValueError) as refused:
+            table(first, second)
+        assert str(refused.value).startswith(f"V_{first} has "), (first, second)
+    assert capped == [big, bigger]
+    assert table.cache_info() == (0, 0)
+    del capped[:]
+    small, other = (2, 1, -1), (3, 3, 0)
+    entry = table(small, other)
+    assert capped == [small, other]
+    for first, second in ((small, other), (other, small), ((5, 4, 2), (1, 1, -2))):
+        assert table(first, second)[0] is entry[0]
+    assert capped == [small, other]
