@@ -83,7 +83,11 @@ Brauer-Klimyk product of every pair of Schur terms, pulled back by
 elimination (_schur_product).  So a pair is peeled only when its peel
 reaches at most a quarter as many cores as the Schur route takes
 Brauer-Klimyk products, and else takes the Schur route; then the peel
-holds fewer products than the Schur route would make.  The two routes are
+holds fewer products than the Schur route would make.  The sizes of the
+two Hall-Littlewood expansions are read only when no peel reaches a single
+core: a core that is not closed is not minuscule, so its P_kappa has at
+least two Schur keys, the quarter is at least 1, and a peel that reaches
+one core is the one the quarter rule would choose.  The two routes are
 held to each other in tests/test_hecke.py.
 
 The checks are the Schur route's, in its order, whichever route runs: the
@@ -120,7 +124,6 @@ HeckeElement(n=2, T[4,0] + (-1+v^2)*T[3,1] + (v^2+v^4)*T[2,2])
 """
 
 import itertools
-from collections import Counter
 
 from .laurent import LaurentScalar, _add_scaled, _gauss_rows, _rational, _times
 from .rootdata import _dominant_weight, _two_rho_pairing
@@ -228,11 +231,18 @@ def _checked_product(lam, mu):
     before any product is taken.  A pair with a closed form reads it off
     _closed; any other is peeled if its peel reaches at most a quarter as
     many cores as the Schur route takes Brauer-Klimyk products, the sizes of
-    the two expansions, else taken by the Schur route.  The Hall-Littlewood
-    cap then runs on the product's keys in descending order, as the Schur
-    route's elimination runs it.  Both Hall-Littlewood checks are skipped
-    at a rank that _expansions_proved.  An entry of _closed is handed out
-    as it is, not copied.
+    the two expansions, else taken by the Schur route.  A peel that reaches
+    one core is within that quarter, which is at least 1, since a core that
+    is not _is_closed has at least two Schur keys, and _peel takes the first
+    factor whose peel reaches the fewest cores, none fewer than one: so such
+    a peel is tried first, and the expansions are read only when there is
+    none.  No refusal moves: the expansions refuse nothing at a rank that
+    _expansions_proved, and past it no core that is not _is_closed has its
+    Schur keys proved, so the pattern check has read them.  The
+    Hall-Littlewood cap then runs on the product's keys in descending order,
+    as the Schur route's elimination runs it.  Both Hall-Littlewood checks
+    are skipped at a rank that _expansions_proved.  An entry of _closed is
+    handed out as it is, not copied.
     """
     n = len(lam)
     if not _patterns_proved(max(lam[0], mu[0]), n):
@@ -245,7 +255,9 @@ def _checked_product(lam, mu):
     if _is_closed(lam) or _is_closed(mu):
         entry = _closed(lam, mu)[0]
     else:
-        entry = _peel(lam, mu, len(_hl_terms(lam)[0]) * len(_hl_terms(mu)[0]) // 4)
+        entry = _peel(lam, mu, 1)
+        if entry is None:
+            entry = _peel(lam, mu, len(_hl_terms(lam)[0]) * len(_hl_terms(mu)[0]) // 4)
         if entry is None:
             return _schur_product(lam, mu)
     if not expansions:
@@ -383,18 +395,25 @@ def _row_rule(r, kappa):
     lam/kappa, with q_r = (1 - t) P_(r) and phi the product of 1 - t^m_j(lam)
     over the columns j holding a strip box while column j + 1 holds none; the
     first such factor over 1 - t is [m_j(lam)]_t.  T_lam's coefficient is
-    that times v^((n - 1) r + <2rho, kappa> - <2rho, lam>).
+    that times v^((n - 1) r + <2rho, kappa> - <2rho, lam>), the exponent
+    2 sum_i i a_i with a_i = lam_i - kappa_i the strip's boxes in row i, since
+    sum_i a_i = r.  One pass over (lam, kappa) reads the exponent and the
+    columns kappa_i + 1 where a row's boxes start; a row's boxes end in
+    column lam_i, and column lam_i + 1 holds a box only when a row's boxes
+    start there.
     """
-    n = len(kappa)
     out = {}
     for lam in _horizontal_strips(kappa, r):
-        added = [x - y for x, y in zip(lam, kappa)]
-        e = (n - 1) * r - sum((n - 1 - 2 * i) * a for i, a in enumerate(added))
-        starts = {y for y, a in zip(kappa, added) if a}  # column j + 1 holds a box when a row's boxes start there
+        e = 0
+        starts = set()
+        for i, (x, y) in enumerate(zip(lam, kappa)):
+            if x != y:
+                e += 2 * i * (x - y)
+                starts.add(y)
         c = None
-        for j, a in zip(lam, added):
-            if a and j not in starts:
-                m = lam.count(j)
+        for x, y in zip(lam, kappa):
+            if x != y and x not in starts:
+                m = lam.count(x)
                 c = {e - 2 * b: 1 for b in range(m)} if c is None else _add_scaled(dict(c), c, -1, -2 * m)
         out[lam] = c
     return out
@@ -414,20 +433,31 @@ def _column_rule(k, kappa):
 
     P_kappa e_k = sum_lam prod_j [m_j(lam); theta'_j]_t P_lam over the
     vertical k-strips lam/kappa, theta'_j the strip's boxes in column j; the
-    Gaussian binomials in t = v^-2 are read off the q-Pascal rows.  T_lam's
-    coefficient is that times v^(k(n - k) + <2rho, kappa> - <2rho, lam>).
+    Gaussian binomials in t = v^-2 are read off the q-Pascal rows, made at
+    most once a call.  T_lam's coefficient is that times v^(k(n - k) +
+    <2rho, kappa> - <2rho, lam>), the exponent 2 sum_(i in strip) i - k(k -
+    1).  The rows of lam of length j are consecutive, and those of the strip
+    come last among them, since kappa_i = j - 1 on a strip row and j on the
+    others: so one pass over the strip counts theta'_j up to the last row of
+    length j, and m_j(lam) is counted there.
     """
     n = len(kappa)
     rows = None
     out = {}
     for lam, strip in _vertical_strips(kappa, k):
-        c = {k * (n - k) - sum(n - 1 - 2 * i for i in strip): 1}
-        for j, theta in Counter([lam[i] for i in strip]).items():
+        c = {2 * sum(strip) - k * (k - 1): 1}
+        theta = 0
+        for i in strip:
+            theta += 1
+            j = lam[i]
+            if i + 1 < n and lam[i + 1] == j:
+                continue
             m = lam.count(j)
             if theta < m:
                 if rows is None:
                     rows = list(_gauss_rows(n, n))
                 c = _times({-2 * e: x for e, x in rows[m][theta].items()}, c)
+            theta = 0
         out[lam] = c
     return out
 

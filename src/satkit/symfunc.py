@@ -481,23 +481,24 @@ def _bilinear(p, q, table):
     (_times(c, cab)), so a one-term cab costs one pass over c.  With one
     pair, the keys of its one entry stay distinct under the shift, so each
     key is written once and nothing is added into; a unit cab gives each
-    term a plain copy of c.  The pairs are looked up p's first term with
-    each of q's, then the rest of p's.
+    term a plain copy of c, in one dict comprehension.  The pairs are looked
+    up p's first term with each of q's, then the rest of p's.
     """
     out = {}
     if len(p) == 1 == len(q):
         ((a, ca),) = p.items()
         ((b, cb),) = q.items()
-        unit = ca == cb == _ONE
-        cab = None if unit else _times(ca, cb)
         entry, shift = table(a, b)
+        if ca == cb == _ONE:
+            return {
+                tuple([x + shift for x in g]) if shift else g: dict(c) if type(c) is dict else {0: c}
+                for g, c in entry.items()
+            }
+        cab = _times(ca, cb)
         for g, c in entry.items():
             if shift:
                 g = tuple([x + shift for x in g])
-            if type(c) is dict:
-                out[g] = dict(c) if unit else _times(c, cab)
-            else:
-                out[g] = {0: c} if unit else _times(cab, c)
+            out[g] = _times(c, cab) if type(c) is dict else _times(cab, c)
         return out
     for a, ca in p.items():
         for b, cb in q.items():

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from satkit.hecke import (
     satake,
     specialize_v,
 )
-from satkit.laurent import LaurentScalar, parse_scalar
+from satkit.laurent import LaurentScalar, _add_scaled, _gauss_rows, _times, parse_scalar
 from satkit.repring import irreducible, tensor
 from satkit.rootdata import dominance_leq, dual_weight, is_dominant, two_rho_pairing
 from satkit.symfunc import SymPoly, _hl_terms, hall_littlewood, monomial
@@ -288,6 +289,109 @@ def test_long_two_row_products_take_the_schur_route():
     assert _peel((12, 4, 0), (30, 15, 0), 49 // 4) is not None  # (12, 4, 0)'s reaches 12
 
 
+# The Pieri kernels as they were before they read theta'_j and m_j(lam) off one pass over the strip,
+# and the row rule's exponent and strip starts off one pass over (lam, kappa): kept as the oracles of
+# the kernels that replaced them, held to them on keys, coefficient dicts and the order of both.
+
+
+def _column_rule_before(k, kappa):
+    n = len(kappa)
+    rows = None
+    out = {}
+    for lam, strip in hecke._vertical_strips(kappa, k):
+        c = {k * (n - k) - sum(n - 1 - 2 * i for i in strip): 1}
+        for j, theta in Counter([lam[i] for i in strip]).items():
+            m = lam.count(j)
+            if theta < m:
+                if rows is None:
+                    rows = list(_gauss_rows(n, n))
+                c = _times({-2 * e: x for e, x in rows[m][theta].items()}, c)
+        out[lam] = c
+    return out
+
+
+def _row_rule_before(r, kappa):
+    n = len(kappa)
+    out = {}
+    for lam in hecke._horizontal_strips(kappa, r):
+        added = [x - y for x, y in zip(lam, kappa)]
+        e = (n - 1) * r - sum((n - 1 - 2 * i) * a for i, a in enumerate(added))
+        starts = {y for y, a in zip(kappa, added) if a}
+        c = None
+        for j, a in zip(lam, added):
+            if a and j not in starts:
+                m = lam.count(j)
+                c = {e - 2 * b: 1 for b in range(m)} if c is None else _add_scaled(dict(c), c, -1, -2 * m)
+        out[lam] = c
+    return out
+
+
+def _in_order(entry):
+    return [(nu, list(c.items())) for nu, c in entry.items()]
+
+
+def _cores(n, hi):
+    return [w for w in itertools.product(range(hi, -1, -1), repeat=n) if is_dominant(w) and not w[-1]]
+
+
+def test_pieri_kernels_match_the_kernels_they_replaced():
+    for n, hi in ((2, 10), (3, 6), (4, 4), (5, 3), (6, 2)):
+        for kappa in _cores(n, hi):
+            for k in range(n + 1):
+                assert _in_order(_column_rule(k, kappa)) == _in_order(_column_rule_before(k, kappa)), (k, kappa)
+            for r in range(1, 7):
+                assert _in_order(_row_rule(r, kappa)) == _in_order(_row_rule_before(r, kappa)), (r, kappa)
+
+
+def _quarter_rule_before(lam, mu):
+    """T_lam * T_mu for cores, neither _is_closed, by the route chosen as before the one-core peel was
+    tried first: the peel if it reaches at most a quarter as many cores as the Schur route takes
+    Brauer-Klimyk products, else the Schur route."""
+    entry = hecke._peel(lam, mu, len(_hl_terms(lam)[0]) * len(_hl_terms(mu)[0]) // 4)
+    return hecke._schur_product(lam, mu) if entry is None else entry
+
+
+def test_quarter_rule_takes_the_route_it_took_with_both_expansions(monkeypatch):
+    # a pair whose peel reaches one core is peeled before either expansion is read; any other takes
+    # the quarter rule as before.  The route is the same: a core that is not _is_closed has at least
+    # two Schur keys (see the next test), so the quarter rule's limit is at least 1, and of the
+    # factors and their duals the first whose peel reaches the fewest cores is peeled
+    route = []
+    peel_against, schur_product = hecke._peel_against, hecke._schur_product
+
+    def peeled(cores, b):
+        route.append(("peel", cores[-1][0], b))
+        return peel_against(cores, b)
+
+    def by_schur(lam, mu):
+        route.append(("schur",))
+        return schur_product(lam, mu)
+
+    monkeypatch.setattr(hecke, "_peel_against", peeled)
+    monkeypatch.setattr(hecke, "_schur_product", by_schur)
+    routes = {}
+    for n, hi in ((3, 12), (4, 4), (5, 2), (6, 1)):
+        for lam, mu in _pairs([kappa for kappa in _cores(n, hi) if not _is_closed(kappa)]):
+            entry = _checked_product(lam, mu)
+            got = route[:]
+            route.clear()
+            assert entry == _quarter_rule_before(lam, mu), (lam, mu)
+            assert got == route, (lam, mu)
+            route.clear()
+            routes[lam, mu] = got[0][0]
+    assert routes[(8, 4, 0), (8, 4, 0)] == "peel" and routes[(12, 6, 0), (12, 6, 0)] == "schur"
+    assert len(routes) == 2211 + 325 + 36  # GL_6 0..1 holds no core that is not _is_closed
+    assert Counter(routes.values()) == {"peel": 2549, "schur": 23}
+
+
+def test_every_core_the_peel_may_take_has_two_schur_keys():
+    # at t = 1, P_kappa = m_kappa, which is s_kappa only for a minuscule kappa: so a core that is not
+    # _is_closed has at least two Schur keys, over the ranges of the pattern bound's test
+    for n, hi in ((2, 12), (3, 8), (4, 5), (5, 4), (6, 3), (7, 2)):
+        for kappa in _cores(n, hi):
+            assert _is_closed(kappa) or len(_hl_terms(kappa)[0]) >= 2, kappa
+
+
 def _closed_form_cores(n):
     return sorted({_core(mu) for mu in _doms(n, hi=2 if n < 5 else 1)})
 
@@ -464,15 +568,15 @@ def _orbits(boxes):
 def test_table_computes_each_pair_of_cores_once():
     # op counts, machine-independent: the 1,156 products look up 203 pairs of cores, and 128
     # entries are computed, one per orbit under duality, the rest read off their duals'; every
-    # core of the boxes has the pattern cap proved by its first entry, so no Schur key is checked,
-    # and only the entries peeled read the Hall-Littlewood expansions of their cores, for the
-    # quarter rule (7 expansions); each entry is multiplied out by the Pieri rules, with no
-    # Brauer-Klimyk product and no Gelfand-Tsetlin pattern
+    # core of the boxes has the pattern cap proved by its first entry, so no Schur key is checked;
+    # only an entry whose peel reaches more than one core reads the Hall-Littlewood expansions of
+    # its cores, for the quarter rule: (4, 2, 0)^2 and (2, 2, 0, 0)^2, 2 expansions; each entry is
+    # multiplied out by the Pieri rules, with no Brauer-Klimyk product and no Gelfand-Tsetlin pattern
     boxes = ((2, 0, 6), (3, 0, 4), (4, 0, 2))
     pairs, cores, orbits = _orbits(boxes)
     assert (len(pairs), len(cores), len(orbits)) == (1156, 203, 128)
     got = _counted_run(boxes, "hecke.convolve(hecke.basis(a), hecke.basis(b))")
-    assert got[:5] == (len(cores), 0, len(orbits), 7, 0)
+    assert got[:5] == (len(cores), 0, len(orbits), 2, 0)
     assert got[5:] == (0, 0)
 
 
