@@ -11,7 +11,8 @@ Module map:
 - symfunc:   the combination base shared by SymPoly, HeckeElement and
              RepElement; symmetric functions, stored in the monomial basis
              and computed in the Schur basis; Schur and Hall-Littlewood
-             polynomials; the Brauer-Klimyk product
+             polynomials; the strips and Pieri dispatch shared with hecke;
+             tensor products by the Schur Pieri rules or Brauer-Klimyk
 - repring:   representation ring of GL_n: dimensions, weight multiplicities,
              tensor products
 - hecke:     spherical Hecke algebra elements, Satake transform and inverse,

@@ -24,13 +24,13 @@ v^(+-<2rho,mu>): satake is _apply by the Hall-Littlewood table
 symfunc._hl_terms after _twist(+1), then _apply by the Schur -> monomial
 table symfunc._dominant_weights; inverse_satake is _solve by the same two
 tables in the other order, then _twist(-1).  The product of two transforms
-is symfunc._bilinear by the Brauer-Klimyk table
-symfunc._tensor_irreducibles, as in repring.tensor.  The monomial basis is
+is symfunc._bilinear by the tensor table symfunc._tensor_irreducibles, as
+in repring.tensor.  The monomial basis is
 met only at the boundary, and each public function hands its dicts straight
 to the element it returns, building no LaurentScalar.
 
 convolve multiplies by a table in symfunc._bilinear, the product loop of
-SymPoly's orbit products and RepElement's Brauer-Klimyk products too:
+SymPoly's orbit products and RepElement's tensor products too:
 _structure_constants, keyed on cores up to duality by symfunc._on_cores
 (the keying is stated once, in symfunc's module docstring).  Each lookup
 hands over the cached entry of the pair of cores, {nu: coefficient dict},
@@ -64,9 +64,14 @@ _structure_constants computes the entry of a pair of cores by these rules,
 or, for long two-row products, by the product of two transforms.  When a
 factor, or the dual of one, is zero, one column or one row (its core is
 (0^n), (1^k, 0^(n-k)), (r, 0, ..., 0) or (r, ..., r, 0)), the entry is a
-closed form, read off the table _closed.  Any other pair is
-peeled: for a core kappa with k rows, the column rule gives T_(1^k) *
-T_{kappa - (1^k)} = T_kappa + sum_{nu != kappa} d_nu T_nu, so
+closed form, read off the table _closed, whose route is
+symfunc._closed_product over the column rule and the row rule here.  That
+dispatch, the test symfunc._is_closed and the strip enumerators
+symfunc._vertical_strips and symfunc._horizontal_strips live in symfunc,
+whose tensor table runs the same dispatch over the Schur Pieri rules, the
+t -> 0 limit of these two.  Any other pair is peeled: for a core kappa
+with k rows, the column rule gives T_(1^k) * T_{kappa - (1^k)} = T_kappa +
+sum_{nu != kappa} d_nu T_nu, so
 
     T_kappa * T_mu = T_(1^k) * (T_{kappa - (1^k)} * T_mu) - sum_{nu != kappa} d_nu T_nu * T_mu,
 
@@ -79,16 +84,16 @@ factors, and slow on long two-row factors, whose peels reach a number of
 cores quadratic in their length, each a whole product: the peel of
 (40, 20, 0) in GL_3 reaches 300 cores, of (100, 50, 0) 1,875.  There the
 Schur-basis route is faster: the product of the two transforms, with a
-Brauer-Klimyk product of every pair of Schur terms, pulled back by
-elimination (_schur_product).  So a pair is peeled only when its peel
-reaches at most a quarter as many cores as the Schur route takes
-Brauer-Klimyk products, and else takes the Schur route; then the peel
-holds fewer products than the Schur route would make.  The sizes of the
-two Hall-Littlewood expansions are read only when no peel reaches a single
-core: a core that is not closed is not minuscule, so its P_kappa has at
-least two Schur keys, the quarter is at least 1, and a peel that reaches
-one core is the one the quarter rule would choose.  The two routes are
-held to each other in tests/test_hecke.py.
+tensor product of every pair of Schur terms, pulled back by elimination
+(_schur_product).  So a pair is peeled only when its peel reaches at most
+a quarter as many cores as the Schur route takes tensor products, and else
+takes the Schur route; then the peel holds fewer products than the Schur
+route would make.  The sizes of the two Hall-Littlewood expansions are
+read only when no peel reaches a single core: a core that is not closed is
+not minuscule, so its P_kappa has at least two Schur keys, the quarter is
+at least 1, and a peel that reaches one core is the one the quarter rule
+would choose.  The two routes are held to each other in
+tests/test_hecke.py.
 
 The checks are the Schur route's, in its order, whichever route runs: the
 pattern cap on every Schur key of P_lam and P_mu in descending order, then
@@ -135,13 +140,17 @@ from .symfunc import (
     _bilinear,
     _check_expansion,
     _check_patterns,
+    _closed_product,
     _dominant_weights,
     _expansions_proved,
     _hl_terms,
+    _horizontal_strips,
+    _is_closed,
     _on_cores,
     _patterns_proved,
     _solve,
     _tensor_irreducibles,
+    _vertical_strips,
 )
 
 
@@ -230,7 +239,7 @@ def _checked_product(lam, mu):
     Hall-Littlewood cap runs on lam + mu, the largest key of the product,
     before any product is taken.  A pair with a closed form reads it off
     _closed; any other is peeled if its peel reaches at most a quarter as
-    many cores as the Schur route takes Brauer-Klimyk products, the sizes of
+    many cores as the Schur route takes tensor products, the sizes of
     the two expansions, else taken by the Schur route.  A peel that reaches
     one core is within that quarter, which is at least 1, since a core that
     is not _is_closed has at least two Schur keys, and _peel takes the first
@@ -277,30 +286,13 @@ def _schur_product(lam, mu):
     return _twist(_solve(_bilinear(fa, fb, _tensor_irreducibles), _hl_terms), -1)
 
 
-def _is_closed(kappa):
-    """Whether T_kappa multiplies by a closed form: the core kappa is zero, one column, one row or (r, ..., r, 0), a row's dual."""
-    return kappa[0] <= 1 or not kappa[1] or kappa[-2] == kappa[0]
-
-
 def _closed_entry(lam, mu):
     """T_lam * T_mu for cores, one of them _is_closed, by the column rule or the row rule."""
-    for a, b in ((lam, mu), (mu, lam)):
-        if a[0] <= 1:
-            return _column_rule(a.count(1), b)
-        if not a[1]:
-            return _row_rule(a[0], b)
-    a, b = (lam, mu) if lam[-2] == lam[0] else (mu, lam)
-    s = a[0] + b[0]
-    return {tuple([s - x for x in reversed(nu)]): c for nu, c in _row_rule(a[0], _dual(b)).items()}
+    return _closed_product(lam, mu, _column_rule, _row_rule)
 
 
 # T_lam * T_mu on cores, one of them _is_closed, unchecked: the entries _peel reads.
 _closed = _on_cores(_closed_entry)
-
-
-def _dual(kappa):
-    """The core of kappa*, for a core kappa: (kappa_1 - kappa_n, ..., kappa_1 - kappa_1)."""
-    return tuple([kappa[0] - x for x in reversed(kappa)])
 
 
 def _peel(lam, mu, limit):
@@ -308,9 +300,10 @@ def _peel(lam, mu, limit):
 
     Of lam, mu and their duals, the factor whose peel reaches the fewest
     cores is peeled against the other, and the entry of the dual pair is
-    moved back: nu -> (s - nu_n, ..., s - nu_1), s = lam_1 + mu_1.
+    moved back: nu -> (s - nu_n, ..., s - nu_1), s = lam_1 + mu_1.  The
+    dual core of kappa is (kappa_1 - kappa_n, ..., kappa_1 - kappa_1).
     """
-    lam_, mu_ = _dual(lam), _dual(mu)
+    lam_, mu_ = (tuple([kappa[0] - x for x in reversed(kappa)]) for kappa in (lam, mu))
     best = None
     for a, b, dual in ((lam, mu, False), (mu, lam, False), (lam_, mu_, True), (mu_, lam_, True)):
         cores = _peel_cores(a, limit)
@@ -419,15 +412,6 @@ def _row_rule(r, kappa):
     return out
 
 
-def _horizontal_strips(kappa, r):
-    """Each lam, at most n rows, with lam/kappa a horizontal r-strip: lam_1 >= kappa_1 >= lam_2 >= ... >= kappa_n."""
-    heads = [((), r)]
-    for i in range(len(kappa) - 1, 0, -1):
-        top = kappa[i - 1] - kappa[i]
-        heads = [((kappa[i] + a,) + tail, left - a) for tail, left in heads for a in range(min(top, left) + 1)]
-    return [(kappa[0] + left,) + tail for tail, left in heads]
-
-
 def _column_rule(k, kappa):
     """T_(1^k) * T_kappa as {lam: coefficient dict}, by Macdonald's P_kappa e_k, III (3.2).
 
@@ -460,16 +444,6 @@ def _column_rule(k, kappa):
             theta = 0
         out[lam] = c
     return out
-
-
-def _vertical_strips(kappa, k):
-    """Each lam with lam/kappa a vertical k-strip, with the rows holding its boxes."""
-    for strip in itertools.combinations(range(len(kappa)), k):
-        lam = list(kappa)
-        for i in strip:
-            lam[i] += 1
-        if not any(i and lam[i - 1] < lam[i] for i in strip):
-            yield tuple(lam), strip
 
 
 def _twist(terms, sign):

@@ -8,12 +8,16 @@ products multiply coefficients.
 A RepElement is already in the Schur basis, the one basis of symfunc's
 kernels: character() lands in SymPoly by symfunc._apply on the Schur ->
 monomial table symfunc._dominant_weights, and tensor() is symfunc._bilinear
-by symfunc._tensor_irreducibles, the Brauer-Klimyk table that hecke's
-transform product uses too, V_a (x) V_b = sum_{w in wt(V_b)} sign *
-V_{sort(a + w + rho) - rho} by straightening on plain ints, never
-multiplying characters (for honest irreducibles the structure constants
-are the Littlewood-Richardson numbers, so they are nonnegative integers;
-tests lean on that).  dimension() is the exact Weyl product formula
+by symfunc._tensor_irreducibles, the tensor table that hecke's transform
+product uses too, never multiplying characters (for honest irreducibles
+the structure constants are the Littlewood-Richardson numbers, so they are
+nonnegative integers; tests lean on that).  A pair of cores one of which is
+zero, one column, one row or (r, ..., r, 0) is read off the Schur Pieri
+rules, every coefficient 1 over the vertical or horizontal strips (on the
+row's dual for (r, ..., r, 0)); any other pair by Brauer-Klimyk,
+V_a (x) V_b = sum_{w in wt(V_b)} sign * V_{sort(a + w + rho) - rho} by
+straightening on plain ints over the weights of the factor of smaller
+dimension.  dimension() is the exact Weyl product formula
 
     dim V_mu = prod_{i<j} (mu_i - mu_j + j - i) / (j - i),
 
@@ -76,7 +80,7 @@ def weight_multiplicity(mu, lam):
 
 
 def tensor(r1, r2):
-    """Tensor product: sum over pairs of terms of c_a c_b (V_a (x) V_b), by Brauer-Klimyk."""
+    """Tensor product: sum over pairs of terms of c_a c_b (V_a (x) V_b), by the Pieri rules or Brauer-Klimyk."""
     if not isinstance(r1, RepElement) or not isinstance(r2, RepElement):
         raise ValueError("tensor wants two RepElements")
     r1._check_rank(r2)

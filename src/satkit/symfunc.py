@@ -25,8 +25,8 @@ boundary.  The pieces:
   _hl_terms(mu), P_mu in the Schur basis; hecke's transforms are these two
   kernels and a twist by v^<2rho,mu>;
 - _on_cores: the one keying of the six tables on the dual-group side
-  (weight multiplicities, the Schur -> monomial table, Brauer-Klimyk
-  products and Hall-Littlewood expansions here; hecke's structure
+  (weight multiplicities, the Schur -> monomial table, tensor products
+  of irreducibles and Hall-Littlewood expansions here; hecke's structure
   constants and the closed-form products its peel reads), each a route
   computing the table on cores.  A core is
   mu - mu_n(1, ..., 1), last entry 0; since V_{mu + k(1,...,1)} =
@@ -75,8 +75,20 @@ boundary.  The pieces:
   then the rest of the first factor's, so a table's cap meets the first
   factor's first term, the second's terms and then the rest of the
   first's, in that order;
-- _tensor_irreducibles: s_a s_b by Brauer-Klimyk, the table of
-  _brauer_klimyk, V_a (x) V_b = sum_{w in wt(V_b)} sign *
+- the pieces of the Pieri rules, each defined here once and read by
+  hecke too: _vertical_strips and _horizontal_strips, the strips lam/kappa;
+  _is_closed, whether a core is zero, one column, one row or (r, ..., r,
+  0), the dual of a row; and _closed_product(lam, mu, column, row), the one
+  dispatch of a pair with a closed core: the column rule for a zero or
+  one-column core, the row rule for a one-row core, and for (r, ..., r, 0)
+  the row rule on the _dual of the other core, moved back.  hecke passes it
+  the Hall-Littlewood column and row rules; here it is passed their t -> 0
+  limit, the Schur Pieri rules s_kappa e_k and s_kappa h_r, each the sum of
+  s_lam over the strips with coefficient 1 (Macdonald, SFHP, I (5.16) and
+  (5.17));
+- _tensor_irreducibles: s_a s_b, the table of _tensor_entry, which reads a
+  pair with an _is_closed core off the Schur Pieri rules and any other
+  pair off _brauer_klimyk, V_a (x) V_b = sum_{w in wt(V_b)} sign *
   V_{sort(a + w + rho) - rho}, the Weyl straightening a_beta / a_rho =
   +-s_{sort(beta) - rho} done inside its loop on plain ints: the sign and
   the distinctness of beta are read off its pairs and only a beta with
@@ -787,8 +799,81 @@ def _brauer_klimyk(a, b):
     return {lam: c for lam, c in out.items() if c}
 
 
+# -- the Pieri rules: strips, closed cores and the one dispatch ----------
+
+
+def _is_closed(kappa):
+    """Whether a core multiplies by a Pieri rule: kappa is zero, one column, one row or (r, ..., r, 0), a row's dual."""
+    return kappa[0] <= 1 or not kappa[1] or kappa[-2] == kappa[0]
+
+
+def _dual(kappa):
+    """The core of kappa*, for a core kappa: (kappa_1 - kappa_n, ..., kappa_1 - kappa_1)."""
+    return tuple([kappa[0] - x for x in reversed(kappa)])
+
+
+def _vertical_strips(kappa, k):
+    """Each lam with lam/kappa a vertical k-strip, with the rows holding its boxes."""
+    for strip in itertools.combinations(range(len(kappa)), k):
+        lam = list(kappa)
+        for i in strip:
+            lam[i] += 1
+        if not any(i and lam[i - 1] < lam[i] for i in strip):
+            yield tuple(lam), strip
+
+
+def _horizontal_strips(kappa, r):
+    """Each lam, at most n rows, with lam/kappa a horizontal r-strip: lam_1 >= kappa_1 >= lam_2 >= ... >= kappa_n."""
+    heads = [((), r)]
+    for i in range(len(kappa) - 1, 0, -1):
+        top = kappa[i - 1] - kappa[i]
+        heads = [((kappa[i] + a,) + tail, left - a) for tail, left in heads for a in range(min(top, left) + 1)]
+    return [(kappa[0] + left,) + tail for tail, left in heads]
+
+
+def _closed_product(lam, mu, column, row):
+    """The product of the basis elements of two cores, one of them _is_closed, by a column rule or a row rule.
+
+    column(k, kappa) multiplies kappa by the column (1^k), row(r, kappa) by
+    the row (r, 0, ..., 0).  A zero or one-column core takes the column rule
+    and a one-row core the row rule; a core (r, ..., r, 0) is the dual of the
+    row (r), so the product is the row rule on the dual of the other core,
+    with every key nu moved back to (s - nu_n, ..., s - nu_1), s = r + the
+    other's first entry.
+    """
+    for a, b in ((lam, mu), (mu, lam)):
+        if a[0] <= 1:
+            return column(a.count(1), b)
+        if not a[1]:
+            return row(a[0], b)
+    a, b = (lam, mu) if lam[-2] == lam[0] else (mu, lam)
+    s = a[0] + b[0]
+    return {tuple([s - x for x in reversed(nu)]): c for nu, c in row(a[0], _dual(b)).items()}
+
+
+def _schur_column(k, kappa):
+    """s_kappa e_k = sum of s_lam over the vertical k-strips lam/kappa (Macdonald, SFHP, I (5.17))."""
+    return {lam: 1 for lam, _ in _vertical_strips(kappa, k)}
+
+
+def _schur_row(r, kappa):
+    """s_kappa h_r = sum of s_lam over the horizontal r-strips lam/kappa (Macdonald, SFHP, I (5.16))."""
+    return dict.fromkeys(_horizontal_strips(kappa, r), 1)
+
+
+def _tensor_entry(a, b):
+    """V_a (x) V_b for cores: by the Schur Pieri rules when one of them _is_closed, else by Brauer-Klimyk.
+
+    The table's pattern cap runs on both weights before this route, so a
+    pair past the cap is refused even where the Pieri rules could finish it.
+    """
+    if _is_closed(a) or _is_closed(b):
+        return _closed_product(a, b, _schur_column, _schur_row)
+    return _brauer_klimyk(a, b)
+
+
 # s_a s_b in the Schur basis: the table of repring.tensor and of hecke's transform product.
-_tensor_irreducibles = _on_cores(_brauer_klimyk, _check_patterns)
+_tensor_irreducibles = _on_cores(_tensor_entry, _check_patterns)
 
 
 # Weight entries _hl_expand's expansion may hold, 2^pairs terms of n entries: the largest admitted,

@@ -21,7 +21,6 @@ from satkit.hecke import (
     _closed,
     _closed_entry,
     _column_rule,
-    _is_closed,
     _peel,
     _peel_against,
     _peel_cores,
@@ -37,7 +36,7 @@ from satkit.hecke import (
 from satkit.laurent import LaurentScalar, _add_scaled, _gauss_rows, _times, parse_scalar
 from satkit.repring import irreducible, tensor
 from satkit.rootdata import dominance_leq, dual_weight, is_dominant, two_rho_pairing
-from satkit.symfunc import SymPoly, _hl_terms, hall_littlewood, monomial
+from satkit.symfunc import SymPoly, _hl_terms, _is_closed, hall_littlewood, monomial
 
 
 def _doms(n, hi=2, lo=0):
@@ -206,8 +205,11 @@ def test_convolution_commutes(a, b):
 # _structure_constants reads a closed form (the column rule or the row rule) when a factor
 # or its dual is zero, one column or one row, and otherwise peels a factor column by column
 # or, when the peel would reach too many cores, takes the Schur-basis route: the product of
-# the two Satake transforms by Brauer-Klimyk, pulled back by elimination.  Each route is
-# held here to the Schur route, which shares no code with the Pieri rules.
+# the two Satake transforms by the tensor table, pulled back by elimination.  Each route is
+# held here to the Schur route, which shares no Hall-Littlewood Pieri rule with them.  The
+# tensor table reads a pair with a closed core off the Schur Pieri rules, on the strip
+# enumerators the Hall-Littlewood rules read too; test_symfunc holds it to Brauer-Klimyk, which
+# reads no strip, and the t = 1 limit below reads none either.
 
 
 def _core(mu):
@@ -298,7 +300,7 @@ def _column_rule_before(k, kappa):
     n = len(kappa)
     rows = None
     out = {}
-    for lam, strip in hecke._vertical_strips(kappa, k):
+    for lam, strip in symfunc._vertical_strips(kappa, k):
         c = {k * (n - k) - sum(n - 1 - 2 * i for i in strip): 1}
         for j, theta in Counter([lam[i] for i in strip]).items():
             m = lam.count(j)
@@ -313,7 +315,7 @@ def _column_rule_before(k, kappa):
 def _row_rule_before(r, kappa):
     n = len(kappa)
     out = {}
-    for lam in hecke._horizontal_strips(kappa, r):
+    for lam in symfunc._horizontal_strips(kappa, r):
         added = [x - y for x, y in zip(lam, kappa)]
         e = (n - 1) * r - sum((n - 1 - 2 * i) * a for i, a in enumerate(added))
         starts = {y for y, a in zip(kappa, added) if a}
@@ -510,12 +512,14 @@ def test_dual_weights_match_independent_routes(data):
 
 
 # In a fresh interpreter: every unordered pair of the benchmark boxes given, multiplied by
-# PRODUCT; prints the misses of the structure-constant and Brauer-Klimyk tables, then how many
-# entries the transform route, straightening and Brauer-Klimyk computed (an entry read off its
-# dual's is not computed), then the pattern table's misses and entries computed.  Each table is
-# bound to its route when built, so the tables are rebuilt by symfunc._on_cores on counted routes,
-# each with its cap; a module that imported a table by name holds the old lookup, so the new one
-# is bound in every loaded satkit module that holds the name.
+# PRODUCT; prints the misses of the structure-constant and tensor tables, then how many entries
+# the transform route, straightening and the tensor route computed (an entry read off its dual's
+# is not computed), then the Brauer-Klimyk products the tensor route took (its entries with no
+# closed core), then the pattern table's misses and entries computed.  Each table is bound to its
+# route when built, so the tables are rebuilt by symfunc._on_cores on counted routes, each with
+# its cap; a module that imported a table by name holds the old lookup, so the new one is bound
+# in every loaded satkit module that holds the name.  The tensor route reads _brauer_klimyk off
+# symfunc when it runs, so that one is counted where it is defined.
 _COUNTED_RUN = """
 import itertools
 import sys
@@ -535,18 +539,23 @@ def counted(module, table, name, cap):
 tables = (
     (hecke, "_structure_constants", "_checked_product", symfunc._check_patterns),
     (symfunc, "_hl_terms", "_hl_expand", symfunc._check_expansion),
-    (symfunc, "_tensor_irreducibles", "_brauer_klimyk", symfunc._check_patterns),
+    (symfunc, "_tensor_irreducibles", "_tensor_entry", symfunc._check_patterns),
     (symfunc, "_pattern_weights", "_gelfand_tsetlin", symfunc._check_patterns),
 )
 for module, table, name, cap in tables:
     counted(module, table, name, cap)
+brauer_klimyk = symfunc._brauer_klimyk
+def counted_brauer_klimyk(*cores):
+    computed["_brauer_klimyk"] += 1
+    return brauer_klimyk(*cores)
+symfunc._brauer_klimyk = counted_brauer_klimyk
 for n, lo, hi in BOXES:
     box = [w for w in itertools.product(range(hi, lo - 1, -1), repeat=n) if list(w) == sorted(w, reverse=True)]
     for i, a in enumerate(box):
         for b in box[i:]:
             PRODUCT
 print(hecke._structure_constants.cache_info().misses, symfunc._tensor_irreducibles.cache_info().misses,
-      *(computed[name] for _, _, name, _ in tables[:3]),
+      *(computed[name] for _, _, name, _ in tables[:3]), computed["_brauer_klimyk"],
       symfunc._pattern_weights.cache_info().misses, computed["_gelfand_tsetlin"])
 """
 
@@ -571,24 +580,28 @@ def test_table_computes_each_pair_of_cores_once():
     # core of the boxes has the pattern cap proved by its first entry, so no Schur key is checked;
     # only an entry whose peel reaches more than one core reads the Hall-Littlewood expansions of
     # its cores, for the quarter rule: (4, 2, 0)^2 and (2, 2, 0, 0)^2, 2 expansions; each entry is
-    # multiplied out by the Pieri rules, with no Brauer-Klimyk product and no Gelfand-Tsetlin pattern
+    # multiplied out by the Pieri rules, with no tensor entry, no Brauer-Klimyk product and no
+    # Gelfand-Tsetlin pattern
     boxes = ((2, 0, 6), (3, 0, 4), (4, 0, 2))
     pairs, cores, orbits = _orbits(boxes)
     assert (len(pairs), len(cores), len(orbits)) == (1156, 203, 128)
     got = _counted_run(boxes, "hecke.convolve(hecke.basis(a), hecke.basis(b))")
-    assert got[:5] == (len(cores), 0, len(orbits), 2, 0)
-    assert got[5:] == (0, 0)
+    assert got[:6] == (len(cores), 0, len(orbits), 2, 0, 0)
+    assert got[6:] == (0, 0)
 
 
 def test_tensor_computes_each_dual_orbit_once():
-    # the tensor-sweep boxes: 1,785 products look up 220 pairs of cores, and Brauer-Klimyk
-    # computes 145 of them, one per orbit under duality
+    # the tensor-sweep boxes: 1,785 products look up 220 pairs of cores, and the tensor route
+    # computes 145 of them, one per orbit under duality; 125 have a closed core and are read off
+    # the Schur Pieri rules, so Brauer-Klimyk takes 20, and the pattern table is looked up for its
+    # smaller factors alone: 10 misses and 7 entries enumerated
     boxes = ((2, -4, 4), (3, -2, 2), (4, -1, 1))
     pairs, cores, orbits = _orbits(boxes)
     assert (len(pairs), len(cores), len(orbits)) == (1785, 220, 145)
+    assert sum(not (symfunc._is_closed(a) or symfunc._is_closed(b)) for a, b in orbits) == 20
     got = _counted_run(boxes, "repring.tensor(repring.irreducible(a), repring.irreducible(b))")
-    assert got[:5] == (0, len(cores), 0, 0, len(orbits))
-    assert got[5:] == (34, 25)
+    assert got[:6] == (0, len(cores), 0, 0, len(orbits), 20)
+    assert got[6:] == (10, 7)
 
 
 _ROUND_TRIP_RUN = """
@@ -661,7 +674,7 @@ def _outcomes(monkeypatch, route, product, pairs):
         ("_hl_terms", symfunc._hl_expand, symfunc._check_expansion),
         ("_pattern_weights", symfunc._gelfand_tsetlin, symfunc._check_patterns),
         ("_dominant_weights", symfunc._dominant_entry, symfunc._check_patterns),
-        ("_tensor_irreducibles", symfunc._brauer_klimyk, symfunc._check_patterns),
+        ("_tensor_irreducibles", symfunc._tensor_entry, symfunc._check_patterns),
     )
     for name, entry_route, cap in tables:
         table = symfunc._on_cores(entry_route, cap)
@@ -744,6 +757,44 @@ def test_structure_constants_are_q_polynomials():
                     for q in (2, 3):
                         value = c.specialize(q)
                         assert value == int(value) and value >= 0
+
+
+# -- geometric Satake's two classical limits --------------------------------
+# With t = v^-2, P_lam(x; 0) = s_lam and P_lam(x; 1) = m_lam (Macdonald, SFHP, III.2).  Since
+# satake(T_lam) = v^<2rho,lam> P_lam, the coefficient of T_nu in T_lam * T_mu is v^<2rho,lam+mu-nu>
+# times the coefficient of P_nu in P_lam P_mu, a polynomial in t: so its v-degree is at most
+# <2rho, lam + mu - nu>, its coefficient there (t -> 0) is the multiplicity of V_nu in V_lam (x) V_mu,
+# and its value at v = 1 (t = 1) is the coefficient of m_nu in m_lam m_mu.  Neither limit reads
+# convolve's Hall-Littlewood Pieri rules, peels or expansions; tensor shares only the strip
+# enumerators with them.
+
+
+def _check_classical_limits(lam, mu):
+    product = convolve(basis(lam), basis(mu)).terms
+    multiplicities = tensor(irreducible(lam), irreducible(mu)).terms
+    top = two_rho_pairing(lam) + two_rho_pairing(mu)
+    for nu in product.keys() | multiplicities.keys():
+        coeffs = product[nu].coeffs if nu in product else {}
+        degree = top - two_rho_pairing(nu)
+        assert all(e <= degree for e in coeffs), (lam, mu, nu)
+        # zero where V_nu is not in the tensor product
+        assert coeffs.get(degree, 0) == (multiplicities[nu].as_int() if nu in multiplicities else 0), (lam, mu, nu)
+    at_one = {nu: sum(c.coeffs.values()) for nu, c in product.items()}  # q - 1 vanishes at v = 1
+    assert {nu: x for nu, x in at_one.items() if x} == {nu: c.as_int() for nu, c in (monomial(lam) * monomial(mu)).terms.items()}, (lam, mu)
+
+
+def test_classical_limits_of_the_structure_constants():
+    pairs = [p for n, hi in ((2, 6), (3, 4), (4, 3), (5, 2), (6, 1)) for p in _pairs(_cores(n, hi))]
+    assert len(pairs) == 499
+    for lam, mu in pairs:
+        _check_classical_limits(lam, mu)
+
+
+def test_classical_limits_of_the_structure_constants_on_wider_boxes():
+    pairs = [p for n, hi in ((3, 10), (4, 5)) for p in _pairs(_cores(n, hi))]
+    assert len(pairs) == 3807
+    for lam, mu in pairs:
+        _check_classical_limits(lam, mu)
 
 
 def test_paper_convolution():

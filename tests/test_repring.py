@@ -88,7 +88,8 @@ def test_tensor_dimension_homomorphism():
 
 
 # In a fresh interpreter, with the pattern table rebuilt on a route that records its cores and
-# bound in every loaded satkit module that imported it by name.
+# bound in every loaded satkit module that imported it by name; prints each pair's product, then
+# the cores enumerated for it.
 _BIG_BY_SMALL_RUN = """
 import sys
 from satkit import repring, symfunc
@@ -101,17 +102,27 @@ lookup = symfunc._on_cores(route, symfunc._check_patterns)
 for name, module in list(sys.modules.items()):
     if name.partition(".")[0] == "satkit" and hasattr(module, "_pattern_weights"):
         module._pattern_weights = lookup
-print(repring.tensor(repring.irreducible((998, 0, 0)), repring.irreducible((1, 0, 0))))
-print(enumerated)
+for a, b in (((300, 299, 0), (2, 1, 0)), ((998, 0, 0), (1, 0, 0))):
+    print(repring.tensor(repring.irreducible(a), repring.irreducible(b)))
+    print(enumerated)
+    enumerated.clear()
 """
 
 
 def test_tensor_enumerates_only_the_smaller_factor():
-    # Brauer-Klimyk walks the weights of the factor of smaller dimension and of the other needs
-    # only its highest weight, so the 499,500 patterns of (998, 0, 0) are never enumerated
+    # neither core of the first pair is closed, so Brauer-Klimyk walks the weights of the factor of
+    # smaller dimension and of the other needs only its highest weight: the 90,600 patterns of
+    # (300, 299, 0) are never enumerated.  The second pair has a row factor, so the Schur Pieri
+    # rule reads it off the horizontal strips and no pattern is enumerated at all, not even the 3 of
+    # (1, 0, 0) nor the 499,500 of (998, 0, 0)
     run = subprocess.run([sys.executable, "-c", _BIG_BY_SMALL_RUN], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "RepElement(n=3, V[999,0,0] + V[998,1,0])\n[((1, 0, 0),)]\n"
+    assert run.stdout == (
+        "RepElement(n=3, V[302,300,0] + V[302,299,1] + V[301,301,0] + (2)*V[301,300,1] + V[301,299,2] + V[300,300,2])\n"
+        "[((2, 1, 0),)]\n"
+        "RepElement(n=3, V[999,0,0] + V[998,1,0])\n"
+        "[]\n"
+    )
 
 
 def test_littlewood_richardson_positivity():

@@ -23,6 +23,11 @@ element's, so it is never written into.
 Caps read where they live: no module binds a _MAX_* cap by from ... import,
 so a cap monkeypatched in its own module reaches every check and every
 bound that reads it.
+
+One definition per function: no module-level function name is defined in
+two modules of the package, so a kernel that moved to the module that owns
+it (the strip enumerators and the closed-form dispatch that symfunc shares
+with hecke) is imported where it is used, never copied back.
 """
 
 import ast
@@ -199,3 +204,31 @@ def test_the_gate_sees_a_cap_imported_by_name():
         "b": ast.parse("from . import symfunc\n\ncap = symfunc._MAX_PATTERNS\n"),
     }
     assert _imported_caps(trees) == ["a._MAX_PATTERNS", "a._MAX_WINDOW"]
+
+
+def _defined_twice(trees):
+    """{name: modules} for each module-level function name that more than one module defines."""
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, []).append(module)
+    return {name: modules for name, modules in defined.items() if len(modules) > 1}
+
+
+def test_no_function_is_defined_in_two_modules():
+    assert _defined_twice(TREES) == {}
+
+
+def test_the_gate_sees_a_function_defined_twice():
+    # a method, a nested function or an imported name is no second definition; a module-level
+    # function is, whatever its body
+    trees = {
+        "a": ast.parse("def _strips(kappa):\n    return []\n\ndef _dual(kappa):\n    return kappa\n"),
+        "b": ast.parse(
+            "from .a import _dual\n\ndef _strips(kappa, k):\n    yield kappa\n\n"
+            "class C:\n    def _dual(self):\n        pass\n\ndef f():\n    def _dual():\n        pass\n"
+        ),
+        "c": ast.parse("async def _strips():\n    pass\n"),
+    }
+    assert _defined_twice(trees) == {"_strips": ["a", "b", "c"]}

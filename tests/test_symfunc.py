@@ -601,7 +601,7 @@ def test_the_caps_are_proved_from_the_live_caps(monkeypatch):
     assert [n for n in range(1, 9) if symfunc._expansions_proved(n)] == [1, 2, 3, 4, 5]
 
 
-# In a fresh interpreter: the Brauer-Klimyk and pattern tables rebuilt by symfunc._on_cores on a
+# In a fresh interpreter: the tensor and pattern tables rebuilt by symfunc._on_cores on a
 # counted pattern cap, each lookup wrapped to count the lookups that missed (its table's misses
 # moved), and bound in every loaded satkit module that holds the name.  Every unordered pair of
 # the tensor-sweep boxes is tensored twice; prints the lookups, the lookups that missed and the
@@ -628,7 +628,7 @@ def counted(name, route):
     for loaded_name, loaded in list(sys.modules.items()):
         if loaded_name.partition(".")[0] == "satkit" and hasattr(loaded, name):
             setattr(loaded, name, lookup)
-counted("_tensor_irreducibles", symfunc._brauer_klimyk)
+counted("_tensor_irreducibles", symfunc._tensor_entry)
 counted("_pattern_weights", symfunc._gelfand_tsetlin)
 
 pairs = []
@@ -645,14 +645,16 @@ for sweep in range(2):
 
 
 def test_a_table_hit_calls_no_cap():
-    # the cap runs on each weight of a lookup that misses (two per Brauer-Klimyk lookup, one per
-    # pattern lookup) and never on a hit: a cached entry proves its weights pass
+    # the cap runs on each weight of a lookup that misses (two per tensor lookup, one per pattern
+    # lookup) and never on a hit: a cached entry proves its weights pass
     run = subprocess.run([sys.executable, "-c", _CAP_CALLS_RUN], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     first, second = [tuple(map(int, line.split())) for line in run.stdout.splitlines()]
-    lookups, bk_missed, pattern_missed, capped = first
-    assert capped == 2 * bk_missed + pattern_missed
-    assert first == (1785 + 145, 146, 34, 326)  # 145 pattern lookups, one per Brauer-Klimyk entry computed
+    lookups, tensor_missed, pattern_missed, capped = first
+    assert capped == 2 * tensor_missed + pattern_missed
+    # 20 pattern lookups, one per Brauer-Klimyk product: the other 125 of the 145 tensor entries
+    # computed have a closed core and read no pattern
+    assert first == (1785 + 20, 146, 10, 302)
     assert second == (1785, 0, 0, 0)
 
 
@@ -708,6 +710,22 @@ def test_brauer_klimyk_matches_straighten_route():
     for a, b in pairs:
         entry, expected = symfunc._brauer_klimyk(a, b), _brauer_klimyk_by_straighten(a, b)
         assert list(entry.items()) == list(expected.items()), (a, b)
+
+
+def test_pieri_route_matches_brauer_klimyk_on_every_closed_pair():
+    # every unordered pair of cores with a zero, one-column, one-row or (r, ..., r, 0) core, in both
+    # orders: the tensor route reads these off the strips by the Schur Pieri rules, and Brauer-Klimyk,
+    # which reads no strip, is its oracle
+    pairs = []
+    for n, hi in ((2, 16), (3, 10), (4, 6), (5, 4), (6, 3), (7, 2)):
+        cores = [mu for mu in _dominants(0, hi, n) if mu[-1] == 0]
+        pairs += [
+            (a, b) for i, a in enumerate(cores) for b in cores[i:] if symfunc._is_closed(a) or symfunc._is_closed(b)
+        ]
+    assert len(pairs) == 3860
+    for a, b in pairs:
+        expected = symfunc._brauer_klimyk(a, b)
+        assert symfunc._tensor_entry(a, b) == expected == symfunc._tensor_entry(b, a), (a, b)
 
 
 # -- the lookup of _on_cores: one weight or two ----------------------------
